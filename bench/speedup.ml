@@ -9,7 +9,13 @@
    deliberately generous).
 
    Timing is best-of-N wall clock after warmup — the minimum is the right
-   statistic for a regression gate because noise only ever adds time. *)
+   statistic for a regression gate because noise only ever adds time.
+
+   Two relative gates follow, each a ratio of two kernels timed together
+   in this process, so host speed cancels and no seed row is needed: the
+   load-aware greedy against plain greedy on the same instance (at most
+   2x), and the write-ahead journal's tax on the churn kernel
+   (--journal-max-overhead). *)
 
 module Problem = Dia_core.Problem
 module Placement = Dia_placement.Placement
@@ -20,6 +26,9 @@ let seed_json = ref "bench/BENCH.seed.json"
 let min_factor = ref 3.0
 let runs = ref 12
 let journal_max_overhead = ref 0.10
+
+(* Max tolerated cost of load-aware greedy relative to plain greedy. *)
+let load_max_ratio = 2.0
 
 let () =
   Arg.parse
@@ -95,11 +104,34 @@ let best_of_wall f =
   done;
   !best *. 1e9
 
-let () =
-  (* The exact instance the bechamel kernels time. *)
+(* Best-of-[rounds] wall times of two kernels timed in interleaved
+   rounds, so frequency drift or a noisy neighbour lands on both mins
+   instead of skewing one side of their ratio. *)
+let interleaved_best ~rounds f g =
+  for _ = 1 to 3 do
+    ignore (Sys.opaque_identity (f ()));
+    ignore (Sys.opaque_identity (g ()))
+  done;
+  let bf = ref infinity and bg = ref infinity in
+  for _ = 1 to rounds do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    let t1 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (g ()));
+    let t2 = Unix.gettimeofday () in
+    if t1 -. t0 < !bf then bf := t1 -. t0;
+    if t2 -. t1 < !bg then bg := t2 -. t1
+  done;
+  (!bf *. 1e9, !bg *. 1e9)
+
+(* The exact instance the bechamel kernels time. *)
+let bench_problem =
   let matrix = Dia_latency.Synthetic.internet_like ~seed:3 300 in
   let servers = Placement.random ~seed:3 ~k:20 ~n:300 in
-  let p = Problem.all_nodes_clients matrix ~servers in
+  Problem.all_nodes_clients matrix ~servers
+
+let () =
+  let p = bench_problem in
   let kernels =
     [
       ("assign/greedy(n=300,k=20)", fun () -> ignore (Dia_core.Greedy.assign p));
@@ -121,6 +153,29 @@ let () =
     Printf.eprintf
       "speedup: a kernel fell below the %.1fx gate (refactor target: 5x)\n"
       !min_factor;
+    exit 1
+  end
+
+(* Load-greedy gate: the load-aware greedy (mm1:40, as in the bechamel
+   suite) shares plain greedy's live-list machinery and adds only a
+   delay-table lookup per candidate, so on the same instance it must
+   stay within [load_max_ratio] of the plain kernel. A regression to
+   per-step re-sorting costs tens of times the plain kernel. *)
+let () =
+  let delay = Dia_core.Delay.Queueing { mu = 40. } in
+  let plain, load =
+    interleaved_best ~rounds:!runs
+      (fun () -> Dia_core.Greedy.assign bench_problem)
+      (fun () -> Dia_core.Greedy.assign_load ~delay bench_problem)
+  in
+  let ratio = load /. plain in
+  let verdict = if ratio <= load_max_ratio then "OK" else "TOO SLOW" in
+  Printf.printf "%-32s plain %9.0f ns   load %11.0f ns   ratio %5.2fx   [%s]\n"
+    "assign/greedy-load(n=300,k=20)" plain load ratio verdict;
+  if ratio > load_max_ratio then begin
+    Printf.eprintf
+      "speedup: load-aware greedy costs %.2fx plain greedy (gate: %.1fx)\n"
+      ratio load_max_ratio;
     exit 1
   end
 
@@ -162,26 +217,11 @@ let () =
       done;
       ignore (Dia_core.Dynamic.rebalance ~max_moves:8 session)
   in
-  (* The verdict is a ratio of two close numbers, so the kernels are
-     timed in interleaved rounds: frequency drift or a noisy neighbour
-     lands on both mins instead of skewing one side of the ratio. *)
-  let plain_kernel = make_kernel ~journal:false in
-  let journal_kernel = make_kernel ~journal:true in
-  for _ = 1 to 3 do
-    ignore (Sys.opaque_identity (plain_kernel ()));
-    ignore (Sys.opaque_identity (journal_kernel ()))
-  done;
-  let plain = ref infinity and journaled = ref infinity in
-  for _ = 1 to 3 * !runs do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (plain_kernel ()));
-    let t1 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (journal_kernel ()));
-    let t2 = Unix.gettimeofday () in
-    if t1 -. t0 < !plain then plain := t1 -. t0;
-    if t2 -. t1 < !journaled then journaled := t2 -. t1
-  done;
-  let plain = !plain *. 1e9 and journaled = !journaled *. 1e9 in
+  (* The verdict is a ratio of two close numbers, hence interleaving. *)
+  let plain, journaled =
+    interleaved_best ~rounds:(3 * !runs) (make_kernel ~journal:false)
+      (make_kernel ~journal:true)
+  in
   let overhead = (journaled -. plain) /. plain in
   let verdict = if overhead <= !journal_max_overhead then "OK" else "TOO SLOW" in
   Printf.printf

@@ -32,8 +32,14 @@ val assign_load : delay:Delay.t -> Problem.t -> Assignment.t
     [max(l(s), d) + delay(load s + Δn)] — while other used servers keep
     [l(s') + delay(load s')]; delay monotonicity makes the running
     maximum exact. Same amortised [Δl / Δn] cost, cross-product
-    comparison and tie order as {!assign_reference}. O(|S||C|²) per
-    iteration. *)
+    comparison and tie order as {!assign_reference}.
+
+    Runs on {!assign}'s machinery: per-server live lists of the
+    unassigned clients in [Ls] order, sorted once and compacted after
+    each commit, plus a delay table [delay(l)] for [l = 0 .. |C|] built
+    once per call. O(|S||C| log |C|) for the initial sorts, then
+    O(|S||C| + |S|²) per iteration. Bit-identical to the re-sorting reference
+    the oracle keeps. *)
 
 val assign_reference : Problem.t -> Assignment.t
 (** Textbook implementation without the sorted-list/index bookkeeping:

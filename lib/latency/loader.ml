@@ -15,22 +15,48 @@ let is_comment line =
   let line = String.trim line in
   String.length line = 0 || line.[0] = '#' || line.[0] = '%'
 
-let data_lines path = List.filter (fun l -> not (is_comment l)) (read_lines path)
+(* Data lines with their 1-based line numbers in the file. *)
+let data_lines path =
+  List.mapi (fun i l -> (i + 1, l)) (read_lines path)
+  |> List.filter (fun (_, l) -> not (is_comment l))
 
+let is_blank c = c = ' ' || c = '\t'
+
+(* Whitespace-separated tokens with their 1-based columns. *)
 let fields line =
-  String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) line)
-  |> List.filter (fun s -> s <> "")
+  let len = String.length line in
+  let rec scan i acc =
+    if i >= len then List.rev acc
+    else if is_blank line.[i] then scan (i + 1) acc
+    else begin
+      let j = ref i in
+      while !j < len && not (is_blank line.[!j]) do incr j done;
+      scan !j ((i + 1, String.sub line i (!j - i)) :: acc)
+    end
+  in
+  scan 0 []
 
-let parse_cell token =
+let fail_at ~line ~col fmt =
+  Printf.ksprintf
+    (fun m -> failwith (Printf.sprintf "Loader: line %d, column %d: %s" line col m))
+    fmt
+
+(* [nan] and [inf] parse as floats; reject them here, where the
+   position is known, rather than letting them reach the matrix. *)
+let parse_cell ~line (col, token) =
   if token = "-" || token = "?" then None
   else
     match float_of_string_opt token with
-    | None -> failwith (Printf.sprintf "Loader: unparsable value %S" token)
+    | None -> fail_at ~line ~col "unparsable value %S" token
+    | Some v when not (Float.is_finite v) ->
+        fail_at ~line ~col "non-finite value %S" token
     | Some v -> if v < 0. then None else Some v
 
 let parse_matrix path =
   let rows =
-    List.map (fun line -> Array.of_list (List.map parse_cell (fields line))) (data_lines path)
+    List.map
+      (fun (line, text) -> Array.of_list (List.map (parse_cell ~line) (fields text)))
+      (data_lines path)
   in
   let n = List.length rows in
   List.iteri
@@ -45,13 +71,15 @@ let parse_matrix path =
 let parse_triples path =
   let triples =
     List.map
-      (fun line ->
-        match fields line with
-        | [ i; j; rtt ] -> (
-            match (int_of_string_opt i, int_of_string_opt j, parse_cell rtt) with
+      (fun (line, text) ->
+        match fields text with
+        | [ (_, i); (_, j); rtt ] -> (
+            match (int_of_string_opt i, int_of_string_opt j, parse_cell ~line rtt) with
             | Some i, Some j, rtt when i >= 0 && j >= 0 -> (i, j, rtt)
-            | _ -> failwith (Printf.sprintf "Loader: bad triple line %S" line))
-        | _ -> failwith (Printf.sprintf "Loader: expected 'i j rtt', got %S" line))
+            | _ -> failwith (Printf.sprintf "Loader: line %d: bad triple line %S" line text))
+        | _ ->
+            failwith
+              (Printf.sprintf "Loader: line %d: expected 'i j rtt', got %S" line text))
       (data_lines path)
   in
   let nodes =
@@ -116,11 +144,25 @@ let complete_subset raw =
   in
   (ids, matrix)
 
+(* A three-field first line means triples unless the file could be a
+   3x3 matrix, whose diagonal is zero: three lines whose i-th line has
+   a zero i-th field, or one [parse_cell] reads as missing. *)
 let looks_like_triples path =
   match data_lines path with
   | [] -> false
-  | first :: _ as lines ->
-      List.length (fields first) = 3 && List.length lines <> 3
+  | (_, first) :: _ as lines ->
+      let zero_diagonal i (_, text) =
+        match List.nth_opt (fields text) i with
+        | Some (_, token) -> (
+            match float_of_string_opt token with
+            | Some v -> v <= 0.
+            | None -> token = "-" || token = "?")
+        | None -> false
+      in
+      List.length (fields first) = 3
+      && not
+           (List.length lines = 3
+           && List.for_all Fun.id (List.mapi zero_diagonal lines))
 
 let load path =
   let raw = if looks_like_triples path then parse_triples path else parse_matrix path in

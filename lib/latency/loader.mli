@@ -25,7 +25,9 @@ type raw = {
 val parse_matrix : string -> raw
 (** Parse a dense matrix file.
 
-    @raise Failure on malformed input (non-square, unparsable token). *)
+    @raise Failure on malformed input (non-square, unparsable token).
+    A value that parses but is not finite ([nan], [inf], [infinity])
+    is rejected with a message naming its line and column. *)
 
 val parse_triples : string -> raw
 (** Parse an [i j rtt] triple file. Node count is one more than the
@@ -42,9 +44,11 @@ val complete_subset : raw -> int array * Matrix.t
     [d(u, v) > 0]. *)
 
 val load : string -> Matrix.t
-(** [load path] sniffs the format (triples if the first data line has
-    exactly three fields and the file is not square, dense otherwise),
-    parses, and cleans.
+(** [load path] sniffs the format, parses, and cleans. The file is
+    triples if its first data line has exactly three fields, unless it
+    has exactly three data lines and the [i]-th field of line [i] is
+    zero or a missing marker ([-], [?], negative) for each of them — the
+    diagonal of a 3x3 matrix. Anything else is dense.
 
     @raise Failure on malformed input; [Sys_error] if unreadable. *)
 

@@ -263,6 +263,18 @@ let check_instance ~seed =
       checked (k ^ "-load >= LB_load")
         (Invariant.dominates_lb ~lb:lb_load ~label:(k ^ "-load") v))
     load_values;
+  (* The live-list kernel against the re-sorting reference it replaced:
+     same float expressions over the same candidate order, so the same
+     assignment bit for bit — including tie-heavy instances. *)
+  checked "greedy-load fast = reference"
+    (let fast = List.assoc "greedy" load_assignments in
+     let reference = Reference.greedy_load ~delay p in
+     if Assignment.equal fast reference then Ok ()
+     else
+       Error
+         (Printf.sprintf "D_load %.17g fast vs %.17g reference"
+            (List.assoc "greedy" load_values)
+            (Objective.max_interaction_path_load p ~delay reference)));
   checked "zero-delay identity"
     (Invariant.load_zero_identity ~label:"greedy"
        p (List.assoc "greedy" assignments));

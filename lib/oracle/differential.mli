@@ -38,11 +38,13 @@
     - the load-aware objective, under a delay-model family cycling with
       the seed (constant, linear, unsaturated and saturated M/M/1):
       validity of the load-aware Nearest/Greedy/Distributed-Greedy
-      outputs, [D_load >= D] exactly, the fast effective-eccentricity
-      evaluator against the O(|C|^2) definition bit-for-bit, [D_load]
-      under [Constant 0.] bit-equal to [D], [Delay.eval] monotone
-      through saturation, [D_load >= LB_load = LB + 2*delay(1)], and on
-      brute-force-sized instances the exact sandwich
+      outputs, load-aware Greedy bit-identical to
+      {!Reference.greedy_load}, [D_load >= D] exactly, the fast
+      effective-eccentricity evaluator against the O(|C|^2) definition
+      bit-for-bit, [D_load] under [Constant 0.] bit-equal to [D],
+      [Delay.eval] monotone through saturation,
+      [D_load >= LB_load = LB + 2*delay(1)], and on brute-force-sized
+      instances the exact sandwich
       [LB_load <= OPT_load <= D_load] for every load-aware output.
 
     Greedy is {e not} server-monotone (adding a server can worsen its

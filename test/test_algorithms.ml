@@ -252,13 +252,35 @@ let test_greedy_near_optimal_on_random_instances () =
     (Printf.sprintf "worst greedy/optimal ratio %.3f below 1.6" !worst)
     true (!worst < 1.6)
 
+(* Plain greedy runs against [Greedy.assign_reference] on every
+   instance. A drawn delay model also runs load-aware greedy against the
+   oracle's re-sorting reference — constant, linear, unsaturated M/M/1
+   and M/M/1 with mu below the population, so saturation drives the
+   choice. *)
+let reference_delay ~n = function
+  | 0 -> None
+  | 1 -> Some (Dia_core.Delay.Constant 3.)
+  | 2 -> Some (Dia_core.Delay.Linear { base = 0.5; coeff = 0.3 })
+  | 3 -> Some (Dia_core.Delay.Queueing { mu = float_of_int (n + 5) })
+  | _ -> Some (Dia_core.Delay.Queueing { mu = float_of_int (max 1 (n / 3)) })
+
 let prop_greedy_matches_reference =
-  QCheck.Test.make ~name:"optimized greedy equals reference greedy" ~count:60
-    QCheck.(quad (int_bound 1_000_000) (int_range 1 7) (int_range 0 30) bool)
-    (fun (seed, k, extra, capacitated) ->
-      let capacity = if capacitated then Some (max 1 ((k + extra + k - 1) / k)) else None in
-      let p = random_instance ?capacity seed ~n:(k + extra) ~k in
-      Assignment.equal (Greedy.assign p) (Greedy.assign_reference p))
+  QCheck.Test.make ~name:"optimized greedy equals reference greedy" ~count:150
+    QCheck.(
+      pair
+        (quad (int_bound 1_000_000) (int_range 1 7) (int_range 0 30) bool)
+        (int_bound 4))
+    (fun ((seed, k, extra, capacitated), delay) ->
+      let n = k + extra in
+      let capacity = if capacitated then Some (max 1 ((n + k - 1) / k)) else None in
+      let p = random_instance ?capacity seed ~n ~k in
+      Assignment.equal (Greedy.assign p) (Greedy.assign_reference p)
+      &&
+      match reference_delay ~n delay with
+      | None -> true
+      | Some delay ->
+          Assignment.equal (Greedy.assign_load ~delay p)
+            (Dia_oracle.Reference.greedy_load ~delay p))
 
 let test_key_roundtrip () =
   List.iter

@@ -75,6 +75,48 @@ let test_clamps_zero_entries () =
   let _, m = Loader.complete_subset (Loader.parse_matrix path) in
   Alcotest.(check bool) "clamped positive" true (Matrix.get m 0 1 > 0.)
 
+let failure_message f =
+  match f () with
+  | _ -> None
+  | exception Failure m -> Some m
+
+let test_rejects_non_finite () =
+  (* Comment lines count toward the line number; columns are 1-based
+     character offsets of the token. *)
+  List.iter
+    (fun token ->
+      let path = write_temp (Printf.sprintf "# header\n0 1 2\n1 0 %s\n2 3 0\n" token) in
+      Alcotest.(check (option string))
+        (token ^ " rejected with its position")
+        (Some (Printf.sprintf "Loader: line 3, column 5: non-finite value %S" token))
+        (failure_message (fun () -> Loader.parse_matrix path)))
+    [ "nan"; "inf"; "infinity"; "-inf"; "NaN" ];
+  let path = write_temp "0 1 10\n0 2  nan\n1 2 30\n0 3 5\n" in
+  Alcotest.(check (option string)) "triple rtt rejected with its position"
+    (Some "Loader: line 2, column 6: non-finite value \"nan\"")
+    (failure_message (fun () -> Loader.load path))
+
+let test_sniffs_three_line_triples () =
+  (* Three lines of three fields: a King triple file, not a 3x3 matrix
+     (line 2's second field is 2, not a zero diagonal). *)
+  let path = write_temp "0 1 10\n0 2 20\n1 2 30\n" in
+  let m = Loader.load path in
+  Alcotest.(check int) "three nodes" 3 (Matrix.dim m);
+  Alcotest.(check (float 1e-9)) "d(1,2)" 30. (Matrix.get m 1 2);
+  Alcotest.(check (float 1e-9)) "d(0,2)" 20. (Matrix.get m 0 2)
+
+let test_sniffs_three_by_three_matrix () =
+  let path = write_temp "0 4 7\n4 0.0 5\n7 5 0\n" in
+  let m = Loader.load path in
+  Alcotest.(check int) "three nodes" 3 (Matrix.dim m);
+  Alcotest.(check (float 1e-9)) "d(0,2)" 7. (Matrix.get m 0 2);
+  Alcotest.(check (float 1e-9)) "d(1,2)" 5. (Matrix.get m 1 2);
+  (* A diagonal of missing markers still reads as a matrix. *)
+  let path = write_temp "- 4 7\n4 ? 5\n7 5 -1\n" in
+  let m = Loader.load path in
+  Alcotest.(check int) "missing diagonal: three nodes" 3 (Matrix.dim m);
+  Alcotest.(check (float 1e-9)) "missing diagonal: d(0,1)" 4. (Matrix.get m 0 1)
+
 let suite =
   [
     Alcotest.test_case "parse dense matrix" `Quick test_parse_dense_matrix;
@@ -89,4 +131,10 @@ let suite =
     Alcotest.test_case "load sniffs the triple format" `Quick test_load_sniffs_triples;
     Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
     Alcotest.test_case "cleanup clamps zero latencies" `Quick test_clamps_zero_entries;
+    Alcotest.test_case "non-finite values rejected with position" `Quick
+      test_rejects_non_finite;
+    Alcotest.test_case "three-line triple file sniffed as triples" `Quick
+      test_sniffs_three_line_triples;
+    Alcotest.test_case "3x3 matrix sniffed as a matrix" `Quick
+      test_sniffs_three_by_three_matrix;
   ]
