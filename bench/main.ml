@@ -283,7 +283,7 @@ let journal_payload =
 
 let make_journal_append_kernel ~batch =
   let w =
-    Dia_runtime.Journal.create ~path:Filename.null ~digest:"bench" ~base:0 ()
+    Dia_runtime.Journal.create ~path:Filename.null ~digest:"bench" ()
   in
   let cursor = ref 0 in
   fun () ->
@@ -294,12 +294,52 @@ let make_journal_append_kernel ~batch =
 
 let replay_journal_path =
   let path = Filename.temp_file "dia_bench_journal" ".wal" in
-  let w = Dia_runtime.Journal.create ~path ~digest:"bench" ~base:0 () in
+  let w = Dia_runtime.Journal.create ~path ~digest:"bench" () in
   for cursor = 0 to 9_999 do
     Dia_runtime.Journal.append w ~cursor journal_payload
   done;
   Dia_runtime.Journal.close w;
   path
+
+(* checkpoint/generation-save: write one checkpoint generation (encode,
+   tmp write, rename, prune) of a state captured at the last event of a
+   soak of the end-to-end benchmark's soak-durable shape — 400 nodes, 20
+   servers, 5 joins per time unit, three crash windows, about 2 700
+   events. The state is the in-memory one a kill hands back, history
+   attached, so the kernel measures whatever the checkpoint format
+   chooses to write of it. *)
+let generation_save_kernel () =
+  let module Soak = Dia_runtime.Soak in
+  let scenario =
+    {
+      Soak.default_scenario with
+      Soak.seed = 7;
+      nodes = 400;
+      servers = 20;
+      horizon = 350.;
+      join_rate = 5.;
+      mean_lifetime = 200.;
+      fault =
+        (match
+           Dia_sim.Fault.of_string
+             "loss:0.1+crash:2@35~105+crash:5@175~245+crash:11@303.333~350"
+         with
+        | Ok p -> p
+        | Error m -> failwith m);
+    }
+  in
+  let st =
+    match Soak.run scenario Soak.default_config with
+    | Soak.Killed _ -> assert false
+    | Soak.Completed r -> (
+        match
+          Soak.run ~kill_at_event:(r.Soak.events - 1) scenario Soak.default_config
+        with
+        | Soak.Killed st -> st
+        | Soak.Completed _ -> assert false)
+  in
+  let dir = Filename.temp_dir "dia_bench_ckpt" "" in
+  fun () -> Dia_runtime.Generation.save ~dir ~keep:1 st
 
 let make_failover_kernel ~clients ~promote =
   let session = Dia_core.Dynamic.create churn_matrix ~servers:churn_servers in
@@ -382,6 +422,8 @@ let tests =
            match Dia_runtime.Journal.read replay_journal_path with
            | Ok j -> List.length j.Dia_runtime.Journal.records
            | Error m -> failwith m));
+    Test.make ~name:"checkpoint/generation-save(events=2700)"
+      (Staged.stage (generation_save_kernel ()));
     Test.make ~name:"failover/promote(clients=1000)"
       (Staged.stage (make_failover_kernel ~clients:1_000 ~promote:true));
     Test.make ~name:"failover/resolve(clients=1000)"

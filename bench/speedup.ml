@@ -198,8 +198,7 @@ let () =
     let w =
       if journal then
         Some
-          (Dia_runtime.Journal.create ~path:Filename.null ~digest:"gate"
-             ~base:0 ())
+          (Dia_runtime.Journal.create ~path:Filename.null ~digest:"gate" ())
       else None
     in
     let cursor = ref 0 in

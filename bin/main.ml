@@ -592,11 +592,6 @@ let soak_cmd =
          & info [ "lb-every" ] ~docv:"N"
              ~doc:"Events between periodic lower-bound refreshes.")
   in
-  let checkpoint_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Write checkpoints to $(docv) (atomic replace).")
-  in
   let checkpoint_every_arg =
     Arg.(value & opt int dc.Soak.checkpoint_every
          & info [ "checkpoint-every" ] ~docv:"N"
@@ -605,7 +600,7 @@ let soak_cmd =
   let resume_arg =
     Arg.(value & flag
          & info [ "resume" ]
-             ~doc:"Continue from the checkpoint file instead of starting \
+             ~doc:"Continue from $(b,--state-dir) instead of starting \
                    fresh; the final report is bit-identical to an \
                    uninterrupted run.")
   in
@@ -618,12 +613,13 @@ let soak_cmd =
   let state_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "state-dir" ] ~docv:"DIR"
-             ~doc:"Durable-recovery state directory: write-ahead journal of \
-                   event-log lines plus numbered checkpoint generations \
-                   ($(b,ckpt.N)), all written through the storage fault \
-                   injector (disk atoms in $(b,--fault) apply). With \
-                   $(b,--resume), restore lands on the newest generation \
-                   that verifies, rolling back over corrupt ones.")
+             ~doc:"Durable-recovery state directory: a write-ahead journal \
+                   holding the run's history plus numbered checkpoint \
+                   generations of its live state ($(b,ckpt.N)), all written \
+                   through the storage fault injector (disk atoms in \
+                   $(b,--fault) apply). With $(b,--resume), restore lands on \
+                   the newest generation that verifies, rolling back over \
+                   corrupt ones.")
   in
   let keep_arg =
     Arg.(value & opt int 3
@@ -705,8 +701,7 @@ let soak_cmd =
                    Incompatible with $(b,--coreset-eps).")
   in
   let run seed nodes servers capacity horizon rate lifetime drift_period
-      drift_amplitude fault budget max_queue lb_every checkpoint
-      checkpoint_every resume kill_after state_dir keep kill_event
+      drift_amplitude fault budget max_queue lb_every checkpoint_every resume kill_after state_dir keep kill_event
       verify_recovery log_path no_standby standby_bound baseline clients
       coreset_eps delay csv_path =
     let scenario =
@@ -740,8 +735,7 @@ let soak_cmd =
     in
     let proceed resume_from =
       match
-        Soak.run ?checkpoint_path:checkpoint ?state_dir ~keep ?resume_from
-          ?kill_after ?kill_at_event:kill_event scenario config
+        Soak.run ?state_dir ~keep ?resume_from ?kill_after ?kill_at_event:kill_event scenario config
       with
       | exception Invalid_argument m -> `Error (false, m)
       | Soak.Completed r ->
@@ -770,15 +764,12 @@ let soak_cmd =
           `Ok ()
       | Soak.Killed st ->
           Printf.printf "killed after checkpoint %d (event %d of the trace)%s\n"
-            st.Checkpoint.checkpoints st.Checkpoint.cursor
-            (match (state_dir, checkpoint) with
-            | Some dir, _ ->
+            st.Checkpoint.counters.Checkpoint.checkpoints st.Checkpoint.cursor
+            (match state_dir with
+            | Some dir ->
                 Printf.sprintf "; resume with: dia soak --resume --state-dir %s"
                   dir
-            | None, Some path ->
-                Printf.sprintf "; resume with: dia soak --resume --checkpoint %s"
-                  path
-            | None, None -> "");
+            | None -> "");
           exit 137
     in
     if verify_recovery then
@@ -798,8 +789,8 @@ let soak_cmd =
           `Error
             (false, "--verify-recovery requires --state-dir DIR and --kill-event N")
     else if resume then
-      match (state_dir, checkpoint) with
-      | Some dir, _ -> (
+      match state_dir with
+      | Some dir -> (
           let r =
             Dia_runtime.Recovery.restore ~dir
               ~digest:(Soak.digest scenario config)
@@ -818,12 +809,7 @@ let soak_cmd =
               print_endline
                 "(no verifying checkpoint generation; restarting from scratch)";
               proceed None)
-      | None, Some path -> (
-          match Checkpoint.load path with
-          | Ok st -> proceed (Some st)
-          | Error m -> `Error (false, "cannot resume: " ^ m))
-      | None, None ->
-          `Error (false, "--resume requires --checkpoint FILE or --state-dir DIR")
+      | None -> `Error (false, "--resume requires --state-dir DIR")
     else proceed None
   in
   Cmd.v
@@ -831,13 +817,13 @@ let soak_cmd =
        ~doc:"Run the self-healing control plane through a chaos trace: \
              Poisson churn, latency drift and crash/recovery schedules, \
              with SLO-guarded bounded repair, admission control, and \
-             checkpoint/restore. Deterministic: any kill at a checkpoint \
-             boundary resumes to a bit-identical report and event log.")
+             durable checkpoint/restore. Deterministic: a kill at any \
+             event resumes from $(b,--state-dir) to a bit-identical \
+             report and event log.")
     Term.(ret (const run $ seed_arg $ nodes_arg $ servers_arg $ capacity_arg
                $ horizon_arg $ rate_arg $ lifetime_arg $ drift_period_arg
                $ drift_amplitude_arg $ soak_fault_arg $ budget_arg
-               $ max_queue_arg $ lb_every_arg $ checkpoint_arg
-               $ checkpoint_every_arg $ resume_arg $ kill_after_arg
+               $ max_queue_arg $ lb_every_arg $ checkpoint_every_arg $ resume_arg $ kill_after_arg
                $ state_dir_arg $ keep_arg $ kill_event_arg
                $ verify_recovery_arg $ log_arg $ no_standby_arg
                $ standby_bound_arg $ baseline_arg $ clients_arg

@@ -51,45 +51,54 @@ let pool_identity_checks pool ~seed =
       :: !failures;
   List.rev !failures
 
-(* Self-healing control plane: a soak run killed at a checkpoint and
-   resumed through the checkpoint codec must produce a report and event
-   log bit-identical to the uninterrupted run. *)
+(* Self-healing control plane: a soak run killed at a checkpoint,
+   restored from its state dir (newest generation plus the history its
+   journal holds) and resumed into the same dir must produce a report
+   and event log bit-identical to the uninterrupted run. *)
 let soak_determinism_checks ~seed =
   let module Soak = Dia_runtime.Soak in
-  let module Checkpoint = Dia_runtime.Checkpoint in
+  let module Recovery = Dia_runtime.Recovery in
   let module Event_log = Dia_runtime.Event_log in
   let scenario =
     { Soak.default_scenario with Soak.seed; nodes = 50; servers = 4; horizon = 80. }
   in
   let config = { Soak.default_config with Soak.checkpoint_every = 25 } in
-  match Soak.run scenario config with
-  | Soak.Killed _ -> [ "soak determinism: uninterrupted run reported Killed" ]
-  | Soak.Completed base -> (
-      match Soak.run ~kill_after:1 scenario config with
-      | Soak.Completed _ ->
-          [ "soak determinism: kill_after run completed without stopping" ]
-      | Soak.Killed st -> (
-          match Checkpoint.decode (Checkpoint.encode st) with
-          | Error m -> [ "soak determinism: checkpoint round-trip failed: " ^ m ]
-          | Ok st -> (
-              match Soak.run ~resume_from:st scenario config with
-              | Soak.Killed _ -> [ "soak determinism: resumed run reported Killed" ]
-              | Soak.Completed resumed ->
-                  let failures = ref [] in
-                  if Soak.render resumed <> Soak.render base then
-                    failures :=
-                      "soak determinism: resumed report differs from the \
-                       uninterrupted run"
-                      :: !failures;
-                  if
-                    Event_log.render resumed.Soak.log
-                    <> Event_log.render base.Soak.log
-                  then
-                    failures :=
-                      "soak determinism: resumed event log differs from the \
-                       uninterrupted run"
-                      :: !failures;
-                  List.rev !failures)))
+  let state_dir = Filename.temp_dir "dia_oracle_soak" "" in
+  let failures =
+    match Soak.run scenario config with
+    | Soak.Killed _ -> [ "soak determinism: uninterrupted run reported Killed" ]
+    | Soak.Completed base -> (
+        match Soak.run ~state_dir ~kill_after:1 scenario config with
+        | Soak.Completed _ ->
+            [ "soak determinism: kill_after run completed without stopping" ]
+        | Soak.Killed _ -> (
+            let r = Recovery.restore ~dir:state_dir ~digest:(Soak.digest scenario config) in
+            match r.Recovery.generation with
+            | None ->
+                [ "soak determinism: no checkpoint generation restored" ]
+            | Some (_, st) -> (
+                match Soak.run ~state_dir ~resume_from:st scenario config with
+                | Soak.Killed _ -> [ "soak determinism: resumed run reported Killed" ]
+                | Soak.Completed resumed ->
+                    List.filter_map
+                      (fun (same, what) ->
+                        if same then None
+                        else
+                          Some
+                            (Printf.sprintf
+                               "soak determinism: resumed %s differs from the \
+                                uninterrupted run"
+                               what))
+                      [
+                        (Soak.render resumed = Soak.render base, "report");
+                        ( Event_log.render resumed.Soak.log
+                          = Event_log.render base.Soak.log,
+                          "event log" );
+                      ])))
+  in
+  Array.iter (fun f -> Sys.remove (Filename.concat state_dir f)) (Sys.readdir state_dir);
+  Sys.rmdir state_dir;
+  failures
 
 (* Standby failover: promotion must deliver exactly what the standby map
    promised. On an uncapacitated session with freshly armed standbys,

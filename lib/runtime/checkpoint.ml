@@ -1,7 +1,57 @@
-let version = 3
+let version = 4
+
+type counters = {
+  mutable leaves : int;
+  mutable crashes : int;
+  mutable crashes_skipped : int;
+  mutable recoveries : int;
+  mutable drifts : int;
+  mutable stranded : int;
+  mutable repairs : int;
+  mutable repair_moves : int;
+  mutable max_epoch_moves : int;
+  mutable protocol_epochs : int;
+  mutable protocol_stalls : int;
+  mutable rng_cursor : int;
+  mutable events_since_lb : int;
+  mutable checkpoints : int;
+  mutable entries : int;
+  mutable traces : int;
+  mutable baselines : int;
+}
+
+(* Every counter under its checkpoint key: the one list [encode] and
+   [decode] both walk. *)
+let counter_fields =
+  [
+    ("leaves", (fun c -> c.leaves), fun c v -> c.leaves <- v);
+    ("crashes", (fun c -> c.crashes), fun c v -> c.crashes <- v);
+    ("crashes_skipped", (fun c -> c.crashes_skipped), fun c v -> c.crashes_skipped <- v);
+    ("recoveries", (fun c -> c.recoveries), fun c v -> c.recoveries <- v);
+    ("drifts", (fun c -> c.drifts), fun c v -> c.drifts <- v);
+    ("stranded", (fun c -> c.stranded), fun c v -> c.stranded <- v);
+    ("repairs", (fun c -> c.repairs), fun c v -> c.repairs <- v);
+    ("repair_moves", (fun c -> c.repair_moves), fun c v -> c.repair_moves <- v);
+    ("max_epoch_moves", (fun c -> c.max_epoch_moves), fun c v -> c.max_epoch_moves <- v);
+    ("protocol_epochs", (fun c -> c.protocol_epochs), fun c v -> c.protocol_epochs <- v);
+    ("protocol_stalls", (fun c -> c.protocol_stalls), fun c v -> c.protocol_stalls <- v);
+    ("rng_cursor", (fun c -> c.rng_cursor), fun c v -> c.rng_cursor <- v);
+    ("events_since_lb", (fun c -> c.events_since_lb), fun c v -> c.events_since_lb <- v);
+    ("checkpoints", (fun c -> c.checkpoints), fun c v -> c.checkpoints <- v);
+    ("entries", (fun c -> c.entries), fun c v -> c.entries <- v);
+    ("traces", (fun c -> c.traces), fun c v -> c.traces <- v);
+    ("baselines", (fun c -> c.baselines), fun c v -> c.baselines <- v);
+  ]
+
+let counters () =
+  { leaves = 0; crashes = 0; crashes_skipped = 0; recoveries = 0; drifts = 0;
+    stranded = 0; repairs = 0; repair_moves = 0; max_epoch_moves = 0;
+    protocol_epochs = 0; protocol_stalls = 0; rng_cursor = 0;
+    events_since_lb = 0; checkpoints = 0; entries = 0; traces = 0; baselines = 0 }
+
+let copy c = { c with leaves = c.leaves }
 
 type state = {
-  version : int;
   digest : string;
   cursor : int;
   now : float;
@@ -20,21 +70,9 @@ type state = {
   shed : int;
   drained : int;
   abandoned : int;
-  leaves : int;
-  crashes : int;
-  crashes_skipped : int;
-  recoveries : int;
-  drifts : int;
-  stranded : int;
-  repairs : int;
-  repair_moves : int;
-  max_epoch_moves : int;
-  protocol_epochs : int;
-  protocol_stalls : int;
-  rng_cursor : int;
   lb : float;
-  events_since_lb : int;
-  checkpoints : int;
+  counters : counters;
+  history : Journal.cut;
   trace_points : (float * float * float) list;
   baseline_points : (float * float * float) list;
   log : Event_log.entry list;
@@ -42,12 +80,12 @@ type state = {
 
 let fs = Codec.float_str
 
-(* v3 splits the file into checksummed sections: the scalar block and
-   one section per list kind. Every section gets a [crc=NAME:HEX] line
-   (even when empty — a wholesale-deleted section must not verify). *)
-let list_sections =
-  [ "member"; "standby"; "session"; "drift"; "queue"; "trace"; "baseline"; "log" ]
-
+(* The file splits into checksummed sections: the scalar block and one
+   section per list kind. Every section gets a [crc=NAME:HEX] line
+   (even when empty — a wholesale-deleted section must not verify). The
+   run's history is not among them: it lives in the journal, up to the
+   [history=] cut. *)
+let list_sections = [ "member"; "standby"; "session"; "drift"; "queue" ]
 let section_names = "scalars" :: list_sections
 
 let encode s =
@@ -69,21 +107,10 @@ let encode s =
   sline "shed=%d" s.shed;
   sline "drained=%d" s.drained;
   sline "abandoned=%d" s.abandoned;
-  sline "leaves=%d" s.leaves;
-  sline "crashes=%d" s.crashes;
-  sline "crashes_skipped=%d" s.crashes_skipped;
-  sline "recoveries=%d" s.recoveries;
-  sline "drifts=%d" s.drifts;
-  sline "stranded=%d" s.stranded;
-  sline "repairs=%d" s.repairs;
-  sline "repair_moves=%d" s.repair_moves;
-  sline "max_epoch_moves=%d" s.max_epoch_moves;
-  sline "protocol_epochs=%d" s.protocol_epochs;
-  sline "protocol_stalls=%d" s.protocol_stalls;
-  sline "rng_cursor=%d" s.rng_cursor;
   sline "lb=%s" (fs s.lb);
-  sline "events_since_lb=%d" s.events_since_lb;
-  sline "checkpoints=%d" s.checkpoints;
+  List.iter (fun (key, get, _) -> sline "%s=%d" key (get s.counters)) counter_fields;
+  sline "history=%d,%d,0x%08x" s.history.Journal.records s.history.Journal.bytes
+    s.history.Journal.crc;
   let section name =
     let b = Buffer.create 256 in
     (match name with
@@ -103,20 +130,6 @@ let encode s =
           s.drift
     | "queue" ->
         List.iter (fun (session, node) -> line b "queue=%d,%d" session node) s.queue
-    | "trace" ->
-        List.iter
-          (fun (t, objective, ratio) ->
-            line b "trace=%s,%s,%s" (fs t) (fs objective) (fs ratio))
-          s.trace_points
-    | "baseline" ->
-        List.iter
-          (fun (t, online, resolve) ->
-            line b "baseline=%s,%s,%s" (fs t) (fs online) (fs resolve))
-          s.baseline_points
-    | "log" ->
-        List.iter
-          (fun e -> line b "log=%s" (Codec.escape (Event_log.to_line e)))
-          s.log
     | _ -> assert false);
     b
   in
@@ -149,270 +162,216 @@ let split3 what s =
   let b, c = split2 what rest in
   (a, b, c)
 
-(* Which checksummed section a content line belongs to — the same
-   classification [encode] used to write it, so order-preserving
-   re-concatenation reproduces the exact checksummed bytes. *)
-let section_of_key key = if List.mem key list_sections then key else "scalars"
+let header = Printf.sprintf "dia-soak-checkpoint v%d" version
 
-(* Verify every v3 section checksum before trusting a single byte of
-   content: rebuild each section from the file's lines in order and
-   compare with its [crc=] declaration. Corruption is named by section;
-   a bad or missing crc line is named by line position. *)
-let verify_sections numbered_lines =
-  let bodies = Hashtbl.create 16 in
-  List.iter (fun name -> Hashtbl.replace bodies name (Buffer.create 256)) section_names;
+(* The content lines as [(line number, key, value)], once every section
+   has been checked against its [crc=] declaration — before a single
+   field is trusted. A section is rebuilt from its lines in file order,
+   exactly the bytes [encode] checksummed. Corruption is named by
+   section; a bad or missing crc line by line position. *)
+let verified_lines text =
+  let lines =
+    String.split_on_char '\n' text
+    |> List.mapi (fun i l -> (i + 1, l))
+    |> List.filter (fun (_, l) -> String.trim l <> "")
+  in
+  let rest =
+    match lines with
+    | [] -> fail "checkpoint: empty"
+    | (_, first) :: rest when first = header -> rest
+    | (_, first) :: _ -> fail "checkpoint: line 1: unsupported header %S" first
+  in
+  (* The file must end with exactly the end marker: anything after it,
+     or a truncation anywhere before it (which necessarily removes the
+     final newline), is corruption. *)
+  let n = String.length text in
+  if not (n >= 4 && String.sub text (n - 4) 4 = "end\n") then
+    fail "checkpoint: truncated (file must end with the end marker)";
+  (match List.rev rest with
+  | (_, "end") :: _ -> ()
+  | _ -> fail "checkpoint: truncated (missing end marker)");
+  let content =
+    List.filter_map
+      (fun (ln, l) ->
+        if l = "end" then None
+        else
+          match String.index_opt l '=' with
+          | None -> fail "checkpoint: line %d: malformed line %S" ln l
+          | Some i -> Some (ln, String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1)))
+      rest
+  in
+  let bodies = List.map (fun name -> (name, Buffer.create 256)) section_names in
   let declared = Hashtbl.create 16 in
   List.iter
-    (fun (ln, l) ->
-      match String.index_opt l '=' with
-      | None -> fail "checkpoint: line %d: malformed line %S" ln l
-      | Some i -> (
-          let key = String.sub l 0 i in
-          let value = String.sub l (i + 1) (String.length l - i - 1) in
-          if key = "crc" then
-            match String.index_opt value ':' with
-            | None -> fail "checkpoint: line %d: malformed crc line %S" ln l
-            | Some j ->
-                let name = String.sub value 0 j in
-                let hex = String.sub value (j + 1) (String.length value - j - 1) in
-                if not (List.mem name section_names) then
-                  fail "checkpoint: line %d: crc for unknown section %S" ln name;
-                if Hashtbl.mem declared name then
-                  fail "checkpoint: line %d: duplicate crc for section %s" ln name;
-                Hashtbl.replace declared name hex
-          else
-            let body = Hashtbl.find bodies (section_of_key key) in
-            Buffer.add_string body (l ^ "\n")))
-    numbered_lines;
+    (fun (ln, key, value) ->
+      if key <> "crc" then
+        let section = if List.mem key list_sections then key else "scalars" in
+        Printf.bprintf (List.assoc section bodies) "%s=%s\n" key value
+      else
+        match String.index_opt value ':' with
+        | None -> fail "checkpoint: line %d: malformed crc line %S" ln value
+        | Some j ->
+            let name = String.sub value 0 j in
+            if not (List.mem name section_names) then
+              fail "checkpoint: line %d: crc for unknown section %S" ln name;
+            if Hashtbl.mem declared name then
+              fail "checkpoint: line %d: duplicate crc for section %s" ln name;
+            Hashtbl.replace declared name
+              (String.sub value (j + 1) (String.length value - j - 1)))
+    content;
   List.iter
-    (fun name ->
-      let body = Buffer.contents (Hashtbl.find bodies name) in
+    (fun (name, body) ->
+      let actual = Crc.hex (Buffer.contents body) in
       match Hashtbl.find_opt declared name with
       | None -> fail "checkpoint: missing crc for section %s" name
-      | Some hex ->
-          let actual = Crc.hex body in
-          if actual <> hex then
-            fail "checkpoint: section %s corrupt (crc %s, file declares %s)"
-              name actual hex)
-    section_names
+      | Some hex when hex <> actual ->
+          fail "checkpoint: section %s corrupt (crc %s, file declares %s)" name
+            actual hex
+      | Some _ -> ())
+    bodies;
+  content
 
 let decode text =
   try
-    let numbered =
-      String.split_on_char '\n' text
-      |> List.mapi (fun i l -> (i + 1, l))
-      |> List.filter (fun (_, l) -> String.trim l <> "")
+    let content = verified_lines text in
+    let scalars = Hashtbl.create 32 in
+    let members = ref [] and standbys = ref [] in
+    let sessions = ref [] and drift = ref [] and queue = ref [] in
+    let pair key v = let a, b = split2 key v in (int_of key a, int_of key b) in
+    List.iter
+      (fun (ln, key, value) ->
+        try
+          match key with
+          | "member" ->
+              let a, b, c = split3 key value in
+              members := (int_of key a, int_of key b, int_of key c) :: !members
+          | "standby" -> standbys := pair key value :: !standbys
+          | "session" -> sessions := pair key value :: !sessions
+          | "drift" ->
+              let a, b = split2 key value in
+              drift := (int_of key a, Codec.float_of_str b) :: !drift
+          | "queue" -> queue := pair key value :: !queue
+          | "crc" -> ()  (* verified above *)
+          | _ -> Hashtbl.replace scalars key (ln, value)
+        with Bad m | Failure m -> fail "%s [line %d]" m ln)
+      content;
+    let scalar key =
+      match Hashtbl.find_opt scalars key with
+      | Some lv -> lv
+      | None -> fail "checkpoint: missing field %S" key
     in
-    match numbered with
-    | [] -> Error "checkpoint: empty"
-    | (_, header) :: rest ->
-        (* v1 files (no standby/baseline lines) stay readable: the
-           missing lists decode to [] and the soak rebuilds the standby
-           map canonically on restore. v2 files predate the per-section
-           checksums and are trusted as-is. *)
-        let file_version =
-          match header with
-          | "dia-soak-checkpoint v1" -> 1
-          | "dia-soak-checkpoint v2" -> 2
-          | "dia-soak-checkpoint v3" -> 3
-          | _ -> fail "checkpoint: line 1: unsupported header %S" header
-        in
-        (* A checksummed file must end with exactly the end marker:
-           anything after it, or a truncation anywhere before it (which
-           necessarily removes the final newline), is corruption. *)
-        if file_version >= 3 then begin
-          let n = String.length text in
-          if not (n >= 4 && String.sub text (n - 4) 4 = "end\n") then
-            fail "checkpoint: truncated (file must end with the end marker)"
-        end;
-        (match List.rev rest with
-        | (_, "end") :: _ -> ()
-        | _ -> fail "checkpoint: truncated (missing end marker)");
-        let rest = List.filter (fun (_, l) -> l <> "end") rest in
-        if file_version >= 3 then verify_sections rest;
-        let scalars = Hashtbl.create 32 in
-        let members = ref [] and standbys = ref [] in
-        let sessions = ref [] and drift = ref [] in
-        let queue = ref [] and trace_points = ref [] in
-        let baseline_points = ref [] and log = ref [] in
-        List.iter
-          (fun (ln, l) ->
-            let located = function
-              | Bad m -> Bad (Printf.sprintf "%s [line %d]" m ln)
-              | e -> e
-            in
-            try
-              match String.index_opt l '=' with
-              | None -> fail "checkpoint: line %d: malformed line %S" ln l
-              | Some i -> (
-                  let key = String.sub l 0 i in
-                  let value = String.sub l (i + 1) (String.length l - i - 1) in
-                  match key with
-                  | "member" ->
-                      let a, b, c = split3 "member" value in
-                      members :=
-                        (int_of "member" a, int_of "member" b, int_of "member" c)
-                        :: !members
-                  | "standby" ->
-                      let a, b = split2 "standby" value in
-                      standbys := (int_of "standby" a, int_of "standby" b) :: !standbys
-                  | "session" ->
-                      let a, b = split2 "session" value in
-                      sessions := (int_of "session" a, int_of "session" b) :: !sessions
-                  | "drift" ->
-                      let a, b = split2 "drift" value in
-                      drift := (int_of "drift" a, Codec.float_of_str b) :: !drift
-                  | "queue" ->
-                      let a, b = split2 "queue" value in
-                      queue := (int_of "queue" a, int_of "queue" b) :: !queue
-                  | "trace" ->
-                      let a, b, c = split3 "trace" value in
-                      trace_points :=
-                        (Codec.float_of_str a, Codec.float_of_str b,
-                         Codec.float_of_str c)
-                        :: !trace_points
-                  | "baseline" ->
-                      let a, b, c = split3 "baseline" value in
-                      baseline_points :=
-                        (Codec.float_of_str a, Codec.float_of_str b,
-                         Codec.float_of_str c)
-                        :: !baseline_points
-                  | "log" -> (
-                      match Event_log.of_line (Codec.unescape value) with
-                      | Ok entry -> log := entry :: !log
-                      | Error m -> fail "checkpoint: bad log line: %s" m)
-                  | "crc" when file_version >= 3 -> ()  (* verified above *)
-                  | _ -> Hashtbl.replace scalars key (ln, value))
-            with
-            | Bad _ as e -> raise (located e)
-            | Failure m -> raise (located (Bad m)))
-          rest;
-        let scalar key =
-          match Hashtbl.find_opt scalars key with
-          | Some lv -> lv
-          | None -> fail "checkpoint: missing field %S" key
-        in
-        let int key =
-          let ln, v = scalar key in
-          match int_of_string_opt v with
-          | Some i -> i
-          | None ->
-              fail "checkpoint: %s is not an integer (%S) [line %d]" key v ln
-        in
-        let str key = snd (scalar key) in
-        let flt key =
-          let ln, v = scalar key in
-          match float_of_string_opt (String.trim v) with
-          | Some f -> f
-          | None -> fail "checkpoint: %s is not a float (%S) [line %d]" key v ln
-        in
-        let stats =
-          let ln, v = scalar "stats" in
-          match
-            let a, b, c = split3 "stats" v in
-            {
-              Dia_core.Dynamic.joins = int_of "stats" a;
-              leaves = int_of "stats" b;
-              moves = int_of "stats" c;
-            }
-          with
-          | stats -> stats
-          | exception Bad m -> fail "%s [line %d]" m ln
-        in
-        Ok
-          {
-            version = file_version;
-            digest = str "digest";
-            cursor = int "cursor";
-            now = flt "now";
-            capacity =
-              (match str "capacity" with
-              | "none" -> None
-              | _ -> Some (int "capacity"));
-            members = List.rev !members;
-            standbys = List.rev !standbys;
-            next_id = int "next_id";
-            failed =
-              (let ln, v = scalar "failed" in
-               match v with
-               | "" -> []
-               | f -> (
-                   match List.map (int_of "failed") (String.split_on_char ',' f) with
-                   | l -> l
-                   | exception Bad m -> fail "%s [line %d]" m ln));
-            drift = List.rev !drift;
-            session_stats = stats;
-            sessions = List.rev !sessions;
-            slo = str "slo";
-            queue = List.rev !queue;
-            admitted = int "admitted";
-            queued = int "queued";
-            shed = int "shed";
-            drained = int "drained";
-            abandoned = int "abandoned";
-            leaves = int "leaves";
-            crashes = int "crashes";
-            crashes_skipped = int "crashes_skipped";
-            recoveries = int "recoveries";
-            drifts = int "drifts";
-            stranded = int "stranded";
-            repairs = int "repairs";
-            repair_moves = int "repair_moves";
-            max_epoch_moves = int "max_epoch_moves";
-            protocol_epochs = int "protocol_epochs";
-            protocol_stalls = int "protocol_stalls";
-            rng_cursor = int "rng_cursor";
-            lb = flt "lb";
-            events_since_lb = int "events_since_lb";
-            checkpoints = int "checkpoints";
-            trace_points = List.rev !trace_points;
-            baseline_points = List.rev !baseline_points;
-            log = List.rev !log;
-          }
+    let int key =
+      let ln, v = scalar key in
+      match int_of_string_opt v with
+      | Some i -> i
+      | None ->
+          fail "checkpoint: %s is not an integer (%S) [line %d]" key v ln
+    in
+    let str key = snd (scalar key) in
+    let flt key =
+      let ln, v = scalar key in
+      match float_of_string_opt (String.trim v) with
+      | Some f -> f
+      | None -> fail "checkpoint: %s is not a float (%S) [line %d]" key v ln
+    in
+    let ints key n =
+      let ln, v = scalar key in
+      match List.map (int_of key) (String.split_on_char ',' v) with
+      | l when n < 0 || List.length l = n -> l
+      | _ -> fail "checkpoint: %s expects %d fields (%S) [line %d]" key n v ln
+      | exception Bad m -> fail "%s [line %d]" m ln
+    in
+    let c = counters () in
+    List.iter (fun (key, _, set) -> set c (int key)) counter_fields;
+    Ok
+      {
+        digest = str "digest";
+        cursor = int "cursor";
+        now = flt "now";
+        capacity =
+          (match str "capacity" with
+          | "none" -> None
+          | _ -> Some (int "capacity"));
+        members = List.rev !members;
+        standbys = List.rev !standbys;
+        next_id = int "next_id";
+        failed = (if str "failed" = "" then [] else ints "failed" (-1));
+        drift = List.rev !drift;
+        session_stats =
+          (match ints "stats" 3 with
+          | [ joins; leaves; moves ] -> { Dia_core.Dynamic.joins; leaves; moves }
+          | _ -> assert false);
+        sessions = List.rev !sessions;
+        slo = str "slo";
+        queue = List.rev !queue;
+        admitted = int "admitted";
+        queued = int "queued";
+        shed = int "shed";
+        drained = int "drained";
+        abandoned = int "abandoned";
+        lb = flt "lb";
+        counters = c;
+        history =
+          (match ints "history" 3 with
+          | [ records; bytes; crc ] -> { Journal.records; bytes; crc }
+          | _ -> assert false);
+        trace_points = [];
+        baseline_points = [];
+        log = [];
+      }
   with
   | Bad m -> Error m
   | Failure m -> Error m
   | Invalid_argument m -> Error ("checkpoint: " ^ m)
 
-(* The format version a file on disk claims, if it can be read at all.
-   Used by [save] to refuse clobbering a file written by a newer binary. *)
-let file_version path =
-  if not (Sys.file_exists path) then None
+(* --- the history, as the journal carries it --------------------------- *)
+
+(* Points are journal-internal and sampled every few events, so they use
+   the exact hex float notation: one cheap conversion per float. *)
+let points_text ~trace ~baseline =
+  if trace = [] && baseline = [] then ""
   else
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic -> (
-        let header = try input_line ic with End_of_file | Sys_error _ -> "" in
-        close_in ic;
-        match String.split_on_char ' ' header with
-        | [ "dia-soak-checkpoint"; v ]
-          when String.length v > 1 && v.[0] = 'v' ->
-            int_of_string_opt (String.sub v 1 (String.length v - 1))
-        | _ -> None)
+    let b = Buffer.create 64 in
+    let add key (t, x, y) = Printf.bprintf b "%s=%h,%h,%h\n" key t x y in
+    List.iter (add "trace") trace;
+    List.iter (add "baseline") baseline;
+    Buffer.contents b
 
-let save path state =
-  (match file_version path with
-  | Some v when v > version ->
-      invalid_arg
-        (Printf.sprintf
-           "Checkpoint.save: %s is a v%d checkpoint; refusing to overwrite it \
-            with the older v%d format (downgrade would silently discard state \
-            a newer binary persisted)"
-           path v version)
-  | _ -> ());
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (encode state);
-  close_out oc;
-  Sys.rename tmp path
+let has_history st =
+  let c = st.counters in
+  List.compare_length_with st.log c.entries = 0
+  && List.compare_length_with st.trace_points c.traces = 0
+  && List.compare_length_with st.baseline_points c.baselines = 0
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    text
-  with
-  | exception Sys_error m -> Error m
-  | text -> decode text
+let with_history st records =
+  let lines s = List.filter (( <> ) "") (String.split_on_char '\n' s) in
+  let float3 key v =
+    let a, b, c = split3 key v in
+    (Codec.float_of_str a, Codec.float_of_str b, Codec.float_of_str c)
+  in
+  try
+    let log = ref [] and trace = ref [] and baseline = ref [] in
+    List.iter
+      (fun r ->
+        let bad fmt = fail ("journal record cursor=%d: " ^^ fmt) r.Journal.cursor in
+        List.iter
+          (fun l ->
+            match Event_log.of_line l with
+            | Ok e -> log := e :: !log
+            | Error m -> bad "%s" m)
+          (lines r.Journal.payload);
+        List.iter
+          (fun l ->
+            match String.split_on_char '=' l with
+            | [ "trace"; v ] -> trace := float3 "trace" v :: !trace
+            | [ "baseline"; v ] -> baseline := float3 "baseline" v :: !baseline
+            | _ -> bad "bad point %S" l)
+          (lines r.Journal.points))
+      records;
+    let st =
+      { st with log = List.rev !log; trace_points = List.rev !trace;
+                baseline_points = List.rev !baseline }
+    in
+    if has_history st then Ok st
+    else Error "journal history does not match the checkpoint's counters"
+  with Bad m | Failure m -> Error m

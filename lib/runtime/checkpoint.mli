@@ -1,56 +1,73 @@
-(** Versioned, deterministic on-disk snapshots of the full controller
-    state.
+(** Versioned, deterministic on-disk snapshots of the controller's
+    {e live} state.
 
-    A checkpoint captures {e everything} the soak loop needs to continue
-    as if it had never stopped: the trace cursor (the event stream is a
+    A checkpoint captures everything the soak loop needs to continue as
+    if it had never stopped: the trace cursor (the event stream is a
     pure function of the scenario, so a single integer is the whole
-    stream position), the assignment session (membership, failures,
-    drift factors, counters, id cursor), the session↔client mapping, the
-    SLO state machine, the admission queue and counters, the repair
-    bookkeeping (including the sub-seed cursor for protocol-level repair
-    epochs — the "RNG cursor"), and the accumulated objective trace and
-    event log. A run killed with [SIGKILL] at any checkpoint boundary
-    and resumed from the file produces a final report bit-identical to
-    the uninterrupted run.
+    stream position), the assignment session (membership, standbys,
+    failures, drift factors, counters, id cursor), the session↔client
+    mapping, the SLO state machine, the admission queue and counters,
+    and the repair bookkeeping (including the sub-seed cursor for
+    protocol-level repair epochs — the "RNG cursor").
 
-    The format is a line-oriented, versioned text file. Floats are
-    printed with {!Codec.float_str}, which round-trips exactly. Writes
-    are atomic (temp file + rename), so a kill {e during} a checkpoint
-    write leaves the previous checkpoint intact. A [scenario] digest
-    guards against resuming under a different configuration.
+    {b History lives in the journal.} The event log and the trace and
+    baseline samples grow with run length, so the file holds only their
+    lengths (in the counters) and the [history] cut: the {!Journal}
+    position, with its CRC, where they end. {!with_history} re-attaches
+    them from the journal, which is what {!Recovery.restore} does; a
+    generation save costs O(live state) however long the run has been.
 
-    {b Versioning.} Format v2 adds the standby map ([standby=] lines)
-    and the offline-baseline samples ([baseline=] lines) to v1. Format
-    v3 adds per-section integrity: a [crc=SECTION:HEX] line (CRC-32 of
-    the section's lines, in file order) for the scalar block and each
-    list kind — written even for empty sections, so wholesale deletion
-    is detected — plus a strict truncation guard (the file must end with
-    exactly the [end] marker). All three versions decode: a v1 file
-    yields empty lists and [version = 1], and the soak rebuilds the
-    standby map canonically on restore
-    ({!Dia_core.Dynamic.refresh_standbys} in ascending client-id order —
-    the same order the soak re-arms standbys at every checkpoint
-    boundary), so resuming a v1 checkpoint stays bit-identical to the
-    uninterrupted run. v2 files predate the checksums and are trusted
-    as-is. {!encode} always writes the current version.
+    The format (v4) is line-oriented text; floats go through
+    {!Codec.float_str}, which round-trips exactly. The scalar block and
+    each list section (member, standby, session, drift, queue) get a
+    [crc=SECTION:HEX] line — even when empty, so wholesale deletion is
+    detected — and the file must end with exactly the [end] marker. A
+    scenario digest guards against resuming under another
+    configuration. Only v4 decodes: every checkpoint on disk is written
+    by this repository.
 
     {b Hardening.} {!decode} never raises and never yields a partial
     state: any corrupted, truncated or garbage input — including every
-    single-bit flip and every proper truncation of a v3 file, which the
+    single-bit flip and every proper truncation of a file, which the
     qcheck mutation fuzzer pins — comes back as [Error] naming the
     failing section and, where one exists, the line position. *)
 
 val version : int
 
+(** The controller's counters; the soak loop mutates its own {!copy}. *)
+type counters = {
+  mutable leaves : int;
+  mutable crashes : int;
+  mutable crashes_skipped : int;
+  mutable recoveries : int;
+  mutable drifts : int;
+  mutable stranded : int;
+  mutable repairs : int;
+  mutable repair_moves : int;
+  mutable max_epoch_moves : int;
+  mutable protocol_epochs : int;
+  mutable protocol_stalls : int;
+  mutable rng_cursor : int;  (** protocol-repair sub-seed cursor *)
+  mutable events_since_lb : int;
+  mutable checkpoints : int;
+  mutable entries : int;  (** history length: event-log entries *)
+  mutable traces : int;  (** history length: objective-trace points *)
+  mutable baselines : int;  (** history length: offline-baseline points *)
+}
+
+val counters : unit -> counters
+(** All zero. *)
+
+val copy : counters -> counters
+
 type state = {
-  version : int;  (** format version of the decoded file; {!encode} writes the current one *)
   digest : string;  (** hex digest of the scenario/config, from the soak *)
   cursor : int;  (** next trace event index *)
   now : float;  (** trace time of the last processed event *)
   (* session *)
   capacity : int option;
   members : (int * int * int) list;  (** (client id, node, server) *)
-  standbys : (int * int) list;  (** (client id, standby server); [] in v1 files *)
+  standbys : (int * int) list;  (** (client id, standby server) *)
   next_id : int;
   failed : int list;
   drift : (int * float) list;  (** (server, factor), only factors <> 1 *)
@@ -64,47 +81,37 @@ type state = {
   shed : int;
   drained : int;
   abandoned : int;
-  leaves : int;
-  crashes : int;
-  crashes_skipped : int;
-  recoveries : int;
-  drifts : int;
-  stranded : int;
-  repairs : int;
-  repair_moves : int;
-  max_epoch_moves : int;
-  protocol_epochs : int;
-  protocol_stalls : int;
-  rng_cursor : int;
   lb : float;  (** last computed lower bound *)
-  events_since_lb : int;
-  checkpoints : int;
+  counters : counters;
+  history : Journal.cut;  (** the journal position just before event [cursor] *)
   trace_points : (float * float * float) list;
       (** (time, objective, ratio), oldest first *)
   baseline_points : (float * float * float) list;
       (** (time, online objective, offline re-solve objective) samples
-          for the competitive-ratio harness, oldest first; [] unless the
-          soak ran with [offline_baseline] (and in v1 files) *)
+          for the competitive-ratio harness, oldest first *)
   log : Event_log.entry list;  (** oldest first *)
 }
+(** The last three fields are the history: never encoded. *)
 
 val encode : state -> string
+
 val decode : string -> (state, string) result
-(** [decode (encode s) = Ok s] bit-exactly for current-version states.
-    v1/v2 files also decode (with their [version] and, for v1, empty
-    standby/baseline lists); unknown versions are rejected. v3 input is
-    verified section-by-section against its [crc=] lines before any
-    field is trusted. Never raises. *)
+(** [decode (encode s)] is [Ok s] with the history lists empty. Every
+    section is verified against its [crc=] line before any field is
+    trusted. Never raises. *)
 
-val save : string -> state -> unit
-(** Atomic write: the state is written to [path ^ ".tmp"] and renamed
-    over [path].
+val points_text :
+  trace:(float * float * float) list ->
+  baseline:(float * float * float) list ->
+  string
+(** An event's sampled points as {!Journal.append}'s [~points]. *)
 
-    @raise Invalid_argument if [path] already holds a checkpoint whose
-    header claims a {e newer} format version than this writer produces —
-    an old binary must never silently clobber state persisted by a newer
-    one. *)
+val has_history : state -> bool
+(** Whether the state's history lists have the lengths its counters
+    record — false for a bare decoded state of a run that had already
+    logged something. *)
 
-val load : string -> (state, string) result
-(** Read and {!decode} a checkpoint file; I/O errors come back as
-    [Error]. *)
+val with_history : state -> Journal.record list -> (state, string) result
+(** Attach the history carried by [records] (the journal records before
+    the state's cut, {!Journal.prefix}); [Error] if one does not parse or
+    the lengths disagree with the counters. Never raises. *)

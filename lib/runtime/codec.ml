@@ -1,45 +1,24 @@
+(* The C conversion [Printf]'s %g formats end in, without the format
+   interpretation in front of it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* If 6 significant digits round-trip, so do 12 (the 12-digit rendering
+   of a double that is the nearest to a 6-digit decimal is that decimal),
+   so trying %.12g first settles most floats — full-precision event
+   times — in one conversion instead of two, with the same result. *)
 let float_str f =
   if Float.is_nan f then "nan"
-  else begin
+  else
     let exact fmt =
-      let s = Printf.sprintf fmt f in
+      let s = format_float fmt f in
       if float_of_string s = f then Some s else None
     in
-    match exact "%g" with
-    | Some s -> s
-    | None -> (
-        match exact "%.12g" with Some s -> s | None -> Printf.sprintf "%.17g" f)
-  end
+    match exact "%.12g" with
+    | None -> format_float "%.17g" f
+    | Some s12 -> ( match exact "%g" with Some s -> s | None -> s12)
 
 let float_of_str s =
   match float_of_string_opt (String.trim s) with
   | Some f -> f
   | None -> failwith (Printf.sprintf "Codec.float_of_str: %S is not a float" s)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let unescape s =
-  let b = Buffer.create (String.length s) in
-  let i = ref 0 in
-  let n = String.length s in
-  while !i < n do
-    (if s.[!i] = '\\' && !i + 1 < n then begin
-       (match s.[!i + 1] with
-       | 'n' -> Buffer.add_char b '\n'
-       | c -> Buffer.add_char b c);
-       i := !i + 2
-     end
-     else begin
-       Buffer.add_char b s.[!i];
-       incr i
-     end)
-  done;
-  Buffer.contents b

@@ -17,9 +17,3 @@ val float_of_str : string -> float
 
     @raise Failure on malformed input. *)
 
-val escape : string -> string
-(** Newlines and backslashes escaped so any string fits on one
-    key=value line. *)
-
-val unescape : string -> string
-(** Inverse of {!escape}. *)

@@ -24,12 +24,12 @@ let tables =
      done;
      t)
 
-let digest s =
+let update crc s pos len =
   let t = Lazy.force tables in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
-  let n = String.length s in
-  let crc = ref 0xFFFFFFFF in
-  let i = ref 0 in
+  let n = pos + len in
+  let crc = ref (crc lxor 0xFFFFFFFF) in
+  let i = ref pos in
   while !i + 4 <= n do
     let w = Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF in
     let x = !crc lxor w in
@@ -48,6 +48,8 @@ let digest s =
     incr i
   done;
   !crc lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let digest s = update 0 s 0 (String.length s)
 
 (* Manual rendering: this sits on the journal's per-record hot path,
    where [Printf.sprintf "%08x"] would cost more than the CRC itself. *)

@@ -10,6 +10,10 @@
 val digest : string -> int
 (** The CRC-32 of the string, in [\[0, 2^32)]. *)
 
+val update : int -> string -> int -> int -> int
+(** [update (digest a) s pos len = digest (a ^ String.sub s pos len)] —
+    a running CRC; the caller guarantees the range is in bounds. *)
+
 val hex : string -> string
 (** {!digest} rendered as exactly 8 lowercase hex characters — the form
     journal records and checkpoint [crc=] lines embed. *)

@@ -37,13 +37,16 @@ let save ?disk ~dir ~keep state =
     gens;
   n
 
-let newest_verifying ~dir ~digest =
+let newest_verifying ?(accept = Result.ok) ~dir ~digest () =
   let rec scan skipped = function
     | [] -> (None, List.rev skipped)
     | g :: older -> (
-        match Checkpoint.load (path ~dir g) with
-        | Ok st when st.Checkpoint.digest = digest ->
-            (Some (g, st), List.rev skipped)
+        match Checkpoint.decode (In_channel.with_open_bin (path ~dir g) In_channel.input_all) with
+        | exception Sys_error m -> scan ((g, m) :: skipped) older
+        | Ok st when st.Checkpoint.digest = digest -> (
+            match accept st with
+            | Ok st -> (Some (g, st), List.rev skipped)
+            | Error m -> scan ((g, m) :: skipped) older)
         | Ok st ->
             scan
               ((g, Printf.sprintf "digest mismatch (%s)" st.Checkpoint.digest)

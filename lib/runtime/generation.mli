@@ -6,8 +6,7 @@
     monotonically numbered names ([ckpt.1], [ckpt.2], …), each written
     atomically (through the {!Disk} injector, so storage-fault plans
     apply); recovery scans from the newest down and restores the first
-    one that verifies — its v3 section CRCs, its [end] marker, and its
-    scenario digest ({!newest_verifying}) — falling back over corrupt
+    one that verifies ({!newest_verifying}) — falling back over corrupt
     generations instead of failing. An older generation only means a
     longer journal suffix to replay; it never costs correctness. *)
 
@@ -33,8 +32,15 @@ val save : ?disk:Disk.t -> dir:string -> keep:int -> Checkpoint.state -> int
     @raise Invalid_argument if [keep < 1]. *)
 
 val newest_verifying :
-  dir:string -> digest:string -> (int * Checkpoint.state) option * (int * string) list
-(** Scan generations newest-first for one that fully verifies and
-    matches the scenario [digest]. Returns that generation (or [None]
-    when none verifies) and the skipped newer generations with the
-    reason each was rejected, newest first. *)
+  ?accept:(Checkpoint.state -> (Checkpoint.state, string) result) ->
+  dir:string ->
+  digest:string ->
+  unit ->
+  (int * Checkpoint.state) option * (int * string) list
+(** Scan generations newest-first for one that fully verifies, matches
+    the scenario [digest] and passes [accept] (default: every state),
+    returning [accept]'s state; an [Error] from [accept] is the
+    generation's skip reason. Returns that generation (or [None] when
+    none qualifies) and the skipped newer generations with the reason
+    each was rejected, newest first. Files are only read: a generation
+    written by a newer format version is skipped, never touched. *)

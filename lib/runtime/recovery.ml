@@ -21,7 +21,6 @@ let append_recovery_entry ~dir entry =
   close_out oc
 
 let restore ~dir ~digest =
-  let generation, skipped = Generation.newest_verifying ~dir ~digest in
   let journal, journal_note =
     match Journal.read (journal_path dir) with
     | Error m -> (None, Some m)
@@ -29,6 +28,21 @@ let restore ~dir ~digest =
         (None, Some "journal digest mismatch (different scenario/config)")
     | Ok j -> (Some j, j.Journal.torn)
   in
+  (* A generation is only as good as the history behind it: its cut must
+     lie inside the journal's valid prefix, which then rebuilds the
+     log and the sampled points. *)
+  let accept st =
+    let c = st.Checkpoint.history in
+    match Option.bind journal (fun j -> Journal.prefix j c) with
+    | Some records -> Checkpoint.with_history st records
+    | None ->
+        Error
+          (Printf.sprintf
+             "journal does not cover the history cut (%d records, %d bytes, \
+              crc %08x)"
+             c.Journal.records c.Journal.bytes c.Journal.crc)
+  in
+  let generation, skipped = Generation.newest_verifying ~accept ~dir ~digest () in
   let cursor =
     match generation with Some (_, st) -> st.Checkpoint.cursor | None -> 0
   in
@@ -59,21 +73,6 @@ let is_prefix ~prefix s =
   String.length prefix <= String.length s
   && String.sub s 0 (String.length prefix) = prefix
 
-let is_suffix ~suffix s =
-  let ls = String.length suffix and n = String.length s in
-  ls <= n && String.sub s (n - ls) ls = suffix
-
-let contains ~sub s =
-  let ls = String.length sub and n = String.length s in
-  ls = 0
-  ||
-  let found = ref false in
-  let i = ref 0 in
-  while (not !found) && !i <= n - ls do
-    if String.sub s !i ls = sub then found := true else incr i
-  done;
-  !found
-
 let payloads records = String.concat "" (List.map (fun r -> r.Journal.payload) records)
 
 let audit ~journal ~restored ~final_log =
@@ -83,32 +82,14 @@ let audit ~journal ~restored ~final_log =
     | Some st -> (st.Checkpoint.cursor, Event_log.render st.Checkpoint.log)
     | None -> (0, "")
   in
-  let head, tail =
-    List.partition (fun r -> r.Journal.cursor < cursor) journal.Journal.records
-  in
-  let audited = List.length journal.Journal.records in
+  let head = List.filter (fun r -> r.Journal.cursor < cursor) journal.Journal.records in
   if not (is_prefix ~prefix:pre final) then
     Error "restored checkpoint log is not a byte-prefix of the final log"
-  else if journal.Journal.base > cursor then
-    (* Rolled back past the point this journal began (its base is the
-       killed process's resume cursor): the records can't be aligned to
-       a byte offset, but every committed one must still appear verbatim
-       in the replayed log. *)
-    if contains ~sub:(payloads journal.Journal.records) final then Ok audited
-    else Error "journal records missing from the replayed log"
-  else
-    let after =
-      String.sub final (String.length pre)
-        (String.length final - String.length pre)
-    in
-    if not (is_prefix ~prefix:(payloads tail) after) then
-      Error
-        "journal tail does not byte-match the log replayed past the restored \
-         checkpoint"
-    else if not (is_suffix ~suffix:(payloads head) pre) then
-      Error
-        "journal head does not byte-match the restored checkpoint's own log"
-    else Ok audited
+  else if payloads head <> pre then
+    Error "journal head does not byte-match the restored checkpoint's log"
+  else if not (is_prefix ~prefix:(payloads journal.Journal.records) final) then
+    Error "journal does not byte-match the log replayed from the start"
+  else Ok (List.length journal.Journal.records)
 
 (* --- the end-to-end verification harness ------------------------------ *)
 
@@ -178,10 +159,13 @@ let verify ?(keep = 3) ~state_dir ~kill_at_event scenario config =
           (match r.journal_note with
           | Some m -> note "journal" m
           | None -> ());
+          (* The resumed process continues the same state dir; its own
+             writes are fault-free, so the journal it leaves behind must
+             hold exactly the final log. *)
           let resumed =
-            match r.generation with
-            | Some (_, st) -> Soak.run ~resume_from:st scenario config
-            | None -> Soak.run scenario config
+            Soak.run ~state_dir ~keep ~disk:(Disk.none ())
+              ?resume_from:(Option.map snd r.generation)
+              scenario config
           in
           match resumed with
           | Soak.Killed _ ->
@@ -210,4 +194,10 @@ let verify ?(keep = 3) ~state_dir ~kill_at_event scenario config =
                         (Printf.sprintf
                            "%d committed records byte-match the replay" n)
                   | Error m -> check "journal-audit" false m));
+              check "journal-is-the-history"
+                (match Journal.read (journal_path state_dir) with
+                | Ok j ->
+                    payloads j.Journal.records = Event_log.render resumed.Soak.log
+                | Error _ -> false)
+                "the continued journal's log payloads equal the final log";
               verdict ()))

@@ -1,14 +1,16 @@
-(** Crash recovery: land on the newest verifying checkpoint generation,
-    replay the journal tail, prove bit-identity.
+(** Crash recovery: land on the newest restorable checkpoint generation,
+    rebuild its history from the journal, replay the tail, prove
+    bit-identity.
 
     The soak trace is a pure function of the scenario seed, so {e
     replay is re-execution}: restoring generation [g] and re-running
     from its cursor reproduces the killed run's future exactly. What
     recovery adds is {e verification} — picking the newest generation
-    whose checksums and digest hold (rolling back over corrupt ones),
+    whose checksums and digest hold {e and} whose history cut the
+    journal's valid prefix still covers (rolling back over the rest),
     and auditing that the re-execution byte-matches every event-log
-    record the killed run had already committed to its write-ahead
-    journal. A rollback to a non-primary generation is recorded as a
+    record the killed run had already committed to the journal. A
+    rollback to a non-primary generation is recorded as a
     [recovery]-kind {!Event_log} entry in the side-channel file
     [recovery.log] (never the canonical log, which must stay
     bit-identical to the uninterrupted run's). *)
@@ -21,10 +23,13 @@ val recovery_log_path : string -> string
 
 type restore = {
   generation : (int * Checkpoint.state) option;
-      (** the newest verifying generation, or [None] for a fresh restart *)
+      (** the newest restorable generation, its history rebuilt from the
+          journal (ready for [Soak.run ~resume_from]), or [None] for a
+          fresh restart *)
   skipped : (int * string) list;
-      (** newer generations rejected (corrupt or wrong digest), newest
-          first, with reasons *)
+      (** newer generations rejected (corrupt, wrong digest, or a
+          history cut the journal does not cover — that reason names the
+          cut), newest first *)
   journal : Journal.journal option;
       (** the committed journal, when its header survived and its digest
           matches *)
@@ -45,12 +50,13 @@ val audit :
   restored:Checkpoint.state option ->
   final_log:Event_log.entry list ->
   (int, string) result
-(** Byte-level audit of a completed recovery: the restored checkpoint's
-    log must be a prefix of the final log, the journal records past the
-    restore cursor must byte-match the replayed continuation, and the
-    records the checkpoint already covered must byte-match its own log.
-    [Ok n] audited [n] committed records; [Error] pinpoints the first
-    divergence. *)
+(** Byte-level audit of a completed recovery, given the journal as read
+    before resuming: the restored state's log must be a prefix of the
+    final log and byte-match the journal records before its cursor, and
+    all the journal's records must byte-match the final log from its
+    start (the journal begins at event 0 and is only ever truncated at a
+    cut). [Ok n] audited [n] committed records; [Error] pinpoints the
+    first divergence. *)
 
 type verdict = { ok : bool; lines : string list }
 
@@ -65,6 +71,8 @@ val verify :
   verdict
 (** Run the scenario uninterrupted; run it again into [state_dir] with
     the plan's disk faults live and a kill after event [kill_at_event];
-    {!restore}; resume; then check that the recovered report and event
-    log are bit-identical to the uninterrupted run and that the journal
-    {!audit} passes. [lines] is the human-readable transcript. *)
+    {!restore}; resume into the same [state_dir] (fault-free); then
+    check that the recovered report and event log are bit-identical to
+    the uninterrupted run, that the journal {!audit} passes, and that
+    the continued journal's log payloads are exactly the final log.
+    [lines] is the human-readable transcript. *)

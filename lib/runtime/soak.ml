@@ -247,8 +247,8 @@ exception Kill of Checkpoint.state
 
 let level_rank = function Slo.Healthy -> 0 | Slo.Degraded -> 1 | Slo.Critical -> 2
 
-let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
-    ?kill_at_event scenario config =
+let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
+    scenario config =
   validate scenario config;
   if keep < 1 then invalid_arg "Soak: keep must be >= 1";
   (match kill_at_event with
@@ -279,22 +279,17 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         if st.Checkpoint.digest <> dg then
           invalid_arg
             "Soak.run: checkpoint digest mismatch (different scenario/config)";
+        if not (Checkpoint.has_history st) then
+          invalid_arg
+            "Soak.run: resume_from carries no history up to its cut (a \
+             decoded checkpoint: restore it with Recovery.restore)";
         let session =
           Dynamic.restore ?capacity:st.Checkpoint.capacity
-            ?delay:scenario.delay
-            ?standbys:
-              (if st.Checkpoint.version >= 2 then Some st.Checkpoint.standbys
-               else None)
-            matrix ~servers:server_nodes ~members:st.Checkpoint.members
+            ?delay:scenario.delay ~standbys:st.Checkpoint.standbys matrix
+            ~servers:server_nodes ~members:st.Checkpoint.members
             ~next_id:st.Checkpoint.next_id ~failed:st.Checkpoint.failed
             ~drift:st.Checkpoint.drift ~stats:st.Checkpoint.session_stats
         in
-        (* A v1 checkpoint predates the standby map; rebuild it
-           canonically. Checkpoints are only written right after a
-           canonical refresh, so this reproduces the exact map a v2 file
-           would have carried — the upgrade is bit-identical. *)
-        if st.Checkpoint.version < 2 && config.standby then
-          ignore (Dynamic.refresh_standbys session);
         let sessions = Hashtbl.create 256 in
         List.iter
           (fun (sid, id) -> Hashtbl.replace sessions sid id)
@@ -375,36 +370,22 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         done;
         prepop_seconds := Sys.time () -. t0
       end);
-  let leaves = ref 0 and crashes = ref 0 and crashes_skipped = ref 0 in
-  let recoveries = ref 0 and drifts = ref 0 and stranded = ref 0 in
-  let repairs = ref 0 and repair_moves = ref 0 and max_epoch_moves = ref 0 in
-  let protocol_epochs = ref 0 and protocol_stalls = ref 0 in
-  let rng_cursor = ref 0 and lb = ref nan and events_since_lb = ref 0 in
-  let checkpoints = ref 0 in
-  let trace_points = ref [] (* newest first *) and log = ref [] in
-  let baseline_points = ref [] (* newest first *) in
-  (match resume_from with
-  | None -> ()
-  | Some st ->
-      leaves := st.Checkpoint.leaves;
-      crashes := st.Checkpoint.crashes;
-      crashes_skipped := st.Checkpoint.crashes_skipped;
-      recoveries := st.Checkpoint.recoveries;
-      drifts := st.Checkpoint.drifts;
-      stranded := st.Checkpoint.stranded;
-      repairs := st.Checkpoint.repairs;
-      repair_moves := st.Checkpoint.repair_moves;
-      max_epoch_moves := st.Checkpoint.max_epoch_moves;
-      protocol_epochs := st.Checkpoint.protocol_epochs;
-      protocol_stalls := st.Checkpoint.protocol_stalls;
-      rng_cursor := st.Checkpoint.rng_cursor;
-      lb := st.Checkpoint.lb;
-      events_since_lb := st.Checkpoint.events_since_lb;
-      checkpoints := st.Checkpoint.checkpoints;
-      trace_points := List.rev st.Checkpoint.trace_points;
-      baseline_points := List.rev st.Checkpoint.baseline_points;
-      log := List.rev st.Checkpoint.log);
-  let log_event time kind = log := { Event_log.time; kind } :: !log in
+  (* The counters (history lengths included, so a checkpoint records
+     them without walking the lists) and the history, newest first. *)
+  let c : Checkpoint.counters =
+    match resume_from with
+    | None -> Checkpoint.counters ()
+    | Some st -> Checkpoint.copy st.Checkpoint.counters
+  in
+  let lb = ref (match resume_from with None -> nan | Some st -> st.Checkpoint.lb) in
+  let history f = match resume_from with None -> ref [] | Some st -> ref (List.rev (f st)) in
+  let log = history (fun st -> st.Checkpoint.log) in
+  let trace_points = history (fun st -> st.Checkpoint.trace_points) in
+  let baseline_points = history (fun st -> st.Checkpoint.baseline_points) in
+  let log_event time kind =
+    log := { Event_log.time; kind } :: !log;
+    c.entries <- c.entries + 1
+  in
   let has_capacity () =
     match scenario.capacity with
     | None -> Dynamic.active_servers session <> []
@@ -451,7 +432,7 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         Objective.max_interaction_path_load p ~delay (Greedy.assign_load ~delay p)
   in
   let recompute_lb now =
-    events_since_lb := 0;
+    c.events_since_lb <- 0;
     (* The session maintains the bound incrementally (node-level, live
        servers only) — equal to [Lower_bound.compute] on the survivor
        problem up to float association, at amortized O(|S|) instead of
@@ -465,6 +446,7 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
     let obj = objective_now () in
     let ratio = if !lb > 0. && Float.is_finite obj then obj /. !lb else nan in
     trace_points := (now, obj, ratio) :: !trace_points;
+    c.traces <- c.traces + 1;
     (* Competitive-ratio sampling: at every refresh point, pit the online
        (sticky) objective against a fresh offline Greedy re-solve over
        the same survivors — the baseline the empirical competitive ratio
@@ -474,7 +456,8 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
       | None -> ()
       | Some (p, _) ->
           let resolve = resolve_now p in
-          baseline_points := (now, obj, resolve) :: !baseline_points
+          baseline_points := (now, obj, resolve) :: !baseline_points;
+          c.baselines <- c.baselines + 1
   in
   let current_ratio () =
     let obj = objective_now () in
@@ -497,16 +480,16 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
           not (Fault.equal (Fault.network_rules scenario.fault) Fault.reliable)
         in
         let rec attempt n tuning =
-          let seed = scenario.seed + 0x5eed + (7919 * !rng_cursor) in
-          incr rng_cursor;
+          let seed = scenario.seed + 0x5eed + (7919 * c.rng_cursor) in
+          c.rng_cursor <- c.rng_cursor + 1;
           let fault =
             if ambient then Some (Fault.instantiate ~seed scenario.fault)
             else None
           in
           let res = Dgreedy_protocol.run ?fault ~tuning p in
-          incr protocol_epochs;
+          c.protocol_epochs <- c.protocol_epochs + 1;
           if res.Dgreedy_protocol.stalled then begin
-            incr protocol_stalls;
+            c.protocol_stalls <- c.protocol_stalls + 1;
             if n < config.max_protocol_attempts then
               attempt (n + 1)
                 {
@@ -569,7 +552,7 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
           | Some moves ->
               List.iter (fun (id, _src, dst) -> Dynamic.move session id dst) moves;
               epoch_moves := !epoch_moves + n_moves;
-              repair_moves := !repair_moves + n_moves;
+              c.repair_moves <- c.repair_moves + n_moves;
               true
         in
         log_event now
@@ -586,14 +569,14 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
     let before = objective_now () in
     let moves = Dynamic.rebalance ~max_moves:config.budget session in
     epoch_moves := moves;
-    incr repairs;
-    repair_moves := !repair_moves + moves;
+    c.repairs <- c.repairs + 1;
+    c.repair_moves <- c.repair_moves + moves;
     log_event now
       (Event_log.Repair
          { moves; budget = config.budget; before; after = objective_now () });
     if to_ = Slo.Critical && config.protocol_repair then
       protocol_epoch now epoch_moves;
-    if !epoch_moves > !max_epoch_moves then max_epoch_moves := !epoch_moves
+    if !epoch_moves > c.max_epoch_moves then c.max_epoch_moves <- !epoch_moves
   in
   let drain now =
     if Slo.level slo = Slo.Healthy then begin
@@ -659,7 +642,7 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         match Hashtbl.find_opt sessions sid with
         | Some value ->
             let id = disconnect sid value in
-            incr leaves;
+            c.leaves <- c.leaves + 1;
             log_event now (Event_log.Leave { session = sid; client = id });
             false
         | None ->
@@ -670,7 +653,7 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         let failed = Dynamic.failed_servers session in
         let live = Dynamic.active_servers session in
         if List.mem server failed || List.length live <= 1 then begin
-          incr crashes_skipped;
+          c.crashes_skipped <- c.crashes_skipped + 1;
           log_event now (Event_log.Crash_skipped { server });
           false
         end
@@ -680,8 +663,8 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
              if the SLO (or the standby bound) says the result is not
              good enough. *)
           let r = Dynamic.promote_standby session server in
-          incr crashes;
-          stranded := !stranded + List.length r.Dynamic.stranded;
+          c.crashes <- c.crashes + 1;
+          c.stranded <- c.stranded + List.length r.Dynamic.stranded;
           log_event now
             (Event_log.Promote
                {
@@ -696,9 +679,9 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         end
         else begin
           let r = Dynamic.fail_server_report session server in
-          incr crashes;
+          c.crashes <- c.crashes + 1;
           let n_stranded = List.length r.Dynamic.stranded in
-          stranded := !stranded + n_stranded;
+          c.stranded <- c.stranded + n_stranded;
           log_event now
             (Event_log.Crash
                { server; migrated = r.Dynamic.migrated; stranded = n_stranded });
@@ -708,18 +691,37 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
     | Trace.Recover { server } ->
         if List.mem server (Dynamic.failed_servers session) then begin
           Dynamic.recover_server session server;
-          incr recoveries;
+          c.recoveries <- c.recoveries + 1;
           log_event now (Event_log.Recover { server });
           true
         end
         else false (* its crash was refused or never happened *)
     | Trace.Drift { server; factor } ->
         Dynamic.set_drift session ~server ~factor;
-        incr drifts;
+        c.drifts <- c.drifts + 1;
         log_event now (Event_log.Drift { server; factor });
         true
   in
-  let capture ~cursor ~now =
+  (* Durable-recovery state: a write-ahead journal holding the run's
+     history (each event's log lines and sampled points) plus numbered
+     checkpoint generations of the live state, both under [state_dir]
+     and both written through the storage fault injector. A resumed run
+     continues the journal from its checkpoint's cut. *)
+  let journal =
+    Option.map
+      (fun dir ->
+        Generation.ensure_dir dir;
+        let path = Filename.concat dir "journal" in
+        match resume_from with
+        | None -> Journal.create ~disk ~path ~digest:dg ()
+        | Some st ->
+            Journal.reopen ~disk ~path ~digest:dg
+              st.Checkpoint.history)
+      state_dir
+  in
+  (* The history lists are only materialised for an in-memory kill; a
+     generation save records the cut and the counts instead. *)
+  let capture ~cursor ~now ~history =
     let sessions_list =
       Hashtbl.fold (fun sid id acc -> (sid, id) :: acc) sessions []
       |> List.sort compare
@@ -732,8 +734,7 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
         (List.init scenario.servers Fun.id)
     in
     {
-      Checkpoint.version = Checkpoint.version;
-      digest = dg;
+      Checkpoint.digest = dg;
       cursor;
       now;
       capacity = scenario.capacity;
@@ -751,47 +752,35 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
       shed = admission.Admission.shed;
       drained = admission.Admission.drained;
       abandoned = admission.Admission.abandoned;
-      leaves = !leaves;
-      crashes = !crashes;
-      crashes_skipped = !crashes_skipped;
-      recoveries = !recoveries;
-      drifts = !drifts;
-      stranded = !stranded;
-      repairs = !repairs;
-      repair_moves = !repair_moves;
-      max_epoch_moves = !max_epoch_moves;
-      protocol_epochs = !protocol_epochs;
-      protocol_stalls = !protocol_stalls;
-      rng_cursor = !rng_cursor;
       lb = !lb;
-      events_since_lb = !events_since_lb;
-      checkpoints = !checkpoints;
-      trace_points = List.rev !trace_points;
-      baseline_points = List.rev !baseline_points;
-      log = List.rev !log;
+      counters = Checkpoint.copy c;
+      history =
+        (match journal with
+        | Some w -> Journal.position w
+        | None -> { Journal.records = 0; bytes = 0; crc = 0 });
+      trace_points = (if history then List.rev !trace_points else []);
+      baseline_points = (if history then List.rev !baseline_points else []);
+      log = (if history then List.rev !log else []);
     }
   in
-  (* Durable-recovery state: a write-ahead journal of the log lines each
-     event appends, plus numbered checkpoint generations, both under
-     [state_dir] and both written through the storage fault injector. *)
-  let journal =
-    match state_dir with
-    | None -> None
-    | Some dir ->
-        Generation.ensure_dir dir;
-        Some
-          (Journal.create ~disk ~path:(Filename.concat dir "journal") ~digest:dg
-             ~base:start_cursor ())
+  (* The items of history list [l] pushed since it was [mark], oldest
+     first. *)
+  let fresh mark l =
+    let rec go acc l =
+      if l == mark then acc else match l with [] -> acc | e :: tl -> go (e :: acc) tl
+    in
+    go [] l
   in
   let last_now = ref 0. in
   let step i =
     let ev = trace.(i) in
     let now = ev.Trace.time in
     last_now := now;
-    let log_mark = !log in
+    let log_mark = !log and trace_mark = !trace_points in
+    let baseline_mark = !baseline_points in
     let structural = dispatch now ev.Trace.kind in
-    incr events_since_lb;
-    if structural || !events_since_lb >= config.lb_every then recompute_lb now;
+    c.events_since_lb <- c.events_since_lb + 1;
+    if structural || c.events_since_lb >= config.lb_every then recompute_lb now;
     (* Standby-bound guard: when a promotion just landed, check the
        post-promotion D/LB against the configured bound and repair
        immediately (budgeted) on a breach — before the SLO machinery
@@ -819,50 +808,49 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
     if boundary then begin
       (* Canonical standby re-arm at the boundary, *before* capture: the
          persisted map is then exactly what a restore-and-refresh would
-         rebuild, which is what keeps v1-checkpoint upgrades
-         bit-identical. *)
+         rebuild. *)
       if config.standby then begin
         let changed = Dynamic.refresh_standbys session in
         log_event now (Event_log.Standby_refresh { changed })
       end;
-      incr checkpoints;
-      log_event now (Event_log.Checkpoint { id = !checkpoints })
+      c.checkpoints <- c.checkpoints + 1;
+      log_event now (Event_log.Checkpoint { id = c.checkpoints })
     end;
-    (* Journal this event's log lines before any checkpoint that covers
-       them is written — the write-ahead discipline recovery audits. *)
+    (* Journal this event's history before any checkpoint whose cut
+       covers it is written — the write-ahead discipline recovery
+       relies on. *)
     (match journal with
     | None -> ()
-    | Some w ->
-        let rec fresh acc l =
-          if l == log_mark then acc
-          else match l with [] -> acc | e :: tl -> fresh (e :: acc) tl
-        in
-        (match fresh [] !log with
-        | [] -> ()
-        | entries -> Journal.append w ~cursor:i (Event_log.render entries)));
+    | Some w -> (
+        match
+          (fresh log_mark !log, fresh trace_mark !trace_points,
+           fresh baseline_mark !baseline_points)
+        with
+        | [], [], [] -> ()
+        | entries, trace, baseline ->
+            Journal.append w ~cursor:i
+              ~points:(Checkpoint.points_text ~trace ~baseline)
+              (Event_log.render entries)));
     if boundary then begin
       (* Materialising the state is O(sessions) — with a million
          weighted sessions it would dwarf the events themselves — so
          only capture when someone consumes it. The boundary itself
          (refresh + log entry + counter) is identical either way, which
          is what the determinism contract hashes. *)
-      if checkpoint_path <> None || state_dir <> None || kill_after <> None
-      then begin
-        let st = capture ~cursor:(i + 1) ~now in
-        (match journal with Some w -> Journal.flush w | None -> ());
-        (match checkpoint_path with
-        | Some path -> Checkpoint.save path st
-        | None -> ());
-        (match state_dir with
-        | Some dir -> ignore (Generation.save ~disk ~dir ~keep st)
-        | None -> ());
-        match kill_after with
-        | Some n when !checkpoints >= n -> raise (Kill st)
-        | _ -> ()
-      end
+      Option.iter
+        (fun dir ->
+          Option.iter Journal.flush journal;
+          ignore
+            (Generation.save ~disk ~dir ~keep
+               (capture ~cursor:(i + 1) ~now ~history:false)))
+        state_dir;
+      match kill_after with
+      | Some n when c.checkpoints >= n ->
+          raise (Kill (capture ~cursor:(i + 1) ~now ~history:true))
+      | _ -> ()
     end;
     match kill_at_event with
-    | Some n when n = i -> raise (Kill (capture ~cursor:(i + 1) ~now))
+    | Some n when n = i -> raise (Kill (capture ~cursor:(i + 1) ~now ~history:true))
     | _ -> ()
   in
   let loop_start = Sys.time () in
@@ -956,30 +944,30 @@ let run ?checkpoint_path ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after
           resolve_objective;
           steady_ratio;
           budget = config.budget;
-          max_epoch_moves = !max_epoch_moves;
+          max_epoch_moves = c.max_epoch_moves;
           slo_level = Slo.level slo;
           admitted = admission.Admission.admitted;
           queued = admission.Admission.queued;
           shed = admission.Admission.shed;
           drained = admission.Admission.drained;
           abandoned = admission.Admission.abandoned;
-          leaves = !leaves;
-          crashes = !crashes;
-          crashes_skipped = !crashes_skipped;
-          recoveries = !recoveries;
-          drifts = !drifts;
-          stranded = !stranded;
+          leaves = c.leaves;
+          crashes = c.crashes;
+          crashes_skipped = c.crashes_skipped;
+          recoveries = c.recoveries;
+          drifts = c.drifts;
+          stranded = c.stranded;
           promotions = !promotions;
           promoted_clients = !promoted_clients;
           fallback_clients = !fallback_clients;
           standby_refreshes = !standby_refreshes;
           standby_changed = !standby_changed;
           standby_breaches = !standby_breaches;
-          repairs = !repairs;
-          repair_moves = !repair_moves;
-          protocol_epochs = !protocol_epochs;
-          protocol_stalls = !protocol_stalls;
-          checkpoints = !checkpoints;
+          repairs = c.repairs;
+          repair_moves = c.repair_moves;
+          protocol_epochs = c.protocol_epochs;
+          protocol_stalls = c.protocol_stalls;
+          checkpoints = c.checkpoints;
           session_stats = Dynamic.stats session;
           trace_points = List.rev !trace_points;
           baseline_points = List.rev !baseline_points;

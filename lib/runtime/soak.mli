@@ -36,15 +36,16 @@
     - a crash of the last live server is refused and logged
       ([Crash_skipped]) — the control plane never self-inflicts total
       outage;
-    - every [checkpoint_every] events the full controller state is
-      logged and (when a path is given) atomically written to disk.
+    - every [checkpoint_every] events a checkpoint is logged and (with a
+      state dir) the live controller state is written as the next
+      checkpoint generation.
 
     {b Determinism contract.} The trace is pre-materialised from the
     scenario seed, protocol-repair epochs draw sub-seeds from a counted
     cursor, and every iteration order is sorted — so a run killed at any
-    checkpoint boundary and resumed produces a report and event log
-    bit-identical to the uninterrupted run ([render] output and
-    {!Event_log.render} output match byte for byte). *)
+    event and resumed produces a report and event log bit-identical to
+    the uninterrupted run ([render] output and {!Event_log.render}
+    output match byte for byte). *)
 
 type scenario = {
   seed : int;
@@ -181,12 +182,12 @@ type report = {
 type outcome =
   | Completed of report
   | Killed of Checkpoint.state
-      (** the run stopped right after writing checkpoint [kill_after] —
-          the deterministic stand-in for [kill -9]; resume from the
-          returned state (or the file) to finish the run *)
+      (** the run stopped right after checkpoint [kill_after] or event
+          [kill_at_event] — the deterministic stand-in for [kill -9];
+          the state carries its history, so resuming from it finishes
+          the run *)
 
 val run :
-  ?checkpoint_path:string ->
   ?state_dir:string ->
   ?keep:int ->
   ?disk:Disk.t ->
@@ -196,28 +197,32 @@ val run :
   scenario ->
   config ->
   outcome
-(** Execute (or continue) a soak run. [checkpoint_path] persists every
-    checkpoint atomically; [resume_from] continues from a decoded
-    checkpoint (its digest must match); [kill_after n] stops the run
-    immediately after the [n]-th checkpoint of {e this} process — used
-    by tests and CI to exercise the kill/resume path deterministically.
+(** Execute (or continue) a soak run. [resume_from] continues from a
+    state whose digest matches and which carries its history (a
+    {!Killed} state or a {!Recovery.restore}d one, not a bare decoded
+    file); [kill_after n] stops the run immediately after the [n]-th
+    checkpoint of {e this} process — used by tests and CI to exercise
+    the kill/resume path deterministically.
 
     {b Durable recovery.} [state_dir] turns on the durability layer: a
-    write-ahead {!Journal} of each event's log lines (appended {e
-    before} any checkpoint covering them is written, flushed in batches
-    and before every generation save) plus numbered {!Generation}
-    checkpoints at every boundary, keeping the last [keep] (default 3).
-    Both streams are written through [disk] — by default an injector
-    interpreting the scenario fault plan's disk rules, so storage-fault
-    atoms in [scenario.fault] corrupt exactly the writes they name.
-    [kill_at_event i] stops the run right after processing trace event
-    [i] — {e any} event index, not just a checkpoint boundary — with the
-    captured state; combined with {!Recovery.restore} this is the
-    boundary-free kill/resume path. The scenario digest is unchanged by
-    any of these options.
+    write-ahead {!Journal} holding the run's history (each event's log
+    lines and sampled points, appended {e before} any checkpoint whose
+    cut covers them) plus numbered {!Generation} checkpoints of the live
+    state at every boundary, keeping the last [keep] (default 3). With
+    [resume_from], the journal is continued from the state's cut
+    ({!Journal.reopen}). Both streams are written through
+    [disk] — by default an injector interpreting the scenario fault
+    plan's disk rules, so storage-fault atoms in [scenario.fault]
+    corrupt exactly the writes they name. [kill_at_event i] stops the
+    run right after processing trace event [i] — {e any} event index,
+    not just a checkpoint boundary — with the captured state; combined
+    with {!Recovery.restore} this is the boundary-free kill/resume path.
+    The scenario digest is unchanged by any of these options.
 
     @raise Invalid_argument on invalid scenario/config values, a digest
-    mismatch on resume, [keep < 1], or a negative [kill_at_event]. *)
+    mismatch on resume, a [resume_from] without its history or whose
+    cut [state_dir]'s journal lacks, [keep < 1], or a negative
+    [kill_at_event]. *)
 
 val render : report -> string
 (** Deterministic human-readable report. Two runs are considered

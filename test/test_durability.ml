@@ -117,31 +117,38 @@ let test_disk_injector_rename_crash_and_fsync_loss () =
 let test_journal_roundtrip () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "journal" in
-  let w = Journal.create ~path ~digest:"cafe" ~base:7 () in
+  let w = Journal.create ~path ~digest:"cafe" () in
   Journal.append w ~cursor:7 "t=1 join session=1\n";
-  Journal.append w ~cursor:8 "";
+  Journal.append w ~cursor:8 ~points:"trace=1,2,3\n" "";
   Journal.append w ~cursor:9 "binary \x00 payload\nwith newlines\n";
-  Alcotest.(check int) "appended counts buffered records" 3 (Journal.appended w);
+  Alcotest.(check int) "position counts buffered records" 3
+    (Journal.position w).Journal.records;
   Journal.close w;
   Journal.close w (* idempotent *);
   match Journal.read path with
   | Error m -> Alcotest.fail m
   | Ok j ->
       Alcotest.(check string) "digest" "cafe" j.Journal.digest;
-      Alcotest.(check int) "base" 7 j.Journal.base;
       Alcotest.(check bool) "clean end" true (j.Journal.torn = None);
       Alcotest.(check bool) "records survive byte-exactly" true
-        (List.map (fun r -> (r.Journal.cursor, r.Journal.payload)) j.Journal.records
+        (List.map
+           (fun r -> (r.Journal.cursor, r.Journal.payload, r.Journal.points))
+           j.Journal.records
         = [
-            (7, "t=1 join session=1\n");
-            (8, "");
-            (9, "binary \x00 payload\nwith newlines\n");
-          ])
+            (7, "t=1 join session=1\n", "");
+            (8, "", "trace=1,2,3\n");
+            (9, "binary \x00 payload\nwith newlines\n", "");
+          ]);
+      (* the last record ends the file, with the file's running CRC *)
+      let text = read_file path in
+      Alcotest.(check bool) "cuts are byte positions with their CRC" true
+        ((List.nth j.Journal.records 2).Journal.upto
+        = { Journal.records = 3; bytes = String.length text; crc = Crc.digest text })
 
 let test_journal_torn_tail_keeps_prefix () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "journal" in
-  let w = Journal.create ~path ~digest:"d" ~base:0 () in
+  let w = Journal.create ~path ~digest:"d" () in
   Journal.append w ~cursor:0 "alpha\n";
   Journal.append w ~cursor:1 "beta\n";
   Journal.close w;
@@ -172,12 +179,46 @@ let test_journal_torn_tail_keeps_prefix () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file accepted"
 
+let test_journal_reopen_truncates_at_the_cut () =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "journal" in
+  let w = Journal.create ~path ~digest:"d" () in
+  Journal.append w ~cursor:0 "alpha\n";
+  let cut = Journal.position w in
+  Journal.append w ~cursor:1 "beta\n";
+  Journal.close w;
+  let refused c =
+    match Journal.reopen ~path ~digest:"d" c with
+    | exception Invalid_argument _ -> true
+    | w ->
+        Journal.close w;
+        false
+  in
+  Alcotest.(check bool) "a cut before the header" true
+    (refused { Journal.records = 0; bytes = 0; crc = 0 });
+  Alcotest.(check bool) "a cut with another crc" true
+    (refused { cut with Journal.crc = cut.Journal.crc lxor 1 });
+  Alcotest.(check bool) "another digest" true
+    (match Journal.reopen ~path ~digest:"e" cut with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  let w = Journal.reopen ~path ~digest:"d" cut in
+  Journal.append w ~cursor:1 "gamma\n";
+  Journal.close w;
+  match Journal.read path with
+  | Error m -> Alcotest.fail m
+  | Ok j ->
+      Alcotest.(check (list string)) "the tail past the cut is replaced"
+        [ "alpha\n"; "gamma\n" ]
+        (List.map (fun r -> r.Journal.payload) j.Journal.records);
+      Alcotest.(check bool) "clean end" true (j.Journal.torn = None)
+
 let test_journal_jtorn_plan_wedges_device () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "journal" in
   let disk = Disk.create (plan "jtorn:2@5") in
   (* flush_every:1 — the header is flush op 1, the first record op 2 *)
-  let w = Journal.create ~disk ~flush_every:1 ~path ~digest:"d" ~base:0 () in
+  let w = Journal.create ~disk ~flush_every:1 ~path ~digest:"d" () in
   Journal.append w ~cursor:0 "alpha\n";
   Journal.append w ~cursor:1 "beta\n";
   Journal.close w;
@@ -201,7 +242,7 @@ let test_generation_save_prunes_to_keep () =
   Alcotest.(check (list int)) "last keep survive" [ 3; 4; 5 ]
     (Generation.list ~dir);
   Alcotest.(check (option int)) "latest" (Some 5) (Generation.latest ~dir);
-  match Generation.newest_verifying ~dir ~digest:st.Checkpoint.digest with
+  match Generation.newest_verifying ~dir ~digest:st.Checkpoint.digest () with
   | Some (5, st'), [] ->
       Alcotest.(check int) "restored cursor" st.Checkpoint.cursor
         st'.Checkpoint.cursor
@@ -220,12 +261,12 @@ let test_generation_rolls_back_over_corruption () =
     (String.mapi
        (fun k c -> if k = i then Char.chr (Char.code c lxor 1) else c)
        body);
-  (match Generation.newest_verifying ~dir ~digest:st.Checkpoint.digest with
+  (match Generation.newest_verifying ~dir ~digest:st.Checkpoint.digest () with
   | Some (1, _), [ (2, reason) ] ->
       Alcotest.(check bool) "reason pinpoints the corruption" true (reason <> "")
   | _ -> Alcotest.fail "rollback to the older generation did not happen");
   (* a digest mismatch is as disqualifying as corruption *)
-  match Generation.newest_verifying ~dir ~digest:"0000" with
+  match Generation.newest_verifying ~dir ~digest:"0000" () with
   | None, skipped -> Alcotest.(check int) "all rejected" 2 (List.length skipped)
   | Some _, _ -> Alcotest.fail "wrong-digest generation accepted"
 
@@ -298,29 +339,239 @@ let prop_mutation_fuzzer_never_panics =
       | Error m -> String.length m > 0
       | exception _ -> false)
 
-let test_save_refuses_to_clobber_newer_version () =
+let test_newer_generation_skipped_untouched () =
   let st = killed small_scenario small_config in
   let dir = fresh_dir () in
-  let path = Filename.concat dir "ckpt" in
-  write_file path
-    (Printf.sprintf "dia-soak-checkpoint v%d\nfrom the future\nend\n"
-       (Checkpoint.version + 1));
-  (match Checkpoint.save path st with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "older writer clobbered a newer checkpoint");
-  Alcotest.(check bool) "newer file untouched" true
-    (String.length (read_file path) > 0
-    &&
-    let body = read_file path in
-    String.sub body 0 22
-    = Printf.sprintf "dia-soak-checkpoint v%d" (Checkpoint.version + 1));
-  (* same-version overwrite is still fine *)
-  let path = Filename.concat dir "ckpt2" in
-  Checkpoint.save path st;
-  Checkpoint.save path st;
-  match Checkpoint.load path with
-  | Ok st' -> Alcotest.(check int) "reloaded" st.Checkpoint.cursor st'.Checkpoint.cursor
+  ignore (Generation.save ~dir ~keep:3 st);
+  let future =
+    Printf.sprintf "dia-soak-checkpoint v%d\nfrom the future\nend\n"
+      (Checkpoint.version + 1)
+  in
+  write_file (Generation.path ~dir 2) future;
+  (match Generation.newest_verifying ~dir ~digest:st.Checkpoint.digest () with
+  | Some (1, _), [ (2, reason) ] ->
+      Alcotest.(check bool) (Printf.sprintf "reason names the header (%s)" reason)
+        true (reason <> "")
+  | _ -> Alcotest.fail "newer-version generation was not skipped");
+  (* a later save numbers past it and leaves its bytes alone *)
+  Alcotest.(check int) "next generation" 3 (Generation.save ~dir ~keep:3 st);
+  Alcotest.(check string) "newer file untouched" future
+    (read_file (Generation.path ~dir 2))
+
+(* --- Journal: hostile input --- *)
+
+let journal_text =
+  lazy
+    (let dir = fresh_dir () in
+     match Soak.run ~state_dir:dir small_scenario small_config with
+     | Soak.Killed _ -> Alcotest.fail "run killed"
+     | Soak.Completed r -> (read_file (Recovery.journal_path dir), r.Soak.log))
+
+let test_journal_hostile_lengths () =
+  List.iter
+    (fun len ->
+      let text =
+        Printf.sprintf "dia-soak-journal v2\ndigest=d\nrec cursor=0 len=%s pts=0 \
+                        crc=00000000\nabc\n"
+          len
+      in
+      match Journal.parse text with
+      | Ok { Journal.records = []; torn = Some _; _ } -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "len=%s parsed a record" len)
+      | Error m -> Alcotest.fail m
+      | exception e ->
+          Alcotest.fail (Printf.sprintf "len=%s raised %s" len (Printexc.to_string e)))
+    [ "4611686018427387903"; string_of_int max_int; "4"; "99999999999999999999" ]
+
+let flip_bit s pos bit =
+  String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor (1 lsl bit)) else c) s
+
+(* Byte flips, truncations and oversized record lengths: the reader
+   returns the valid prefix of the original records (byte for byte) or
+   a structured Error — never an exception. *)
+let prop_journal_mutations_never_raise =
+  QCheck.Test.make ~name:"journal reader survives flips, truncations, huge lengths"
+    ~count:400
+    QCheck.(triple (int_range 0 2) (int_bound 1_000_000) int)
+    (fun (kind, pos, big) ->
+      let text, _ = Lazy.force journal_text in
+      let n = String.length text in
+      let pos = pos mod n in
+      let mutated =
+        match kind with
+        | 0 -> flip_bit text pos (big land 7)
+        | 1 -> String.sub text 0 pos
+        | _ -> (
+            (* rewrite the first record length at or after [pos] *)
+            let rec find i =
+              if i + 4 > n then None
+              else if String.sub text i 4 = "len=" then Some (i + 4)
+              else find (i + 1)
+            in
+            match find pos with
+            | None -> text
+            | Some at ->
+                let stop = String.index_from text at ' ' in
+                String.sub text 0 at ^ string_of_int (abs big lor (1 lsl 40))
+                ^ String.sub text stop (n - stop))
+      in
+      let body r = r.Journal.payload ^ r.Journal.points in
+      match (Journal.parse mutated, Journal.parse text) with
+      | Error m, _ -> String.length m > 0
+      | Ok j, Ok orig ->
+          let rec prefix = function
+            | [], _ -> true
+            | r :: rs, o :: os -> body r = body o && prefix (rs, os)
+            | _ :: _, [] -> false
+          in
+          prefix (j.Journal.records, orig.Journal.records)
+      | Ok _, Error _ -> false
+      | exception _ -> false)
+
+let prop_event_log_mutations_never_raise =
+  QCheck.Test.make ~name:"event-log parser survives flips, truncations, huge numbers"
+    ~count:400
+    QCheck.(quad (int_bound 10_000) (int_range 0 2) (int_bound 1_000) int)
+    (fun (which, kind, pos, big) ->
+      let _, log = Lazy.force journal_text in
+      let line = Event_log.to_line (List.nth log (which mod List.length log)) in
+      let n = String.length line in
+      let pos = pos mod n in
+      let mutated =
+        match kind with
+        | 0 -> flip_bit line pos (big land 7)
+        | 1 -> String.sub line 0 pos
+        | _ -> String.sub line 0 pos ^ string_of_int big ^ "e999" ^ String.sub line pos (n - pos)
+      in
+      match Event_log.of_line mutated with
+      | Ok _ -> true
+      | Error m -> String.length m > 0
+      | exception _ -> false)
+
+(* --- Kill/resume on the continuing journal --- *)
+
+let complete scenario config =
+  match Soak.run scenario config with
+  | Soak.Completed r -> r
+  | Soak.Killed _ -> Alcotest.fail "run killed without a kill point"
+
+(* One process of a crash-looping run: restore from [dir], resume into
+   it, optionally die again at [kill_at_event]. *)
+let restore_and_resume ~dir ?kill_at_event scenario config =
+  let r = Recovery.restore ~dir ~digest:(Soak.digest scenario config) in
+  ( r,
+    Soak.run ~state_dir:dir ?kill_at_event
+      ?resume_from:(Option.map snd r.Recovery.generation)
+      scenario config )
+
+let test_two_kill_resume_cycles () =
+  let modes =
+    [
+      ("plain", small_scenario);
+      ("delay", { small_scenario with Soak.delay = Some (Dia_core.Delay.Queueing { mu = 12. }) });
+      ("coreset", { small_scenario with Soak.clients = 2_000; coreset_eps = Some 0.2 });
+    ]
+  in
+  List.iter
+    (fun (mode, scenario) ->
+      let base = complete scenario small_config in
+      let dir = fresh_dir () in
+      (match Soak.run ~state_dir:dir ~kill_at_event:33 scenario small_config with
+      | Soak.Killed _ -> ()
+      | Soak.Completed _ -> Alcotest.fail "first kill did not fire");
+      (match restore_and_resume ~dir ~kill_at_event:71 scenario small_config with
+      | { Recovery.generation = Some (_, st); _ }, Soak.Killed _ ->
+          Alcotest.(check int) (mode ^ ": first restore at the boundary") 20
+            st.Checkpoint.cursor
+      | _ -> Alcotest.fail "second kill did not fire after a restore");
+      match restore_and_resume ~dir scenario small_config with
+      | _, Soak.Killed _ -> Alcotest.fail "final resume killed"
+      | r, Soak.Completed resumed -> (
+          (match r.Recovery.generation with
+          | Some (_, st) ->
+              Alcotest.(check int) (mode ^ ": second restore at the boundary") 60
+                st.Checkpoint.cursor
+          | None -> Alcotest.fail "second restore found no generation");
+          Alcotest.(check string) (mode ^ ": report") (Soak.render base)
+            (Soak.render resumed);
+          Alcotest.(check string) (mode ^ ": event log")
+            (Event_log.render base.Soak.log)
+            (Event_log.render resumed.Soak.log);
+          (match r.Recovery.journal with
+          | Some journal ->
+              Alcotest.(check bool) (mode ^ ": audit") true
+                (Result.is_ok
+                   (Recovery.audit ~journal
+                      ~restored:(Option.map snd r.Recovery.generation)
+                      ~final_log:resumed.Soak.log))
+          | None -> Alcotest.fail "journal unreadable");
+          match Journal.read (Recovery.journal_path dir) with
+          | Error m -> Alcotest.fail m
+          | Ok j ->
+              Alcotest.(check string) (mode ^ ": the journal holds the final log")
+                (Event_log.render base.Soak.log)
+                (String.concat "" (List.map (fun r -> r.Journal.payload) j.Journal.records))))
+    modes
+
+let test_journal_tear_before_newest_cut () =
+  (* Journal flushes: the header (op 1), then one per generation save —
+     op 3 is the flush just before ckpt.2, torn 5 bytes in. ckpt.2 still
+     verifies on its own, but its history is gone, so restore must fall
+     back to ckpt.1. *)
+  let scenario = { small_scenario with Soak.fault = plan "loss:0.1+crash:1@20~45+jtorn:3@5" } in
+  let base = complete scenario small_config in
+  let dir = fresh_dir () in
+  (match Soak.run ~state_dir:dir ~kill_at_event:47 scenario small_config with
+  | Soak.Killed _ -> ()
+  | Soak.Completed _ -> Alcotest.fail "kill did not fire");
+  match restore_and_resume ~dir scenario small_config with
+  | { Recovery.generation = Some (1, _); skipped = [ (2, reason) ]; _ }, Soak.Completed r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the reason names the cut (%s)" reason)
+        true
+        (let sub = "history cut" in
+         let rec has i =
+           i + String.length sub <= String.length reason
+           && (String.sub reason i (String.length sub) = sub || has (i + 1))
+         in
+         has 0);
+      Alcotest.(check string) "report" (Soak.render base) (Soak.render r);
+      Alcotest.(check string) "event log" (Event_log.render base.Soak.log)
+        (Event_log.render r.Soak.log)
+  | _ -> Alcotest.fail "restore did not skip the generation past the tear"
+
+let test_resume_refuses_bare_decoded_state () =
+  let st = killed small_scenario small_config in
+  Alcotest.(check bool) "a killed state carries its history" true
+    (Checkpoint.has_history st);
+  match Checkpoint.decode (Checkpoint.encode st) with
   | Error m -> Alcotest.fail m
+  | Ok bare -> (
+      Alcotest.(check bool) "a decoded state does not" false
+        (Checkpoint.has_history bare);
+      match Soak.run ~resume_from:bare small_scenario small_config with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "resumed from a state without its history")
+
+let test_generation_size_flat_in_horizon () =
+  (* Checkpoints hold live state only: at a fixed session count the
+     newest generation is the same size after 300 or 3 000 time units. *)
+  let newest horizon =
+    let scenario = { Soak.default_scenario with Soak.horizon; clients = 300 } in
+    let dir = fresh_dir () in
+    (match Soak.run ~state_dir:dir scenario Soak.default_config with
+    | Soak.Completed _ -> ()
+    | Soak.Killed _ -> Alcotest.fail "run killed");
+    match Generation.latest ~dir with
+    | Some g -> String.length (read_file (Generation.path ~dir g))
+    | None -> Alcotest.fail "no generation written"
+  in
+  let short = newest 300. and long = newest 3_000. in
+  let ratio = float_of_int long /. float_of_int short in
+  Alcotest.(check bool)
+    (Printf.sprintf "ckpt bytes %d -> %d (x%.3f) within 10%%" short long ratio)
+    true
+    (ratio >= 0.9 && ratio <= 1.1)
 
 (* --- Recovery: the end-to-end harness --- *)
 
@@ -455,8 +706,8 @@ let suite =
     Alcotest.test_case "checkpoint errors carry line positions" `Quick
       test_checkpoint_errors_carry_line_positions;
     QCheck_alcotest.to_alcotest prop_mutation_fuzzer_never_panics;
-    Alcotest.test_case "save refuses to clobber a newer version" `Quick
-      test_save_refuses_to_clobber_newer_version;
+    Alcotest.test_case "newer-version generation skipped, left untouched" `Quick
+      test_newer_generation_skipped_untouched;
     Alcotest.test_case "verify-recovery passes under disk faults" `Quick
       test_verify_recovery_with_disk_faults;
     Alcotest.test_case "fresh restart when every generation is corrupt" `Quick
@@ -468,4 +719,18 @@ let suite =
     QCheck_alcotest.to_alcotest prop_boundary_free_recovery_bit_identical;
     Alcotest.test_case "disk-fault DSL round-trips and splits" `Quick
       test_disk_dsl_roundtrip;
+    Alcotest.test_case "journal treats hostile lengths as a torn tail" `Quick
+      test_journal_hostile_lengths;
+    QCheck_alcotest.to_alcotest prop_journal_mutations_never_raise;
+    QCheck_alcotest.to_alcotest prop_event_log_mutations_never_raise;
+    Alcotest.test_case "two kill/restore/resume cycles are bit-identical" `Quick
+      test_two_kill_resume_cycles;
+    Alcotest.test_case "journal tear before the newest cut rolls back" `Quick
+      test_journal_tear_before_newest_cut;
+    Alcotest.test_case "resume refuses a decoded state without history" `Quick
+      test_resume_refuses_bare_decoded_state;
+    Alcotest.test_case "newest generation size flat in the horizon" `Quick
+      test_generation_size_flat_in_horizon;
+    Alcotest.test_case "journal reopen truncates at the cut, refuses others"
+      `Quick test_journal_reopen_truncates_at_the_cut;
   ]

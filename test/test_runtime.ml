@@ -10,6 +10,7 @@ module Event_log = Dia_runtime.Event_log
 module Checkpoint = Dia_runtime.Checkpoint
 module Codec = Dia_runtime.Codec
 module Soak = Dia_runtime.Soak
+module Recovery = Dia_runtime.Recovery
 module Fault = Dia_sim.Fault
 
 let plan spec =
@@ -311,6 +312,24 @@ let complete scenario config =
   | Soak.Completed r -> r
   | Soak.Killed _ -> Alcotest.fail "run killed without kill_after"
 
+(* Kill a run that keeps a state dir after its [kill_after]-th
+   checkpoint, restore the dir (newest generation plus the history its
+   journal holds) and resume into it — the path a process that really
+   died takes. [None] when the run finished before the kill point. *)
+let kill_restore_resume ~kill_after scenario config =
+  let dir = Filename.temp_dir "dia_runtime" "" in
+  match Soak.run ~state_dir:dir ~kill_after scenario config with
+  | Soak.Completed r -> Some (None, r)
+  | Soak.Killed _ -> (
+      let r = Recovery.restore ~dir ~digest:(Soak.digest scenario config) in
+      match
+        Soak.run ~state_dir:dir
+          ?resume_from:(Option.map snd r.Recovery.generation)
+          scenario config
+      with
+      | Soak.Killed _ -> None
+      | Soak.Completed resumed -> Some (r.Recovery.generation, resumed))
+
 let test_checkpoint_codec_roundtrip () =
   match Soak.run ~kill_after:1 small_scenario small_config with
   | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
@@ -479,22 +498,17 @@ let test_soak_delay_kill_resume_identical () =
     "delay model survives to the report" (Some "mm1:12") base.Soak.delay_model;
   List.iter
     (fun kill_after ->
-      match Soak.run ~kill_after delay_scenario small_config with
-      | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
-      | Soak.Killed st -> (
-          match Checkpoint.decode (Checkpoint.encode st) with
-          | Error m -> Alcotest.fail m
-          | Ok st -> (
-              match Soak.run ~resume_from:st delay_scenario small_config with
-              | Soak.Killed _ -> Alcotest.fail "resumed run killed"
-              | Soak.Completed resumed ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "report identical after kill %d" kill_after)
-                    (Soak.render base) (Soak.render resumed);
-                  Alcotest.(check string)
-                    (Printf.sprintf "event log identical after kill %d" kill_after)
-                    (Event_log.render base.Soak.log)
-                    (Event_log.render resumed.Soak.log))))
+      match kill_restore_resume ~kill_after delay_scenario small_config with
+      | None -> Alcotest.fail "resumed run killed"
+      | Some (None, _) -> Alcotest.fail "kill_after ignored or nothing restored"
+      | Some (Some _, resumed) ->
+          Alcotest.(check string)
+            (Printf.sprintf "report identical after kill %d" kill_after)
+            (Soak.render base) (Soak.render resumed);
+          Alcotest.(check string)
+            (Printf.sprintf "event log identical after kill %d" kill_after)
+            (Event_log.render base.Soak.log)
+            (Event_log.render resumed.Soak.log))
     [ 1; 2 ]
 
 let test_soak_delay_rejects_coreset () =
@@ -523,21 +537,13 @@ let prop_soak_deterministic_under_random_kills =
       match Soak.run scenario config with
       | Soak.Killed _ -> false
       | Soak.Completed base -> (
-          match Soak.run ~kill_after scenario config with
-          | Soak.Completed r ->
-              (* not enough checkpoints to kill at: the run must then be
-                 the uninterrupted one *)
+          (* without enough checkpoints to kill at, the run must be the
+             uninterrupted one; otherwise the resumed one must match it *)
+          match kill_restore_resume ~kill_after scenario config with
+          | None -> false
+          | Some (_, r) ->
               Soak.render r = Soak.render base
-          | Soak.Killed st -> (
-              match Checkpoint.decode (Checkpoint.encode st) with
-              | Error _ -> false
-              | Ok st -> (
-                  match Soak.run ~resume_from:st scenario config with
-                  | Soak.Killed _ -> false
-                  | Soak.Completed resumed ->
-                      Soak.render resumed = Soak.render base
-                      && Event_log.render resumed.Soak.log
-                         = Event_log.render base.Soak.log))))
+              && Event_log.render r.Soak.log = Event_log.render base.Soak.log))
 
 let suite =
   [

@@ -1,7 +1,7 @@
 (* Tests for the standby-replica layer: the reservation discipline on
    live sessions, O(1) failover promotion and its promise, graceful
-   stranding under saturation, checkpoint format v3, the v1 -> v3
-   upgrade path, and the competitive-ratio harness. *)
+   stranding under saturation, the standby map in checkpoint format v4,
+   and the competitive-ratio harness. *)
 
 module Dynamic = Dia_core.Dynamic
 module Soak = Dia_runtime.Soak
@@ -254,20 +254,19 @@ let test_soak_no_standby_falls_back_to_resolve () =
     (Soak.digest small_scenario config
     <> Soak.digest small_scenario small_config)
 
-(* --- Checkpoint v3 and the v1 upgrade --- *)
+(* --- Checkpoint v4 --- *)
 
 let killed scenario config =
   match Soak.run ~kill_after:1 scenario config with
   | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
   | Soak.Killed st -> st
 
-let test_checkpoint_v3_roundtrip_with_standbys () =
+let test_checkpoint_v4_roundtrip_with_standbys () =
   let st = killed small_scenario small_config in
-  Alcotest.(check int) "current version" 3 st.Checkpoint.version;
   Alcotest.(check bool) "standbys captured" true (st.Checkpoint.standbys <> []);
   let text = Checkpoint.encode st in
-  Alcotest.(check bool) "v3 header" true
-    (String.length text >= 22 && String.sub text 0 22 = "dia-soak-checkpoint v3");
+  Alcotest.(check bool) "v4 header" true
+    (String.length text >= 22 && String.sub text 0 22 = "dia-soak-checkpoint v4");
   match Checkpoint.decode text with
   | Error m -> Alcotest.fail m
   | Ok st' ->
@@ -275,66 +274,6 @@ let test_checkpoint_v3_roundtrip_with_standbys () =
         (Checkpoint.encode st');
       Alcotest.(check bool) "standby map survives" true
         (st'.Checkpoint.standbys = st.Checkpoint.standbys)
-
-(* Rewrite a current checkpoint as the v1 format an old binary would
-   have written: the v1 header, no standby=, baseline= or crc= lines. *)
-let downgrade_to_v1 text =
-  let has_prefix p line =
-    String.length line >= String.length p && String.sub line 0 (String.length p) = p
-  in
-  String.split_on_char '\n' text
-  |> List.filter (fun line ->
-         not
-           (has_prefix "standby=" line || has_prefix "baseline=" line
-           || has_prefix "crc=" line))
-  |> List.map (fun line ->
-         if line = Printf.sprintf "dia-soak-checkpoint v%d" Checkpoint.version
-         then "dia-soak-checkpoint v1"
-         else line)
-  |> String.concat "\n"
-
-let test_v1_checkpoint_upgrade_resumes_identically () =
-  let base = complete small_scenario small_config in
-  let st = killed small_scenario small_config in
-  let v1_text = downgrade_to_v1 (Checkpoint.encode st) in
-  match Checkpoint.decode v1_text with
-  | Error m -> Alcotest.fail ("v1 checkpoint rejected: " ^ m)
-  | Ok st_v1 -> (
-      Alcotest.(check int) "decoded as v1" 1 st_v1.Checkpoint.version;
-      Alcotest.(check (list (pair int int))) "no standbys in v1" []
-        st_v1.Checkpoint.standbys;
-      match Soak.run ~resume_from:st_v1 small_scenario small_config with
-      | Soak.Killed _ -> Alcotest.fail "v1 resume killed"
-      | Soak.Completed resumed ->
-          Alcotest.(check string) "report identical to the uninterrupted run"
-            (Soak.render base) (Soak.render resumed);
-          Alcotest.(check string) "event log identical too"
-            (Event_log.render base.Soak.log)
-            (Event_log.render resumed.Soak.log))
-
-let prop_v1_upgrade_bit_identical_at_any_kill =
-  QCheck.Test.make ~name:"v1 checkpoint upgrade is bit-identical at any kill"
-    ~count:8
-    QCheck.(pair (int_bound 1000) (int_range 1 3))
-    (fun (seed, kill_after) ->
-      let scenario = { small_scenario with Soak.seed } in
-      match Soak.run scenario small_config with
-      | Soak.Killed _ -> false
-      | Soak.Completed base -> (
-          match Soak.run ~kill_after scenario small_config with
-          | Soak.Completed r ->
-              (* not enough checkpoints to kill at *)
-              Soak.render r = Soak.render base
-          | Soak.Killed st -> (
-              match Checkpoint.decode (downgrade_to_v1 (Checkpoint.encode st)) with
-              | Error _ -> false
-              | Ok st_v1 -> (
-                  match Soak.run ~resume_from:st_v1 scenario small_config with
-                  | Soak.Killed _ -> false
-                  | Soak.Completed resumed ->
-                      Soak.render resumed = Soak.render base
-                      && Event_log.render resumed.Soak.log
-                         = Event_log.render base.Soak.log))))
 
 (* --- Competitive harness --- *)
 
@@ -378,11 +317,8 @@ let suite =
       test_soak_promotes_instead_of_resolving;
     Alcotest.test_case "soak without standbys uses the resolve path" `Quick
       test_soak_no_standby_falls_back_to_resolve;
-    Alcotest.test_case "checkpoint v3 round-trips the standby map" `Quick
-      test_checkpoint_v3_roundtrip_with_standbys;
-    Alcotest.test_case "v1 checkpoint upgrades and resumes bit-identically"
-      `Quick test_v1_checkpoint_upgrade_resumes_identically;
-    QCheck_alcotest.to_alcotest prop_v1_upgrade_bit_identical_at_any_kill;
+    Alcotest.test_case "checkpoint v4 round-trips the standby map" `Quick
+      test_checkpoint_v4_roundtrip_with_standbys;
     Alcotest.test_case "competitive harness measures and reproduces" `Quick
       test_competitive_harness_smoke;
     Alcotest.test_case "competitive harness validates parameters" `Quick
