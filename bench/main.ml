@@ -357,81 +357,119 @@ let make_failover_kernel ~clients ~promote =
      else ignore (Dia_core.Dynamic.fail_server_report session !victim));
     Dia_core.Dynamic.recover_server session !victim
 
+(* Lower-bound rebuild: a session shaped like the end-to-end
+   benchmark's soak-scale sessions — 300 clients on random nodes of the
+   400-node churn matrix, about 210 of them occupied, 20 servers. Each
+   run toggles server 0's drift between 1 and 1.25, which invalidates
+   the cached bound as a crash, recovery or drift does in a soak, and
+   queries it, so the query pays a full rebuild. The toggle also
+   rescales a matrix row and rebuilds the eccentricities;
+   session/drift-toggle times that alone on a twin session, so the
+   rebuild is the difference of the two rows. *)
+let make_lb_rebuild_kernel ~query =
+  let servers = Placement.random ~seed:6 ~k:20 ~n:churn_nodes in
+  let session = Dia_core.Dynamic.create churn_matrix ~servers in
+  let rng = Random.State.make [| 6 |] in
+  for _ = 1 to 300 do
+    ignore (Dia_core.Dynamic.join session ~node:(Random.State.int rng churn_nodes))
+  done;
+  let up = ref false in
+  fun () ->
+    up := not !up;
+    Dia_core.Dynamic.set_drift session ~server:0 ~factor:(if !up then 1.25 else 1.);
+    if query then Dia_core.Dynamic.lower_bound session else nan
+
+(* Each kernel is [(calls, make)]. [make] builds the kernel's state
+   just before it is timed, so only that kernel's state is live while it
+   runs: bechamel compacts the heap before every sample, and the quota
+   counts the compactions, so state left over from earlier kernels
+   (a million-session coreset, 10k-client sessions, a soak's end state)
+   used to cost each later kernel most of its samples. A kernel under
+   about a millisecond runs [calls] calls per bechamel run, enough for a
+   run to last a few milliseconds, so host noise on short samples does
+   not swamp the fit; [measure_benchmarks] divides the estimate back
+   down to one call. *)
+let kernel ?(calls = 1) name make =
+  ( calls,
+    fun () ->
+      let f = make () in
+      Test.make ~name
+        (Staged.stage (fun () ->
+             for _ = 1 to calls do
+               ignore (Sys.opaque_identity (f ()))
+             done)) )
+
 let tests =
   [
-    Test.make ~name:"objective/fast(n=120)" (Staged.stage (fun () ->
-        Objective.max_interaction_path small_problem small_assignment));
-    Test.make ~name:"objective/naive(n=120)" (Staged.stage (fun () ->
-        Objective.naive_max_interaction_path small_problem small_assignment));
-    Test.make ~name:"lower-bound/pruned(n=120)" (Staged.stage (fun () ->
-        Lower_bound.compute small_problem));
-    Test.make ~name:"lower-bound/naive(n=120)" (Staged.stage (fun () ->
-        Lower_bound.naive small_problem));
-    Test.make ~name:"assign/nearest(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_core.Nearest.assign bench_problem));
-    Test.make ~name:"assign/lfb(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_core.Longest_first_batch.assign bench_problem));
-    Test.make ~name:"assign/greedy(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_core.Greedy.assign bench_problem));
-    Test.make ~name:"assign/greedy-load(n=300,k=20)" (Staged.stage (fun () ->
+    kernel ~calls:1000 "objective/fast(n=120)" (fun () () ->
+        Objective.max_interaction_path small_problem small_assignment);
+    kernel ~calls:5 "objective/naive(n=120)" (fun () () ->
+        Objective.naive_max_interaction_path small_problem small_assignment);
+    kernel ~calls:50 "lower-bound/pruned(n=120)" (fun () () -> Lower_bound.compute small_problem);
+    kernel "lower-bound/naive(n=120)" (fun () () -> Lower_bound.naive small_problem);
+    kernel ~calls:15 "assign/nearest(n=300,k=20)" (fun () () ->
+        Dia_core.Nearest.assign bench_problem);
+    kernel ~calls:7 "assign/lfb(n=300,k=20)" (fun () () ->
+        Dia_core.Longest_first_batch.assign bench_problem);
+    kernel ~calls:3 "assign/greedy(n=300,k=20)" (fun () () -> Dia_core.Greedy.assign bench_problem);
+    kernel "assign/greedy-load(n=300,k=20)" (fun () () ->
         Dia_core.Greedy.assign_load ~delay:(Dia_core.Delay.Queueing { mu = 40. })
-          bench_problem));
-    Test.make ~name:"assign/greedy-reference(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_core.Greedy.assign_reference bench_problem));
-    Test.make ~name:"assign/dgreedy(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_core.Distributed_greedy.assign bench_problem));
-    Test.make ~name:"objective/fast(n=300)" (Staged.stage (fun () ->
-        Objective.max_interaction_path bench_problem bench_assignment));
-    Test.make ~name:"delay/objective(n=300)" (Staged.stage (fun () ->
+          bench_problem);
+    kernel "assign/greedy-reference(n=300,k=20)" (fun () () ->
+        Dia_core.Greedy.assign_reference bench_problem);
+    kernel "assign/dgreedy(n=300,k=20)" (fun () () ->
+        Dia_core.Distributed_greedy.assign bench_problem);
+    kernel ~calls:300 "objective/fast(n=300)" (fun () () ->
+        Objective.max_interaction_path bench_problem bench_assignment);
+    kernel ~calls:300 "delay/objective(n=300)" (fun () () ->
         Objective.max_interaction_path_load bench_problem
-          ~delay:(Dia_core.Delay.Queueing { mu = 40. }) bench_assignment));
-    Test.make ~name:"lower-bound/pruned(n=300)" (Staged.stage (fun () ->
-        Lower_bound.compute bench_problem));
-    Test.make ~name:"placement/kcenter-2approx(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_placement.Kcenter.two_approx bench_matrix ~k:20));
-    Test.make ~name:"placement/kcenter-greedy(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_placement.Kcenter.greedy bench_matrix ~k:20));
-    Test.make ~name:"clock/synthesize(n=300,k=20)" (Staged.stage (fun () ->
-        Dia_core.Clock.synthesize bench_problem bench_assignment));
-    Test.make ~name:"search/hill-climb(n=120,k=8)" (Staged.stage (fun () ->
-        Dia_core.Local_search.hill_climb small_problem small_assignment));
-    Test.make ~name:"vivaldi/embed(n=120,r=15)" (Staged.stage (fun () ->
-        Dia_latency.Vivaldi.embed_matrix ~rounds:15 small_matrix));
-    Test.make ~name:"topology/transit-stub(n=400)" (Staged.stage (fun () ->
-        Dia_latency.Topology.generate ~seed:1 ()));
-    Test.make ~name:"sim/protocol-round(n=120,k=8)" (Staged.stage (fun () ->
+          ~delay:(Dia_core.Delay.Queueing { mu = 40. }) bench_assignment);
+    kernel ~calls:5 "lower-bound/pruned(n=300)" (fun () () -> Lower_bound.compute bench_problem);
+    kernel ~calls:15 "placement/kcenter-2approx(n=300,k=20)" (fun () () ->
+        Dia_placement.Kcenter.two_approx bench_matrix ~k:20);
+    kernel "placement/kcenter-greedy(n=300,k=20)" (fun () () ->
+        Dia_placement.Kcenter.greedy bench_matrix ~k:20);
+    kernel ~calls:100 "clock/synthesize(n=300,k=20)" (fun () () ->
+        Dia_core.Clock.synthesize bench_problem bench_assignment);
+    kernel "search/hill-climb(n=120,k=8)" (fun () () ->
+        Dia_core.Local_search.hill_climb small_problem small_assignment);
+    kernel "vivaldi/embed(n=120,r=15)" (fun () () ->
+        Dia_latency.Vivaldi.embed_matrix ~rounds:15 small_matrix);
+    kernel ~calls:10 "topology/transit-stub(n=400)" (fun () () ->
+        Dia_latency.Topology.generate ~seed:1 ());
+    kernel "sim/protocol-round(n=120,k=8)" (fun () () ->
         let clock = Dia_core.Clock.synthesize small_problem small_assignment in
         let workload = Dia_sim.Workload.burst ~clients:120 ~at:0. in
-        Dia_sim.Protocol.run small_problem small_assignment clock workload));
-    Test.make ~name:"sim/dgreedy-protocol(n=120,k=8)" (Staged.stage (fun () ->
-        Dia_sim.Dgreedy_protocol.run small_problem));
-    Test.make ~name:"churn/steady-state(clients=1000)"
-      (Staged.stage (make_churn_kernel ~clients:1_000));
-    Test.make ~name:"churn/steady-state(clients=10000)"
-      (Staged.stage (make_churn_kernel ~clients:10_000));
-    Test.make ~name:"churn/steady-state(weighted n=1M)"
-      (Staged.stage (make_weighted_churn_kernel ~clients:1_000_000 ~eps:0.1));
-    Test.make ~name:"coreset/build(clients=10000,k=10)"
-      (Staged.stage (fun () ->
-           Dia_coreset.Coreset.build ~seed:6 ~eps:0.1 churn_matrix
-             ~servers:churn_servers ~clients:coreset_build_clients));
-    Test.make ~name:"journal/append(batch=50)"
-      (Staged.stage (make_journal_append_kernel ~batch:50));
-    Test.make ~name:"recovery/replay(n=10k)"
-      (Staged.stage (fun () ->
-           match Dia_runtime.Journal.read replay_journal_path with
-           | Ok j -> List.length j.Dia_runtime.Journal.records
-           | Error m -> failwith m));
-    Test.make ~name:"checkpoint/generation-save(events=2700)"
-      (Staged.stage (generation_save_kernel ()));
-    Test.make ~name:"failover/promote(clients=1000)"
-      (Staged.stage (make_failover_kernel ~clients:1_000 ~promote:true));
-    Test.make ~name:"failover/resolve(clients=1000)"
-      (Staged.stage (make_failover_kernel ~clients:1_000 ~promote:false));
-    Test.make ~name:"failover/promote(clients=10000)"
-      (Staged.stage (make_failover_kernel ~clients:10_000 ~promote:true));
-    Test.make ~name:"failover/resolve(clients=10000)"
-      (Staged.stage (make_failover_kernel ~clients:10_000 ~promote:false));
+        Dia_sim.Protocol.run small_problem small_assignment clock workload);
+    kernel "sim/dgreedy-protocol(n=120,k=8)" (fun () () ->
+        Dia_sim.Dgreedy_protocol.run small_problem);
+    kernel ~calls:20 "churn/steady-state(clients=1000)" (fun () ->
+        make_churn_kernel ~clients:1_000);
+    kernel ~calls:4 "churn/steady-state(clients=10000)" (fun () ->
+        make_churn_kernel ~clients:10_000);
+    kernel ~calls:500 "churn/steady-state(weighted n=1M)" (fun () ->
+        make_weighted_churn_kernel ~clients:1_000_000 ~eps:0.1);
+    kernel "coreset/build(clients=10000,k=10)" (fun () () ->
+        Dia_coreset.Coreset.build ~seed:6 ~eps:0.1 churn_matrix ~servers:churn_servers
+          ~clients:coreset_build_clients);
+    kernel ~calls:100 "journal/append(batch=50)" (fun () -> make_journal_append_kernel ~batch:50);
+    kernel "recovery/replay(n=10k)" (fun () () ->
+        match Dia_runtime.Journal.read replay_journal_path with
+        | Ok j -> List.length j.Dia_runtime.Journal.records
+        | Error m -> failwith m);
+    kernel ~calls:30 "checkpoint/generation-save(events=2700)" generation_save_kernel;
+    kernel ~calls:3 "failover/promote(clients=1000)" (fun () ->
+        make_failover_kernel ~clients:1_000 ~promote:true);
+    kernel "failover/resolve(clients=1000)" (fun () ->
+        make_failover_kernel ~clients:1_000 ~promote:false);
+    kernel "failover/promote(clients=10000)" (fun () ->
+        make_failover_kernel ~clients:10_000 ~promote:true);
+    kernel "failover/resolve(clients=10000)" (fun () ->
+        make_failover_kernel ~clients:10_000 ~promote:false);
+    kernel ~calls:5 "session/lb-rebuild(occupied≈210,k=20)" (fun () ->
+        make_lb_rebuild_kernel ~query:true);
+    kernel ~calls:50 "session/drift-toggle(occupied≈210,k=20)" (fun () ->
+        make_lb_rebuild_kernel ~query:false);
   ]
 
 (* -- Quality ablation: achievable optimum (annealing) vs the lower bound -- *)
@@ -483,28 +521,36 @@ let achievable_gap_ablation () =
     [ (1, 150, 10); (2, 150, 10); (3, 200, 15); (4, 250, 20) ];
   Dia_stats.Table.print table
 
+(* Each kernel is timed three times, each time on freshly built state;
+   its row reports the median estimate and the median r². *)
 let measure_benchmarks () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
-  List.concat_map
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols (List.hd instances) results in
-      Hashtbl.fold
-        (fun name ols_result acc ->
-          let time_ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] -> est
-            | _ -> nan
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
-          in
-          (name, time_ns, r2) :: acc)
-        analyzed [])
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~stabilize:true () in
+  let once (calls, make) =
+    let results = Benchmark.all cfg instances (make ()) in
+    let analyzed = Analyze.all ols (List.hd instances) results in
+    Hashtbl.fold
+      (fun name ols_result _ ->
+        let time_ns =
+          match Analyze.OLS.estimates ols_result with
+          | Some [ est ] -> est /. float_of_int calls
+          | _ -> nan
+        in
+        let r2 =
+          match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
+        in
+        (name, time_ns, r2))
+      analyzed ("", nan, nan)
+  in
+  List.map
+    (fun kernel ->
+      let reps = List.init 3 (fun _ -> once kernel) in
+      let median f = List.nth (List.sort compare (List.map f reps)) 1 in
+      let name, _, _ = List.hd reps in
+      (name, median (fun (_, t, _) -> t), median (fun (_, _, r) -> r)))
     tests
 
 let run_benchmarks measurements =

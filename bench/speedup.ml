@@ -11,11 +11,12 @@
    Timing is best-of-N wall clock after warmup — the minimum is the right
    statistic for a regression gate because noise only ever adds time.
 
-   Two relative gates follow, each a ratio of two kernels timed together
-   in this process, so host speed cancels and no seed row is needed: the
-   load-aware greedy against plain greedy on the same instance (at most
-   2x), and the write-ahead journal's tax on the churn kernel
-   (--journal-max-overhead). *)
+   Three relative gates follow, each a ratio of two kernels timed
+   together in this process, so host speed cancels and no seed row is
+   needed: the load-aware greedy against plain greedy on the same
+   instance (at most 2x), a session's lower-bound rebuild against its
+   from-scratch referee (at least 5x faster), and the write-ahead
+   journal's tax on the churn kernel (--journal-max-overhead). *)
 
 module Problem = Dia_core.Problem
 module Placement = Dia_placement.Placement
@@ -29,6 +30,9 @@ let journal_max_overhead = ref 0.10
 
 (* Max tolerated cost of load-aware greedy relative to plain greedy. *)
 let load_max_ratio = 2.0
+
+(* Min speed-up of a session's lower-bound rebuild over its scratch referee. *)
+let lb_rebuild_min = 5.0
 
 let () =
   Arg.parse
@@ -176,6 +180,43 @@ let () =
     Printf.eprintf
       "speedup: load-aware greedy costs %.2fx plain greedy (gate: %.1fx)\n"
       ratio load_max_ratio;
+    exit 1
+  end
+
+(* Lower-bound rebuild gate: the session of the bechamel
+   session/lb-rebuild kernel (300 clients on about 210 of 400 nodes, 20
+   servers). A drift toggle invalidates the cached bound and the query
+   rebuilds it on the pruned Lower_bound kernel; the unpruned
+   O(m²·|S|) pair loop it replaced cost as much as the
+   [lower_bound_scratch] referee it is timed against. The toggle is
+   charged to the rebuild side. *)
+let () =
+  let nodes = 400 in
+  let matrix = Dia_latency.Synthetic.internet_like ~seed:6 nodes in
+  let servers = Placement.random ~seed:6 ~k:20 ~n:nodes in
+  let session = Dia_core.Dynamic.create matrix ~servers in
+  let rng = Random.State.make [| 6 |] in
+  for _ = 1 to 300 do
+    ignore (Dia_core.Dynamic.join session ~node:(Random.State.int rng nodes))
+  done;
+  let up = ref false in
+  let rebuild, scratch =
+    interleaved_best ~rounds:!runs
+      (fun () ->
+        up := not !up;
+        Dia_core.Dynamic.set_drift session ~server:0 ~factor:(if !up then 1.25 else 1.);
+        Dia_core.Dynamic.lower_bound session)
+      (fun () -> Dia_core.Dynamic.lower_bound_scratch session)
+  in
+  let factor = scratch /. rebuild in
+  let verdict = if factor >= lb_rebuild_min then "OK" else "TOO SLOW" in
+  Printf.printf "%-32s rebuild %7.0f ns   scratch %9.0f ns   speedup %5.2fx   [%s]\n"
+    "session/lb-rebuild" rebuild scratch factor verdict;
+  if factor < lb_rebuild_min then begin
+    Printf.eprintf
+      "speedup: the session lower-bound rebuild is only %.2fx faster than \
+       lower_bound_scratch (gate: %.1fx)\n"
+      factor lb_rebuild_min;
     exit 1
   end
 

@@ -47,10 +47,3 @@ let random p ~seed =
   let rng = Random.State.make [| seed |] in
   let k = Problem.num_servers p in
   Array.init (Problem.num_clients p) (fun _ -> Random.State.int rng k)
-
-let pp ppf a =
-  Format.fprintf ppf "@[<h>[%a]@]"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Format.pp_print_int)
-    a

@@ -43,5 +43,3 @@ val constant : Problem.t -> int -> t
 
 val random : Problem.t -> seed:int -> t
 (** Uniform random server per client. Ignores capacity. *)
-
-val pp : Format.formatter -> t -> unit

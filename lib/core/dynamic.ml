@@ -38,9 +38,9 @@ type t = {
       (** D_load(A); valid iff [not dl_dirty]; meaningless when
           [delay = None] *)
   mutable dl_dirty : bool;
-  reach_rows : (int, float array) Hashtbl.t;
-      (** per-node [f_u(s') = min_s (d(u,s) +. d(s,s'))] over live
-          servers; reset whenever the matrix or the live set changes *)
+  lb_reach : float array;
+      (** flat node x live-server table of [f_u(s') = min_s (d(u,s) +.
+          d(s,s'))], row [u] at [u * live]; occupied rows valid iff [lb_valid] *)
   mutable lb_cache : float;  (** super-optimal LB; valid iff [lb_valid] *)
   mutable lb_valid : bool;
   mutable lb_wa : int;  (** witness node pair realising [lb_cache]... *)
@@ -85,7 +85,7 @@ let create ?capacity ?delay matrix ~servers =
     d_dirty = false;
     dl_cache = neg_infinity;
     dl_dirty = false;
-    reach_rows = Hashtbl.create 64;
+    lb_reach = Array.make (Matrix.dim matrix * k) infinity;
     lb_cache = neg_infinity;
     lb_valid = true;
     lb_wa = -1;
@@ -102,6 +102,9 @@ let k t = Array.length t.servers
 
 let d_ns t node s = Matrix.get t.matrix node t.servers.(s)
 let d_ss t s1 s2 = Matrix.get t.matrix t.servers.(s1) t.servers.(s2)
+
+let active_servers t =
+  List.filter (fun s -> not t.failed.(s)) (List.init (k t) Fun.id)
 
 let objective_of t ecc =
   let best = ref neg_infinity in
@@ -225,8 +228,6 @@ let objective_load_scratch t =
         t.members;
       objective_load_arrays t delay ecc load
 
-let delay t = t.delay
-
 let mset_add t s d =
   t.dists.(s) <-
     Fmap.update d (function None -> Some 1 | Some c -> Some (c + 1)) t.dists.(s)
@@ -281,66 +282,51 @@ let ecc_without t s d =
    client nodes, the live servers, and the matrix — not on the
    assignment — so it is cached at node granularity: for occupied nodes
    u <= v, LB = max over pairs of min_{s'} (f_u(s') +. d(v,s')) with
-   f_u(s') = min_s (d(u,s) +. d(s,s')), all server scans over the live
-   set in ascending index order (the canonical orientation
-   {!lower_bound_scratch} re-derives). Occupying a fresh node only adds
-   pairs, so the cache extends by maxing in the new node's pairs;
-   vacating a node removes pairs, which can only lower the maximum, so
-   the cache stays exact unless the witness pair itself died. Server
-   failures/recoveries and drift invalidate wholesale (the reach rows
-   change), and the next {!lower_bound} query rebuilds lazily. *)
+   f_u(s') = min_s (d(u,s) +. d(s,s')) over the live servers (the
+   canonical orientation {!lower_bound_scratch} re-derives). Occupying a
+   fresh node only adds pairs, so the cache extends by maxing in the new
+   node's pairs, O(m·|S| + |S|²) for m occupied nodes; vacating a node
+   removes pairs, which can only lower the maximum, so the cache stays
+   exact unless the witness pair itself died. Server failures,
+   recoveries, drift and {!restore} invalidate wholesale, and the next
+   {!lower_bound} query rebuilds with {!Lower_bound.scan} on a flat
+   snapshot of the occupied nodes in ascending order — the offline
+   kernel, pruning included — and keeps its reach rows for the extends.
+   Every pair value is the same sum of the same doubles on both paths,
+   and min/max are order-insensitive, so the cache is bit-identical to
+   the scratch recompute. *)
 
-let lb_invalidate t =
-  t.lb_valid <- false;
-  Hashtbl.reset t.reach_rows
+let lb_invalidate t = t.lb_valid <- false
 
-let reach_row t u =
-  match Hashtbl.find_opt t.reach_rows u with
-  | Some row -> row
-  | None ->
-      let kk = k t in
-      let row = Array.make kk infinity in
-      for s' = 0 to kk - 1 do
-        if not t.failed.(s') then begin
-          let best = ref infinity in
-          for s = 0 to kk - 1 do
-            if not t.failed.(s) then begin
-              let v = d_ns t u s +. d_ss t s s' in
-              if v < !best then best := v
-            end
-          done;
-          row.(s') <- !best
-        end
-      done;
-      Hashtbl.replace t.reach_rows u row;
-      row
-
-(* Longest-pair cost for occupied nodes [u <= v], via [u]'s reach row. *)
-let pair_cost t u v =
-  let row = reach_row t u in
-  let best = ref infinity in
-  for s' = 0 to k t - 1 do
-    if not t.failed.(s') then begin
-      let len = row.(s') +. d_ns t v s' in
-      if len < !best then best := len
-    end
-  done;
-  !best
-
-(* Node [u] just became occupied: max in its pairs against every
-   occupied node (itself included). Old pairs are untouched, so
-   [max lb_cache (new pairs)] is exactly the scratch maximum. *)
+(* Node [u] just became occupied: fill its reach row, then max in its
+   pairs against every occupied node (itself included). Old pairs are
+   untouched, so [max lb_cache (new pairs)] is exactly the scratch
+   maximum. *)
 let lb_extend t u =
   if t.lb_valid then begin
+    let live = Array.of_list (active_servers t) in
+    let kl = Array.length live and reach = t.lb_reach in
+    for j' = 0 to kl - 1 do
+      let m = ref infinity in
+      for j = 0 to kl - 1 do
+        let v = d_ns t u live.(j) +. d_ss t live.(j) live.(j') in
+        if v < !m then m := v
+      done;
+      reach.((u * kl) + j') <- !m
+    done;
     let best = ref t.lb_cache in
     let wa = ref t.lb_wa and wb = ref t.lb_wb in
     Array.iteri
       (fun v count ->
         if count > 0 then begin
           let a = if v < u then v else u and b = if v < u then u else v in
-          let len = pair_cost t a b in
-          if len > !best then begin
-            best := len;
+          let len = ref infinity in
+          for j' = 0 to kl - 1 do
+            let l = reach.((a * kl) + j') +. d_ns t b live.(j') in
+            if l < !len then len := l
+          done;
+          if !len > !best then begin
+            best := !len;
             wa := a;
             wb := b
           end
@@ -364,24 +350,24 @@ let node_remove t node =
 
 let lower_bound t =
   if not t.lb_valid then begin
-    let best = ref neg_infinity and wa = ref (-1) and wb = ref (-1) in
-    let n = Array.length t.node_count in
-    for u = 0 to n - 1 do
-      if t.node_count.(u) > 0 then
-        for v = u to n - 1 do
-          if t.node_count.(v) > 0 then begin
-            let len = pair_cost t u v in
-            if len > !best then begin
-              best := len;
-              wa := u;
-              wb := v
-            end
-          end
-        done
-    done;
-    t.lb_cache <- !best;
-    t.lb_wa <- !wa;
-    t.lb_wb <- !wb;
+    let live = Array.of_list (active_servers t) in
+    let kl = Array.length live in
+    let occupied =
+      Seq.init (Array.length t.node_count) Fun.id
+      |> Seq.filter (fun u -> t.node_count.(u) > 0)
+      |> Array.of_seq
+    in
+    let grid rows d =
+      Array.init (Array.length rows * kl) (fun i -> d rows.(i / kl) live.(i mod kl))
+    in
+    let n = Array.length occupied in
+    let r =
+      Lower_bound.scan ~k:kl ~cs:(grid occupied (d_ns t)) ~ss:(grid live (d_ss t)) n
+    in
+    Array.iteri (fun i u -> Array.blit r.reach (i * kl) t.lb_reach (u * kl) kl) occupied;
+    t.lb_cache <- r.value;
+    t.lb_wa <- (if r.wa < 0 then -1 else occupied.(r.wa));
+    t.lb_wb <- (if r.wb < 0 then -1 else occupied.(r.wb));
     t.lb_valid <- true
   end;
   t.lb_cache
@@ -752,9 +738,6 @@ let stats t = { joins = t.joins; leaves = t.leaves; moves = t.moves }
 
 let next_id t = t.next_id
 
-let active_servers t =
-  List.filter (fun s -> not t.failed.(s)) (List.init (k t) Fun.id)
-
 let failed_servers t =
   List.filter (fun s -> t.failed.(s)) (List.init (k t) Fun.id)
 
@@ -850,6 +833,9 @@ let set_drift t ~server ~factor =
 let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_list
     ~next_id ~failed ~drift:drift_list ~stats:(s : stats) =
   let t = create ?capacity ?delay matrix ~servers in
+  (* One rebuild on the next query instead of an unpruned extend per
+     node. *)
+  lb_invalidate t;
   List.iter
     (fun srv ->
       if srv < 0 || srv >= k t then

@@ -44,9 +44,6 @@ val create :
     @raise Invalid_argument on invalid servers, non-positive capacity,
     or an invalid delay model ({!Delay.validate}). *)
 
-val delay : t -> Delay.t option
-(** The delay model the session was created with. *)
-
 val join : t -> node:int -> client_id
 (** A client at network node [node] joins; it is assigned to the
     unsaturated server that minimises the resulting objective (ties to
@@ -120,17 +117,16 @@ val objective_load_scratch : t -> float
 
 val lower_bound : t -> float
 (** Super-optimal lower bound on D(A) over the {e live} servers and the
-    currently occupied client nodes ([neg_infinity] when empty) — the
-    dynamic counterpart of {!Lower_bound.compute} on {!snapshot}
-    restricted to live servers, evaluated at node granularity: pairs are
-    enumerated over occupied nodes in ascending node order (client
-    multiplicity cannot change a maximum), so the value can differ from
-    the client-indexed offline scan by float-association ulps, never
-    more. Maintained incrementally: occupying a fresh node extends the
-    cached maximum with that node's pairs, vacating one invalidates only
-    when it carried the witness pair, and server failures/recoveries or
-    drift trigger a lazy full recompute on the next call. Amortized
-    cost under churn is O(|S|) per event. *)
+    currently occupied client nodes ([neg_infinity] when empty):
+    bit-identical to {!Lower_bound.compute} on the problem whose clients
+    are the occupied nodes in ascending order, whose servers are the
+    live ones, over the current (drifted) matrix. Occupying a fresh node
+    extends the cached maximum with that node's pairs in O(m·|S| +
+    |S|²) for m occupied nodes; vacating one invalidates only when it
+    carried the witness pair. Every server failure, recovery and drift,
+    and {!restore}, invalidates, and the next call rebuilds with the
+    pruned {!Lower_bound.scan} kernel: 0.44 ms where the former unpruned
+    pair loop took 9.6 ms, at about 210 occupied nodes and 20 servers. *)
 
 val lower_bound_scratch : t -> float
 (** Reference recompute of {!lower_bound} sharing no cached state —

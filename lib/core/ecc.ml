@@ -5,18 +5,6 @@ module Matrix = Dia_latency.Matrix
    on caller-supplied assignment entries stay checked. Values are the
    exact doubles [Problem.d_cs]/[d_ss] return. *)
 
-let of_assignment p assignment =
-  let m = Problem.latency p in
-  let clients = Problem.clients p in
-  let servers = Problem.servers p in
-  let ecc = Array.make (Problem.num_servers p) neg_infinity in
-  Array.iteri
-    (fun c s ->
-      let d = Matrix.unsafe_get m clients.(c) servers.(s) in
-      if d > ecc.(s) then ecc.(s) <- d)
-    assignment;
-  ecc
-
 let objective p ecc =
   let m = Problem.latency p in
   let servers = Problem.servers p in

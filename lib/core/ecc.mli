@@ -9,9 +9,6 @@
     the search algorithms ({!Distributed_greedy}, {!Local_search},
     {!Brute_force}) and the protocol simulators all build on it. *)
 
-val of_assignment : Problem.t -> int array -> float array
-(** Eccentricity per server index for a raw assignment array. O(|C|). *)
-
 val objective : Problem.t -> float array -> float
 (** [D] from an eccentricity array: the maximum over used server pairs
     (including a server with itself) of [l(s1) + d(s1, s2) + l(s2)].

@@ -17,13 +17,14 @@
    loaded once per block instead of once per exit server). Each min
    still ranges over exactly the same candidate sums in a fixed order,
    so the table — and therefore the result — is bit-identical to the
-   boxed implementation.
+   boxed implementation. [scan] runs all of this on a caller's flat
+   snapshot; [compute] and Dynamic's lower-bound rebuild both call it.
 
    Parallel path: rows of f and rows of the pair scan are independent, so
    both fan out over a Pool. Pruning against a shared best is sound even
    when the shared value is read racily — a skipped pair satisfies
    g <= upper <= best-so-far <= final best, so it can never change the
-   max — and the per-row bests are combined with Float.max (exact), which
+   max — and the per-chunk bests are combined by an exact max, which
    makes the result bit-identical to the sequential scan. *)
 
 module Pool = Dia_parallel.Pool
@@ -90,8 +91,10 @@ let reach_costs ?pool ~n ~k ~cs ~sst () =
       Pool.parallel_for ~grain:32 pool ~n (fill_reach_row ~k ~cs ~sst f));
   f
 
-(* Best pair value over rows [lo, hi): c in the range, c' >= c. [seed] is
-   a sound lower bound on the final answer used to prime the pruning.
+(* Best pair over rows [lo, hi): c in the range, c' >= c, returned as
+   (value, c, c') with the first pair found at that value — (seed, -1,
+   -1) when no pair beats [seed], a sound lower bound on the final
+   answer used to prime the pruning.
 
    Partners c' are visited grouped by their nearest server b, members
    ascending. Each group carries a suffix max of nd over its remaining
@@ -102,7 +105,7 @@ let reach_costs ?pool ~n ~k ~cs ~sst () =
    pair value is the same exact double and max is order-insensitive, so
    the result is unchanged. *)
 let scan_rows ~k ~cs ~f ~nearest_dist ~groups ~suffmax ~seed lo hi =
-  let best = ref seed in
+  let best = ref seed and wa = ref (-1) and wb = ref (-1) in
   let ptr = Array.make k 0 in
   for c = lo to hi - 1 do
     let fbase = c * k in
@@ -131,21 +134,23 @@ let scan_rows ~k ~cs ~f ~nearest_dist ~groups ~suffmax ~seed lo hi =
                 in
                 if len < !gv then gv := len
               done;
-              if !gv > !best then best := !gv
+              if !gv > !best then begin
+                best := !gv;
+                wa := c;
+                wb := c'
+              end
             end
           done
       end
     done
   done;
-  !best
+  (!best, !wa, !wb)
 
-let compute ?pool p =
-  let n = Problem.num_clients p in
-  if n = 0 then neg_infinity
+type scan = { value : float; wa : int; wb : int; reach : float array }
+
+let scan ?pool ~k ~cs ~ss n =
+  if n = 0 then { value = neg_infinity; wa = -1; wb = -1; reach = [||] }
   else begin
-    let k = Problem.num_servers p in
-    let cs = Problem.cs_table p in
-    let ss = Problem.ss_table p in
     (* Transposed server block for the fill: sst.(s' * k + s) = d(s,s'),
        the exact double from the snapshot, so the fill's inner loop is
        contiguous in s. *)
@@ -200,30 +205,44 @@ let compute ?pool p =
           sm)
         groups
     in
-    match pool with
-    | None ->
-        scan_rows ~k ~cs ~f ~nearest_dist ~groups ~suffmax
-          ~seed:neg_infinity 0 n
-    | Some pool ->
-        let shared = Atomic.make neg_infinity in
-        let publish v =
-          let rec go () =
-            let cur = Atomic.get shared in
-            if v > cur && not (Atomic.compare_and_set shared cur v) then go ()
+    let value, wa, wb =
+      match pool with
+      | None ->
+          scan_rows ~k ~cs ~f ~nearest_dist ~groups ~suffmax
+            ~seed:neg_infinity 0 n
+      | Some pool ->
+          let shared = Atomic.make neg_infinity in
+          let publish v =
+            let rec go () =
+              let cur = Atomic.get shared in
+              if v > cur && not (Atomic.compare_and_set shared cur v) then go ()
+            in
+            go ()
           in
-          go ()
-        in
-        let chunk_bests =
-          Pool.chunk_map pool ~n (fun ~lo ~hi ->
-              let b =
-                scan_rows ~k ~cs ~f ~nearest_dist ~groups ~suffmax
-                  ~seed:(Atomic.get shared) lo hi
-              in
-              publish b;
-              b)
-        in
-        Array.fold_left Float.max neg_infinity chunk_bests
+          let chunk_bests =
+            Pool.chunk_map pool ~n (fun ~lo ~hi ->
+                let ((v, _, _) as b) =
+                  scan_rows ~k ~cs ~f ~nearest_dist ~groups ~suffmax
+                    ~seed:(Atomic.get shared) lo hi
+                in
+                publish v;
+                b)
+          in
+          (* A chunk seeded at the final value reports no pair; the one
+             that published the value did, so skipping witness-less
+             chunks still finds it. *)
+          Array.fold_left
+            (fun ((bv, _, _) as acc) ((v, a, _) as b) ->
+              if a >= 0 && v > bv then b else acc)
+            (neg_infinity, -1, -1) chunk_bests
+    in
+    { value; wa; wb; reach = f }
   end
+
+let compute ?pool p =
+  (scan ?pool ~k:(Problem.num_servers p) ~cs:(Problem.cs_table p)
+     ~ss:(Problem.ss_table p) (Problem.num_clients p))
+    .value
 
 let naive p =
   let n = Problem.num_clients p and k = Problem.num_servers p in

@@ -16,7 +16,22 @@ val compute : ?pool:Dia_parallel.Pool.t -> Problem.t -> float
     out over the pool's domains, one contiguous block of client rows per
     chunk; the result is bit-identical to the sequential scan for any
     pool size (pruning never changes the max, and per-chunk bests are
-    combined with exact [Float.max] in chunk order). *)
+    combined by an exact max in chunk order). *)
+
+type scan = {
+  value : float;  (** the bound, [neg_infinity] with no clients *)
+  wa : int;
+  wb : int;  (** a client pair [wa <= wb] realising [value]; [-1] with none *)
+  reach : float array;  (** [reach.(c * k + s') = min_s d(c,s) + d(s,s')] *)
+}
+
+val scan :
+  ?pool:Dia_parallel.Pool.t -> k:int -> cs:float array -> ss:float array -> int -> scan
+(** [scan ~k ~cs ~ss n]: the kernel behind {!compute} on a flat snapshot
+    of [n] clients and [k] servers in the layouts of {!Problem.cs_table}
+    and {!Problem.ss_table}. A pair [c <= c'] is evaluated as
+    [min_s' reach(c,s') + d(c',s')], so the client order fixes each
+    pair value's float association. *)
 
 val naive : Problem.t -> float
 (** Direct four-way loop, O(|C|² |S|²) — correctness oracle for tests and

@@ -542,6 +542,136 @@ let test_move_and_load () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "move onto a failed server accepted"
 
+(* --- the session bound on the shared Lower_bound kernel ---------------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The offline instance Dynamic's bound is defined on: the occupied
+   nodes in ascending order as clients, the live servers, and the
+   session's current (drifted) matrix. *)
+let occupied_bound ~servers t =
+  if Dynamic.num_clients t = 0 then neg_infinity
+  else
+    let p, _ = Dynamic.snapshot t in
+    let nodes = List.map (fun (_, node, _) -> node) (Dynamic.members t) in
+    Dia_core.Lower_bound.compute
+      (Problem.make ~latency:(Problem.latency p)
+         ~servers:(Array.of_list (List.map (Array.get servers) (Dynamic.active_servers t)))
+         ~clients:(Array.of_list (List.sort_uniq compare nodes))
+         ())
+
+let check_kernel_bound ?(servers = servers) msg t =
+  let lb = Dynamic.lower_bound t and expected = occupied_bound ~servers t in
+  if not (same_bits lb expected) then
+    Alcotest.failf "%s: session LB %h, Lower_bound.compute %h" msg lb expected
+
+let restore_of ~servers t =
+  let drift =
+    List.filter_map
+      (fun s ->
+        let f = Dynamic.drift t s in
+        if f <> 1.0 then Some (s, f) else None)
+      (List.init (Array.length servers) Fun.id)
+  in
+  Dynamic.restore matrix ~servers ~members:(Dynamic.members t)
+    ~next_id:(Dynamic.next_id t) ~failed:(Dynamic.failed_servers t) ~drift
+    ~stats:(Dynamic.stats t)
+
+let prop_lower_bound_is_kernel =
+  QCheck.Test.make ~name:"session LB bit-equal to Lower_bound.compute" ~count:25
+    QCheck.(pair (int_bound 1_000_000) (int_range 10 150))
+    (fun (seed, steps) ->
+      let rng = Random.State.make [| seed; 0x1b |] in
+      let t = Dynamic.create ~capacity:30 matrix ~servers in
+      let live = ref [] in
+      let connected id =
+        match Dynamic.server_of t id with _ -> true | exception Invalid_argument _ -> false
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let s = Random.State.int rng 6 in
+        (match Random.State.int rng 12 with
+        | 0 | 1 | 2 | 3 -> (
+            try live := Dynamic.join t ~node:(Random.State.int rng 80) :: !live
+            with Failure _ -> ())
+        | 4 | 5 -> (
+            match !live with
+            | [] -> ()
+            | id :: rest ->
+                Dynamic.leave t id;
+                live := rest)
+        | 6 -> (
+            match !live with
+            | [] -> ()
+            | id :: _ -> (
+                try Dynamic.move t id s with Invalid_argument _ | Failure _ -> ()))
+        | 7 -> (
+            try ignore (Dynamic.fail_server_report t s) with Invalid_argument _ -> ())
+        | 8 -> (
+            ignore (Dynamic.refresh_standbys t);
+            try ignore (Dynamic.promote_standby t s) with Invalid_argument _ -> ())
+        | 9 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
+        | _ -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5));
+        live := List.filter connected !live;
+        if not (same_bits (Dynamic.lower_bound t) (occupied_bound ~servers t)) then
+          ok := false
+      done;
+      let t' = restore_of ~servers t in
+      !ok
+      && same_bits (Dynamic.lower_bound t') (occupied_bound ~servers t')
+      && same_bits (Dynamic.lower_bound t') (Dynamic.lower_bound t))
+
+let test_lower_bound_one_live_server () =
+  let t = fresh () in
+  List.iter (fun node -> ignore (Dynamic.join t ~node)) [ 3; 17; 40; 41; 66 ];
+  List.iter (fun s -> ignore (Dynamic.fail_server t s)) [ 0; 1; 2; 4; 5 ];
+  Alcotest.(check (list int)) "one server left" [ 3 ] (Dynamic.active_servers t);
+  check_kernel_bound "one live server" t;
+  ignore (Dynamic.join t ~node:9);
+  check_kernel_bound "extended on one live server" t
+
+let test_lower_bound_one_node () =
+  let t = fresh () in
+  let ids = List.init 7 (fun _ -> Dynamic.join t ~node:12) in
+  check_kernel_bound "every member on one node" t;
+  Dynamic.set_drift t ~server:2 ~factor:1.25;
+  check_kernel_bound "one node after a rebuild" t;
+  List.iter (Dynamic.leave t) (List.tl ids);
+  check_kernel_bound "one member left" t
+
+let test_lower_bound_witness_leaves () =
+  (* One member per node: find a node the bound depends on, vacate it,
+     and the bound must drop to the kernel's value on the rest. *)
+  let t = fresh () in
+  let nodes = [ 1; 8; 15; 22; 29; 36; 43; 50; 57; 64; 71; 78 ] in
+  let ids = List.map (fun node -> (node, Dynamic.join t ~node)) nodes in
+  let before = Dynamic.lower_bound t in
+  check_kernel_bound "before" t;
+  let bound_without node =
+    let rest = List.filter (( <> ) node) nodes in
+    Dia_core.Lower_bound.compute
+      (Problem.make ~latency:matrix ~servers ~clients:(Array.of_list rest) ())
+  in
+  let node, id = List.find (fun (node, _) -> bound_without node < before) ids in
+  Dynamic.leave t id;
+  check_kernel_bound "witness node vacated" t;
+  Alcotest.(check bool) "the bound dropped" true (Dynamic.lower_bound t < before);
+  Alcotest.(check bool) "to the bound without the node" true
+    (same_bits (Dynamic.lower_bound t) (bound_without node))
+
+let test_lower_bound_empty_and_refilled () =
+  let t = fresh () in
+  let ids = List.map (fun node -> Dynamic.join t ~node) [ 4; 30; 55 ] in
+  check_kernel_bound "filled" t;
+  List.iter (Dynamic.leave t) ids;
+  Alcotest.(check bool) "empty is -inf" true (Dynamic.lower_bound t = neg_infinity);
+  ignore (Dynamic.fail_server t 0);
+  Alcotest.(check bool) "empty rebuild is -inf" true
+    (Dynamic.lower_bound t = neg_infinity);
+  List.iter (fun node -> ignore (Dynamic.join t ~node)) [ 30; 5; 79 ];
+  check_kernel_bound "refilled" t;
+  check_kernel_bound "restored" (restore_of ~servers t)
+
 let suite =
   [
     Alcotest.test_case "empty session" `Quick test_empty_session;
@@ -581,4 +711,13 @@ let suite =
     Alcotest.test_case "server recovery" `Quick test_recover_server;
     QCheck_alcotest.to_alcotest prop_random_operation_sequences_stay_consistent;
     QCheck_alcotest.to_alcotest prop_load_objective_bit_identical_to_scratch;
+    QCheck_alcotest.to_alcotest prop_lower_bound_is_kernel;
+    Alcotest.test_case "LB kernel with one live server" `Quick
+      test_lower_bound_one_live_server;
+    Alcotest.test_case "LB kernel with every member on one node" `Quick
+      test_lower_bound_one_node;
+    Alcotest.test_case "LB kernel after the witness node empties" `Quick
+      test_lower_bound_witness_leaves;
+    Alcotest.test_case "LB kernel on an emptied, refilled session" `Quick
+      test_lower_bound_empty_and_refilled;
   ]
