@@ -399,6 +399,17 @@ let kernel ?(calls = 1) name make =
                ignore (Sys.opaque_identity (f ()))
              done)) )
 
+(* Repair-epoch plan: the survivor problem of a soak-scale Critical
+   escalation — 310 sessions on random nodes of the 400-node churn
+   matrix, 20 live servers — planned by Distributed-Greedy, as the soak
+   control plane's protocol epoch does. *)
+let make_epoch_plan_kernel () =
+  let servers = Placement.random ~seed:6 ~k:20 ~n:churn_nodes in
+  let rng = Random.State.make [| 6 |] in
+  let clients = Array.init 310 (fun _ -> Random.State.int rng churn_nodes) in
+  let p = Problem.make ~latency:churn_matrix ~servers ~clients () in
+  fun () -> Dia_core.Distributed_greedy.run p
+
 let tests =
   [
     kernel ~calls:1000 "objective/fast(n=120)" (fun () () ->
@@ -470,6 +481,7 @@ let tests =
         make_lb_rebuild_kernel ~query:true);
     kernel ~calls:50 "session/drift-toggle(occupied≈210,k=20)" (fun () ->
         make_lb_rebuild_kernel ~query:false);
+    kernel ~calls:10 "soak/epoch-plan(survivors=310,k=20)" make_epoch_plan_kernel;
   ]
 
 (* -- Quality ablation: achievable optimum (annealing) vs the lower bound -- *)

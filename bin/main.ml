@@ -574,8 +574,8 @@ let soak_cmd =
     Arg.(value & opt fault_conv d.Soak.fault
          & info [ "fault" ] ~docv:"SPEC"
              ~doc:"Fault plan: crash rules drive server crash/recovery in the \
-                   trace; the whole plan is the ambient network weather for \
-                   protocol-repair epochs. Default \
+                   trace and disk rules corrupt the state dir's writes; \
+                   network rules have no effect on a soak. Default \
                    $(b,loss:0.1+crash:2@60~180); $(b,reliable) disables.")
   in
   let budget_arg =

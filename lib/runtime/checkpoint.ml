@@ -11,8 +11,6 @@ type counters = {
   mutable repair_moves : int;
   mutable max_epoch_moves : int;
   mutable protocol_epochs : int;
-  mutable protocol_stalls : int;
-  mutable rng_cursor : int;
   mutable events_since_lb : int;
   mutable checkpoints : int;
   mutable entries : int;
@@ -34,8 +32,6 @@ let counter_fields =
     ("repair_moves", (fun c -> c.repair_moves), fun c v -> c.repair_moves <- v);
     ("max_epoch_moves", (fun c -> c.max_epoch_moves), fun c v -> c.max_epoch_moves <- v);
     ("protocol_epochs", (fun c -> c.protocol_epochs), fun c v -> c.protocol_epochs <- v);
-    ("protocol_stalls", (fun c -> c.protocol_stalls), fun c v -> c.protocol_stalls <- v);
-    ("rng_cursor", (fun c -> c.rng_cursor), fun c v -> c.rng_cursor <- v);
     ("events_since_lb", (fun c -> c.events_since_lb), fun c v -> c.events_since_lb <- v);
     ("checkpoints", (fun c -> c.checkpoints), fun c v -> c.checkpoints <- v);
     ("entries", (fun c -> c.entries), fun c v -> c.entries <- v);
@@ -46,7 +42,7 @@ let counter_fields =
 let counters () =
   { leaves = 0; crashes = 0; crashes_skipped = 0; recoveries = 0; drifts = 0;
     stranded = 0; repairs = 0; repair_moves = 0; max_epoch_moves = 0;
-    protocol_epochs = 0; protocol_stalls = 0; rng_cursor = 0;
+    protocol_epochs = 0;
     events_since_lb = 0; checkpoints = 0; entries = 0; traces = 0; baselines = 0 }
 
 let copy c = { c with leaves = c.leaves }

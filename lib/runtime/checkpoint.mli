@@ -7,8 +7,7 @@
     stream position), the assignment session (membership, standbys,
     failures, drift factors, counters, id cursor), the session↔client
     mapping, the SLO state machine, the admission queue and counters,
-    and the repair bookkeeping (including the sub-seed cursor for
-    protocol-level repair epochs — the "RNG cursor").
+    and the repair bookkeeping.
 
     {b History lives in the journal.} The event log and the trace and
     baseline samples grow with run length, so the file holds only their
@@ -46,8 +45,6 @@ type counters = {
   mutable repair_moves : int;
   mutable max_epoch_moves : int;
   mutable protocol_epochs : int;
-  mutable protocol_stalls : int;
-  mutable rng_cursor : int;  (** protocol-repair sub-seed cursor *)
   mutable events_since_lb : int;
   mutable checkpoints : int;
   mutable entries : int;  (** history length: event-log entries *)

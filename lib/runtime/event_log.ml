@@ -18,12 +18,7 @@ type kind =
       objective : string;  (** which objective drove it: "d" or "d_load" *)
     }
   | Repair of { moves : int; budget : int; before : float; after : float }
-  | Protocol_repair of {
-      attempt : int;
-      stalled : bool;
-      moves : int;
-      applied : bool;
-    }
+  | Protocol_repair of { moves : int; applied : bool; before : float; after : float }
   | Checkpoint of { id : int }
   | Recovery of { generation : int; skipped : int; replayed : int }
 
@@ -68,9 +63,9 @@ let kind_to_string = function
   | Repair { moves; budget; before; after } ->
       Printf.sprintf "repair moves=%d budget=%d before=%s after=%s" moves budget
         (Codec.float_str before) (Codec.float_str after)
-  | Protocol_repair { attempt; stalled; moves; applied } ->
-      Printf.sprintf "protocol-repair attempt=%d stalled=%b moves=%d applied=%b"
-        attempt stalled moves applied
+  | Protocol_repair { moves; applied; before; after } ->
+      Printf.sprintf "protocol-repair moves=%d applied=%b before=%s after=%s" moves
+        applied (Codec.float_str before) (Codec.float_str after)
   | Checkpoint { id } -> Printf.sprintf "checkpoint id=%d" id
   | Recovery { generation; skipped; replayed } ->
       Printf.sprintf "recovery generation=%d skipped=%d replayed=%d" generation
@@ -164,10 +159,10 @@ let kind_of ~tag fields =
   | "protocol-repair" ->
       Protocol_repair
         {
-          attempt = int_field fields "attempt";
-          stalled = bool_field fields "stalled";
           moves = int_field fields "moves";
           applied = bool_field fields "applied";
+          before = float_field fields "before";
+          after = float_field fields "after";
         }
   | "checkpoint" -> Checkpoint { id = int_field fields "id" }
   | "recovery" ->

@@ -46,10 +46,15 @@ type kind =
     }
   | Repair of { moves : int; budget : int; before : float; after : float }
   | Protocol_repair of {
-      attempt : int;
-      stalled : bool;
-      moves : int;  (** assignment changes the protocol result implies *)
-      applied : bool;  (** false when the plan exceeded the move budget *)
+      moves : int;  (** assignment changes the Distributed-Greedy plan implies *)
+      applied : bool;
+          (** false when the plan did not strictly improve [D], exceeded
+              the epoch's remaining move budget, or had no
+              capacity-feasible move order *)
+      before : float;
+          (** [D(A)] when the epoch started — the network objective the
+              plan is judged on, also under a delay model *)
+      after : float;  (** [D(A)] when it ended — [before] unless applied *)
     }
   | Checkpoint of { id : int }
   | Recovery of { generation : int; skipped : int; replayed : int }

@@ -4,8 +4,8 @@ module Greedy = Dia_core.Greedy
 module Objective = Dia_core.Objective
 module Lower_bound = Dia_core.Lower_bound
 module Assignment = Dia_core.Assignment
+module Distributed_greedy = Dia_core.Distributed_greedy
 module Fault = Dia_sim.Fault
-module Dgreedy_protocol = Dia_sim.Dgreedy_protocol
 module Weighted = Dia_coreset.Weighted
 
 type scenario = {
@@ -50,8 +50,6 @@ type config = {
   max_queue : int;
   lb_every : int;
   checkpoint_every : int;
-  protocol_repair : bool;
-  max_protocol_attempts : int;
   standby : bool;
   standby_bound : float;
   offline_baseline : bool;
@@ -64,8 +62,6 @@ let default_config =
     max_queue = 64;
     lb_every = 10;
     checkpoint_every = 100;
-    protocol_repair = true;
-    max_protocol_attempts = 3;
     standby = true;
     standby_bound = 3.0;
     offline_baseline = false;
@@ -112,8 +108,6 @@ let validate scenario config =
   if config.lb_every < 1 then invalid_arg "Soak: lb_every must be >= 1";
   if config.checkpoint_every < 0 then
     invalid_arg "Soak: checkpoint_every must be non-negative";
-  if config.max_protocol_attempts < 1 then
-    invalid_arg "Soak: max_protocol_attempts must be >= 1";
   if not (Float.is_finite config.standby_bound) || config.standby_bound < 1. then
     invalid_arg "Soak: standby_bound must be finite and >= 1"
 
@@ -126,8 +120,7 @@ let digest scenario config =
       "soak seed=%d nodes=%d servers=%d capacity=%s horizon=%s join_rate=%s \
        mean_lifetime=%s drift_period=%s drift_amplitude=%s fault=%s \
        slo=%s,%s,%d,%s budget=%d max_queue=%d lb_every=%d checkpoint_every=%d \
-       protocol_repair=%b max_protocol_attempts=%d standby=%b standby_bound=%s \
-       offline_baseline=%b"
+       standby=%b standby_bound=%s offline_baseline=%b"
       s.seed s.nodes s.servers
       (match s.capacity with None -> "none" | Some c -> string_of_int c)
       (fs s.horizon) (fs s.join_rate) (fs s.mean_lifetime) (fs s.drift_period)
@@ -135,7 +128,7 @@ let digest scenario config =
       (Fault.to_string s.fault)
       (fs c.slo.Slo.degraded_at) (fs c.slo.Slo.critical_at) c.slo.Slo.hysteresis
       (fs c.slo.Slo.recover_margin) c.budget c.max_queue c.lb_every
-      c.checkpoint_every c.protocol_repair c.max_protocol_attempts c.standby
+      c.checkpoint_every c.standby
       (fs c.standby_bound) c.offline_baseline
   in
   (* The weighted-mode fields extend the canonical string only when in
@@ -469,47 +462,25 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
     let obj = objective_now () in
     if !lb > 0. && Float.is_finite obj then obj /. !lb else nan
   in
-  (* Protocol-level repair epoch: run Distributed-Greedy over the
-     survivors under the ambient fault plan, restarting stalled runs
-     with a doubled deadline (capped exponential backoff), then apply
-     the plan move-by-move iff it strictly improves the objective and
-     fits the remaining epoch budget. *)
+  (* Protocol-level repair epoch: the paper's Distributed-Greedy (§IV-D)
+     over the survivors, computed centrally, applied move-by-move iff its
+     plan strictly improves D, fits the remaining epoch budget and has a
+     capacity-feasible move order. Simulating the protocol's messages
+     under the scenario's network faults would only add time: its
+     reliable transport masks the loss. *)
   let protocol_epoch now epoch_moves =
     match survivor_problem () with
     | None -> ()
     | Some (p, live) ->
-        let base_tuning = Dgreedy_protocol.default_tuning p in
-        (* Disk rules are not network weather: a plan that only injects
-           storage faults must leave protocol-repair epochs running over
-           a reliable network, byte-identical to the disk-fault-free run. *)
-        let ambient =
-          not (Fault.equal (Fault.network_rules scenario.fault) Fault.reliable)
+        let res = Distributed_greedy.run p in
+        c.protocol_epochs <- c.protocol_epochs + 1;
+        let before = Dynamic.objective session in
+        let plan_objective =
+          let t = res.Distributed_greedy.trace in
+          t.(Array.length t - 1)
         in
-        let rec attempt n tuning =
-          let seed = scenario.seed + 0x5eed + (7919 * c.rng_cursor) in
-          c.rng_cursor <- c.rng_cursor + 1;
-          let fault =
-            if ambient then Some (Fault.instantiate ~seed scenario.fault)
-            else None
-          in
-          let res = Dgreedy_protocol.run ?fault ~tuning p in
-          c.protocol_epochs <- c.protocol_epochs + 1;
-          if res.Dgreedy_protocol.stalled then begin
-            c.protocol_stalls <- c.protocol_stalls + 1;
-            if n < config.max_protocol_attempts then
-              attempt (n + 1)
-                {
-                  tuning with
-                  Dgreedy_protocol.deadline =
-                    tuning.Dgreedy_protocol.deadline *. 2.;
-                }
-            else (n, res)
-          end
-          else (n, res)
-        in
-        let attempts, res = attempt 1 base_tuning in
         let members = Dynamic.members session in
-        let target = Assignment.to_array res.Dgreedy_protocol.assignment in
+        let target = Assignment.to_array res.Distributed_greedy.assignment in
         let plan_moves =
           List.mapi (fun i (id, _node, server) -> (i, id, server)) members
           |> List.filter_map (fun (i, id, server) ->
@@ -517,10 +488,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
                  if dst <> server then Some (id, server, dst) else None)
         in
         let n_moves = List.length plan_moves in
-        let improves =
-          Float.is_finite res.Dgreedy_protocol.objective
-          && res.Dgreedy_protocol.objective < Dynamic.objective session
-        in
+        let improves = plan_objective < before in
         let fits = n_moves > 0 && !epoch_moves + n_moves <= config.budget in
         (* A capacitated plan may need a specific move order to stay
            feasible at every intermediate step; find one, or refuse. *)
@@ -563,12 +531,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
         in
         log_event now
           (Event_log.Protocol_repair
-             {
-               attempt = attempts;
-               stalled = res.Dgreedy_protocol.stalled;
-               moves = n_moves;
-               applied;
-             })
+             { moves = n_moves; applied; before; after = Dynamic.objective session })
   in
   let repair now to_ =
     let epoch_moves = ref 0 in
@@ -580,8 +543,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
     log_event now
       (Event_log.Repair
          { moves; budget = config.budget; before; after = objective_now () });
-    if to_ = Slo.Critical && config.protocol_repair then
-      protocol_epoch now epoch_moves;
+    if to_ = Slo.Critical then protocol_epoch now epoch_moves;
     if !epoch_moves > c.max_epoch_moves then c.max_epoch_moves <- !epoch_moves
   in
   let drain now =
@@ -972,7 +934,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
           repairs = c.repairs;
           repair_moves = c.repair_moves;
           protocol_epochs = c.protocol_epochs;
-          protocol_stalls = c.protocol_stalls;
+          protocol_stalls = 0;
           checkpoints = c.checkpoints;
           session_stats = Dynamic.stats session;
           trace_points = List.rev !trace_points;

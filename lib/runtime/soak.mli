@@ -24,13 +24,12 @@
     - an escalation to {b Degraded} triggers a bounded repair:
       [Dynamic.rebalance ~max_moves:budget];
     - an escalation to {b Critical} additionally runs a
-      protocol-level repair epoch: {!Dia_sim.Dgreedy_protocol.run} over
-      the surviving servers under the scenario's ambient fault plan.
-      A stalled epoch (watchdog forced-stop) is restarted with a doubled
-      deadline, up to [max_protocol_attempts] — capped exponential
-      backoff. The resulting plan is applied move-by-move only if it
-      strictly improves the objective and fits the remaining epoch
-      budget; otherwise it is logged with [applied = false];
+      protocol-level repair epoch: the paper's Distributed-Greedy
+      ({!Dia_core.Distributed_greedy.run}) over the surviving servers,
+      computed centrally. Its plan is applied move-by-move only if it
+      strictly improves [D(A)], fits the remaining epoch budget and has
+      a capacity-feasible move order; otherwise it is logged with
+      [applied = false];
     - joins pass {!Admission} control: shed under Critical, queued under
       Degraded or when capacity is exhausted, drained FIFO when Healthy;
     - a crash of the last live server is refused and logged
@@ -41,8 +40,8 @@
       checkpoint generation.
 
     {b Determinism contract.} The trace is pre-materialised from the
-    scenario seed, protocol-repair epochs draw sub-seeds from a counted
-    cursor, and every iteration order is sorted — so a run killed at any
+    scenario seed, repair epochs draw no randomness, and every iteration
+    order is sorted — so a run killed at any
     event and resumed produces a report and event log bit-identical to
     the uninterrupted run ([render] output and {!Event_log.render}
     output match byte for byte). *)
@@ -58,8 +57,10 @@ type scenario = {
   drift_period : float;  (** drift step period; [<= 0] disables drift *)
   drift_amplitude : float;  (** drift factor spread, in [\[0, 1\]] *)
   fault : Dia_sim.Fault.plan;
-      (** crash rules feed the membership layer; the whole plan is the
-          ambient network weather for protocol-repair epochs *)
+      (** crash rules feed the membership layer and disk rules the
+          durability layer; network rules (loss, duplication, spikes,
+          partitions) are part of the digest but act on nothing, since
+          repair epochs exchange no simulated messages *)
   clients : int;
       (** sessions pre-populated before the trace starts (uniform random
           nodes from the scenario seed); they bypass admission and the
@@ -94,8 +95,6 @@ type config = {
   max_queue : int;  (** admission queue bound *)
   lb_every : int;  (** events between periodic lower-bound refreshes *)
   checkpoint_every : int;  (** events between checkpoints; [0] disables *)
-  protocol_repair : bool;  (** run protocol epochs on Critical *)
-  max_protocol_attempts : int;  (** watchdog restarts per epoch *)
   standby : bool;  (** repair crashes by standby promotion first *)
   standby_bound : float;
       (** max tolerated post-promotion [D/LB]; a breach triggers an
@@ -107,8 +106,8 @@ type config = {
 
 val default_config : config
 (** [Slo.default_config], budget 8, queue 64, LB every 10 events,
-    checkpoint every 100, protocol repair on with 3 attempts, standby
-    promotion on with bound 3.0, offline baseline off. *)
+    checkpoint every 100, standby promotion on with bound 3.0, offline
+    baseline off. *)
 
 val digest : scenario -> config -> string
 (** Hex digest of the canonical rendering of both records — stamped into
@@ -165,6 +164,8 @@ type report = {
   repair_moves : int;
   protocol_epochs : int;
   protocol_stalls : int;
+      (** always 0: repair epochs compute their plan centrally and
+          cannot stall; kept so report consumers keep their field *)
   checkpoints : int;
   session_stats : Dia_core.Dynamic.stats;
   trace_points : (float * float * float) list;

@@ -434,7 +434,26 @@ let prop_event_log_mutations_never_raise =
     QCheck.(quad (int_bound 10_000) (int_range 0 2) (int_bound 1_000) int)
     (fun (which, kind, pos, big) ->
       let _, log = Lazy.force journal_text in
-      let line = Event_log.to_line (List.nth log (which mod List.length log)) in
+      (* The scenario never escalates to Critical, so every fourth case
+         mutates a protocol-repair line (both outcomes) instead. *)
+      let entry =
+        if which mod 4 = 0 then
+          {
+            Event_log.time = 248.31129755754864;
+            kind =
+              Event_log.Protocol_repair
+                {
+                  moves = which mod 97;
+                  applied = which mod 8 = 0;
+                  before = 232.24146735759976;
+                  after =
+                    (if which mod 8 = 0 then 224.85212893964086
+                     else 232.24146735759976);
+                };
+          }
+        else List.nth log (which mod List.length log)
+      in
+      let line = Event_log.to_line entry in
       let n = String.length line in
       let pos = pos mod n in
       let mutated =

@@ -268,7 +268,7 @@ let all_kinds =
       { from_ = Slo.Healthy; to_ = Slo.Critical; ratio = 1.52; objective = "d" };
     Event_log.Repair { moves = 4; budget = 8; before = 210.5; after = 180.25 };
     Event_log.Protocol_repair
-      { attempt = 2; stalled = true; moves = 6; applied = false };
+      { moves = 6; applied = true; before = 212.75; after = 198.3 };
     Event_log.Checkpoint { id = 3 };
     Event_log.Promote { server = 2; promoted = 5; fallback = 1; stranded = 0 };
     Event_log.Standby_refresh { changed = 7 };
@@ -417,6 +417,42 @@ let test_soak_critical_triggers_protocol_repair () =
   Alcotest.(check bool) "budget still respected" true
     (r.Soak.max_epoch_moves <= 20)
 
+let test_soak_protocol_plan_applied_within_budget () =
+  (* Forty pre-populated sessions give the first Critical epoch a
+     16-move Distributed-Greedy plan: applied at budget 64, lowering D;
+     refused at budget 15, leaving D as it was. *)
+  let scenario = { small_scenario with Soak.clients = 40 } in
+  let epoch budget =
+    let config =
+      {
+        small_config with
+        Soak.slo =
+          { Slo.degraded_at = 1.0; critical_at = 1.0; hysteresis = 1; recover_margin = 1.0 };
+        budget;
+      }
+    in
+    match
+      List.filter_map
+        (fun e ->
+          match e.Event_log.kind with
+          | Event_log.Protocol_repair { moves; applied; before; after } ->
+              Some (moves, applied, before, after)
+          | _ -> None)
+        (complete scenario config).Soak.log
+    with
+    | [ epoch ] -> epoch
+    | l -> Alcotest.failf "expected one protocol epoch, got %d" (List.length l)
+  in
+  let moves, applied, before, after = epoch 64 in
+  Alcotest.(check int) "plan size" 16 moves;
+  Alcotest.(check bool) "applied at budget 64" true applied;
+  Alcotest.(check bool) "D strictly lower" true (after < before);
+  let moves', applied', before', after' = epoch 15 in
+  Alcotest.(check int) "same plan at budget 15" 16 moves';
+  Alcotest.(check bool) "refused at budget 15" false applied';
+  Alcotest.(check bool) "same starting D" true (before' = before);
+  Alcotest.(check bool) "D untouched" true (after' = before')
+
 let test_soak_capacitated_strands_and_recovers () =
   (* Tight capacity + a crash: orphans that cannot be re-homed are
      stranded (counted, sessions dropped), and the run keeps going. *)
@@ -519,6 +555,85 @@ let test_soak_delay_rejects_coreset () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "delay + coreset accepted"
 
+(* --- qcheck: the protocol-repair epoch's contract --- *)
+
+(* The state right after the trace event whose step logged entry [j]
+   of the run's log: the smallest kill point whose state already counts
+   that entry. *)
+let state_after_entry scenario config ~events j =
+  let killed i =
+    match Soak.run ~kill_at_event:i scenario config with
+    | Soak.Killed st -> st
+    | Soak.Completed _ -> Alcotest.fail "kill point past the trace"
+  in
+  let rec search lo hi =
+    if lo >= hi then killed lo
+    else
+      let mid = (lo + hi) / 2 in
+      if (killed mid).Checkpoint.counters.Checkpoint.entries > j then search lo mid
+      else search (mid + 1) hi
+  in
+  search 0 (events - 1)
+
+let prop_protocol_repair_contract =
+  QCheck.Test.make ~name:"protocol-repair epochs keep their contract" ~count:200
+    QCheck.(
+      pair
+        (triple (int_bound 10_000) (int_bound 64) (int_bound 40))
+        (triple (int_bound 2) bool (int_bound 3)))
+    (fun ((seed, budget, clients), (cap_kind, delayed, crit_step)) ->
+      let capacity = match cap_kind with 0 -> None | 1 -> Some 15 | _ -> Some 25 in
+      let scenario =
+        {
+          small_scenario with
+          Soak.seed;
+          capacity;
+          clients;
+          delay =
+            (if delayed then Some (Dia_core.Delay.Queueing { mu = 30. }) else None);
+        }
+      in
+      (* D/LB >= 1 always, so critical_at = 1 pins the run at Critical;
+         higher thresholds let it flap back and escalate again. *)
+      let config =
+        {
+          small_config with
+          Soak.budget;
+          slo =
+            {
+              Slo.degraded_at = 1.0;
+              critical_at = 1.0 +. (0.1 *. float_of_int crit_step);
+              hysteresis = 1;
+              recover_margin = 1.0;
+            };
+        }
+      in
+      let r = complete scenario config in
+      let log = Array.of_list r.Soak.log in
+      let holds j = function
+        | Event_log.Protocol_repair { moves; applied; before; after } ->
+            if not applied then after = before
+            else
+              let repair_moves =
+                match log.(j - 1).Event_log.kind with
+                | Event_log.Repair { moves; _ } -> moves
+                | _ -> Alcotest.fail "protocol epoch without its Repair"
+              in
+              let st = state_after_entry scenario config ~events:r.Soak.events j in
+              let load = Array.make scenario.Soak.servers 0 in
+              after < before
+              && moves <= budget - repair_moves
+              && List.for_all
+                   (fun (_, _, server) ->
+                     load.(server) <- load.(server) + 1;
+                     (not (List.mem server st.Checkpoint.failed))
+                     && match capacity with None -> true | Some c -> load.(server) <= c)
+                   st.Checkpoint.members
+        | _ -> true
+      in
+      r.Soak.protocol_stalls = 0
+      && Array.for_all Fun.id (Array.mapi (fun j e -> holds j e.Event_log.kind) log))
+
 (* --- qcheck: determinism under random kill points --- *)
 
 let prop_soak_deterministic_under_random_kills =
@@ -578,6 +693,8 @@ let suite =
       test_soak_guardrails;
     Alcotest.test_case "critical triggers protocol repair and brownout" `Quick
       test_soak_critical_triggers_protocol_repair;
+    Alcotest.test_case "critical epoch applies a plan within budget" `Quick
+      test_soak_protocol_plan_applied_within_budget;
     Alcotest.test_case "capacitated chaos run survives" `Quick
       test_soak_capacitated_strands_and_recovers;
     Alcotest.test_case "last-server crash refused" `Quick
@@ -589,4 +706,5 @@ let suite =
     Alcotest.test_case "delay soak rejects coreset mode" `Quick
       test_soak_delay_rejects_coreset;
     QCheck_alcotest.to_alcotest prop_soak_deterministic_under_random_kills;
+    QCheck_alcotest.to_alcotest prop_protocol_repair_contract;
   ]
