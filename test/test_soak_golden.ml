@@ -1,0 +1,72 @@
+(* Soak golden digests: four soak configurations run in-process, each
+   pinned by the MD5 of its rendered report and of its rendered event
+   log. The constants are the outputs of the CLI runs
+
+     dia soak --seed 7 --nodes 150 -k 8 --horizon 400 --rate 1.5 \
+       --fault 'loss:0.1+crash:2@60~180+crash:5@220~300' \
+       --checkpoint-every 100 --budget B [EXTRA]
+
+   for the chaos soaks at budget 8 and 64, the load soak
+   (EXTRA = --delay mm1:30, budget 8) and a capacitated soak
+   (EXTRA = --capacity 30 --clients 200 --baseline, budget 8). A
+   refactor that leaves the control plane's behaviour alone keeps every
+   byte of both; a deliberate behaviour change updates the constants
+   and says so. *)
+
+module Soak = Dia_runtime.Soak
+module Event_log = Dia_runtime.Event_log
+
+let chaos_scenario =
+  {
+    Soak.default_scenario with
+    seed = 7;
+    nodes = 150;
+    servers = 8;
+    horizon = 400.;
+    join_rate = 1.5;
+    fault =
+      (match Dia_sim.Fault.of_string "loss:0.1+crash:2@60~180+crash:5@220~300" with
+      | Ok p -> p
+      | Error m -> failwith m);
+  }
+
+let config ~budget = { Soak.default_config with budget; checkpoint_every = 100 }
+
+let mm1_30 =
+  match Dia_core.Delay.of_string "mm1:30" with Ok d -> d | Error m -> failwith m
+
+let cases =
+  [
+    ( "chaos budget 8",
+      chaos_scenario,
+      config ~budget:8,
+      "03974d4141734dc75c16161311f5d273",
+      "e086cdd400202afd376dfda55d923875" );
+    ( "chaos budget 64",
+      chaos_scenario,
+      config ~budget:64,
+      "d2c577b7d05d395166b69a46b0fee916",
+      "de411aad5248d298ad0c9b3f3fa41373" );
+    ( "load mm1:30",
+      { chaos_scenario with delay = Some mm1_30 },
+      config ~budget:8,
+      "158675fc0654faf0d48277a0a8a3e371",
+      "0e2998e9d09169067dea80070923168d" );
+    ( "capacity 30",
+      { chaos_scenario with capacity = Some 30; clients = 200 },
+      { (config ~budget:8) with offline_baseline = true },
+      "68a265ca5ccea85b0a377f9f368173f1",
+      "a33d1c6a6bcbbab2c752fd0e21e66ec5" );
+  ]
+
+let run_case (name, scenario, config, report_md5, log_md5) =
+  Alcotest.test_case name `Quick (fun () ->
+      match Soak.run scenario config with
+      | Soak.Killed _ -> Alcotest.fail "soak stopped before the end of its trace"
+      | Soak.Completed r ->
+          let md5 s = Digest.to_hex (Digest.string s) in
+          Alcotest.(check string) "report" report_md5 (md5 (Soak.render r));
+          Alcotest.(check string) "event log" log_md5
+            (md5 (Event_log.render r.Soak.log)))
+
+let suite = List.map run_case cases
