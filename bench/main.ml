@@ -424,7 +424,7 @@ let tests =
         Dia_core.Longest_first_batch.assign bench_problem);
     kernel ~calls:3 "assign/greedy(n=300,k=20)" (fun () () -> Dia_core.Greedy.assign bench_problem);
     kernel "assign/greedy-load(n=300,k=20)" (fun () () ->
-        Dia_core.Greedy.assign_load ~delay:(Dia_core.Delay.Queueing { mu = 40. })
+        Dia_core.Greedy.assign ~delay:(Dia_core.Delay.Queueing { mu = 40. })
           bench_problem);
     kernel "assign/greedy-reference(n=300,k=20)" (fun () () ->
         Dia_core.Greedy.assign_reference bench_problem);
@@ -433,8 +433,8 @@ let tests =
     kernel ~calls:300 "objective/fast(n=300)" (fun () () ->
         Objective.max_interaction_path bench_problem bench_assignment);
     kernel ~calls:300 "delay/objective(n=300)" (fun () () ->
-        Objective.max_interaction_path_load bench_problem
-          ~delay:(Dia_core.Delay.Queueing { mu = 40. }) bench_assignment);
+        Objective.max_interaction_path ~delay:(Dia_core.Delay.Queueing { mu = 40. })
+          bench_problem bench_assignment);
     kernel ~calls:5 "lower-bound/pruned(n=300)" (fun () () -> Lower_bound.compute bench_problem);
     kernel ~calls:15 "placement/kcenter-2approx(n=300,k=20)" (fun () () ->
         Dia_placement.Kcenter.two_approx bench_matrix ~k:20);

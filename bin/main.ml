@@ -365,11 +365,10 @@ let assign_cmd =
     List.iter
       (fun algorithm ->
         let a =
-          match (algorithm, index, delay) with
-          | _, _, Some dl -> Algorithm.run_load ~seed ~delay:dl algorithm p
-          | Algorithm.Nearest_server, Some index, None ->
-              Dia_core.Nearest.assign ~index p
-          | _, _, None -> Algorithm.run ~seed algorithm p
+          match (algorithm, index) with
+          | Algorithm.Nearest_server, Some index ->
+              Dia_core.Nearest.assign ?delay ~index p
+          | _ -> Algorithm.run ~seed ?delay algorithm p
         in
         let d = Objective.max_interaction_path p a in
         let loads = Assignment.loads p a in
@@ -377,7 +376,7 @@ let assign_cmd =
           match delay with
           | None -> []
           | Some dl ->
-              let d_load = Objective.max_interaction_path_load p ~delay:dl a in
+              let d_load = Objective.max_interaction_path ~delay:dl p a in
               let lb_load = lb +. (2. *. Dia_core.Delay.eval dl 1) in
               [
                 Printf.sprintf "%.2f" d_load;

@@ -35,22 +35,14 @@ let of_key = function
   | "random" -> Some Random_assignment
   | _ -> None
 
-let run ?(seed = 0) algorithm p =
+let run ?(seed = 0) ?delay algorithm p =
   match algorithm with
-  | Nearest_server -> Nearest.assign p
+  | Nearest_server -> Nearest.assign ?delay p
   | Longest_first_batch -> Longest_first_batch.assign p
-  | Greedy -> Greedy.assign p
-  | Distributed_greedy -> Distributed_greedy.assign p
-  | Single_server -> Baselines.best_single_server p
-  | Random_assignment -> Baselines.random ~seed p
-
-let run_load ?(seed = 0) ~delay algorithm p =
-  match algorithm with
-  | Nearest_server -> Nearest.assign_load ~delay p
-  | Greedy -> Greedy.assign_load ~delay p
-  | Distributed_greedy -> Distributed_greedy.assign_load ~delay p
-  (* No load-aware variant: the load-blind assignment, which callers
-     still score under D_load. *)
-  | Longest_first_batch -> Longest_first_batch.assign p
+  | Greedy -> Greedy.assign ?delay p
+  | Distributed_greedy -> (
+      match delay with
+      | None -> Distributed_greedy.assign p
+      | Some delay -> Distributed_greedy.assign_load ~delay p)
   | Single_server -> Baselines.best_single_server p
   | Random_assignment -> Baselines.random ~seed p

@@ -27,14 +27,15 @@ val key : t -> string
 
 val of_key : string -> t option
 
-val run : ?seed:int -> t -> Problem.t -> Assignment.t
+val run : ?seed:int -> ?delay:Delay.t -> t -> Problem.t -> Assignment.t
 (** Execute the algorithm. [seed] (default [0]) only affects
     [Random_assignment]. Capacitated variants are selected automatically
-    by the instance's capacity. *)
+    by the instance's capacity.
 
-val run_load : ?seed:int -> delay:Delay.t -> t -> Problem.t -> Assignment.t
-(** Execute the algorithm's load-aware variant under the given delay
-    model: {!Nearest.assign_load}, {!Greedy.assign_load} and
-    {!Distributed_greedy.assign_load} for the algorithms that have one;
-    the remaining algorithms return their load-blind assignment (callers
-    score it under [D_load] all the same). *)
+    [delay] selects the load-aware variant where one exists:
+    {!Nearest.assign} and {!Greedy.assign} take the model (omitting it
+    is {!Delay.zero}, the paper's algorithm), and Distributed-Greedy
+    switches to {!Distributed_greedy.assign_load} — a different search,
+    so even [~delay:Delay.zero] can end elsewhere than the paper's
+    protocol. The remaining algorithms return their load-blind
+    assignment (callers score it under [D_load] all the same). *)

@@ -10,8 +10,15 @@
     incumbent with the better of Greedy and Longest-First-Batch so pruning
     bites immediately. Respects capacities. *)
 
-val optimal : ?node_limit:int -> Problem.t -> Assignment.t * float
-(** [optimal p] is an optimal assignment and its objective value.
+val optimal :
+  ?node_limit:int -> ?delay:Delay.t -> Problem.t -> Assignment.t * float
+(** [optimal p] is an optimal assignment and its objective value: [D],
+    or [D_load] under a [delay] model ({!Objective.max_interaction_path}
+    with the same model; the default {!Delay.zero} is [D]). The partial
+    objective is recomputed whenever a placement raises its server's
+    effective eccentricity — its eccentricity, or its delay through the
+    load bump — and stays a valid pruning bound because both only grow
+    as clients are added.
 
     [node_limit] (default [50_000_000]) bounds the number of search nodes
     explored.
@@ -19,21 +26,5 @@ val optimal : ?node_limit:int -> Problem.t -> Assignment.t * float
     @raise Failure if the limit is exceeded — the instance is too big for
     exact search. *)
 
-val optimal_value : ?node_limit:int -> Problem.t -> float
+val optimal_value : ?node_limit:int -> ?delay:Delay.t -> Problem.t -> float
 (** Objective value only. *)
-
-val optimal_load :
-  ?node_limit:int -> delay:Delay.t -> Problem.t -> Assignment.t * float
-(** Exact minimiser of [D_load]
-    ({!Objective.max_interaction_path_load}) by the same
-    branch-and-bound. The partial objective is recomputed at every node
-    (each placement changes its server's load, hence its effective
-    eccentricity), and remains a valid pruning bound because both
-    eccentricity and delay only grow as clients are added. The incumbent
-    is seeded with the better of the load-aware Greedy and
-    Nearest-Server answers.
-
-    @raise Failure if [node_limit] is exceeded. *)
-
-val optimal_load_value : ?node_limit:int -> delay:Delay.t -> Problem.t -> float
-(** [D_load] objective value only. *)

@@ -10,18 +10,30 @@ type t =
    into incomparable infinities or NaNs. *)
 let saturation = 1e9
 
-let validate = function
-  | Constant c ->
-      if not (Float.is_finite c) || c < 0. then
-        invalid_arg "Delay: Constant must be finite and >= 0"
+let zero = Constant 0.
+
+(* Constant and Linear parameters are capped at [saturation]: past it a
+   single hop, or [coeff] times a modest load, overflows the sums the
+   objective builds, and no queue a delay model describes waits longer. *)
+let check_param model name v =
+  if not (Float.is_finite v) || v < 0. then
+    Error (Printf.sprintf "%s %s must be finite and >= 0" model name)
+  else if v > saturation then
+    Error (Printf.sprintf "%s %s %.17g exceeds the saturation delay %g" model name v
+             saturation)
+  else Ok ()
+
+let check = function
+  | Constant c -> check_param "constant" "C" c
   | Linear { base; coeff } ->
-      if not (Float.is_finite base) || base < 0. then
-        invalid_arg "Delay: Linear base must be finite and >= 0";
-      if not (Float.is_finite coeff) || coeff < 0. then
-        invalid_arg "Delay: Linear coeff must be finite and >= 0"
+      Result.bind (check_param "linear" "BASE" base) (fun () ->
+          check_param "linear" "COEFF" coeff)
   | Queueing { mu } ->
-      if not (Float.is_finite mu) || mu <= 0. then
-        invalid_arg "Delay: Queueing mu must be finite and > 0"
+      if Float.is_finite mu && mu > 0. then Ok ()
+      else Error "mm1 MU must be finite and > 0"
+
+let validate t =
+  match check t with Ok () -> () | Error m -> invalid_arg ("Delay: " ^ m)
 
 let eval t load =
   if load < 0 then invalid_arg "Delay.eval: negative load";
@@ -55,30 +67,31 @@ let of_string s =
     | Some f when Float.is_finite f -> Some f
     | _ -> None
   in
-  match String.index_opt s ':' with
+  let parsed =
+    match String.index_opt s ':' with
+    | None -> None
+    | Some i -> (
+        let kind = String.sub s 0 i in
+        let arg = String.sub s (i + 1) (String.length s - i - 1) in
+        match kind with
+        | "constant" -> Option.map (fun c -> Constant c) (float_arg arg)
+        | "linear" -> (
+            match String.index_opt arg ',' with
+            | None -> None
+            | Some j -> (
+                let b = String.sub arg 0 j
+                and c = String.sub arg (j + 1) (String.length arg - j - 1) in
+                match (float_arg b, float_arg c) with
+                | Some base, Some coeff -> Some (Linear { base; coeff })
+                | _ -> None))
+        | "mm1" -> Option.map (fun mu -> Queueing { mu }) (float_arg arg)
+        | _ -> None)
+  in
+  match parsed with
   | None -> fail ()
-  | Some i -> (
-      let kind = String.sub s 0 i in
-      let arg = String.sub s (i + 1) (String.length s - i - 1) in
-      match kind with
-      | "constant" -> (
-          match float_arg arg with
-          | Some c when c >= 0. -> Ok (Constant c)
-          | _ -> fail ())
-      | "linear" -> (
-          match String.index_opt arg ',' with
-          | None -> fail ()
-          | Some j -> (
-              let b = String.sub arg 0 j
-              and c = String.sub arg (j + 1) (String.length arg - j - 1) in
-              match (float_arg b, float_arg c) with
-              | Some base, Some coeff when base >= 0. && coeff >= 0. ->
-                  Ok (Linear { base; coeff })
-              | _ -> fail ()))
-      | "mm1" -> (
-          match float_arg arg with
-          | Some mu when mu > 0. -> Ok (Queueing { mu })
-          | _ -> fail ())
-      | _ -> fail ())
+  | Some t -> (
+      match check t with
+      | Ok () -> Ok t
+      | Error m -> Error (Printf.sprintf "invalid delay spec %S: %s" s m))
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -4,7 +4,12 @@
     production load a server also charges for its queue. A delay model
     maps a server's integer load (assigned clients) to the extra delay
     that server adds to {e each} hop through it, extending the
-    objective to [D_load] (see {!Objective.max_interaction_path_load}).
+    objective to [D_load]. Every evaluator and solver that takes a
+    [?delay] argument ({!Objective.max_interaction_path},
+    {!Greedy.assign}, {!Nearest.assign}, {!Brute_force.optimal},
+    {!Dynamic.create}) defaults it to {!zero}, under which [D_load] is
+    the paper's [D] bit for bit: there is one code path per concept,
+    and the paper's objective is its zero-delay case.
 
     Every model is {b non-negative} and {b monotone non-decreasing} in
     the load — both are load-bearing: non-negativity keeps
@@ -28,9 +33,16 @@ val saturation : float
 (** The finite stand-in for an unbounded queueing delay ([1e9]) —
     large enough to dominate any network distance. *)
 
+val zero : t
+(** [Constant 0.]: no load-dependent delay. The default model everywhere
+    one is optional; adding its exact zeros leaves every distance sum
+    unchanged. *)
+
 val validate : t -> unit
 (** @raise Invalid_argument unless all parameters are finite,
-    [Constant]/[Linear] parameters are [>= 0] and [mu > 0]. *)
+    [Constant]/[Linear] parameters are in [\[0, saturation\]] and
+    [mu > 0]. The cap keeps {!eval} finite: a larger constant or
+    coefficient would overflow a path sum to infinity. *)
 
 val eval : t -> int -> float
 (** [eval t load] is the per-hop delay a server with [load] assigned
@@ -46,6 +58,7 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse the spec syntax ([constant:C] | [linear:BASE,COEFF] |
-    [mm1:MU]); rejects non-finite or out-of-range parameters. *)
+    [mm1:MU]); rejects non-finite or out-of-range parameters (the same
+    ranges as {!validate}) with an [Error] naming the parameter. *)
 
 val pp : Format.formatter -> t -> unit

@@ -13,15 +13,18 @@ type result = {
 }
 
 (* Clients lying on some longest interaction path: clients that realise
-   their server's eccentricity, for a server on a longest server pair. *)
-let longest_path_clients p assignment ecc d =
+   their server's eccentricity [ecc], for a server on a longest pair of
+   effective eccentricities [eff] ([ecc] itself for the paper's D). The
+   delay term is shared by all of a server's clients, so the witness
+   filter stays on the raw eccentricity. *)
+let longest_path_clients p assignment ~ecc ~eff d =
   let k = Problem.num_servers p in
   let on_longest = Array.make k false in
   for s1 = 0 to k - 1 do
-    if ecc.(s1) > neg_infinity then
+    if eff.(s1) > neg_infinity then
       for s2 = s1 to k - 1 do
-        if ecc.(s2) > neg_infinity
-           && ecc.(s1) +. Problem.d_ss p s1 s2 +. ecc.(s2) >= d -. 1e-9
+        if eff.(s2) > neg_infinity
+           && eff.(s1) +. Problem.d_ss p s1 s2 +. eff.(s2) >= d -. 1e-9
         then begin
           on_longest.(s1) <- true;
           on_longest.(s2) <- true
@@ -36,16 +39,16 @@ let longest_path_clients p assignment ecc d =
     assignment;
   List.rev !candidates
 
-let run ?initial p =
+(* The starting assignment and its per-server loads and eccentricities. *)
+let prepare ~label ~default initial p =
   let k = Problem.num_servers p in
-  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
   let start =
     match initial with
-    | None -> Nearest.assign p
+    | None -> default ()
     | Some a ->
         let a = Assignment.of_array p (Assignment.to_array a) in
         if not (Assignment.respects_capacity p a) then
-          invalid_arg "Distributed_greedy.run: initial assignment violates capacity";
+          invalid_arg (label ^ ": initial assignment violates capacity");
         a
   in
   let assignment = Assignment.to_array start in
@@ -59,6 +62,29 @@ let run ?initial p =
           assignment;
         !l)
   in
+  (start, assignment, load, ecc)
+
+let result ~start assignment trace ~examined ~broadcasts ~probes =
+  {
+    assignment = Assignment.unsafe_of_array assignment;
+    initial = start;
+    trace = Array.of_list (List.rev trace);
+    stats =
+      {
+        modifications = List.length trace - 1;
+        examined;
+        broadcasts;
+        probes;
+      };
+  }
+
+let run ?initial p =
+  let k = Problem.num_servers p in
+  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
+  let start, assignment, load, ecc =
+    prepare ~label:"Distributed_greedy.run" ~default:(fun () -> Nearest.assign p)
+      initial p
+  in
   (* Initial exchange: every server broadcasts its inter-server distances
      and its longest client distance, and measures its own clients. *)
   let broadcasts = ref k and probes = ref (Array.length assignment) in
@@ -67,7 +93,7 @@ let run ?initial p =
   let continue = ref true in
   while !continue do
     let d = List.hd !trace in
-    let candidates = longest_path_clients p assignment ecc d in
+    let candidates = longest_path_clients p assignment ~ecc ~eff:ecc d in
     let moved = ref false in
     let rec try_candidates = function
       | [] -> ()
@@ -120,18 +146,8 @@ let run ?initial p =
     try_candidates candidates;
     if not !moved then continue := false
   done;
-  {
-    assignment = Assignment.unsafe_of_array assignment;
-    initial = start;
-    trace = Array.of_list (List.rev !trace);
-    stats =
-      {
-        modifications = List.length !trace - 1;
-        examined = !examined;
-        broadcasts = !broadcasts;
-        probes = !probes;
-      };
-  }
+  result ~start assignment !trace ~examined:!examined ~broadcasts:!broadcasts
+    ~probes:!probes
 
 let assign p = (run p).assignment
 
@@ -145,66 +161,19 @@ let run_load ?initial ~delay p =
   Delay.validate delay;
   let k = Problem.num_servers p in
   let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
-  let start =
-    match initial with
-    | None -> Nearest.assign_load ~delay p
-    | Some a ->
-        let a = Assignment.of_array p (Assignment.to_array a) in
-        if not (Assignment.respects_capacity p a) then
-          invalid_arg
-            "Distributed_greedy.run_load: initial assignment violates capacity";
-        a
-  in
-  let assignment = Assignment.to_array start in
-  let load = Array.make k 0 in
-  Array.iter (fun s -> load.(s) <- load.(s) + 1) assignment;
-  let ecc =
-    Array.init k (fun s ->
-        let l = ref neg_infinity in
-        Array.iteri
-          (fun c s' -> if s' = s then l := Float.max !l (Problem.d_cs p c s))
-          assignment;
-        !l)
-  in
-  (* Candidates: clients realising their server's eccentricity, for a
-     server on a longest *effective* pair. The per-server delay term is
-     shared by all of a server's clients, so the eccentricity witnesses
-     are still the clients on a longest load-aware path. *)
-  let eff_candidates d =
-    let eff =
-      Array.mapi
-        (fun s e -> if e > neg_infinity then e +. Delay.eval delay load.(s) else e)
-        ecc
-    in
-    let on_longest = Array.make k false in
-    for s1 = 0 to k - 1 do
-      if eff.(s1) > neg_infinity then
-        for s2 = s1 to k - 1 do
-          if eff.(s2) > neg_infinity
-             && eff.(s1) +. Problem.d_ss p s1 s2 +. eff.(s2) >= d -. 1e-9
-          then begin
-            on_longest.(s1) <- true;
-            on_longest.(s2) <- true
-          end
-        done
-    done;
-    (* The witness filter stays on the raw eccentricity: the delay term
-       is shared by all of a server's clients. *)
-    let candidates = ref [] in
-    Array.iteri
-      (fun c s ->
-        if on_longest.(s) && Problem.d_cs p c s >= ecc.(s) -. 1e-9 then
-          candidates := c :: !candidates)
-      assignment;
-    List.rev !candidates
+  let start, assignment, load, ecc =
+    prepare ~label:"Distributed_greedy.run_load"
+      ~default:(fun () -> Nearest.assign ~delay p) initial p
   in
   let broadcasts = ref k and probes = ref (Array.length assignment) in
   let examined = ref 0 in
-  let trace = ref [ Ecc.objective_load p ~delay ecc ~load ] in
+  let trace = ref [ Ecc.objective p (Ecc.effective ~delay ecc ~load) ] in
   let continue = ref true in
   while !continue do
     let d = List.hd !trace in
-    let candidates = eff_candidates d in
+    let candidates =
+      longest_path_clients p assignment ~ecc ~eff:(Ecc.effective ~delay ecc ~load) d
+    in
     let moved = ref false in
     let rec try_candidates = function
       | [] -> ()
@@ -225,7 +194,9 @@ let run_load ?initial ~delay p =
               let saved_e = trial_ecc.(s') and saved_l = trial_load.(s') in
               trial_ecc.(s') <- Float.max trial_ecc.(s') (Problem.d_cs p c s');
               trial_load.(s') <- saved_l + 1;
-              let d' = Ecc.objective_load p ~delay trial_ecc ~load:trial_load in
+              let d' =
+                Ecc.objective p (Ecc.effective ~delay trial_ecc ~load:trial_load)
+              in
               if d' < !best_d then begin
                 best_d := d';
                 best_target := s'
@@ -250,17 +221,7 @@ let run_load ?initial ~delay p =
     try_candidates candidates;
     if not !moved then continue := false
   done;
-  {
-    assignment = Assignment.unsafe_of_array assignment;
-    initial = start;
-    trace = Array.of_list (List.rev !trace);
-    stats =
-      {
-        modifications = List.length !trace - 1;
-        examined = !examined;
-        broadcasts = !broadcasts;
-        probes = !probes;
-      };
-  }
+  result ~start assignment !trace ~examined:!examined ~broadcasts:!broadcasts
+    ~probes:!probes
 
 let assign_load ~delay p = (run_load ~delay p).assignment

@@ -20,24 +20,23 @@ type t = {
   mutable matrix : Matrix.t;  (** == [base] until drift copies it *)
   servers : int array;
   capacity : int;
-  delay : Delay.t option;
-      (** load-latency model; [None] = pure network objective, and every
-          code path is byte-identical to a session without the field *)
+  delay : Delay.t;  (** load-latency model; [Delay.zero] = the paper's D *)
   members : (client_id, member) Hashtbl.t;
   load : int array;
   ecc : float array;
+  eff : float array;
+      (** effective eccentricity [ecc s +. delay (load s)];
+          [neg_infinity] for unused servers *)
+  next_delay : float array;  (** [delay (load s + 1)]: what a join onto [s] pays *)
+  delay_grows : bool array;  (** [delay (load s + 1) > delay (load s)] *)
   dists : int Fmap.t array;  (** per-server distance multiset backing [ecc] *)
   sb_load : int array array;
       (** [sb_load.(p).(s)] = members of primary [p] whose standby is [s] *)
   failed : bool array;
   node_drift : float array;  (** per-node multiplicative factor, 1.0 = none *)
   node_count : int array;  (** members per network node (occupancy) *)
-  mutable d_cache : float;  (** D(A); valid iff [not d_dirty] *)
+  mutable d_cache : float;  (** D over [eff]; valid iff [not d_dirty] *)
   mutable d_dirty : bool;
-  mutable dl_cache : float;
-      (** D_load(A); valid iff [not dl_dirty]; meaningless when
-          [delay = None] *)
-  mutable dl_dirty : bool;
   lb_reach : float array;
       (** flat node x live-server table of [f_u(s') = min_s (d(u,s) +.
           d(s,s'))], row [u] at [u * live]; occupied rows valid iff [lb_valid] *)
@@ -55,9 +54,9 @@ type t = {
   mutable moves : int;
 }
 
-let create ?capacity ?delay matrix ~servers =
+let create ?capacity ?(delay = Delay.zero) matrix ~servers =
   if Array.length servers = 0 then invalid_arg "Dynamic.create: no servers";
-  Option.iter Delay.validate delay;
+  Delay.validate delay;
   Array.iter
     (fun s ->
       if s < 0 || s >= Matrix.dim matrix then
@@ -76,6 +75,9 @@ let create ?capacity ?delay matrix ~servers =
     members = Hashtbl.create 64;
     load = Array.make k 0;
     ecc = Array.make k neg_infinity;
+    eff = Array.make k neg_infinity;
+    next_delay = Array.make k (Delay.eval delay 1);
+    delay_grows = Array.make k (Delay.eval delay 1 > Delay.eval delay 0);
     dists = Array.make k Fmap.empty;
     sb_load = Array.make_matrix k k 0;
     failed = Array.make k false;
@@ -83,8 +85,6 @@ let create ?capacity ?delay matrix ~servers =
     node_count = Array.make (Matrix.dim matrix) 0;
     d_cache = neg_infinity;
     d_dirty = false;
-    dl_cache = neg_infinity;
-    dl_dirty = false;
     lb_reach = Array.make (Matrix.dim matrix * k) infinity;
     lb_cache = neg_infinity;
     lb_valid = true;
@@ -106,13 +106,15 @@ let d_ss t s1 s2 = Matrix.get t.matrix t.servers.(s1) t.servers.(s2)
 let active_servers t =
   List.filter (fun s -> not t.failed.(s)) (List.init (k t) Fun.id)
 
-let objective_of t ecc =
+(* D from per-server (effective) eccentricities: the max over used
+   pairs, smaller server index on the left. *)
+let objective_of t eff =
   let best = ref neg_infinity in
   for s1 = 0 to k t - 1 do
-    if ecc.(s1) > neg_infinity then
+    if eff.(s1) > neg_infinity then
       for s2 = s1 to k t - 1 do
-        if ecc.(s2) > neg_infinity then begin
-          let len = ecc.(s1) +. d_ss t s1 s2 +. ecc.(s2) in
+        if eff.(s2) > neg_infinity then begin
+          let len = eff.(s1) +. d_ss t s1 s2 +. eff.(s2) in
           if len > !best then best := len
         end
       done
@@ -121,112 +123,61 @@ let objective_of t ecc =
 
 (* --- incremental D(A) ---------------------------------------------------
 
-   [d_cache] holds [objective_of t t.ecc] whenever [d_dirty] is false.
-   When a single eccentricity {e increases} (join, move-in, failover
-   landing) only the pairs through that server can raise the maximum,
-   and because float addition is monotone the grown pairs dominate their
-   old values — so folding the k refreshed pairs into the cached D gives
-   the exact scratch result in O(k). Decreases (leave, move-out, server
-   failure, drift) mark the cache dirty and the next {!objective} call
-   re-scans all pairs in O(k²) — still independent of the member
-   count. *)
+   The session's objective is D over the {e effective} eccentricities
+   eff(s) = ecc(s) +. delay(load s) — D_load under a delay model, and
+   the paper's D under [Delay.zero], whose exact zeros leave every
+   eccentricity as it is. [d_cache] holds [objective_of t t.eff]
+   whenever [d_dirty] is false. When a single effective eccentricity
+   {e increases} (an arrival raises the eccentricity or the delay) only
+   the pairs through that server can raise the maximum, and because
+   float addition is monotone the grown pairs dominate their old values
+   — so folding the k refreshed pairs into the cached D gives the exact
+   scratch result in O(k). Decreases (a departure lowering the
+   eccentricity or the delay, server failure, drift) mark the cache
+   dirty and the next {!objective} call re-scans all pairs in O(k²) —
+   still independent of the member count. *)
 
 let bump_objective t s =
   if not t.d_dirty then begin
     let best = ref t.d_cache in
     for s' = 0 to k t - 1 do
-      if t.ecc.(s') > neg_infinity then begin
+      if t.eff.(s') > neg_infinity then begin
         let a = if s' < s then s' else s and b = if s' < s then s else s' in
-        let len = t.ecc.(a) +. d_ss t a b +. t.ecc.(b) in
+        let len = t.eff.(a) +. d_ss t a b +. t.eff.(b) in
         if len > !best then best := len
       end
     done;
     t.d_cache <- !best
   end
 
+(* Re-derive [eff s] after [s]'s eccentricity or load changed, keeping
+   the cache exact: a rise folds [s]'s pairs in, a fall dirties it. *)
+let refresh_eff t s =
+  let old = t.eff.(s) in
+  let now = Delay.eval t.delay t.load.(s) in
+  let next = Delay.eval t.delay (t.load.(s) + 1) in
+  t.next_delay.(s) <- next;
+  t.delay_grows.(s) <- next > now;
+  let e = if t.ecc.(s) > neg_infinity then t.ecc.(s) +. now else neg_infinity in
+  t.eff.(s) <- e;
+  if e > old then bump_objective t s else if e < old then t.d_dirty <- true
+
 let objective t =
   if t.d_dirty then begin
-    t.d_cache <- objective_of t t.ecc;
+    t.d_cache <- objective_of t t.eff;
     t.d_dirty <- false
   end;
   t.d_cache
 
 let objective_scratch t =
   let ecc = Array.make (k t) neg_infinity in
+  let load = Array.make (k t) 0 in
   Hashtbl.iter
-    (fun _ m -> ecc.(m.server) <- Float.max ecc.(m.server) (d_ns t m.node m.server))
+    (fun _ m ->
+      load.(m.server) <- load.(m.server) + 1;
+      ecc.(m.server) <- Float.max ecc.(m.server) (d_ns t m.node m.server))
     t.members;
-  objective_of t ecc
-
-(* --- incremental D_load(A) ----------------------------------------------
-
-   Same decomposition as D(A), through the {e effective} eccentricity
-   eff(s) = ecc(s) +. delay(load(s)). A join raises eff of exactly one
-   server (eccentricity can only grow and delay is monotone in load), so
-   the O(k) pair refresh stays exact; any load decrease lowers eff even
-   when the eccentricity is untouched, so every removal path marks
-   [dl_dirty] and the next query re-scans in O(k²). The expression
-   grouping [(ecc1 +. δ1) +. d_ss +. (ecc2 +. δ2)] matches
-   {!Ecc.objective_load} and the naive evaluator bit-for-bit. *)
-
-let objective_load_arrays t delay ecc load =
-  let best = ref neg_infinity in
-  for s1 = 0 to k t - 1 do
-    if ecc.(s1) > neg_infinity then begin
-      let e1 = ecc.(s1) +. Delay.eval delay load.(s1) in
-      for s2 = s1 to k t - 1 do
-        if ecc.(s2) > neg_infinity then begin
-          let len = e1 +. d_ss t s1 s2 +. (ecc.(s2) +. Delay.eval delay load.(s2)) in
-          if len > !best then best := len
-        end
-      done
-    end
-  done;
-  !best
-
-(* Effective eccentricity of [s] just rose (member arrived: load bump
-   plus a possible eccentricity raise); fold the k refreshed pairs
-   through [s] into the cached D_load. Called from {!ecc_add} — every
-   arrival path goes through it with the load already incremented. *)
-let bump_objective_load t s =
-  match t.delay with
-  | None -> ()
-  | Some delay ->
-      if not t.dl_dirty then begin
-        let best = ref t.dl_cache in
-        for s' = 0 to k t - 1 do
-          if t.ecc.(s') > neg_infinity then begin
-            let a = if s' < s then s' else s and b = if s' < s then s else s' in
-            let ea = t.ecc.(a) +. Delay.eval delay t.load.(a) in
-            let len = ea +. d_ss t a b +. (t.ecc.(b) +. Delay.eval delay t.load.(b)) in
-            if len > !best then best := len
-          end
-        done;
-        t.dl_cache <- !best
-      end
-
-let objective_load t =
-  match t.delay with
-  | None -> objective t
-  | Some delay ->
-      if t.dl_dirty then begin
-        t.dl_cache <- objective_load_arrays t delay t.ecc t.load;
-        t.dl_dirty <- false
-      end;
-      t.dl_cache
-
-let objective_load_scratch t =
-  match t.delay with
-  | None -> objective_scratch t
-  | Some delay ->
-      let ecc = Array.make (k t) neg_infinity in
-      let load = Array.make (k t) 0 in
-      Hashtbl.iter
-        (fun _ m ->
-          load.(m.server) <- load.(m.server) + 1;
-          ecc.(m.server) <- Float.max ecc.(m.server) (d_ns t m.node m.server))
-        t.members;
-      objective_load_arrays t delay ecc load
+  objective_of t (Ecc.effective ~delay:t.delay ecc ~load)
 
 let mset_add t s d =
   t.dists.(s) <-
@@ -244,27 +195,19 @@ let mset_max m =
   match Fmap.max_binding_opt m with Some (d, _) -> d | None -> neg_infinity
 
 (* Record that a member at distance [d] now sits on [s]. Every caller
-   has already incremented [load.(s)], so the D_load refresh below sees
-   the final arrays. *)
+   has already incremented [load.(s)], so the refresh sees the final
+   load. *)
 let ecc_add t s d =
   mset_add t s d;
-  if d > t.ecc.(s) then begin
-    t.ecc.(s) <- d;
-    bump_objective t s
-  end;
-  bump_objective_load t s
+  if d > t.ecc.(s) then t.ecc.(s) <- d;
+  refresh_eff t s
 
-(* Record that a member at distance [d] left [s]. The load drop lowers
-   eff(s) even when the eccentricity maximum is untouched, so D_load is
-   always dirtied. *)
+(* Record that a member at distance [d] left [s], its load already
+   decremented. *)
 let ecc_remove t s d =
   mset_remove t s d;
-  let m = mset_max t.dists.(s) in
-  if m < t.ecc.(s) then begin
-    t.ecc.(s) <- m;
-    t.d_dirty <- true
-  end;
-  t.dl_dirty <- true
+  t.ecc.(s) <- mset_max t.dists.(s);
+  refresh_eff t s
 
 (* Eccentricity of [s] with one member at distance [d] discounted —
    the O(log load) replacement for scanning every member. *)
@@ -348,7 +291,7 @@ let node_remove t node =
   if c = 0 && t.lb_valid && (node = t.lb_wa || node = t.lb_wb) then
     t.lb_valid <- false
 
-let lower_bound t =
+let network_lower_bound t =
   if not t.lb_valid then begin
     let live = Array.of_list (active_servers t) in
     let kl = Array.length live in
@@ -372,9 +315,10 @@ let lower_bound t =
   end;
   t.lb_cache
 
-let lower_bound_scratch t =
-  (* Reference recompute sharing no cached state with {!lower_bound}:
-     occupancy from the member table, reach rows rebuilt fresh. *)
+(* Reference recompute sharing no cached state with
+   [network_lower_bound]: occupancy from the member table, reach rows
+   rebuilt fresh. *)
+let network_lower_bound_scratch t =
   let n = Array.length t.node_count in
   let occupied = Array.make n false in
   Hashtbl.iter (fun _ m -> occupied.(m.node) <- true) t.members;
@@ -415,53 +359,44 @@ let lower_bound_scratch t =
 (* LB_load = LB +. 2 delay(1): in any assignment every serving server
    hosts at least one client, delay is monotone from load 1 up, and the
    witness pair of LB pays its two server delays on top of the network
-   path. Exact equality with LB under [Constant 0.]; trivially
-   incremental on top of the cached LB. *)
-let lower_bound_load t =
-  match t.delay with
-  | None -> lower_bound t
-  | Some delay -> lower_bound t +. (2. *. Delay.eval delay 1)
+   path. Exactly LB under [Delay.zero]; trivially incremental on top of
+   the cached network bound. *)
+let delay_floor t = 2. *. Delay.eval t.delay 1
 
-let lower_bound_load_scratch t =
-  match t.delay with
-  | None -> lower_bound_scratch t
-  | Some delay -> lower_bound_scratch t +. (2. *. Delay.eval delay 1)
+let lower_bound t = network_lower_bound t +. delay_floor t
+let lower_bound_scratch t = network_lower_bound_scratch t +. delay_floor t
 
-(* Longest interaction path involving a node attached to server [s],
-   given the other servers' eccentricities. *)
-let attach_cost t ecc node s =
-  let d = d_ns t node s in
-  let worst = ref (2. *. d) in
+(* Longest interaction path through server [s] created by a client
+   whose access hop to [s] costs [hop], given every server's effective
+   eccentricity in [eff]: its round trip, and its path to each used
+   server. *)
+let attach_cost t eff ~hop s =
+  let worst = ref (2. *. hop) in
   for s'' = 0 to k t - 1 do
-    if ecc.(s'') > neg_infinity then begin
-      let len = d +. d_ss t s s'' +. ecc.(s'') in
+    if eff.(s'') > neg_infinity then begin
+      let len = hop +. d_ss t s s'' +. eff.(s'') in
       if len > !worst then worst := len
     end
   done;
   !worst
 
-(* Load-aware attach cost over trial arrays: the longest D_load path
-   involving [node] if it joined [s] — [s]'s effective eccentricity
-   after the join (eccentricity raised to at least d(node,s), load
-   bumped by one) against every other used server's current effective
-   eccentricity. Still >= 2 d(node,s) because delay >= 0, so the
-   landmark [2 lb] prune in the placement scans stays sound. *)
-let attach_cost_load_arrays t dl ecc load node s =
+(* The access hop a client at [node] pays once it joins [s], under the
+   session's delay model. When the join raises [s]'s delay, every path
+   through [s] lengthens, so the hop is [s]'s new effective
+   eccentricity [max(ecc s, d) + delay(load s + 1)] and [attach_cost]
+   re-measures all of [s]'s pairs. When it does not (always under
+   [Delay.zero]), only the newcomer's own paths, at
+   [d + delay(load s + 1)], can exceed the current maximum. Either way
+   the hop is at least [d(node, s)], because delay is non-negative. *)
+let placement_hop t node s =
   let d = d_ns t node s in
-  let new_eff = Float.max ecc.(s) d +. Delay.eval dl (load.(s) + 1) in
-  let worst = ref (2. *. new_eff) in
-  for s'' = 0 to k t - 1 do
-    if s'' <> s && ecc.(s'') > neg_infinity then begin
-      let len = new_eff +. d_ss t s s'' +. (ecc.(s'') +. Delay.eval dl load.(s'')) in
-      if len > !worst then worst := len
-    end
-  done;
-  !worst
+  (if t.delay_grows.(s) then Float.max t.ecc.(s) d else d) +. t.next_delay.(s)
 
 (* Landmark pruning for the placement scans below (join, standby
    re-arm, failover re-homing). Every cost those scans minimise is at
-   least [2 d(node, s)] — [attach_cost]'s round-trip floor survives the
-   [Float.max]es stacked on top — so a certified bound lb <= d(node, s)
+   least [2 d(node, s)] — [attach_cost]'s round-trip floor [2 hop],
+   with [hop >= d(node, s)], survives the [Float.max]es stacked on
+   top — so a certified bound lb <= d(node, s)
    retires server s whenever [2 lb] already fails to beat the best cost
    in hand: the skipped cost is >= 2 d >= 2 lb >= best, and the scans
    update on strict <. Doubling is exact in binary floating point, so
@@ -512,7 +447,8 @@ let select_standby t member =
       && t.load.(s) + t.sb_load.(p).(s) < t.capacity
       && 2. *. Array.unsafe_get lb s < !best_c
     then begin
-      let c = attach_cost t trial member.node s in
+      (* Network distance only, whatever the session's delay model. *)
+      let c = attach_cost t trial ~hop:(d_ns t member.node s) s in
       if c < !best_c then begin
         best_c := c;
         best := s
@@ -527,13 +463,7 @@ let select_standby t member =
 let join t ~node =
   if node < 0 || node >= Matrix.dim t.matrix then
     invalid_arg (Printf.sprintf "Dynamic.join: node %d out of range" node);
-  (* With a delay model installed, the scan minimises the resulting
-     D_load instead of D — the marginal delay the join inflicts on its
-     server is part of every candidate's cost. Both attach costs keep
-     the [2 d(node,s)] floor, so the landmark prune applies to both. *)
-  let current =
-    match t.delay with None -> objective t | Some _ -> objective_load t
-  in
+  let current = objective t in
   let lb = query_bounds t node in
   let best = ref (-1) and best_d = ref infinity in
   for s = 0 to k t - 1 do
@@ -542,12 +472,9 @@ let join t ~node =
       && t.load.(s) < t.capacity
       && 2. *. Array.unsafe_get lb s < !best_d
     then begin
-      let cost =
-        match t.delay with
-        | None -> attach_cost t t.ecc node s
-        | Some dl -> attach_cost_load_arrays t dl t.ecc t.load node s
+      let resulting =
+        Float.max current (attach_cost t t.eff ~hop:(placement_hop t node s) s)
       in
-      let resulting = Float.max current cost in
       if resulting < !best_d then begin
         best_d := resulting;
         best := s
@@ -617,46 +544,23 @@ let rebalance ?(max_moves = max_int) t =
   let moves = ref 0 in
   let continue = ref true in
   while !continue && !moves < max_moves do
-    (* With a delay model the whole loop runs on D_load: longest pairs
-       are effective-eccentricity pairs and moves are judged by the
-       resulting D_load (a move shifts load off the donor, so the trial
-       arrays carry the decremented load). The member filter below
-       stays on the raw eccentricity — the delay term is shared by all
-       of a server's clients, so the witnesses are unchanged. *)
-    let d = match t.delay with None -> objective t | Some _ -> objective_load t in
-    (* Clients realising their server's eccentricity on a longest pair. *)
+    let d = objective t in
+    (* Clients realising their server's eccentricity on a longest pair
+       of effective eccentricities. The delay term is shared by all of a
+       server's clients, so the witness filter stays on the raw
+       eccentricity. *)
     let on_longest = Array.make (k t) false in
-    (match t.delay with
-    | None ->
-        for s1 = 0 to k t - 1 do
-          if t.ecc.(s1) > neg_infinity then
-            for s2 = s1 to k t - 1 do
-              if t.ecc.(s2) > neg_infinity
-                 && t.ecc.(s1) +. d_ss t s1 s2 +. t.ecc.(s2) >= d -. 1e-9
-              then begin
-                on_longest.(s1) <- true;
-                on_longest.(s2) <- true
-              end
-            done
+    for s1 = 0 to k t - 1 do
+      if t.eff.(s1) > neg_infinity then
+        for s2 = s1 to k t - 1 do
+          if t.eff.(s2) > neg_infinity
+             && t.eff.(s1) +. d_ss t s1 s2 +. t.eff.(s2) >= d -. 1e-9
+          then begin
+            on_longest.(s1) <- true;
+            on_longest.(s2) <- true
+          end
         done
-    | Some dl ->
-        let eff =
-          Array.mapi
-            (fun s e ->
-              if e > neg_infinity then e +. Delay.eval dl t.load.(s) else e)
-            t.ecc
-        in
-        for s1 = 0 to k t - 1 do
-          if eff.(s1) > neg_infinity then
-            for s2 = s1 to k t - 1 do
-              if eff.(s2) > neg_infinity
-                 && eff.(s1) +. d_ss t s1 s2 +. eff.(s2) >= d -. 1e-9
-              then begin
-                on_longest.(s1) <- true;
-                on_longest.(s2) <- true
-              end
-            done
-        done);
+    done;
     let candidates =
       Hashtbl.fold
         (fun id member acc ->
@@ -670,29 +574,18 @@ let rebalance ?(max_moves = max_int) t =
     let try_move (_id, member) =
       let old_s = member.server in
       let d_old = d_ns t member.node old_s in
-      let trial = Array.copy t.ecc in
-      trial.(old_s) <- ecc_without t old_s d_old;
-      let trial_load =
-        match t.delay with
-        | None -> t.load
-        | Some _ ->
-            let l = Array.copy t.load in
-            l.(old_s) <- l.(old_s) - 1;
-            l
-      in
-      let d_rest =
-        match t.delay with
-        | None -> objective_of t trial
-        | Some dl -> objective_load_arrays t dl trial trial_load
-      in
+      (* The session without the mover: its donor loses the member's
+         distance and one unit of load. *)
+      let trial = Array.copy t.eff in
+      let e = ecc_without t old_s d_old in
+      trial.(old_s) <-
+        (if e > neg_infinity then e +. Delay.eval t.delay (t.load.(old_s) - 1)
+         else neg_infinity);
+      let d_rest = objective_of t trial in
       let best = ref (-1) and best_d = ref infinity in
       for s = 0 to k t - 1 do
         if s <> old_s && (not t.failed.(s)) && t.load.(s) < t.capacity then begin
-          let cost =
-            match t.delay with
-            | None -> attach_cost t trial member.node s
-            | Some dl -> attach_cost_load_arrays t dl trial trial_load member.node s
-          in
+          let cost = attach_cost t trial ~hop:(placement_hop t member.node s) s in
           let resulting = Float.max d_rest cost in
           if resulting < !best_d then begin
             best_d := resulting;
@@ -770,15 +663,18 @@ let refresh_standbys t =
 let standby_objective t s =
   if s < 0 || s >= k t then
     invalid_arg (Printf.sprintf "Dynamic.standby_objective: server %d out of range" s);
-  let trial = Array.copy t.ecc in
+  let trial = Array.copy t.ecc and load = Array.copy t.load in
   trial.(s) <- neg_infinity;
+  load.(s) <- 0;
   Hashtbl.iter
     (fun _ m ->
-      if m.server = s && m.standby >= 0 then
+      if m.server = s && m.standby >= 0 then begin
         trial.(m.standby) <-
-          Float.max trial.(m.standby) (d_ns t m.node m.standby))
+          Float.max trial.(m.standby) (d_ns t m.node m.standby);
+        load.(m.standby) <- load.(m.standby) + 1
+      end)
     t.members;
-  objective_of t trial
+  objective_of t (Ecc.effective ~delay:t.delay trial ~load)
 
 (* Rebuild every cached eccentricity (and its backing multiset) from
    scratch in one member pass — needed after a drift change rescales
@@ -795,7 +691,7 @@ let rebuild_ecc t =
       t.ecc.(m.server) <- Float.max t.ecc.(m.server) d)
     t.members;
   t.d_dirty <- true;
-  t.dl_dirty <- true;
+  Array.iteri (fun s _ -> refresh_eff t s) t.eff;
   lb_invalidate t
 
 let drift t s =
@@ -924,8 +820,7 @@ let fail_prologue t s =
   t.load.(s) <- 0;
   t.ecc.(s) <- neg_infinity;
   t.dists.(s) <- Fmap.empty;
-  t.d_dirty <- true;
-  t.dl_dirty <- true;
+  refresh_eff t s;
   lb_invalidate t;
   (orphans, !invalidated)
 
@@ -968,11 +863,7 @@ let fail_server_partial t s =
   let migrated = ref 0 and stranded = ref [] in
   List.iter
     (fun (id, member, sb) ->
-      (* Same objective switch as the join scan: with a delay model the
-         orphan is re-homed by resulting D_load. *)
-      let current =
-        match t.delay with None -> objective t | Some _ -> objective_load t
-      in
+      let current = objective t in
       let lb = query_bounds t member.node in
       let best = ref (-1) and best_d = ref infinity in
       for s' = 0 to k t - 1 do
@@ -982,12 +873,10 @@ let fail_server_partial t s =
           && t.load.(s') + spare < t.capacity
           && 2. *. Array.unsafe_get lb s' < !best_d
         then begin
-          let cost =
-            match t.delay with
-            | None -> attach_cost t t.ecc member.node s'
-            | Some dl -> attach_cost_load_arrays t dl t.ecc t.load member.node s'
+          let resulting =
+            Float.max current
+              (attach_cost t t.eff ~hop:(placement_hop t member.node s') s')
           in
-          let resulting = Float.max current cost in
           if resulting < !best_d then begin
             best_d := resulting;
             best := s'
@@ -1064,7 +953,7 @@ let fail_server_report t s =
     else begin
       let capacity = if t.capacity = max_int then None else Some t.capacity in
       let p = Problem.make ?capacity ~latency:t.matrix ~servers:survivors ~clients () in
-      Objective.max_interaction_path p (Greedy.assign p)
+      Objective.max_interaction_path ~delay:t.delay p (Greedy.assign ~delay:t.delay p)
     end
   in
   let factor =

@@ -35,11 +35,12 @@ type client_id = int
 val create :
   ?capacity:int -> ?delay:Delay.t -> Dia_latency.Matrix.t -> servers:int array -> t
 (** A session over the given network with servers at the given nodes and
-    no clients yet. When a [delay] model is installed, every placement
-    scan (join, failover re-homing, {!rebalance}) minimises the
-    load-aware objective [D_load] ({!objective_load}) instead of the
-    pure network [D]; without one the session is behaviourally
-    identical to earlier versions.
+    no clients yet. The session's objective is [D] under its [delay]
+    model ({!Objective.max_interaction_path} with that model): [D_load]
+    under a load-dependent model, and the paper's [D] under the default
+    {!Delay.zero}. {!objective}, {!lower_bound}, every placement scan
+    (join, failover re-homing, {!rebalance}) and the failover reports
+    read it; standby selection alone stays on the network distance.
 
     @raise Invalid_argument on invalid servers, non-positive capacity,
     or an invalid delay model ({!Delay.validate}). *)
@@ -84,36 +85,23 @@ val move : t -> client_id -> int -> unit
     failed, or saturated target servers. *)
 
 val objective : t -> float
-(** Current maximum interaction-path length ([neg_infinity] when empty).
-    Maintained incrementally: events that can only raise an eccentricity
-    (joins, move-ins, failover landings) fold their server's refreshed
-    pairs into the cached value in O(|S|); events that lower one mark it
-    dirty and the next call re-scans the pairs in O(|S|²). Either way
-    the cost is independent of the number of clients, and the value is
-    bit-identical to {!objective_scratch}. *)
+(** Current maximum interaction-path length under the session's delay
+    model ([neg_infinity] when empty): each hop pays its server's
+    network distance plus the delay of that server's current load, so
+    without a model this is the paper's [D(A)]. Maintained
+    incrementally over per-server effective eccentricities
+    [l(s) + delay(load s)]: events that can only raise one (joins,
+    move-ins, failover landings) fold their server's refreshed pairs
+    into the cached value in O(|S|); events that lower one (a departure
+    that lowers the eccentricity, or the delay — every departure under
+    a load-dependent model) mark it dirty and the next call re-scans the
+    pairs in O(|S|²). Either way the cost is independent of the number
+    of clients, and the value is bit-identical to {!objective_scratch}. *)
 
 val objective_scratch : t -> float
 (** Reference recompute of {!objective} from the member table alone —
     O(|C| + |S|²), sharing no cached state. Exposed so tests can pin
     the incremental value to the from-scratch one exactly. *)
-
-val objective_load : t -> float
-(** Current load-aware objective [D_load(A)]: the maximum interaction
-    path where each hop pays its server's network distance {e plus} the
-    delay of that server's current load
-    ({!Objective.max_interaction_path_load} of {!snapshot}).
-    [neg_infinity] when empty; equal to {!objective} when the session
-    has no delay model. Maintained with the same cache discipline as
-    {!objective}: arrivals raise exactly one server's effective
-    eccentricity (delay is monotone in load) and fold its pairs in
-    O(|S|); any departure lowers effective eccentricity even when the
-    plain eccentricity is unchanged, so every removal marks the cache
-    dirty and the next call re-scans in O(|S|²). Bit-identical to
-    {!objective_load_scratch}. *)
-
-val objective_load_scratch : t -> float
-(** Reference recompute of {!objective_load} from the member table
-    alone — O(|C| + |S|²), sharing no cached state. *)
 
 val lower_bound : t -> float
 (** Super-optimal lower bound on D(A) over the {e live} servers and the
@@ -126,24 +114,18 @@ val lower_bound : t -> float
     carried the witness pair. Every server failure, recovery and drift,
     and {!restore}, invalidates, and the next call rebuilds with the
     pruned {!Lower_bound.scan} kernel: 0.44 ms where the former unpruned
-    pair loop took 9.6 ms, at about 210 occupied nodes and 20 servers. *)
+    pair loop took 9.6 ms, at about 210 occupied nodes and 20 servers.
+
+    Under a delay model the bound adds [2 · delay(1)]: in any assignment
+    every serving server hosts at least one client and delay is monotone
+    in load, so the witness pair pays at least one unit of delay at each
+    end on top of its network path. Under {!Delay.zero} that term is an
+    exact zero. *)
 
 val lower_bound_scratch : t -> float
 (** Reference recompute of {!lower_bound} sharing no cached state —
     O(m²·|S| + m·|S|²) for m occupied nodes. The incremental value is
     bit-identical to this, which tests enforce. *)
-
-val lower_bound_load : t -> float
-(** Super-optimal lower bound on [D_load]:
-    [lower_bound t +. 2 · delay(1)]. In any assignment every serving
-    server hosts at least one client and delay is monotone in load, so
-    the witness pair of {!lower_bound} pays at least one unit of delay
-    at each end on top of its network path. Equals {!lower_bound} when
-    the session has no delay model, and exactly (bit-for-bit) under
-    [Delay.Constant 0.]. O(1) on top of the cached bound. *)
-
-val lower_bound_load_scratch : t -> float
-(** {!lower_bound_scratch} plus the same [2 · delay(1)] term. *)
 
 val rebalance : ?max_moves:int -> t -> int
 (** Perform up to [max_moves] (default unlimited) strictly improving
@@ -191,8 +173,8 @@ val refresh_standbys : t -> int
     boundaries). *)
 
 val standby_objective : t -> int -> float
-(** The {e promised} post-failover objective of a server: D(A) of the
-    hypothetical assignment in which the server is removed and each of
+(** The {e promised} post-failover objective of a server: {!objective}
+    of the hypothetical assignment in which the server is removed and each of
     its clients sits on its armed standby (clients without one are
     ignored). Exactly what {!promote_standby} realises when every orphan
     still finds its reserved slot free.
@@ -269,11 +251,12 @@ type degradation = {
           silently dropped), ascending by client id, with the network
           node so supervisors can requeue them; empty whenever {e any}
           live server still has a free slot per orphan *)
-  objective_before : float;  (** D(A) just before the failure *)
-  objective_after : float;  (** D(A) after greedy migration *)
+  objective_before : float;  (** {!objective} just before the failure *)
+  objective_after : float;  (** {!objective} after greedy migration *)
   objective_resolve : float;
-      (** D of a fresh Greedy re-solve on the surviving servers with the
-          same clients — the from-scratch baseline *)
+      (** the objective of a fresh Greedy re-solve, under the session's
+          delay model, on the surviving servers with the same clients —
+          the from-scratch baseline *)
   factor : float;
       (** [objective_after /. objective_resolve]: how far the surviving
           incremental assignment is from a full re-solve (1.0 when empty
@@ -306,8 +289,8 @@ type promotion = {
   stranded : (client_id * int) list;
       (** [(id, node)] pairs, as in {!degradation} — only when every
           live server is saturated *)
-  objective_before : float;  (** D(A) just before the failure *)
-  objective_after : float;  (** D(A) after promotion *)
+  objective_before : float;  (** {!objective} just before the failure *)
+  objective_after : float;  (** {!objective} after promotion *)
   promised : float;
       (** {!standby_objective} of the server at the instant of failure —
           equals [objective_after] when every orphan was promoted *)

@@ -41,41 +41,10 @@ let objective p ecc =
     !best
   end
 
-let objective_load p ~delay ecc ~load =
-  let m = Problem.latency p in
-  let servers = Problem.servers p in
-  let k = Problem.num_servers p in
-  let used = Array.make k 0 in
-  let u = ref 0 in
-  for s = 0 to k - 1 do
-    if ecc.(s) > neg_infinity then begin
-      Array.unsafe_set used !u s;
-      incr u
-    end
-  done;
-  if !u = 0 then 0.
-  else begin
-    (* Effective eccentricities of the used servers, precomputed so the
-       pair scan groups [eff1 +. d +. eff2] exactly like
-       [Objective.max_interaction_path_load]. *)
-    let eff = Array.make !u 0. in
-    for i = 0 to !u - 1 do
-      let s = Array.unsafe_get used i in
-      eff.(i) <- ecc.(s) +. Delay.eval delay load.(s)
-    done;
-    let best = ref neg_infinity in
-    for i = 0 to !u - 1 do
-      let e1 = Array.unsafe_get eff i in
-      let n1 = Array.unsafe_get servers (Array.unsafe_get used i) in
-      for j = i to !u - 1 do
-        let s2 = Array.unsafe_get used j in
-        let len = e1 +. Matrix.unsafe_get m n1 (Array.unsafe_get servers s2)
-                  +. Array.unsafe_get eff j in
-        if len > !best then best := len
-      done
-    done;
-    !best
-  end
+let effective ~delay ecc ~load =
+  Array.mapi
+    (fun s e -> if e > neg_infinity then e +. Delay.eval delay load.(s) else e)
+    ecc
 
 let excluding p assignment ~server ~client =
   let m = Problem.latency p in

@@ -4,10 +4,12 @@
     per-server eccentricities
     [l(s) = max {d(c, s) | A(c) = s}] (with [neg_infinity] for unused
     servers), exploiting that
-    [D(A) = max over s1, s2 of l(s1) + d(s1, s2) + l(s2)].
-    This module is the single home for that arithmetic; {!Objective},
-    the search algorithms ({!Distributed_greedy}, {!Local_search},
-    {!Brute_force}) and the protocol simulators all build on it. *)
+    [D(A) = max over s1, s2 of l(s1) + d(s1, s2) + l(s2)]; under a
+    delay model the same arithmetic runs on {!effective}
+    eccentricities. This module is the single home for that arithmetic;
+    {!Objective}, the search algorithms ({!Distributed_greedy},
+    {!Local_search}, {!Brute_force}) and the protocol simulators all
+    build on it. *)
 
 val objective : Problem.t -> float array -> float
 (** [D] from an eccentricity array: the maximum over used server pairs
@@ -18,14 +20,12 @@ val objective : Problem.t -> float array -> float
     [neg_infinity]-on-empty is part of its protocol and pinned).
     O(|used|²) after an O(|S|) gather. *)
 
-val objective_load :
-  Problem.t -> delay:Delay.t -> float array -> load:int array -> float
-(** [D_load] from an eccentricity array plus a per-server load array:
-    the maximum over used server pairs of
-    [(l(s1) + delay(load s1)) + d(s1, s2) + (l(s2) + delay(load s2))],
-    grouped exactly like {!Objective.max_interaction_path_load} so the
-    two agree bit for bit. [0.] when no server is used, mirroring
-    {!objective}. O(|used|²) after an O(|S|) gather. *)
+val effective : delay:Delay.t -> float array -> load:int array -> float array
+(** Effective eccentricities [l(s) + delay(load s)] of the used servers
+    ([neg_infinity] stays unused), as a fresh array. {!objective} of the
+    result is [D_load], grouped exactly like
+    {!Objective.max_interaction_path} under the same model, so the two
+    agree bit for bit. *)
 
 val excluding : Problem.t -> int array -> server:int -> client:int -> float
 (** Eccentricity of [server] if [client] were removed from it. O(|C|). *)

@@ -40,117 +40,6 @@ let compact unass ulen result =
     ulen.(s) <- !w
   done
 
-let assign p =
-  let n = Problem.num_clients p in
-  let k = Problem.num_servers p in
-  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
-  let result = Array.make n (-1) in
-  if n > 0 then begin
-    (* Flat server-major snapshot: dsc.(s * n + c) = d_cs p c s. Every
-       inner loop below runs over clients at a fixed server, so this
-       layout keeps the hot reads contiguous and unchecked; the values
-       are the exact doubles [Problem.d_cs] returns, so the assignment
-       is bit-identical to the boxed implementation. *)
-    let dsc = Problem.sc_table p in
-    let dss = Problem.ss_table p in
-    (* unass.(s): the unassigned clients in Ls order (distance to s
-       ascending, ties by client index), compacted after every commit.
-       The paper's index[s, c] — the Δn of candidate (s, c) — is then
-       just c's position + 1, and both the candidate scan and the batch
-       commit walk only live entries instead of rescanning all n. The
-       selection itself is unchanged: [better] is a strict total order
-       (ties fully broken by (s, c)), so the best candidate does not
-       depend on enumeration order and the result stays bit-identical to
-       the original full rescan. *)
-    let unass = live_lists dsc ~n ~k in
-    let ulen = Array.make k n in
-    let ecc = Array.make k neg_infinity in
-    let load = Array.make k 0 in
-    let max_len = ref 0. in
-    let remaining = ref n in
-    (* Best candidate so far, kept in scalars: the inner loop allocates
-       nothing. best_c < 0 means none yet. *)
-    let best_num = ref 0. and best_den = ref 0 and best_len = ref 0. in
-    let best_c = ref (-1) and best_s = ref (-1) in
-    while !remaining > 0 do
-      best_c := -1;
-      for s = 0 to k - 1 do
-        if load.(s) < capacity then begin
-          (* m = max over assigned clients b of d(s, sA(b)) + d(sA(b), b);
-             neg_infinity while nothing is assigned, in which case only
-             the 2 d(c, s) term matters. *)
-          let m = ref neg_infinity in
-          let sbase = s * k in
-          for s' = 0 to k - 1 do
-            if ecc.(s') > neg_infinity then begin
-              let reach = Array.unsafe_get dss (sbase + s') +. ecc.(s') in
-              if reach > !m then m := reach
-            end
-          done;
-          let m = !m in
-          let cur_max = !max_len in
-          let room = capacity - load.(s) in
-          let base = s * n in
-          let live = unass.(s) in
-          (* Δn = i + 1 grows along the walk, so the capacity filter
-             (Δn <= room) becomes a stopping bound. *)
-          let stop = if room < ulen.(s) then room else ulen.(s) in
-          for i = 0 to stop - 1 do
-            let c = Array.unsafe_get live i in
-            let d = Array.unsafe_get dsc (base + c) in
-            (* max (2d) (d + m) (cur_max): d is finite non-negative and
-               m is finite or neg_infinity, so plain comparisons agree
-               with Float.max — no NaN, no signed-zero split. *)
-            let a = 2. *. d and b = d +. m in
-            let hi = if a >= b then a else b in
-            let len = if hi >= cur_max then hi else cur_max in
-            let num = len -. cur_max in
-            let den = i + 1 in
-            let take =
-              !best_c < 0
-              ||
-              let cross =
-                Float.compare
-                  (num *. float_of_int !best_den)
-                  (!best_num *. float_of_int den)
-              in
-              if cross <> 0 then cross < 0
-              else if den <> !best_den then den > !best_den
-              else s < !best_s || (s = !best_s && c < !best_c)
-            in
-            if take then begin
-              best_num := num;
-              best_den := den;
-              best_len := len;
-              best_c := c;
-              best_s := s
-            end
-          done
-        end
-      done;
-      (* Unreachable: an unsaturated server always admits its nearest
-         unassigned client (Δn = 1) and total capacity covers |C|. *)
-      assert (!best_c >= 0);
-      (* Commit exactly Δn clients: the first Δn entries of the winning
-         server's live list — the unassigned clients closest to s*, the
-         last of which is c* (or ties with it). *)
-      let s_star = !best_s in
-      let live = unass.(s_star) in
-      let sbase = s_star * n in
-      for i = 0 to !best_den - 1 do
-        let c = Array.unsafe_get live i in
-        result.(c) <- s_star;
-        let d = Array.unsafe_get dsc (sbase + c) in
-        if d > ecc.(s_star) then ecc.(s_star) <- d
-      done;
-      load.(s_star) <- load.(s_star) + !best_den;
-      remaining := !remaining - !best_den;
-      max_len := !best_len;
-      compact unass ulen result
-    done
-  end;
-  Assignment.unsafe_of_array result
-
 (* [Float.max] with its common cases decided inline. When one argument
    is strictly greater it is Float.max's answer; equal arguments (where
    Float.max puts +0. above -0.) and NaN fall through to Float.max
@@ -158,29 +47,35 @@ let assign p =
    reads sign bits through a C call whenever [y > x] fails. *)
 let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
 
-(* Load-aware greedy: the same batch selection on the D_load objective.
-   A candidate batch (s, Δn closest unassigned clients, farthest c)
-   raises s's effective eccentricity to
+(* The batch selection on the D_load objective; under the default
+   [Delay.zero] that is the paper's D. A candidate batch (s, Δn closest
+   unassigned clients, farthest c) raises s's effective eccentricity to
    [max(ecc s, d) + delay(load s + Δn)] — the batch pays the marginal
    delay it inflicts on everything routed through s — while every other
    used server keeps [eff s' = ecc s' + delay(load s')]. Because delay
    is monotone in load, stale s-pairs in the running maximum are
    dominated by the new terms, so
    [len = max(cur_max, 2·new_eff, new_eff + m')] is exactly the
-   resulting D_load. Candidate comparison (cross-product Δl/Δn, ties by
-   larger Δn then (s, c)) is unchanged from [assign_reference].
+   resulting D_load. Candidates are compared as in [assign_reference]:
+   cross-product Δl/Δn, ties by larger Δn then (s, c).
 
-   The machinery is [assign]'s: the flat snapshots, the per-server live
-   lists (a batch is a prefix, so Δn = 1 stays feasible on an
-   unsaturated server even under massive distance ties), and the best
-   candidate in scalars. On top, [dtab.(l)] holds [Delay.eval delay l]
-   for every reachable load (load s + Δn never exceeds n), and [eff] is
-   refreshed only for the server a commit changes. Every float
-   expression is the one the load-greedy reference in the oracle
-   evaluates ([fmax] is its [Float.max], signed zeros included), over
-   the same doubles in the same candidate order, so the assignment is
-   bit-identical to it. *)
-let assign_load ~delay p =
+   Flat server-major snapshots ([dsc.(s * n + c) = d_cs p c s]) keep
+   every inner loop contiguous and unchecked. [unass.(s)] holds the
+   unassigned clients in Ls order (distance to s ascending, ties by
+   client index), compacted after every commit: the paper's index[s, c]
+   — the Δn of candidate (s, c) — is then c's position + 1, a batch is
+   a prefix (so Δn = 1 stays feasible on an unsaturated server even
+   under massive distance ties), and both the candidate scan and the
+   commit walk only live entries. [better] is a strict total order, so
+   the winner does not depend on enumeration order. [dtab.(l)] holds
+   [Delay.eval delay l] for every reachable load (load s + Δn never
+   exceeds n), [eff] is refreshed only for the server a commit changes,
+   and the best candidate lives in scalars, so the inner loop allocates
+   nothing. Every float expression is the one the load-greedy reference
+   in the oracle evaluates ([fmax] is its [Float.max], signed zeros
+   included), over the same doubles in the same candidate order, so the
+   assignment is bit-identical to it. *)
+let assign ?(delay = Delay.zero) p =
   Delay.validate delay;
   let n = Problem.num_clients p in
   let k = Problem.num_servers p in

@@ -21,25 +21,25 @@
     the nearest unassigned client to an unsaturated server is always
     admissible, so the algorithm always progresses). *)
 
-val assign : Problem.t -> Assignment.t
+val assign : ?delay:Delay.t -> Problem.t -> Assignment.t
 (** Runs the capacitated variant automatically when the instance has a
-    capacity. *)
+    capacity.
 
-val assign_load : delay:Delay.t -> Problem.t -> Assignment.t
-(** Load-aware variant: the same batch selection run on the [D_load]
-    objective. A candidate batch additionally pays the marginal delay it
+    Under a [delay] model the same batch selection runs on the [D_load]
+    objective: a candidate batch additionally pays the marginal delay it
     inflicts — the target's effective eccentricity becomes
     [max(l(s), d) + delay(load s + Δn)] — while other used servers keep
     [l(s') + delay(load s')]; delay monotonicity makes the running
-    maximum exact. Same amortised [Δl / Δn] cost, cross-product
-    comparison and tie order as {!assign_reference}.
+    maximum exact. The default {!Delay.zero} is the paper's algorithm:
+    its delay table holds exact zeros, so every cost is the plain
+    [Δl / Δn].
 
-    Runs on {!assign}'s machinery: per-server live lists of the
-    unassigned clients in [Ls] order, sorted once and compacted after
-    each commit, plus a delay table [delay(l)] for [l = 0 .. |C|] built
-    once per call. O(|S||C| log |C|) for the initial sorts, then
-    O(|S||C| + |S|²) per iteration. Bit-identical to the re-sorting reference
-    the oracle keeps. *)
+    Per-server live lists of the unassigned clients in [Ls] order are
+    sorted once and compacted after each commit, and the delay table
+    [delay(l)] for [l = 0 .. |C|] is built once per call.
+    O(|S||C| log |C|) for the initial sorts, then O(|S||C| + |S|²) per
+    iteration. Bit-identical to the re-sorting reference the oracle
+    keeps, under any delay model. *)
 
 val assign_reference : Problem.t -> Assignment.t
 (** Textbook implementation without the sorted-list/index bookkeeping:

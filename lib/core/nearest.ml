@@ -1,4 +1,5 @@
 module Landmark = Dia_latency.Landmark
+module Matrix = Dia_latency.Matrix
 
 (* An index is only usable when it answers exactly the queries the
    exhaustive scan would: same matrix (physically — a drifted copy has
@@ -14,62 +15,37 @@ let check_index p index =
     || not (Array.for_all2 ( = ) cands servers)
   then invalid_arg "Nearest.assign: index candidates do not match the servers"
 
-let assign_uncapacitated ?index p =
-  match index with
-  | None ->
-      Assignment.unsafe_of_array
-        (Array.init (Problem.num_clients p) (fun c -> Problem.nearest_server p c))
-  | Some index ->
-      check_index p index;
-      let clients = Problem.clients p in
-      (* Landmark.nearest runs the same strict-< ascending scan as
-         [Problem.nearest_server] (pruned candidates provably cannot
-         win), so the assignment is identical — index or not. *)
-      Assignment.unsafe_of_array
-        (Array.init (Problem.num_clients p) (fun c ->
-             fst (Landmark.nearest index ~query:clients.(c))))
-
-let assign_capacitated p cap =
-  let load = Array.make (Problem.num_servers p) 0 in
-  let pick c =
-    let order = Problem.servers_by_distance p c in
-    let rec try_servers i =
-      if i >= Array.length order then
-        (* make/with_capacity guarantee cap * |S| >= |C|, so a free server
-           always exists. *)
-        assert false
-      else begin
-        let s = order.(i) in
-        if load.(s) < cap then begin
-          load.(s) <- load.(s) + 1;
-          s
-        end
-        else try_servers (i + 1)
-      end
-    in
-    try_servers 0
-  in
-  Assignment.unsafe_of_array (Array.init (Problem.num_clients p) pick)
-
-let assign ?index p =
-  match Problem.capacity p with
-  | None -> assign_uncapacitated ?index p
-  | Some cap -> assign_capacitated p cap
-
-(* Load-aware nearest: clients arrive in index order and each picks the
-   server minimising its own marginal hop cost d(c,s) + delay(load+1) —
-   the delay the join itself inflicts — rather than raw distance.
-   Strict < on an ascending scan keeps ties at the lowest index. *)
-let assign_load ~delay p =
+(* Clients arrive in index order and each joins the feasible server
+   minimising its marginal hop cost d(c,s) + delay(load s + 1) — the
+   delay its own join inflicts. Under [Delay.zero] that is the nearest
+   server with room, the paper's rule: an ascending strict-< scan keeps
+   ties at the lowest index, exactly the order [Problem.nearest_server]
+   and the capacitated distance sort produce. Every cost is at least
+   d(c,s), which is at least the index's certified bound, so a server
+   whose bound already fails to beat the best cost in hand is skipped
+   without reading its distance. *)
+let assign ?(delay = Delay.zero) ?index p =
   Delay.validate delay;
-  let k = Problem.num_servers p in
+  Option.iter (check_index p) index;
+  let n = Problem.num_clients p and k = Problem.num_servers p in
   let cap = match Problem.capacity p with None -> max_int | Some c -> c in
+  let m = Problem.latency p in
+  let clients = Problem.clients p and servers = Problem.servers p in
+  (* A join never lifts a load above n. *)
+  let dtab = Array.init (n + 1) (Delay.eval delay) in
   let load = Array.make k 0 in
+  let lb = Array.make k 0. in
   let pick c =
+    let q = clients.(c) in
+    Option.iter (fun index -> Landmark.lower_bounds index ~query:q lb) index;
     let best = ref (-1) and best_cost = ref infinity in
     for s = 0 to k - 1 do
-      if load.(s) < cap then begin
-        let cost = Problem.d_cs p c s +. Delay.eval delay (load.(s) + 1) in
+      let l = Array.unsafe_get load s in
+      if l < cap && Array.unsafe_get lb s < !best_cost then begin
+        let cost =
+          Matrix.unsafe_get m q (Array.unsafe_get servers s)
+          +. Array.unsafe_get dtab (l + 1)
+        in
         if cost < !best_cost then begin
           best_cost := cost;
           best := s
@@ -82,4 +58,4 @@ let assign_load ~delay p =
     load.(!best) <- load.(!best) + 1;
     !best
   in
-  Assignment.unsafe_of_array (Array.init (Problem.num_clients p) pick)
+  Assignment.unsafe_of_array (Array.init n pick)

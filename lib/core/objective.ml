@@ -1,9 +1,19 @@
-let eccentricities p a =
-  let ecc = Array.make (Problem.num_servers p) neg_infinity in
+(* Effective eccentricity l(s) + delay(load s) of every used server,
+   [neg_infinity] for unused ones. The delay term is constant over a
+   server's clients, so D_load decomposes through these exactly as D
+   does through plain eccentricities — and under [Delay.zero] they are
+   the plain ones. *)
+let eccentricities ?(delay = Delay.zero) p a =
+  let k = Problem.num_servers p in
+  let ecc = Array.make k neg_infinity and load = Array.make k 0 in
   for c = 0 to Problem.num_clients p - 1 do
     let s = Assignment.server_of a c in
     let d = Problem.d_cs p c s in
+    load.(s) <- load.(s) + 1;
     if d > ecc.(s) then ecc.(s) <- d
+  done;
+  for s = 0 to k - 1 do
+    if ecc.(s) > neg_infinity then ecc.(s) <- ecc.(s) +. Delay.eval delay load.(s)
   done;
   ecc
 
@@ -22,38 +32,8 @@ let eccentricities_with_witness p a =
   done;
   (ecc, witness)
 
-let max_interaction_path p a =
-  let ecc = eccentricities p a in
-  let k = Problem.num_servers p in
-  let best = ref neg_infinity in
-  for s1 = 0 to k - 1 do
-    if ecc.(s1) > neg_infinity then
-      for s2 = s1 to k - 1 do
-        if ecc.(s2) > neg_infinity then begin
-          let len = ecc.(s1) +. Problem.d_ss p s1 s2 +. ecc.(s2) in
-          if len > !best then best := len
-        end
-      done
-  done;
-  !best
-
-(* -- Load-aware objective: each hop pays d(c,s) + delay(load s) -------- *)
-
-(* Effective eccentricity: l(s) + delay(load s) for used servers,
-   [neg_infinity] (still "unused") otherwise. The load term is constant
-   over a server's clients, so D_load decomposes through [eff] exactly
-   as D does through [l]. *)
-let effective_eccentricities p ~delay a =
-  let ecc = eccentricities p a in
-  let load = Assignment.loads p a in
-  for s = 0 to Array.length ecc - 1 do
-    if ecc.(s) > neg_infinity then
-      ecc.(s) <- ecc.(s) +. Delay.eval delay load.(s)
-  done;
-  ecc
-
-let max_interaction_path_load p ~delay a =
-  let eff = effective_eccentricities p ~delay a in
+let max_interaction_path ?delay p a =
+  let eff = eccentricities ?delay p a in
   let k = Problem.num_servers p in
   let best = ref neg_infinity in
   for s1 = 0 to k - 1 do
@@ -67,7 +47,7 @@ let max_interaction_path_load p ~delay a =
   done;
   !best
 
-let naive_max_interaction_path_load p ~delay a =
+let naive_max_interaction_path ?(delay = Delay.zero) p a =
   let n = Problem.num_clients p in
   let load = Assignment.loads p a in
   let best = ref neg_infinity in
@@ -96,17 +76,6 @@ let naive_max_interaction_path_load p ~delay a =
 let path_length p a ci cj =
   let s1 = Assignment.server_of a ci and s2 = Assignment.server_of a cj in
   Problem.d_cs p ci s1 +. Problem.d_ss p s1 s2 +. Problem.d_cs p cj s2
-
-let naive_max_interaction_path p a =
-  let n = Problem.num_clients p in
-  let best = ref neg_infinity in
-  for ci = 0 to n - 1 do
-    for cj = ci to n - 1 do
-      let len = path_length p a ci cj in
-      if len > !best then best := len
-    done
-  done;
-  !best
 
 let longest_pair p a =
   if Problem.num_clients p = 0 then invalid_arg "Objective.longest_pair: no clients";

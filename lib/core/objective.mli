@@ -14,40 +14,33 @@
     client's round trip to itself), costing O(|C| + |S|²) instead of the
     naive O(|C|²). *)
 
-val eccentricities : Problem.t -> Assignment.t -> float array
-(** Per-server eccentricity [l(s)]; [neg_infinity] for servers with no
-    assigned clients. O(|C| + |S|). *)
+val eccentricities : ?delay:Delay.t -> Problem.t -> Assignment.t -> float array
+(** Per-server eccentricity [l(s)], plus [delay(load s)] under a delay
+    model (the {e effective} eccentricity); [neg_infinity] for servers
+    with no assigned clients. The load term is constant over a server's
+    clients, so [D_load] decomposes through this array exactly as [D]
+    does. [delay] defaults to {!Delay.zero}, which gives the plain
+    [l(s)]. O(|C| + |S|). *)
 
-val max_interaction_path : Problem.t -> Assignment.t -> float
+val max_interaction_path : ?delay:Delay.t -> Problem.t -> Assignment.t -> float
 (** [D(A)], the maximum interaction-path length over all client pairs —
     including a client paired with itself (round trip). [neg_infinity]
-    for instances with no clients. O(|C| + |S|²). *)
+    for instances with no clients. O(|C| + |S|²).
 
-val naive_max_interaction_path : Problem.t -> Assignment.t -> float
-(** Direct O(|C|²) evaluation of the same quantity, kept as a correctness
-    oracle and as the ablation baseline for the [objective] bench. *)
-
-val effective_eccentricities :
-  Problem.t -> delay:Delay.t -> Assignment.t -> float array
-(** Per-server {e effective} eccentricity [l(s) + delay(load s)];
-    [neg_infinity] for servers with no assigned clients. The load term
-    is constant over a server's clients, so [D_load] decomposes through
-    this array exactly as [D] does through {!eccentricities}. *)
-
-val max_interaction_path_load :
-  Problem.t -> delay:Delay.t -> Assignment.t -> float
-(** [D_load(A)]: the maximum over client pairs of the interaction path
-    where each hop additionally pays the server's load-dependent delay —
+    Under a [delay] model each hop additionally pays its server's
+    load-dependent delay, giving [D_load(A)]: the maximum over client
+    pairs of
     [d(ci,s1) + delay(load s1) + d(s1,s2) + delay(load s2) + d(cj,s2)].
-    Because every delay is [>= 0], [D_load(A) >= D(A)] pointwise, with
-    bit-exact equality under [Delay.Constant 0.]. [neg_infinity] for
-    instances with no clients. O(|C| + |S|²). *)
+    Every delay is [>= 0], so [D_load(A) >= D(A)] pointwise. The default
+    {!Delay.zero} adds exact zeros, so this {e is} [D(A)] bit for
+    bit. *)
 
-val naive_max_interaction_path_load :
-  Problem.t -> delay:Delay.t -> Assignment.t -> float
-(** Direct O(|C|²) evaluation of [D_load(A)] — the correctness oracle
-    for the decomposed evaluator (bit-identical: both group each pair
-    as [(d1 + delay1) + d_ss + (d2 + delay2)]). *)
+val naive_max_interaction_path :
+  ?delay:Delay.t -> Problem.t -> Assignment.t -> float
+(** Direct O(|C|²) evaluation of the same quantity — the correctness
+    oracle for the decomposed evaluator (bit-identical: both group each
+    pair as [(d1 + delay1) + d_ss + (d2 + delay2)], smaller server index
+    first) and the ablation baseline for the [objective] bench. *)
 
 val path_length : Problem.t -> Assignment.t -> int -> int -> float
 (** Interaction-path length between two client indices (equal indices give

@@ -57,13 +57,13 @@ let run ?(dataset = Config.Meridian_like) ?(profile = Config.default)
         let lb = Lower_bound.compute p in
         let lb_load = lb +. (2. *. Delay.eval delay 1) in
         let blind = Greedy.assign p in
-        let aware = Greedy.assign_load ~delay p in
+        let aware = Greedy.assign ~delay p in
         {
           utilization;
           clients = n;
           d_blind = Objective.max_interaction_path p blind;
-          d_load_blind = Objective.max_interaction_path_load p ~delay blind;
-          d_load_aware = Objective.max_interaction_path_load p ~delay aware;
+          d_load_blind = Objective.max_interaction_path ~delay p blind;
+          d_load_aware = Objective.max_interaction_path ~delay p aware;
           lb;
           lb_load;
         })

@@ -99,8 +99,10 @@ val load_dominates :
 
 val load_zero_identity :
   label:string -> Dia_core.Problem.t -> Dia_core.Assignment.t -> check
-(** Under [Constant 0.] the delay terms are exact float zeros —
-    [D_load] must equal [D] bit for bit. *)
+(** The objective under its default {!Dia_core.Delay.zero} adds exact
+    float zeros, so it must equal the length of
+    {!Dia_core.Objective.longest_pair} — a scan over the raw
+    eccentricities, with no delay term — bit for bit. *)
 
 val load_fast_naive_agree :
   delay:Dia_core.Delay.t ->

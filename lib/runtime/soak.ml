@@ -254,6 +254,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
     match disk with Some d -> d | None -> Disk.create scenario.fault
   in
   let dg = digest scenario config in
+  let delay = Option.value scenario.delay ~default:Dia_core.Delay.zero in
   let matrix =
     Dia_latency.Synthetic.internet_like ~seed:scenario.seed scenario.nodes
   in
@@ -265,7 +266,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
   let session, sessions, admission, slo, start_cursor =
     match resume_from with
     | None ->
-        ( Dynamic.create ?capacity:scenario.capacity ?delay:scenario.delay matrix
+        ( Dynamic.create ?capacity:scenario.capacity ~delay matrix
             ~servers:server_nodes,
           Hashtbl.create 256,
           Admission.create ~max_queue:config.max_queue,
@@ -281,7 +282,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
              decoded checkpoint: restore it with Recovery.restore)";
         let session =
           Dynamic.restore ?capacity:st.Checkpoint.capacity
-            ?delay:scenario.delay ~standbys:st.Checkpoint.standbys matrix
+            ~delay ~standbys:st.Checkpoint.standbys matrix
             ~servers:server_nodes ~members:st.Checkpoint.members
             ~next_id:st.Checkpoint.next_id ~failed:st.Checkpoint.failed
             ~drift:st.Checkpoint.drift ~stats:st.Checkpoint.session_stats
@@ -409,23 +410,16 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
         in
         Some (p, live)
   in
-  (* With a delay model the control plane watches the load-aware pair —
-     D_load(A) against LB_load — the same objective the session's
-     placement scans minimise; without one, everything below reduces to
-     the historical D/LB and is byte-identical to earlier versions. *)
+  (* The control plane watches the session's objective against its
+     bound — D_load(A) against LB_load under a delay model, the paper's
+     D/LB without one — the same objective the session's placement
+     scans minimise. Only the transition tag names which. *)
   let objective_name =
     match scenario.delay with None -> "d" | Some _ -> "d_load"
   in
-  let objective_now () =
-    match scenario.delay with
-    | None -> Dynamic.objective session
-    | Some _ -> Dynamic.objective_load session
-  in
+  let objective_now () = Dynamic.objective session in
   let resolve_now p =
-    match scenario.delay with
-    | None -> Objective.max_interaction_path p (Greedy.assign p)
-    | Some delay ->
-        Objective.max_interaction_path_load p ~delay (Greedy.assign_load ~delay p)
+    Objective.max_interaction_path ~delay p (Greedy.assign ~delay p)
   in
   let recompute_lb now =
     c.events_since_lb <- 0;
@@ -437,11 +431,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
        next refresh (0.44 ms, against 9.6 ms for the unpruned pair loop
        it replaced, at m ≈ 210 and |S| = 20). *)
     if Dynamic.num_clients session = 0 then lb := nan
-    else
-      lb :=
-        (match scenario.delay with
-        | None -> Dynamic.lower_bound session
-        | Some _ -> Dynamic.lower_bound_load session);
+    else lb := Dynamic.lower_bound session;
     let obj = objective_now () in
     let ratio = if !lb > 0. && Float.is_finite obj then obj /. !lb else nan in
     trace_points := (now, obj, ratio) :: !trace_points;
@@ -467,14 +457,19 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
      plan strictly improves D, fits the remaining epoch budget and has a
      capacity-feasible move order. Simulating the protocol's messages
      under the scenario's network faults would only add time: its
-     reliable transport masks the loss. *)
+     reliable transport masks the loss. The plan is the paper's, so it is
+     judged on the network D, also under a delay model. *)
+  let network_objective () =
+    let p, a = Dynamic.snapshot session in
+    Objective.max_interaction_path p a
+  in
   let protocol_epoch now epoch_moves =
     match survivor_problem () with
     | None -> ()
     | Some (p, live) ->
         let res = Distributed_greedy.run p in
         c.protocol_epochs <- c.protocol_epochs + 1;
-        let before = Dynamic.objective session in
+        let before = network_objective () in
         let plan_objective =
           let t = res.Distributed_greedy.trace in
           t.(Array.length t - 1)
@@ -531,7 +526,12 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
         in
         log_event now
           (Event_log.Protocol_repair
-             { moves = n_moves; applied; before; after = Dynamic.objective session })
+             {
+               moves = n_moves;
+               applied;
+               before;
+               after = (if applied then network_objective () else before);
+             })
   in
   let repair now to_ =
     let epoch_moves = ref 0 in

@@ -79,8 +79,10 @@ type scenario = {
           [D_load / LB_load], and every [Transition] log entry records
           ["d_load"] as its driving objective. Requires classic mode
           ([coreset_eps = None] — coreset buckets hide the true
-          per-server load). [None] keeps the run byte-identical to
-          earlier versions. *)
+          per-server load). [None] runs the session under
+          {!Dia_core.Delay.zero}, the paper's network objective, and
+          tags transitions ["d"]; the protocol-repair epoch judges its
+          plan on the network [D] either way. *)
 }
 
 val default_scenario : scenario

@@ -85,13 +85,6 @@ let journal_torn ~op ~at =
   check_offset "journal_torn" at;
   [ Journal_torn { op; at } ]
 
-let is_disk_rule = function
-  | Torn _ | Flip _ | Fsync_loss _ | Rename_crash _ | Journal_torn _ -> true
-  | Loss _ | Dup _ | Spike _ | Partition _ | Crash _ -> false
-
-let disk_rules plan = List.filter is_disk_rule plan
-let network_rules plan = List.filter (fun r -> not (is_disk_rule r)) plan
-
 type disk_rule =
   | Torn_write of { op : int; at : int }
   | Bit_flip of { op : int; at : int }

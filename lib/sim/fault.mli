@@ -105,13 +105,6 @@ val journal_torn : op:int -> at:int -> plan
 
     @raise Invalid_argument if [op < 1] or [at < 0]. *)
 
-val disk_rules : plan -> plan
-(** Just the storage rules of a plan, in order. *)
-
-val network_rules : plan -> plan
-(** The plan with every storage rule removed — what the message plane
-    (and any "is the network faulty at all?" test) should consult. *)
-
 (** The storage rules of a plan as concrete data — read by the runtime's
     write-path injector the way {!crash_schedule} is read by membership
     supervisors. *)

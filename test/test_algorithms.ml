@@ -252,11 +252,11 @@ let test_greedy_near_optimal_on_random_instances () =
     (Printf.sprintf "worst greedy/optimal ratio %.3f below 1.6" !worst)
     true (!worst < 1.6)
 
-(* Plain greedy runs against [Greedy.assign_reference] on every
-   instance. A drawn delay model also runs load-aware greedy against the
-   oracle's re-sorting reference — constant, linear, unsaturated M/M/1
-   and M/M/1 with mu below the population, so saturation drives the
-   choice. *)
+(* Greedy under its default zero-delay model runs against
+   [Greedy.assign_reference] on every instance. A drawn delay model also
+   runs Greedy under that model against the oracle's re-sorting
+   reference — constant, linear, unsaturated M/M/1 and M/M/1 with mu
+   below the population, so saturation drives the choice. *)
 let reference_delay ~n = function
   | 0 -> None
   | 1 -> Some (Dia_core.Delay.Constant 3.)
@@ -279,7 +279,7 @@ let prop_greedy_matches_reference =
       match reference_delay ~n delay with
       | None -> true
       | Some delay ->
-          Assignment.equal (Greedy.assign_load ~delay p)
+          Assignment.equal (Greedy.assign ~delay p)
             (Dia_oracle.Reference.greedy_load ~delay p))
 
 let test_key_roundtrip () =

@@ -693,12 +693,6 @@ let test_disk_dsl_roundtrip () =
     (Fault.to_string (plan spec));
   Alcotest.(check int) "all five schedule" 5
     (List.length (Fault.disk_schedule (plan spec)));
-  (* splitting a mixed plan: disk rules never leak into the network view *)
-  let mixed = plan "loss:0.1+crash:1@20~45+torn:2@100" in
-  Alcotest.(check bool) "network view drops disk atoms" true
-    (Fault.equal (Fault.network_rules mixed) (plan "loss:0.1+crash:1@20~45"));
-  Alcotest.(check bool) "disk view keeps only disk atoms" true
-    (Fault.equal (Fault.disk_rules mixed) (plan "torn:2@100"));
   match Fault.of_string "torn:0@5" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "op 0 accepted"
@@ -736,7 +730,7 @@ let suite =
     Alcotest.test_case "kill past the end still matches" `Quick
       test_verify_recovery_kill_past_end;
     QCheck_alcotest.to_alcotest prop_boundary_free_recovery_bit_identical;
-    Alcotest.test_case "disk-fault DSL round-trips and splits" `Quick
+    Alcotest.test_case "disk-fault DSL round-trips and schedules" `Quick
       test_disk_dsl_roundtrip;
     Alcotest.test_case "journal treats hostile lengths as a torn tail" `Quick
       test_journal_hostile_lengths;

@@ -288,13 +288,13 @@ let prop_random_operation_sequences_stay_consistent =
       end)
 
 let prop_load_objective_bit_identical_to_scratch =
-  (* The incremental D_load/LB_load cache: after every operation of a
-     random join/leave/move/fail/promote/recover/drift/rebalance
-     sequence, the cached load-aware objective and bound must be
-     bit-identical (=, not within epsilon) to a from-scratch recompute
-     over the member table; a restore round-trip must reproduce both;
-     and under [Constant 0.] the load-aware objective must collapse to
-     the plain one bit-for-bit. *)
+  (* The incremental objective and bound of a session with a delay
+     model (D_load/LB_load): after every operation of a random
+     join/leave/move/fail/promote/recover/drift/rebalance sequence, the
+     cached values must be bit-identical (=, not within epsilon) to a
+     from-scratch recompute over the member table; a restore round-trip
+     must reproduce both; and under [Constant 0.] the objective must be
+     the network D of the offline evaluator bit-for-bit. *)
   let delay_of = function
     | 0 -> Dia_core.Delay.Constant 0.
     | 1 -> Dia_core.Delay.Constant 2.
@@ -315,9 +315,12 @@ let prop_load_objective_bit_identical_to_scratch =
       let live = ref [] in
       let failed = ref [] in
       let consistent () =
-        Dynamic.objective_load t = Dynamic.objective_load_scratch t
-        && Dynamic.lower_bound_load t = Dynamic.lower_bound_load_scratch t
-        && (model <> 0 || Dynamic.objective_load t = Dynamic.objective t)
+        Dynamic.objective t = Dynamic.objective_scratch t
+        && Dynamic.lower_bound t = Dynamic.lower_bound_scratch t
+        && (model <> 0 || Dynamic.num_clients t = 0
+           ||
+           let p, a = Dynamic.snapshot t in
+           Dynamic.objective t = Objective.max_interaction_path p a)
       in
       let ok = ref true in
       for _ = 1 to steps do
@@ -398,8 +401,8 @@ let prop_load_objective_bit_identical_to_scratch =
           ~failed:(Dynamic.failed_servers t) ~drift ~stats:(Dynamic.stats t)
       in
       !ok
-      && Dynamic.objective_load t' = Dynamic.objective_load t
-      && Dynamic.lower_bound_load t' = Dynamic.lower_bound_load t)
+      && Dynamic.objective t' = Dynamic.objective t
+      && Dynamic.lower_bound t' = Dynamic.lower_bound t)
 
 let test_rebalance_zero_budget_noop () =
   let t = fresh () in
@@ -672,6 +675,49 @@ let test_lower_bound_empty_and_refilled () =
   check_kernel_bound "refilled" t;
   check_kernel_bound "restored" (restore_of ~servers t)
 
+(* Placement under the default zero-delay model, pinned: 40 seeded
+   join/leave/rebalance sequences (capacitated one time in three), the
+   membership after every step folded into one digest. The constant was
+   recorded with the session before the load-aware and network code
+   paths were folded into one, so it holds that fold to the paper's
+   network placement rule bit for bit — including the joins that land
+   on a server without raising its eccentricity, where re-measuring the
+   server's own pairs in the other orientation can move a tie by an
+   ulp. *)
+let test_zero_delay_placements_pinned () =
+  let sequence ~seed =
+    let nodes = 30 + (seed mod 50) and k = 2 + (seed mod 7) in
+    let capacity = if seed mod 3 = 0 then Some (5 + (seed mod 10)) else None in
+    let m = Synthetic.internet_like ~seed nodes in
+    let servers = Dia_placement.Placement.random ~seed ~k ~n:nodes in
+    let t = Dynamic.create ?capacity m ~servers in
+    let rng = Random.State.make [| seed |] in
+    let live = ref [] in
+    let trace = Buffer.create 1000 in
+    for _ = 1 to 300 do
+      (match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 -> (
+          try live := Dynamic.join t ~node:(Random.State.int rng nodes) :: !live
+          with Failure _ -> ())
+      | 5 | 6 | 7 -> (
+          match !live with
+          | [] -> ()
+          | l ->
+              let id = List.nth l (Random.State.int rng (List.length l)) in
+              Dynamic.leave t id;
+              live := List.filter (( <> ) id) l)
+      | _ -> ignore (Dynamic.rebalance ~max_moves:4 t));
+      List.iter
+        (fun (id, n, s) -> Buffer.add_string trace (Printf.sprintf "%d:%d:%d " id n s))
+        (Dynamic.members t);
+      Buffer.add_char trace '\n'
+    done;
+    Digest.string (Buffer.contents trace)
+  in
+  let all = String.concat "" (List.init 40 (fun seed -> sequence ~seed)) in
+  Alcotest.(check string) "membership digest" "198b7de93d992038614c5c8270e63c3b"
+    (Digest.to_hex (Digest.string all))
+
 let suite =
   [
     Alcotest.test_case "empty session" `Quick test_empty_session;
@@ -711,6 +757,8 @@ let suite =
     Alcotest.test_case "server recovery" `Quick test_recover_server;
     QCheck_alcotest.to_alcotest prop_random_operation_sequences_stay_consistent;
     QCheck_alcotest.to_alcotest prop_load_objective_bit_identical_to_scratch;
+    Alcotest.test_case "zero-delay placements match pinned digests" `Quick
+      test_zero_delay_placements_pinned;
     QCheck_alcotest.to_alcotest prop_lower_bound_is_kernel;
     Alcotest.test_case "LB kernel with one live server" `Quick
       test_lower_bound_one_live_server;

@@ -90,8 +90,15 @@ let prop_landmark_nearest_exact =
         let s = Problem.nearest_server p c in
         if i <> s || d <> Problem.d_cs p c s then ok := false
       done;
-      (* The indexed assignment path must agree too. *)
-      !ok && Assignment.equal (Nearest.assign p) (Nearest.assign ~index p))
+      (* The indexed assignment path must agree too, also under a
+         capacity and a load-dependent delay, where the index prunes
+         the marginal-cost scan. *)
+      let capped = Problem.with_capacity p (Some ((n + k - 1) / k)) in
+      let delay = Dia_core.Delay.Queueing { mu = float_of_int (n / k + 1) } in
+      !ok
+      && Assignment.equal (Nearest.assign p) (Nearest.assign ~index p)
+      && Assignment.equal (Nearest.assign ~delay capped)
+           (Nearest.assign ~delay ~index capped))
 
 let prop_landmark_bounds_valid =
   QCheck.Test.make ~name:"landmark lower bounds never exceed the distance"
