@@ -65,6 +65,7 @@ let () =
       ("coreset", Test_coreset.suite);
       ("substrate", Test_substrate.suite);
       ("golden", Test_golden.suite);
+      ("fig7-golden", Test_fig7_golden.suite);
       ("soak-golden", Test_soak_golden.suite);
     ]
   in
