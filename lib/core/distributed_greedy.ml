@@ -12,24 +12,54 @@ type result = {
   stats : stats;
 }
 
+(* The server-server block as a flat snapshot, and for each row [s1]
+   the largest [d(s1, s2)] over [s2 >= s1]: fixed for a run, so built
+   once per run. *)
+type pairs = { ss : float array; rowmax : float array }
+
+let pairs p =
+  let k = Problem.num_servers p in
+  let ss = Problem.ss_table p in
+  let rowmax =
+    Array.init k (fun s1 ->
+        let best = ref neg_infinity in
+        for s2 = s1 to k - 1 do
+          best := Float.max !best ss.((s1 * k) + s2)
+        done;
+        !best)
+  in
+  { ss; rowmax }
+
 (* Clients lying on some longest interaction path: clients that realise
    their server's eccentricity [ecc], for a server on a longest pair of
    effective eccentricities [eff] ([ecc] itself for the paper's D). The
    delay term is shared by all of a server's clients, so the witness
-   filter stays on the raw eccentricity. *)
-let longest_path_clients p assignment ~ecc ~eff d =
+   filter stays on the raw eccentricity.
+
+   A row [s1] is skipped when [(eff s1 + rowmax s1) + maxeff] falls
+   short of the threshold. Every pair of the row computes
+   [(eff s1 + d(s1, s2)) + eff s2] with [d(s1, s2) <= rowmax s1] and
+   [eff s2 <= maxeff]; float addition rounds monotonically, so with
+   the same grouping the bound is >= each pair's computed sum, and a
+   skipped row holds no qualifying pair. *)
+let longest_path_clients p { ss; rowmax } assignment ~ecc ~eff d =
   let k = Problem.num_servers p in
+  let threshold = d -. 1e-9 in
+  let maxeff = Array.fold_left Float.max neg_infinity eff in
   let on_longest = Array.make k false in
   for s1 = 0 to k - 1 do
-    if eff.(s1) > neg_infinity then
+    let e1 = eff.(s1) in
+    if e1 > neg_infinity && e1 +. rowmax.(s1) +. maxeff >= threshold then begin
+      let row = s1 * k in
       for s2 = s1 to k - 1 do
-        if eff.(s2) > neg_infinity
-           && eff.(s1) +. Problem.d_ss p s1 s2 +. eff.(s2) >= d -. 1e-9
+        let e2 = Array.unsafe_get eff s2 in
+        if e2 > neg_infinity && e1 +. Array.unsafe_get ss (row + s2) +. e2 >= threshold
         then begin
           on_longest.(s1) <- true;
           on_longest.(s2) <- true
         end
       done
+    end
   done;
   let candidates = ref [] in
   Array.iteri
@@ -90,10 +120,11 @@ let run ?initial p =
   let broadcasts = ref k and probes = ref (Array.length assignment) in
   let examined = ref 0 in
   let trace = ref [ Ecc.objective p ecc ] in
+  let pairs = pairs p in
   let continue = ref true in
   while !continue do
     let d = List.hd !trace in
-    let candidates = longest_path_clients p assignment ~ecc ~eff:ecc d in
+    let candidates = longest_path_clients p pairs assignment ~ecc ~eff:ecc d in
     let moved = ref false in
     let rec try_candidates = function
       | [] -> ()
@@ -114,7 +145,7 @@ let run ?initial p =
           let best_target = ref (-1) and best_l = ref infinity in
           for s' = 0 to k - 1 do
             if s' <> old_s && load.(s') < capacity then begin
-              let longest = Ecc.attach p ecc' ~client:c ~server:s' in
+              let longest = Ecc.attach ~bound:!best_l p ecc' ~client:c ~server:s' in
               if longest < !best_l then begin
                 best_l := longest;
                 best_target := s'
@@ -168,11 +199,12 @@ let run_load ?initial ~delay p =
   let broadcasts = ref k and probes = ref (Array.length assignment) in
   let examined = ref 0 in
   let trace = ref [ Ecc.objective p (Ecc.effective ~delay ecc ~load) ] in
+  let pairs = pairs p in
   let continue = ref true in
   while !continue do
     let d = List.hd !trace in
     let candidates =
-      longest_path_clients p assignment ~ecc ~eff:(Ecc.effective ~delay ecc ~load) d
+      longest_path_clients p pairs assignment ~ecc ~eff:(Ecc.effective ~delay ecc ~load) d
     in
     let moved = ref false in
     let rec try_candidates = function

@@ -60,17 +60,23 @@ let excluding p assignment ~server ~client =
     assignment;
   !worst
 
-let attach p ecc ~client ~server =
+let attach ?(bound = infinity) p ecc ~client ~server =
   let m = Problem.latency p in
   let servers = Problem.servers p in
+  let k = Problem.num_servers p in
   let snode = servers.(server) in
   let d = Matrix.unsafe_get m (Problem.clients p).(client) snode in
   let worst = ref (2. *. d) in
-  for s'' = 0 to Problem.num_servers p - 1 do
-    let e = ecc.(s'') in
+  (* Once [worst] reaches [bound] the caller has its answer: the full
+     max is at least [worst]. Under the default [infinity] the exit
+     only fires at an infinite [worst], which no later term exceeds. *)
+  let s'' = ref 0 in
+  while !s'' < k && !worst < bound do
+    let e = ecc.(!s'') in
     if e > neg_infinity then begin
-      let len = d +. Matrix.unsafe_get m snode (Array.unsafe_get servers s'') +. e in
+      let len = d +. Matrix.unsafe_get m snode (Array.unsafe_get servers !s'') +. e in
       if len > !worst then worst := len
-    end
+    end;
+    incr s''
   done;
   !worst

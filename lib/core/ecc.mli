@@ -30,8 +30,15 @@ val effective : delay:Delay.t -> float array -> load:int array -> float array
 val excluding : Problem.t -> int array -> server:int -> client:int -> float
 (** Eccentricity of [server] if [client] were removed from it. O(|C|). *)
 
-val attach : Problem.t -> float array -> client:int -> server:int -> float
+val attach :
+  ?bound:float -> Problem.t -> float array -> client:int -> server:int -> float
 (** Longest interaction path involving [client] if it were attached to
     [server], given the other assignments' eccentricities: the maximum of
     its round trip [2 d(c, s)] and [d(c, s) + d(s, s'') + l(s'')] over
-    used servers [s'']. O(|S|). *)
+    used servers [s''], visited in index order. O(|S|).
+
+    [bound] (default [infinity]) lets a caller that only needs to know
+    whether the path beats [bound] stop early: the scan ends as soon as
+    the running maximum reaches [bound], and the result is then some
+    value [>= bound] instead of the exact maximum. A result below
+    [bound] is always exact. The default never changes the result. *)

@@ -7,15 +7,6 @@
    larger Δn (bigger batch for the same amortised cost), then by server
    and client index for determinism. *)
 
-type candidate = { cost_num : float; cost_den : int; len : float; c : int; s : int }
-
-let better a b =
-  let cross = Float.compare (a.cost_num *. float_of_int b.cost_den)
-      (b.cost_num *. float_of_int a.cost_den) in
-  if cross <> 0 then cross < 0
-  else if a.cost_den <> b.cost_den then a.cost_den > b.cost_den
-  else (a.s, a.c) < (b.s, b.c)
-
 (* Per-server live lists: every client in Ls order (distance to s
    ascending, ties by client index) from the server-major snapshot. *)
 let live_lists dsc ~n ~k =
@@ -56,7 +47,7 @@ let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
    is monotone in load, stale s-pairs in the running maximum are
    dominated by the new terms, so
    [len = max(cur_max, 2·new_eff, new_eff + m')] is exactly the
-   resulting D_load. Candidates are compared as in [assign_reference]:
+   resulting D_load. Candidates are compared as the file header says:
    cross-product Δl/Δn, ties by larger Δn then (s, c).
 
    Flat server-major snapshots ([dsc.(s * n + c) = d_cs p c s]) keep
@@ -66,8 +57,8 @@ let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
    — the Δn of candidate (s, c) — is then c's position + 1, a batch is
    a prefix (so Δn = 1 stays feasible on an unsaturated server even
    under massive distance ties), and both the candidate scan and the
-   commit walk only live entries. [better] is a strict total order, so
-   the winner does not depend on enumeration order. [dtab.(l)] holds
+   commit walk only live entries. That comparison is a strict total
+   order, so the winner does not depend on enumeration order. [dtab.(l)] holds
    [Delay.eval delay l] for every reachable load (load s + Δn never
    exceeds n), [eff] is refreshed only for the server a commit changes,
    and the best candidate lives in scalars, so the inner loop allocates
@@ -162,75 +153,4 @@ let assign ?(delay = Delay.zero) p =
       compact unass ulen result
     done
   end;
-  Assignment.unsafe_of_array result
-
-let assign_reference p =
-  let n = Problem.num_clients p in
-  let k = Problem.num_servers p in
-  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
-  let result = Array.make n (-1) in
-  let ecc = Array.make k neg_infinity in
-  let load = Array.make k 0 in
-  let max_len = ref 0. in
-  let remaining = ref n in
-  (* Δn by direct scan: unassigned clients no farther from s than c. *)
-  let batch_size s c =
-    let d = Problem.d_cs p c s in
-    let count = ref 0 in
-    for c' = 0 to n - 1 do
-      if result.(c') < 0 && Problem.d_cs p c' s <= d then incr count
-    done;
-    !count
-  in
-  while !remaining > 0 do
-    let best = ref None in
-    for s = 0 to k - 1 do
-      if load.(s) < capacity then begin
-        let m = ref neg_infinity in
-        for s' = 0 to k - 1 do
-          if ecc.(s') > neg_infinity then
-            m := Float.max !m (Problem.d_ss p s s' +. ecc.(s'))
-        done;
-        let room = capacity - load.(s) in
-        for c = 0 to n - 1 do
-          if result.(c) < 0 then begin
-            let delta_n = batch_size s c in
-            if delta_n <= room then begin
-              let d = Problem.d_cs p c s in
-              let len = Float.max (2. *. d) (Float.max (d +. !m) !max_len) in
-              let cand =
-                { cost_num = len -. !max_len; cost_den = delta_n; len; c; s }
-              in
-              match !best with
-              | Some b when not (better cand b) -> ()
-              | _ -> best := Some cand
-            end
-          end
-        done
-      end
-    done;
-    let chosen = match !best with Some cand -> cand | None -> assert false in
-    let radius = Problem.d_cs p chosen.c chosen.s in
-    (* Commit the batch: the Δn closest unassigned clients (walk by
-       distance, ties by client index, mirroring the sorted-list walk). *)
-    let members =
-      List.init n Fun.id
-      |> List.filter (fun c -> result.(c) < 0 && Problem.d_cs p c chosen.s <= radius)
-      |> List.sort (fun a b ->
-             match
-               Float.compare (Problem.d_cs p a chosen.s) (Problem.d_cs p b chosen.s)
-             with
-             | 0 -> compare a b
-             | cmp -> cmp)
-      |> List.filteri (fun i _ -> i < chosen.cost_den)
-    in
-    List.iter
-      (fun c ->
-        result.(c) <- chosen.s;
-        load.(chosen.s) <- load.(chosen.s) + 1;
-        decr remaining;
-        ecc.(chosen.s) <- Float.max ecc.(chosen.s) (Problem.d_cs p c chosen.s))
-      members;
-    max_len := chosen.len
-  done;
   Assignment.unsafe_of_array result

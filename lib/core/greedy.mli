@@ -40,11 +40,3 @@ val assign : ?delay:Delay.t -> Problem.t -> Assignment.t
     O(|S||C| log |C|) for the initial sorts, then O(|S||C| + |S|²) per
     iteration. Bit-identical to the re-sorting reference the oracle
     keeps, under any delay model. *)
-
-val assign_reference : Problem.t -> Assignment.t
-(** Textbook implementation without the sorted-list/index bookkeeping:
-    every iteration recomputes Δn by scanning all unassigned clients per
-    candidate pair. Asymptotically O(|S||C|²) per iteration instead of
-    O(|S||C|); produces the same assignment on tie-free data (exact
-    distance ties may batch in a different order) — kept as a correctness
-    oracle and as the [greedy_impl] ablation baseline. *)

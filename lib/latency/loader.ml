@@ -68,15 +68,27 @@ let parse_matrix path =
     rows;
   { nodes = n; entries = Array.of_list rows }
 
+(* Ids are checked against the ceiling while the lines are parsed, so a
+   hostile id fails with its position before [max id + 1] can overflow
+   or size an allocation. *)
+let max_nodes = 65_536
+
 let parse_triples path =
   let triples =
     List.map
       (fun (line, text) ->
+        let id (col, token) =
+          match int_of_string_opt token with
+          | Some id when id >= max_nodes ->
+              fail_at ~line ~col "node id %d is not below the ceiling %d" id max_nodes
+          | Some id when id >= 0 -> id
+          | _ -> failwith (Printf.sprintf "Loader: line %d: bad triple line %S" line text)
+        in
         match fields text with
-        | [ (_, i); (_, j); rtt ] -> (
-            match (int_of_string_opt i, int_of_string_opt j, parse_cell ~line rtt) with
-            | Some i, Some j, rtt when i >= 0 && j >= 0 -> (i, j, rtt)
-            | _ -> failwith (Printf.sprintf "Loader: line %d: bad triple line %S" line text))
+        | [ i; j; rtt ] ->
+            let rtt = parse_cell ~line rtt in
+            let j = id j in
+            (id i, j, rtt)
         | _ ->
             failwith
               (Printf.sprintf "Loader: line %d: expected 'i j rtt', got %S" line text))

@@ -14,6 +14,7 @@ module Clock = Dia_core.Clock
 module Workload = Dia_sim.Workload
 module Dgreedy_protocol = Dia_sim.Dgreedy_protocol
 module Fault = Dia_sim.Fault
+module Kcenter = Dia_placement.Kcenter
 
 let algo_keys =
   [
@@ -173,6 +174,29 @@ let check_instance ~seed =
        Error
          (Printf.sprintf "%d further modifications from its own output"
             again_stats.Dg.modifications));
+  (* The early-exit kernels against the full scans they replaced:
+     Distributed-Greedy's bounded target and pair scans, and K-center-B
+     placement on the instance's matrix at its server count. *)
+  checked "dgreedy fast = reference"
+    (let r = Reference.distributed_greedy p in
+     if
+       Assignment.equal dg.Dg.assignment r.Dg.assignment
+       && dg.Dg.trace = r.Dg.trace && dg.Dg.stats = r.Dg.stats
+     then Ok ()
+     else
+       Error
+         (Printf.sprintf "D %.17g after %d modifications vs reference %.17g after %d"
+            (value "dgreedy") dg.Dg.stats.Dg.modifications
+            (Objective.max_interaction_path p r.Dg.assignment)
+            r.Dg.stats.Dg.modifications));
+  checked "kcenter-b fast = reference"
+    (let m = Problem.latency p and k = Problem.num_servers p in
+     let fast = Kcenter.greedy m ~k and reference = Reference.kcenter_greedy m ~k in
+     if fast = reference then Ok ()
+     else
+       Error
+         (Printf.sprintf "radius %.17g vs reference %.17g" (Kcenter.radius m fast)
+            (Kcenter.radius m reference)));
   (* Exact-optimum cross checks on brute-force-sized instances. *)
   let opt = if Gen.brute_sized d then Some (Brute_force.optimal_value p) else None in
   let greedy_monotonic =

@@ -18,6 +18,11 @@
     - Distributed-Greedy is a fixed point: re-running it from its own
       output commits zero modifications, and its trace is strictly
       decreasing;
+    - the early-exit kernels match the full scans they replaced:
+      Distributed-Greedy's assignment, trace and stats against
+      {!Reference.distributed_greedy}, and K-center-B's centers on the
+      instance's matrix at its server count against
+      {!Reference.kcenter_greedy};
     - on brute-force-sized instances ({!Gen.brute_sized}): nothing beats
       the exact optimum, [LB <= OPT], the 3-approximation bounds of
       Nearest-Server and LFB on metric uncapacitated instances, and

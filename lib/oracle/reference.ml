@@ -1,6 +1,9 @@
 module Problem = Dia_core.Problem
 module Assignment = Dia_core.Assignment
 module Delay = Dia_core.Delay
+module Ecc = Dia_core.Ecc
+module Dg = Dia_core.Distributed_greedy
+module Matrix = Dia_latency.Matrix
 
 type candidate = { cost_num : float; cost_den : int; len : float; c : int; s : int }
 
@@ -85,3 +88,198 @@ let greedy_load ~delay p =
     max_len := chosen.len
   done;
   Assignment.unsafe_of_array result
+
+let greedy p =
+  let n = Problem.num_clients p in
+  let k = Problem.num_servers p in
+  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
+  let result = Array.make n (-1) in
+  let ecc = Array.make k neg_infinity in
+  let load = Array.make k 0 in
+  let max_len = ref 0. in
+  let remaining = ref n in
+  (* Δn by direct scan: unassigned clients no farther from s than c. *)
+  let batch_size s c =
+    let d = Problem.d_cs p c s in
+    let count = ref 0 in
+    for c' = 0 to n - 1 do
+      if result.(c') < 0 && Problem.d_cs p c' s <= d then incr count
+    done;
+    !count
+  in
+  while !remaining > 0 do
+    let best = ref None in
+    for s = 0 to k - 1 do
+      if load.(s) < capacity then begin
+        let m = ref neg_infinity in
+        for s' = 0 to k - 1 do
+          if ecc.(s') > neg_infinity then
+            m := Float.max !m (Problem.d_ss p s s' +. ecc.(s'))
+        done;
+        let room = capacity - load.(s) in
+        for c = 0 to n - 1 do
+          if result.(c) < 0 then begin
+            let delta_n = batch_size s c in
+            if delta_n <= room then begin
+              let d = Problem.d_cs p c s in
+              let len = Float.max (2. *. d) (Float.max (d +. !m) !max_len) in
+              let cand =
+                { cost_num = len -. !max_len; cost_den = delta_n; len; c; s }
+              in
+              match !best with
+              | Some b when not (better cand b) -> ()
+              | _ -> best := Some cand
+            end
+          end
+        done
+      end
+    done;
+    let chosen = match !best with Some cand -> cand | None -> assert false in
+    let radius = Problem.d_cs p chosen.c chosen.s in
+    (* Commit the batch: the Δn closest unassigned clients (walk by
+       distance, ties by client index, mirroring the sorted-list walk). *)
+    let members =
+      List.init n Fun.id
+      |> List.filter (fun c -> result.(c) < 0 && Problem.d_cs p c chosen.s <= radius)
+      |> List.sort (fun a b ->
+             match
+               Float.compare (Problem.d_cs p a chosen.s) (Problem.d_cs p b chosen.s)
+             with
+             | 0 -> compare a b
+             | cmp -> cmp)
+      |> List.filteri (fun i _ -> i < chosen.cost_den)
+    in
+    List.iter
+      (fun c ->
+        result.(c) <- chosen.s;
+        load.(chosen.s) <- load.(chosen.s) + 1;
+        decr remaining;
+        ecc.(chosen.s) <- Float.max ecc.(chosen.s) (Problem.d_cs p c chosen.s))
+      members;
+    max_len := chosen.len
+  done;
+  Assignment.unsafe_of_array result
+
+let kcenter_greedy m ~k =
+  let n = Matrix.dim m in
+  if k < 0 || k > n then
+    invalid_arg (Printf.sprintf "Reference.kcenter_greedy: k = %d out of range [0, %d]" k n);
+  let chosen = Array.make n false in
+  let dist = Array.make n infinity in
+  let centers = ref [] in
+  for _ = 1 to k do
+    let best = ref (-1) and best_radius = ref infinity in
+    for cand = 0 to n - 1 do
+      if not chosen.(cand) then begin
+        let radius = ref 0. in
+        for v = 0 to n - 1 do
+          let d = Float.min dist.(v) (Matrix.get m cand v) in
+          if d > !radius then radius := d
+        done;
+        if !radius < !best_radius then begin
+          best_radius := !radius;
+          best := cand
+        end
+      end
+    done;
+    chosen.(!best) <- true;
+    centers := !best :: !centers;
+    for v = 0 to n - 1 do
+      dist.(v) <- Float.min dist.(v) (Matrix.get m !best v)
+    done
+  done;
+  let centers = Array.of_list !centers in
+  Array.sort compare centers;
+  centers
+
+let distributed_greedy p =
+  let k = Problem.num_servers p in
+  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
+  let start = Dia_core.Nearest.assign p in
+  let assignment = Assignment.to_array start in
+  let load = Array.make k 0 in
+  Array.iter (fun s -> load.(s) <- load.(s) + 1) assignment;
+  let ecc = Array.make k neg_infinity in
+  Array.iteri (fun c s -> ecc.(s) <- Float.max ecc.(s) (Problem.d_cs p c s)) assignment;
+  (* Every client realising its server's eccentricity, on a server that
+     lies on some pair within 1e-9 of the longest path. *)
+  let longest_path_clients d =
+    let on_longest = Array.make k false in
+    for s1 = 0 to k - 1 do
+      for s2 = s1 to k - 1 do
+        if ecc.(s1) > neg_infinity && ecc.(s2) > neg_infinity
+           && ecc.(s1) +. Problem.d_ss p s1 s2 +. ecc.(s2) >= d -. 1e-9
+        then begin
+          on_longest.(s1) <- true;
+          on_longest.(s2) <- true
+        end
+      done
+    done;
+    List.filter
+      (fun c ->
+        let s = assignment.(c) in
+        on_longest.(s) && Problem.d_cs p c s >= ecc.(s) -. 1e-9)
+      (List.init (Array.length assignment) Fun.id)
+  in
+  let broadcasts = ref k and probes = ref (Array.length assignment) in
+  let examined = ref 0 in
+  let trace = ref [ Ecc.objective p ecc ] in
+  let moved = ref true in
+  while !moved do
+    moved := false;
+    let d = List.hd !trace in
+    let rec try_candidates = function
+      | [] -> ()
+      | c :: rest ->
+          incr examined;
+          let old_s = assignment.(c) in
+          incr broadcasts;
+          probes := !probes + (k - 1);
+          broadcasts := !broadcasts + (k - 1);
+          let ecc' = Array.copy ecc in
+          ecc'.(old_s) <- Ecc.excluding p assignment ~server:old_s ~client:c;
+          let best_target = ref (-1) and best_l = ref infinity in
+          for s' = 0 to k - 1 do
+            if s' <> old_s && load.(s') < capacity then begin
+              let longest = Ecc.attach p ecc' ~client:c ~server:s' in
+              if longest < !best_l then begin
+                best_l := longest;
+                best_target := s'
+              end
+            end
+          done;
+          let committed =
+            !best_target >= 0
+            && !best_l < d -. 1e-12
+            &&
+            let s' = !best_target in
+            let new_ecc = Array.copy ecc' in
+            new_ecc.(s') <- Float.max new_ecc.(s') (Problem.d_cs p c s');
+            let d' = Ecc.objective p new_ecc in
+            d' < d -. 1e-12
+            && begin
+                 assignment.(c) <- s';
+                 load.(old_s) <- load.(old_s) - 1;
+                 load.(s') <- load.(s') + 1;
+                 Array.blit new_ecc 0 ecc 0 k;
+                 incr broadcasts;
+                 trace := d' :: !trace;
+                 true
+               end
+          in
+          if committed then moved := true else try_candidates rest
+    in
+    try_candidates (longest_path_clients d)
+  done;
+  {
+    Dg.assignment = Assignment.unsafe_of_array assignment;
+    initial = start;
+    trace = Array.of_list (List.rev !trace);
+    stats =
+      {
+        Dg.modifications = List.length !trace - 1;
+        examined = !examined;
+        broadcasts = !broadcasts;
+        probes = !probes;
+      };
+  }

@@ -59,28 +59,98 @@ let two_approx ?(seed = 0) ?pool m ~k =
     centers
   end
 
-let greedy ?pool m ~k =
+(* Nodes in decreasing [dist] order, produced lazily: [order.(0 ..
+   sorted - 1)] is the prefix handed out so far (ties in any order), the
+   rest wait in a binary max-heap on [dist]. A step pays O(n) to
+   heapify and O(log n) per position a radius scan reaches — a few dozen
+   positions, where a full sort cost more than the whole scan. *)
+type by_dist = {
+  dist : float array;
+  heap : int array;
+  order : int array;
+  mutable size : int;
+  mutable sorted : int;
+}
+
+let sift_down h i =
+  let dist = h.dist and heap = h.heap in
+  let rec go i =
+    let l = (2 * i) + 1 in
+    if l < h.size then begin
+      let c =
+        if l + 1 < h.size && dist.(heap.(l + 1)) > dist.(heap.(l)) then l + 1 else l
+      in
+      if dist.(heap.(c)) > dist.(heap.(i)) then begin
+        let t = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- t;
+        go c
+      end
+    end
+  in
+  go i
+
+let reset h =
+  let n = Array.length h.dist in
+  for v = 0 to n - 1 do
+    h.heap.(v) <- v
+  done;
+  h.size <- n;
+  h.sorted <- 0;
+  for i = (n / 2) - 1 downto 0 do
+    sift_down h i
+  done
+
+let extend h i =
+  while h.sorted <= i do
+    h.order.(h.sorted) <- h.heap.(0);
+    h.sorted <- h.sorted + 1;
+    h.size <- h.size - 1;
+    h.heap.(0) <- h.heap.(h.size);
+    sift_down h 0
+  done;
+  h.order.(i)
+
+(* The node at position [i < n] of the decreasing-[dist] order. *)
+let[@inline] nth h i = if i < h.sorted then Array.unsafe_get h.order i else extend h i
+
+let greedy m ~k =
   check_k m k;
   let n = Matrix.dim m in
   let chosen = Array.make n false in
   let dist = Array.make n infinity in
+  let h = { dist; heap = Array.make n 0; order = Array.make n 0; size = 0; sorted = 0 } in
   let centers = ref [] in
   (* The candidate minimising the resulting radius max_v min(dist v,
-     d(v, candidate)), lowest index on ties. The candidate scan is the
-     O(n²) hot loop; chunk bests are combined left to right with a
-     strict [<], which reproduces the sequential tie-break exactly. *)
-  let scan_candidates ~lo ~hi =
+     d(v, candidate)), lowest index on ties. Candidates are scanned in
+     index order with a strict [<]; each radius walks the nodes in
+     decreasing [dist] order and stops at the first of two exits, neither
+     of which can change the winner:
+     - the next node's [dist] is <= the running radius: every later
+       min(dist v, _) is too, so the radius is final (a max over
+       non-NaN doubles does not depend on the order it is taken in);
+     - the running radius reached the best so far: the full radius is
+       at least as large, so under the strict [<] this candidate loses. *)
+  for _ = 1 to k do
+    reset h;
     let best = ref (-1) and best_radius = ref infinity in
-    for cand = lo to hi - 1 do
+    for cand = 0 to n - 1 do
       if not chosen.(cand) then begin
-        let radius = ref 0. in
-        (* Walk cand's row (= column, the matrix is symmetric) with
-           unchecked contiguous reads; same doubles as [Matrix.get]. *)
-        for v = 0 to n - 1 do
+        let radius = ref 0. and i = ref 0 in
+        (* Unchecked reads: [nth] yields nodes in [0, n), and cand's
+           row equals its column because [Matrix.set] mirrors both
+           triangles. *)
+        while
+          !i < n
+          && Array.unsafe_get dist (nth h !i) > !radius
+          && !radius < !best_radius
+        do
+          let v = nth h !i in
           let dv = Array.unsafe_get dist v in
           let dc = Matrix.unsafe_get m cand v in
           let d = if dv <= dc then dv else dc in
-          if d > !radius then radius := d
+          if d > !radius then radius := d;
+          incr i
         done;
         if !radius < !best_radius then begin
           best_radius := !radius;
@@ -88,25 +158,9 @@ let greedy ?pool m ~k =
         end
       end
     done;
-    (!best, !best_radius)
-  in
-  for _ = 1 to k do
-    let best, _ =
-      match pool with
-      | None -> scan_candidates ~lo:0 ~hi:n
-      | Some pool ->
-          Array.fold_left
-            (fun (best, best_radius) (cand, radius) ->
-              if cand >= 0 && radius < best_radius then (cand, radius)
-              else (best, best_radius))
-            (-1, infinity)
-            (* O(n) contiguous flops per candidate since the flat
-               conversion — raise the oversplit floor to match. *)
-            (Pool.chunk_map ~grain:32 pool ~n scan_candidates)
-    in
-    chosen.(best) <- true;
-    centers := best :: !centers;
-    relax ?pool dist m best n
+    chosen.(!best) <- true;
+    centers := !best :: !centers;
+    relax dist m !best n
   done;
   let centers = Array.of_list !centers in
   Array.sort compare centers;

@@ -34,7 +34,7 @@ let place strategy ?(seed = 0) ?pool m ~k =
   match strategy with
   | Random_placement -> random ~seed ~k ~n:(Matrix.dim m)
   | K_center_a -> Kcenter.two_approx ~seed ?pool m ~k
-  | K_center_b -> Kcenter.greedy ?pool m ~k
+  | K_center_b -> Kcenter.greedy m ~k
 
 let coverage_radius m centers =
   let n = Matrix.dim m in

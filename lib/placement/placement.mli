@@ -31,8 +31,9 @@ val place :
   int array
 (** Place [k] servers on the nodes of a latency matrix with the given
     strategy. [seed] (default [0]) only affects [Random_placement] and
-    K-center-A's choice of initial centre. [pool] parallelises the
-    K-center distance scans (identical output for any pool size).
+    K-center-A's choice of initial centre. [pool] parallelises
+    K-center-A's distance scans (identical output for any pool size);
+    the other strategies ignore it.
 
     @raise Invalid_argument unless [0 <= k <= dim]. *)
 

@@ -253,7 +253,7 @@ let test_greedy_near_optimal_on_random_instances () =
     true (!worst < 1.6)
 
 (* Greedy under its default zero-delay model runs against
-   [Greedy.assign_reference] on every instance. A drawn delay model also
+   the oracle's [Reference.greedy] on every instance. A drawn delay model also
    runs Greedy under that model against the oracle's re-sorting
    reference — constant, linear, unsaturated M/M/1 and M/M/1 with mu
    below the population, so saturation drives the choice. *)
@@ -274,7 +274,7 @@ let prop_greedy_matches_reference =
       let n = k + extra in
       let capacity = if capacitated then Some (max 1 ((n + k - 1) / k)) else None in
       let p = random_instance ?capacity seed ~n ~k in
-      Assignment.equal (Greedy.assign p) (Greedy.assign_reference p)
+      Assignment.equal (Greedy.assign p) (Dia_oracle.Reference.greedy p)
       &&
       match reference_delay ~n delay with
       | None -> true

@@ -105,6 +105,24 @@ let test_improves_over_nearest_when_possible () =
   done;
   Alcotest.(check bool) "at least one run improves" true !improved
 
+(* Integer distances in 1..5 tie targets and longest pairs constantly:
+   the bounded target scan must still keep the first minimum, and the
+   pair scan's row skip every qualifying pair. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"run equals the full-scan reference on tied distances"
+    ~count:200
+    QCheck.(quad (int_bound 1_000_000) (int_range 2 30) (int_range 1 8) bool)
+    (fun (seed, n, kdraw, capacitated) ->
+      let rng = Random.State.make [| seed |] in
+      let m = Dia_latency.Matrix.init n (fun _ _ -> float_of_int (1 + Random.State.int rng 5)) in
+      let k = 1 + (kdraw mod n) in
+      let servers = Dia_placement.Placement.random ~seed ~k ~n in
+      let capacity = if capacitated then Some ((n + k - 1) / k) else None in
+      let p = Problem.all_nodes_clients ?capacity m ~servers in
+      let fast = Distributed_greedy.run p and reference = Dia_oracle.Reference.distributed_greedy p in
+      Assignment.equal fast.assignment reference.assignment
+      && fast.trace = reference.trace && fast.stats = reference.stats)
+
 let suite =
   [
     Alcotest.test_case "trace starts at initial objective" `Quick
@@ -120,4 +138,5 @@ let suite =
       test_capacitated_moves_stay_feasible;
     Alcotest.test_case "improves over NSA on clustered data" `Quick
       test_improves_over_nearest_when_possible;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

@@ -146,6 +146,21 @@ let test_coverage_radius_of_full_placement () =
   Alcotest.(check (float 1e-9)) "radius zero when all nodes are centers" 0.
     (Placement.coverage_radius m all)
 
+(* Distances drawn from 1..5: radii tie constantly, which is where an
+   early exit could slip past the strict [<] lowest-index tie-break. *)
+let integer_matrix ~seed n =
+  let rng = Random.State.make [| seed |] in
+  Matrix.init n (fun _ _ -> float_of_int (1 + Random.State.int rng 5))
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~name:"greedy k-center equals the full-scan reference on tied radii"
+    ~count:300
+    QCheck.(triple (int_bound 1_000_000) (int_range 1 40) (int_bound 1_000))
+    (fun (seed, n, kdraw) ->
+      let m = integer_matrix ~seed n in
+      let k = kdraw mod (n + 1) in
+      Kcenter.greedy m ~k = Dia_oracle.Reference.kcenter_greedy m ~k)
+
 let suite =
   [
     Alcotest.test_case "random placement distinct and in range" `Quick
@@ -168,4 +183,5 @@ let suite =
     Alcotest.test_case "strategy names roundtrip" `Quick test_strategy_names_roundtrip;
     Alcotest.test_case "coverage radius with all nodes as centers" `Quick
       test_coverage_radius_of_full_placement;
+    QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
   ]
