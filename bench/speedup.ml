@@ -1,12 +1,12 @@
 (* Kernel-speedup smoke check.
 
-   Times the two kernels named by ROADMAP item 3 — assign/greedy(n=300)
-   and lower-bound/pruned(n=300) — on the exact instance the bechamel
-   suite uses, and compares against the committed pre-refactor numbers in
-   bench/BENCH.seed.json. Exits non-zero if either kernel's win over the
-   seed drops below the --min factor (default 3.0: the refactor targets
-   >= 5x on a quiet machine; CI runners are noisy, so the gate is
-   deliberately generous).
+   Times three kernels — assign/greedy(n=300), lower-bound/pruned(n=300)
+   and K-center-B placement, placement/kcenter-greedy(n=300,k=20) — on
+   the exact inputs the bechamel suite uses, and compares against the
+   committed pre-refactor numbers in bench/BENCH.seed.json. Exits
+   non-zero if any kernel's win over the seed drops below the --min
+   factor (default 3.0: the refactors target >= 5x on a quiet machine;
+   CI runners are noisy, so the gate is deliberately generous).
 
    Timing is best-of-N wall clock after warmup — the minimum is the right
    statistic for a regression gate because noise only ever adds time.
@@ -128,11 +128,12 @@ let interleaved_best ~rounds f g =
   done;
   (!bf *. 1e9, !bg *. 1e9)
 
-(* The exact instance the bechamel kernels time. *)
+(* The exact inputs the bechamel kernels time. *)
+let bench_matrix = Dia_latency.Synthetic.internet_like ~seed:3 300
+
 let bench_problem =
-  let matrix = Dia_latency.Synthetic.internet_like ~seed:3 300 in
   let servers = Placement.random ~seed:3 ~k:20 ~n:300 in
-  Problem.all_nodes_clients matrix ~servers
+  Problem.all_nodes_clients bench_matrix ~servers
 
 let () =
   let p = bench_problem in
@@ -140,6 +141,8 @@ let () =
     [
       ("assign/greedy(n=300,k=20)", fun () -> ignore (Dia_core.Greedy.assign p));
       ("lower-bound/pruned(n=300)", fun () -> ignore (Dia_core.Lower_bound.compute p));
+      ( "placement/kcenter-greedy(n=300,k=20)",
+        fun () -> ignore (Dia_placement.Kcenter.greedy bench_matrix ~k:20) );
     ]
   in
   let ok = ref true in

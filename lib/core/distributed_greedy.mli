@@ -42,6 +42,13 @@ val run : ?initial:Assignment.t -> Problem.t -> result
 (** Run to convergence. [initial] overrides the Nearest-Server starting
     point (it must respect the instance's capacity).
 
+    Two scans stop early without changing a result: each target's
+    {!Ecc.attach} is bounded by the best target so far, and the
+    longest-path scan skips a row of server pairs whose rounded upper
+    bound falls short of [D]. The assignment, trace and stats are those
+    of the full scans, which the oracle keeps as
+    [Dia_oracle.Reference.distributed_greedy].
+
     @raise Invalid_argument if [initial] is invalid or violates
     capacity. *)
 
