@@ -615,26 +615,23 @@ type scaling_row = {
 
 let scaling_jobs = [ 1; 2; 4 ]
 
-(* Two wall-time-dominant kernels from the acceptance list: the pruned
-   lower bound on a 600-node instance, and the Fig 8 seed sweep. *)
+(* The pool's kernels that win at jobs 2 on a 2-core host: the pruned
+   lower bound on a 600-node instance, and four annealing restarts on
+   the bechamel bench problem. *)
 let measure_scaling () =
   let n = 600 in
   let matrix = Dia_latency.Synthetic.internet_like ~seed:11 n in
   let servers = Placement.random ~seed:11 ~k:30 ~n in
   let p = Problem.all_nodes_clients matrix ~servers in
-  let sweep_profile =
-    { Config.quick with Config.label = "bench-sweep"; nodes = Some 120;
-      runs = 12; fixed_servers = 12 }
-  in
   let kernels =
     [
       ("lower-bound(n=600,k=30)",
        fun pool -> ignore (Lower_bound.compute ~pool p));
-      ("fig8-seed-sweep(n=120,runs=12)",
+      ("anneal-restarts(n=300,k=20,restarts=4)",
        fun pool ->
          ignore
-           (Dia_experiments.Fig8.run ~profile:sweep_profile
-              ~jobs:(Pool.jobs pool) ()));
+           (Dia_core.Local_search.anneal_restarts ~pool ~restarts:4 bench_problem
+              bench_assignment));
     ]
   in
   let cores = Domain.recommended_domain_count () in

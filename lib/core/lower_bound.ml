@@ -261,7 +261,7 @@ let naive p =
   done;
   !best
 
-let normalized ?pool p a =
-  let lb = compute ?pool p in
+let normalized p a =
+  let lb = compute p in
   if not (Float.is_finite lb) || lb <= 0. then nan
   else Objective.max_interaction_path p a /. lb

@@ -37,7 +37,7 @@ val naive : Problem.t -> float
 (** Direct four-way loop, O(|C|² |S|²) — correctness oracle for tests and
     the ablation bench. *)
 
-val normalized : ?pool:Dia_parallel.Pool.t -> Problem.t -> Assignment.t -> float
+val normalized : Problem.t -> Assignment.t -> float
 (** [normalized p a] is [D(A) / LB], the paper's "normalized
     interactivity" (1.0 is ideal). [nan] when the bound is zero or the
     instance has no clients. *)

@@ -41,8 +41,12 @@ let fail_at ~line ~col fmt =
     (fun m -> failwith (Printf.sprintf "Loader: line %d, column %d: %s" line col m))
     fmt
 
+let max_latency = 1e9
+
 (* [nan] and [inf] parse as floats; reject them here, where the
-   position is known, rather than letting them reach the matrix. *)
+   position is known, rather than letting them reach the matrix. So is a
+   finite value above [max_latency]: averaging an asymmetric pair, or
+   summing a three-hop path, would overflow to infinity. *)
 let parse_cell ~line (col, token) =
   if token = "-" || token = "?" then None
   else
@@ -50,6 +54,8 @@ let parse_cell ~line (col, token) =
     | None -> fail_at ~line ~col "unparsable value %S" token
     | Some v when not (Float.is_finite v) ->
         fail_at ~line ~col "non-finite value %S" token
+    | Some v when v > max_latency ->
+        fail_at ~line ~col "value %S is above the ceiling %g" token max_latency
     | Some v -> if v < 0. then None else Some v
 
 let parse_matrix path =

@@ -26,8 +26,11 @@ val parse_matrix : string -> raw
 (** Parse a dense matrix file.
 
     @raise Failure on malformed input (non-square, unparsable token).
-    A value that parses but is not finite ([nan], [inf], [infinity])
-    is rejected with a message naming its line and column. *)
+    A value that parses but is not finite ([nan], [inf], [infinity]),
+    or is above the ceiling [1e9], is rejected with a message naming its
+    line and column. Three hops of [1e9] still sum to a finite double; a
+    value near [max_float] would overflow the average of an asymmetric
+    pair and every path length through it. *)
 
 val parse_triples : string -> raw
 (** Parse an [i j rtt] triple file. Node count is one more than the
@@ -36,9 +39,10 @@ val parse_triples : string -> raw
     be below 65 536: a dense matrix of that size is already 32 GiB, and
     the paper's data sets have a few thousand ids.
 
-    @raise Failure on malformed input, and on an id at or above 65 536
-    with a message naming its line, column and value — raised while
-    parsing, before anything is sized by the ids. *)
+    @raise Failure on malformed input, on an id at or above 65 536 and on
+    a latency that {!parse_matrix} would refuse, with a message naming
+    its line, column and value — raised while parsing, before anything
+    is sized by the ids. *)
 
 val complete_subset : raw -> int array * Matrix.t
 (** [complete_subset raw] discards nodes until the remaining pairwise

@@ -31,12 +31,15 @@ type t = {
   mutable parallel_batches : int;
 }
 
+(* OCaml 5 runs at most 128 domains at once, the main one included. *)
+let max_jobs = 128
+
 let default_jobs () =
   match Sys.getenv_opt "DIA_JOBS" with
   | None -> 1
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
+      | Some j when j >= 1 && j <= max_jobs -> j
       | _ -> 1)
 
 let jobs t = t.pool_jobs
@@ -95,7 +98,8 @@ let worker t =
 
 let create ?jobs () =
   let jobs = match jobs with None -> default_jobs () | Some j -> j in
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  if jobs < 1 || jobs > max_jobs then
+    invalid_arg (Printf.sprintf "Pool.create: jobs must be in 1..%d" max_jobs);
   let t =
     {
       pool_jobs = jobs;
@@ -217,9 +221,6 @@ let init ?grain t n f =
   end
 
 let map_array t f arr = init t (Array.length arr) (fun i -> f arr.(i))
-
-let map_reduce t ~map ~reduce ~init:acc arr =
-  Array.fold_left reduce acc (map_array t map arr)
 
 let run_seeds t ~seeds f = init t seeds f
 

@@ -1,46 +1,28 @@
 module Matrix = Dia_latency.Matrix
 module Landmark = Dia_latency.Landmark
-module Pool = Dia_parallel.Pool
 
 let check_k m k =
   let n = Matrix.dim m in
   if k < 0 || k > n then
     invalid_arg (Printf.sprintf "Kcenter: k = %d out of range [0, %d]" k n)
 
-(* Index of the maximum of [dist], lowest index on ties — the same
-   answer as a left-to-right scan with a strict [>], for any chunking
-   (chunk argmaxes are combined left to right with a strict [>]). *)
-let argmax_dist ?pool dist n =
-  let scan ~lo ~hi =
-    let best = ref lo in
-    for v = lo + 1 to hi - 1 do
-      if dist.(v) > dist.(!best) then best := v
-    done;
-    !best
-  in
-  match pool with
-  | None -> scan ~lo:0 ~hi:n
-  | Some pool ->
-      (* One compare per item over a flat array: only worth splitting
-         finer than one chunk per worker on very large n. *)
-      let candidates = Pool.chunk_map ~grain:256 pool ~n scan in
-      Array.fold_left
-        (fun best v -> if dist.(v) > dist.(best) then v else best)
-        candidates.(0) candidates
+(* Index of the maximum of [dist], lowest index on ties. *)
+let argmax_dist dist n =
+  let best = ref 0 in
+  for v = 1 to n - 1 do
+    if dist.(v) > dist.(!best) then best := v
+  done;
+  !best
 
 (* [v] ranges over [0, n) and [center] is an in-range node, so the reads
    are unchecked; [d(center, v)] is read from [center]'s row — the same
    double as [d(v, center)] because [Matrix.set] mirrors both triangles. *)
-let relax ?pool dist m center n =
-  let body v = dist.(v) <- Float.min dist.(v) (Matrix.unsafe_get m center v) in
-  match pool with
-  | None ->
-      for v = 0 to n - 1 do
-        body v
-      done
-  | Some pool -> Pool.parallel_for ~grain:256 pool ~n body
+let relax dist m center n =
+  for v = 0 to n - 1 do
+    dist.(v) <- Float.min dist.(v) (Matrix.unsafe_get m center v)
+  done
 
-let two_approx ?(seed = 0) ?pool m ~k =
+let two_approx ?(seed = 0) m ~k =
   check_k m k;
   let n = Matrix.dim m in
   if k = 0 then [||]
@@ -51,9 +33,9 @@ let two_approx ?(seed = 0) ?pool m ~k =
     (* dist.(v) = distance from v to the closest chosen centre so far. *)
     let dist = Array.init n (fun v -> Matrix.get m v centers.(0)) in
     for step = 1 to k - 1 do
-      let farthest = argmax_dist ?pool dist n in
+      let farthest = argmax_dist dist n in
       centers.(step) <- farthest;
-      relax ?pool dist m farthest n
+      relax dist m farthest n
     done;
     Array.sort compare centers;
     centers

@@ -8,16 +8,11 @@
       paper's "K-center-B").
 
     Both take a complete latency matrix and return [k] distinct node
-    indices. {!two_approx}'s distance scans (farthest-point selection,
-    relaxation against a new centre) fan out over an optional [pool];
-    chunk results are combined in chunk order with the sequential
-    tie-breaks, so its centers are identical for any pool size.
-    {!greedy} runs sequentially: after its early exits a call is a few
-    milliseconds at 600 nodes, and a two-domain pool made it slower
-    (BENCH.json [parallel_scaling]). *)
+    indices. Both run sequentially: spreading either one over two
+    domains made it slower on a 2-core host (interleaved timings in
+    CHANGES.md). *)
 
-val two_approx :
-  ?seed:int -> ?pool:Dia_parallel.Pool.t -> Dia_latency.Matrix.t -> k:int -> int array
+val two_approx : ?seed:int -> Dia_latency.Matrix.t -> k:int -> int array
 (** Farthest-point traversal: start from a seeded-random node, then
     repeatedly add the node farthest from the chosen set. Guarantees
     coverage radius within twice the optimum when distances satisfy the

@@ -19,21 +19,21 @@ let random ~seed ~k ~n =
   if k < 0 || k > n then
     invalid_arg (Printf.sprintf "Placement.random: k = %d out of range [0, %d]" k n);
   let rng = Random.State.make [| seed |] in
-  let pool = Array.init n Fun.id in
+  let nodes = Array.init n Fun.id in
   for i = 0 to k - 1 do
     let j = i + Random.State.int rng (n - i) in
-    let tmp = pool.(i) in
-    pool.(i) <- pool.(j);
-    pool.(j) <- tmp
+    let tmp = nodes.(i) in
+    nodes.(i) <- nodes.(j);
+    nodes.(j) <- tmp
   done;
-  let servers = Array.sub pool 0 k in
+  let servers = Array.sub nodes 0 k in
   Array.sort compare servers;
   servers
 
-let place strategy ?(seed = 0) ?pool m ~k =
+let place strategy ?(seed = 0) m ~k =
   match strategy with
   | Random_placement -> random ~seed ~k ~n:(Matrix.dim m)
-  | K_center_a -> Kcenter.two_approx ~seed ?pool m ~k
+  | K_center_a -> Kcenter.two_approx ~seed m ~k
   | K_center_b -> Kcenter.greedy m ~k
 
 let coverage_radius m centers =

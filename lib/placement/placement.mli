@@ -22,18 +22,10 @@ val random : seed:int -> k:int -> n:int -> int array
 
     @raise Invalid_argument unless [0 <= k <= n]. *)
 
-val place :
-  strategy ->
-  ?seed:int ->
-  ?pool:Dia_parallel.Pool.t ->
-  Dia_latency.Matrix.t ->
-  k:int ->
-  int array
+val place : strategy -> ?seed:int -> Dia_latency.Matrix.t -> k:int -> int array
 (** Place [k] servers on the nodes of a latency matrix with the given
     strategy. [seed] (default [0]) only affects [Random_placement] and
-    K-center-A's choice of initial centre. [pool] parallelises
-    K-center-A's distance scans (identical output for any pool size);
-    the other strategies ignore it.
+    K-center-A's choice of initial centre.
 
     @raise Invalid_argument unless [0 <= k <= dim]. *)
 

@@ -132,6 +132,20 @@ let test_triples_reject_huge_ids () =
     (Some "Loader: line 1, column 3: node id 100000 is not below the ceiling 65536")
     (failure_message (fun () -> Loader.parse_triples path))
 
+(* A finite latency above the ceiling fails where it is parsed: the
+   symmetric average of 1e308 with itself overflows to infinity. *)
+let test_rejects_huge_latencies () =
+  let path = write_temp "0 1e308\n1e308 0\n" in
+  Alcotest.(check (option string)) "dense"
+    (Some "Loader: line 1, column 3: value \"1e308\" is above the ceiling 1e+09")
+    (failure_message (fun () -> Loader.load path));
+  let path = write_temp "0 1 1e308\n1 0 1e308\n" in
+  Alcotest.(check (option string)) "triples"
+    (Some "Loader: line 1, column 5: value \"1e308\" is above the ceiling 1e+09")
+    (failure_message (fun () -> Loader.load path));
+  let path = write_temp "0 1e9\n1e9 0\n" in
+  Alcotest.(check (float 0.)) "the ceiling itself loads" 1e9 (Matrix.get (Loader.load path) 0 1)
+
 let suite =
   [
     Alcotest.test_case "parse dense matrix" `Quick test_parse_dense_matrix;
@@ -154,4 +168,6 @@ let suite =
       test_sniffs_three_by_three_matrix;
     Alcotest.test_case "triple ids at the ceiling rejected with position" `Quick
       test_triples_reject_huge_ids;
+    Alcotest.test_case "latencies above the ceiling rejected with position" `Quick
+      test_rejects_huge_latencies;
   ]

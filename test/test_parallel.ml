@@ -7,7 +7,6 @@ module Synthetic = Dia_latency.Synthetic
 module Problem = Dia_core.Problem
 module Lower_bound = Dia_core.Lower_bound
 module Local_search = Dia_core.Local_search
-module Kcenter = Dia_placement.Kcenter
 module Placement = Dia_placement.Placement
 module Runner = Dia_experiments.Runner
 
@@ -69,8 +68,7 @@ let test_nested_submission_runs_inline () =
          the nested batch must run inline instead of deadlocking. *)
       let r =
         Pool.init pool 16 (fun i ->
-            Pool.map_reduce pool ~map:Fun.id ~reduce:( + ) ~init:0
-              (Array.init (i + 4) Fun.id))
+            Array.fold_left ( + ) 0 (Pool.init pool (i + 4) Fun.id))
       in
       let expected = Array.init 16 (fun i -> (i + 4) * (i + 3) / 2) in
       Alcotest.(check (array int)) "nested" expected r)
@@ -87,7 +85,18 @@ let test_default_jobs_env () =
   Alcotest.(check int) "garbage" 1 (Pool.default_jobs ());
   Unix.putenv "DIA_JOBS" "0";
   Alcotest.(check int) "non-positive" 1 (Pool.default_jobs ());
+  Unix.putenv "DIA_JOBS" "129";
+  Alcotest.(check int) "above the domain limit" 1 (Pool.default_jobs ());
   Unix.putenv "DIA_JOBS" ""
+
+let test_create_rejects_out_of_range () =
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d" jobs)
+        (Invalid_argument "Pool.create: jobs must be in 1..128")
+        (fun () -> ignore (Pool.create ~jobs ())))
+    [ 0; 129 ]
 
 let test_anneal_restarts_deterministic () =
   let _, p = random_instance 5 ~n:40 ~k:5 in
@@ -102,15 +111,6 @@ let test_anneal_restarts_deterministic () =
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d identical" (Pool.jobs pool))
         true (par = seq))
-    pools
-
-let test_kcenter_deterministic () =
-  let m = Synthetic.internet_like ~seed:3 150 in
-  let seq_a = Kcenter.two_approx ~seed:1 m ~k:12 in
-  List.iter
-    (fun pool ->
-      Alcotest.(check (array int)) "two_approx" seq_a
-        (Kcenter.two_approx ~seed:1 ~pool m ~k:12))
     pools
 
 (* Chunk granularity: a small batch must not be oversplit into more
@@ -140,21 +140,6 @@ let test_small_batch_not_oversplit () =
 (* -- qcheck determinism properties ---------------------------------------- *)
 
 (* Exact float equality on purpose: the contract is bit-identity. *)
-let prop_map_reduce_bit_identical =
-  QCheck.Test.make ~name:"map_reduce matches the sequential fold exactly"
-    ~count:30
-    QCheck.(pair (int_bound 1_000_000) (int_range 0 500))
-    (fun (seed, n) ->
-      let rng = Random.State.make [| seed |] in
-      let arr = Array.init n (fun _ -> Random.State.float rng 1000. -. 500.) in
-      let map x = (x *. 3.7) -. (x *. x /. 97.) in
-      let reduce acc y = acc +. y in
-      let seq = Array.fold_left reduce 0. (Array.map map arr) in
-      List.for_all
-        (fun pool ->
-          Pool.map_reduce pool ~map ~reduce ~init:0. arr = seq)
-        pools)
-
 let prop_lower_bound_bit_identical =
   QCheck.Test.make ~name:"Lower_bound.compute identical for jobs in {2,3,8}"
     ~count:25
@@ -195,13 +180,12 @@ let suite =
       test_nested_submission_runs_inline;
     Alcotest.test_case "run_seeds preserves seed order" `Quick test_run_seeds_order;
     Alcotest.test_case "DIA_JOBS parsing" `Quick test_default_jobs_env;
+    Alcotest.test_case "create rejects jobs outside 1..128" `Quick
+      test_create_rejects_out_of_range;
     Alcotest.test_case "anneal_restarts deterministic across pools" `Quick
       test_anneal_restarts_deterministic;
-    Alcotest.test_case "K-center scans deterministic across pools" `Quick
-      test_kcenter_deterministic;
     Alcotest.test_case "small batches issue at most jobs chunks" `Quick
       test_small_batch_not_oversplit;
-    QCheck_alcotest.to_alcotest prop_map_reduce_bit_identical;
     QCheck_alcotest.to_alcotest prop_lower_bound_bit_identical;
     QCheck_alcotest.to_alcotest prop_average_normalized_bit_identical;
     Alcotest.test_case "shutdown shared pools" `Quick test_shutdown_shared_pools;
