@@ -341,6 +341,33 @@ let generation_save_kernel () =
   let dir = Filename.temp_dir "dia_bench_ckpt" "" in
   fun () -> Dia_runtime.Generation.save ~dir ~keep:1 st
 
+(* soak/load-baseline: one soak of the end-to-end benchmark's soak-load
+   shape — 400 nodes, 20 servers, 50 base sessions, horizon 150, 5 joins
+   per time unit, three crash windows, the M/M/1 delay model mm1:200 —
+   with the offline-baseline stream on, so every lower-bound refresh
+   samples a Greedy re-solve of the survivor problem under the delay
+   model. *)
+let load_baseline_kernel () =
+  let module Soak = Dia_runtime.Soak in
+  let parse = function Ok v -> v | Error m -> failwith m in
+  let scenario =
+    {
+      Soak.default_scenario with
+      Soak.seed = 7;
+      nodes = 400;
+      servers = 20;
+      horizon = 150.;
+      join_rate = 5.;
+      mean_lifetime = 200.;
+      clients = 50;
+      fault =
+        parse (Dia_sim.Fault.of_string "loss:0.1+crash:2@15~45+crash:5@75~105+crash:11@130~150");
+      delay = Some (parse (Dia_core.Delay.of_string "mm1:200"));
+    }
+  in
+  let config = { Soak.default_config with Soak.offline_baseline = true } in
+  fun () -> Soak.run scenario config
+
 let make_failover_kernel ~clients ~promote =
   let session = Dia_core.Dynamic.create churn_matrix ~servers:churn_servers in
   for i = 0 to clients - 1 do
@@ -490,6 +517,7 @@ let tests =
     kernel ~calls:50 "session/drift-toggle(occupied≈210,k=20)" (fun () ->
         make_lb_rebuild_kernel ~query:false);
     kernel ~calls:10 "soak/epoch-plan(survivors=310,k=20)" make_epoch_plan_kernel;
+    kernel "soak/load-baseline(clients=50,horizon=150)" load_baseline_kernel;
   ]
 
 (* -- Quality ablation: achievable optimum (annealing) vs the lower bound -- *)

@@ -49,6 +49,9 @@ type t = {
           candidates; dropped whenever the matrix changes (drift) *)
   landmark_lb : float array;  (** per-server bound scratch for one query *)
   mutable next_id : int;
+  mutable version : int;
+      (** bumped by every op that may change the problem {!snapshot} and
+          {!active_servers} describe; see {!problem_version} *)
   mutable joins : int;
   mutable leaves : int;
   mutable moves : int;
@@ -93,6 +96,7 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
     landmark = None;
     landmark_lb = Array.make k 0.;
     next_id = 0;
+    version = 0;
     joins = 0;
     leaves = 0;
     moves = 0;
@@ -492,6 +496,7 @@ let join t ~node =
   node_add t node;
   select_standby t m;
   t.joins <- t.joins + 1;
+  t.version <- t.version + 1;
   id
 
 let find t id =
@@ -506,7 +511,8 @@ let leave t id =
   t.load.(member.server) <- t.load.(member.server) - 1;
   ecc_remove t member.server (d_ns t member.node member.server);
   node_remove t member.node;
-  t.leaves <- t.leaves + 1
+  t.leaves <- t.leaves + 1;
+  t.version <- t.version + 1
 
 let server_of t id = (find t id).server
 
@@ -629,6 +635,8 @@ let snapshot t =
 
 let stats t = { joins = t.joins; leaves = t.leaves; moves = t.moves }
 
+let problem_version t = t.version
+
 let next_id t = t.next_id
 
 let failed_servers t =
@@ -723,7 +731,8 @@ let set_drift t ~server ~factor =
     done;
     (* The index read the pre-drift entries; next query rebuilds it. *)
     t.landmark <- None;
-    rebuild_ecc t
+    rebuild_ecc t;
+    t.version <- t.version + 1
   end
 
 let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_list
@@ -779,6 +788,8 @@ let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_li
           t.sb_load.(m.server).(sb) <- t.sb_load.(m.server).(sb) + 1)
     standbys;
   t.next_id <- next_id;
+  (* The replayed drifts bumped it; a restored session starts afresh. *)
+  t.version <- 0;
   t.joins <- s.joins;
   t.leaves <- s.leaves;
   t.moves <- s.moves;
@@ -801,6 +812,8 @@ let check_failable t s ~label =
    ids whose standby was invalidated. *)
 let fail_prologue t s =
   t.failed.(s) <- true;
+  (* One bump covers the whole failover, stranded removals included. *)
+  t.version <- t.version + 1;
   let orphans =
     Hashtbl.fold
       (fun id member acc -> if member.server = s then (id, member) :: acc else acc)
@@ -1023,4 +1036,5 @@ let recover_server t s =
   if not t.failed.(s) then
     invalid_arg (Printf.sprintf "Dynamic.recover_server: server %d is not failed" s);
   t.failed.(s) <- false;
+  t.version <- t.version + 1;
   lb_invalidate t

@@ -145,6 +145,20 @@ type stats = { joins : int; leaves : int; moves : int }
 
 val stats : t -> stats
 
+val problem_version : t -> int
+(** A counter that changes whenever the offline problem {!snapshot}
+    materialises (its client nodes in id order, its servers and the
+    drifted matrix) or {!active_servers} may have changed: {!join},
+    {!leave}, {!fail_server}, {!fail_server_report}, {!promote_standby}
+    (stranded removals included), {!recover_server}, and a {!set_drift}
+    that actually changes the factor each bump it by one. {!move},
+    {!rebalance} and {!refresh_standbys} change only the assignment, and a
+    same-factor {!set_drift} changes nothing, so they leave it alone. Equal
+    versions of one session therefore mean an identical survivor problem,
+    which lets callers memoise any pure function of it. A fresh or
+    {!restore}d session starts at 0; the counter is not part of the
+    checkpointable state. *)
+
 val next_id : t -> client_id
 (** The id the next {!join} will receive — part of the checkpointable
     session state ({!restore} takes it back). *)

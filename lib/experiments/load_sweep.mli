@@ -29,9 +29,6 @@ type result = {
   points : point list;
 }
 
-val default_steps : float list
-(** [0, 0.1 .. 0.9, 0.95]. *)
-
 val run :
   ?dataset:Config.dataset ->
   ?profile:Config.profile ->
@@ -42,7 +39,8 @@ val run :
   result
 (** Deterministic: random placement with seed 0, clients cycling over
     the matrix nodes. [capacity] defaults to 25 (paper units); [delay]
-    to [Queueing { mu = float capacity }]. *)
+    to [Queueing { mu = float capacity }]; [steps], the utilizations
+    swept, to [0, 0.1 .. 0.9, 0.95]. *)
 
 val render : result -> string
 

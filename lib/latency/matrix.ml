@@ -1,13 +1,10 @@
 (* The canonical store is a flat row-major float64 Bigarray. Entries are
    identical IEEE-754 doubles to the previous [float array] backing, so
    every bit-identity guarantee in the repo (parallel = sequential,
-   checkpoint/resume, incremental = scratch) survives the layout change.
-   Hot paths acquire a [row] view once — paying the bounds check there —
-   and then index it with [row_get]/[Array1.unsafe_get]. *)
+   checkpoint/resume, incremental = scratch) survives the layout change. *)
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type t = { n : int; data : buffer }
-type row = buffer
 
 let check_value v =
   if not (Float.is_finite v) || v < 0. then
@@ -37,12 +34,6 @@ let set m i j v =
   if i = j && v <> 0. then invalid_arg "Matrix.set: non-zero diagonal";
   Bigarray.Array1.unsafe_set m.data ((i * m.n) + j) v;
   Bigarray.Array1.unsafe_set m.data ((j * m.n) + i) v
-
-let row m i =
-  check_index m i;
-  Bigarray.Array1.sub m.data (i * m.n) m.n
-
-let row_get (r : row) j = Bigarray.Array1.unsafe_get r j
 
 let unsafe_get m i j = Bigarray.Array1.unsafe_get m.data ((i * m.n) + j)
 

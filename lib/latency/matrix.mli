@@ -9,16 +9,11 @@
     The store is a flat row-major float64 {!Bigarray.Array1}; entries are
     bit-identical IEEE-754 doubles to the historical [float array] backing
     (see {!Reference}), so switching layouts never changes a computed
-    objective. Hot loops should acquire a {!row} view once — the bounds
-    check is paid at acquisition — and read it with {!row_get}. *)
+    objective. Gather loops over indices validated once read it with
+    {!unsafe_get}. *)
 
 type t
 (** A symmetric [n x n] latency matrix with zero diagonal. *)
-
-type row
-(** A borrowed view of one matrix row, sharing the matrix storage. Valid
-    for reads as long as the matrix itself; writes through {!val-set} on
-    the source matrix are visible through the view. *)
 
 val create : int -> t
 (** [create n] is an [n x n] matrix with every entry [0.]. *)
@@ -45,23 +40,10 @@ val set : t -> int -> int -> float -> unit
     @raise Invalid_argument on out-of-bounds indices, negative or
     non-finite [v], or [i = j] with [v <> 0.]. *)
 
-val row : t -> int -> row
-(** [row m i] is a view of row [i] (equivalently column [i]: the matrix is
-    symmetric). One bounds check here buys unchecked reads via
-    {!row_get}.
-
-    @raise Invalid_argument if [i] is out of bounds. *)
-
-val row_get : row -> int -> float
-(** [row_get r j] is entry [j] of the row. Unchecked: callers must keep
-    [0 <= j < dim]. *)
-
 val unsafe_get : t -> int -> int -> float
 (** [unsafe_get m i j] is [get m i j] with no bounds checks at all — for
     gather loops over indices already validated once (e.g. a problem's
-    node arrays). Prefer {!row}/{!row_get} when a whole row is walked;
-    prefer this when acquiring a view per element would dominate
-    ([Bigarray.Array1.sub] allocates). *)
+    node arrays). *)
 
 val copy : t -> t
 (** Deep copy. *)
@@ -80,12 +62,6 @@ val min_entry : t -> float
 
 val mean_entry : t -> float
 (** Mean of the off-diagonal entries ([nan] for matrices with [dim <= 1]). *)
-
-val entry_stats : t -> float * float * float
-(** [entry_stats m] is [(min, mean, max)] of the off-diagonal entries,
-    computed in one fused pass (the three [*_entry] accessors each make
-    their own full pass). Degenerate values for [dim <= 1] match the
-    individual accessors: [(infinity, nan, 0.)]. *)
 
 val iter_pairs : t -> (int -> int -> float -> unit) -> unit
 (** [iter_pairs m f] calls [f i j (get m i j)] for every unordered pair

@@ -103,10 +103,6 @@ let brute_sized d =
   let _, servers, n_clients, _ = counts d in
   n_clients <= 10 && servers <= 4
 
-let capacity_of d =
-  let _, _, _, capacity = counts d in
-  capacity
-
 let descriptor_of_seed seed =
   let seed = abs seed in
   let rng = Random.State.make [| 0x0dac1e; seed |] in

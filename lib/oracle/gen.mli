@@ -39,7 +39,6 @@ type kind =
           regime where load-blind and load-aware assignment disagree *)
 
 val kinds : kind list
-val kind_name : kind -> string
 
 val is_metric : kind -> bool
 (** Whether instances of this kind satisfy the triangle inequality — the
@@ -70,10 +69,6 @@ val instantiate : descriptor -> Dia_core.Problem.t
 (** Build the instance. Total: out-of-range fields are normalised (e.g.
     [servers] is clamped to the node count), never rejected, so shrunk
     descriptors always instantiate. *)
-
-val capacity_of : descriptor -> int option
-(** The capacity {!instantiate} gives the instance ([None] when
-    [capacitated] is false). *)
 
 val tie_free : Dia_core.Problem.t -> bool
 (** The distance function is injective over the distinct node pairs the

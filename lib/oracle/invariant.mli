@@ -68,11 +68,6 @@ val relabel : seed:int -> Dia_core.Problem.t -> relabeling
     index spaces (the latency matrix and node ids are untouched —
     only the order algorithms see them in changes). *)
 
-val relabel_assignment :
-  relabeling -> Dia_core.Assignment.t -> Dia_core.Assignment.t
-(** Transport an assignment of the original instance to the relabeled
-    one. *)
-
 val scale : Dia_core.Problem.t -> factor:float -> Dia_core.Problem.t
 (** Multiply every latency by [factor] (> 0). *)
 

@@ -103,7 +103,15 @@ type config = {
           immediate budgeted rebalance *)
   offline_baseline : bool;
       (** sample an offline Greedy re-solve at every lower-bound refresh
-          — the baseline stream for the competitive-ratio harness *)
+          — the baseline stream for the competitive-ratio harness. The
+          re-solve is memoised on {!Dynamic.problem_version}: it is a
+          pure function of the survivor problem (client nodes, drifted
+          matrix, live servers — capacity and the delay model are fixed
+          for the run, and Greedy is deterministic), and equal versions
+          mean an equal problem, so a refresh after only shed or queued
+          joins, repairs or standby refreshes reuses the last value bit
+          for bit. The memo is not checkpointed; a resumed run starts it
+          empty. *)
 }
 
 val default_config : config

@@ -88,9 +88,6 @@ type tuning = {
   deadline : float;  (** hard simulated-time stop for any faulty run *)
 }
 
-val default_tuning : Dia_core.Problem.t -> tuning
-(** Conservative defaults scaled to the instance's maximum latency. *)
-
 val settle_time : Dia_core.Problem.t -> float
 (** The fault-free bootstrap horizon: when servers exchange their
     initial state and the token starts. Useful for scheduling fault
@@ -107,8 +104,8 @@ val run :
     measurements are noisy and the servers optimise measured — not true —
     distances, as a real deployment would. [fault] injects seeded loss,
     duplication, latency spikes, partitions, and crashes (see {!Fault});
-    [tuning] overrides the retry/timeout parameters (default
-    {!default_tuning}). Without [fault], behaviour reduces to the
+    [tuning] overrides the retry/timeout parameters (default:
+    conservative values scaled to the instance's maximum latency). Without [fault], behaviour reduces to the
     classic reliable-network protocol (keepalives and the token watchdog
     are only armed under fault injection).
 

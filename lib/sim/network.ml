@@ -6,7 +6,6 @@ type 'payload t = {
   jitter : src:int -> dst:int -> base:float -> float;
   fault : Fault.t option;
   handlers : (src:int -> 'payload -> unit) option array;
-  down : bool array;
   mutable sent : int;
   mutable dropped : int;
   mutable duplicated : int;
@@ -23,7 +22,6 @@ let create ?(jitter = fun ~src:_ ~dst:_ ~base -> base) ?fault engine ~actors ~la
     jitter;
     fault;
     handlers = Array.make actors None;
-    down = Array.make actors false;
     sent = 0;
     dropped = 0;
     duplicated = 0;
@@ -42,17 +40,13 @@ let on_receive net actor handler =
   check_actor net "receiving" actor;
   net.handlers.(actor) <- Some handler
 
+(* Whether the actor is down per the fault plan's crash schedule at the
+   engine's current time. *)
 let is_down net actor =
   check_actor net "queried" actor;
-  net.down.(actor)
-  ||
   match net.fault with
   | None -> false
   | Some fault -> Fault.down fault ~now:(Engine.now net.engine) actor
-
-let set_down net actor down =
-  check_actor net "toggled" actor;
-  net.down.(actor) <- down
 
 (* One delivery attempt: jitter is drawn per copy, and the destination's
    up/down state is re-checked at arrival time, so an actor that crashes

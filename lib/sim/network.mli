@@ -10,8 +10,8 @@
 
     An optional {!Fault} state makes the network unreliable: each
     transmission is resolved to deliver / drop / duplicate / delay, and
-    actors can be down — explicitly via {!set_down} or on the fault
-    plan's crash schedule. Messages to or from a down actor are dropped,
+    actors can be down on the fault plan's crash schedule. Messages to
+    or from a down actor are dropped,
     including messages already in flight when the destination goes down.
     All losses are counted, never silent. *)
 
@@ -50,18 +50,6 @@ val send : 'payload t -> src:int -> dst:int -> 'payload -> unit
     asynchronously. Jitter is drawn independently for each duplicate copy.
 
     @raise Invalid_argument on out-of-bounds actors or invalid latency. *)
-
-val is_down : 'payload t -> int -> bool
-(** Whether the actor is currently down — explicitly, or per the fault
-    plan's crash schedule at the engine's current time.
-
-    @raise Invalid_argument on out-of-bounds actors. *)
-
-val set_down : 'payload t -> int -> bool -> unit
-(** Explicitly take an actor down (or bring it back up). Orthogonal to —
-    and OR-ed with — the fault plan's crash schedule.
-
-    @raise Invalid_argument on out-of-bounds actors. *)
 
 val messages_sent : 'payload t -> int
 (** Total [send] calls (duplicate copies not included). *)

@@ -34,9 +34,6 @@ val state : t -> State.t
 (** Current (repaired) state: always equals applying all executed
     operations in timestamp order. *)
 
-val log_length : t -> int
-(** Operations executed so far. *)
-
 val rollbacks : t -> int
 val replayed : t -> int
 (** Total operations re-applied during repairs. *)

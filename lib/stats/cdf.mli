@@ -31,5 +31,4 @@ val curve : t -> points:int -> (float * float) list
 
     @raise Invalid_argument if [points < 2]. *)
 
-val min_sample : t -> float
 val max_sample : t -> float

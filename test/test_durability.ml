@@ -685,6 +685,47 @@ let prop_boundary_free_recovery_bit_identical =
       let v = Recovery.verify ~state_dir:dir ~kill_at_event scenario small_config in
       v.Recovery.ok)
 
+(* The offline-baseline re-solve is memoised on the session's problem
+   version inside [Soak.run], and the memo is not checkpointed: a resumed
+   run starts it empty. Kill a delay-model soak with the baseline stream
+   on after every event in turn — most refreshes follow shed or queued
+   joins and hit the memo, so many cuts fall between two hits — and
+   resume in memory from each killed state: the report, the event log
+   and every baseline sample must match the uninterrupted run byte for
+   byte. Three cuts also go through the state dir and a restore. *)
+let test_baseline_memo_kill_resume () =
+  let scenario =
+    { small_scenario with Soak.delay = Some (Dia_core.Delay.Queueing { mu = 12. }) }
+  in
+  let config = { small_config with Soak.offline_baseline = true } in
+  let base = complete scenario config in
+  let samples r = Checkpoint.points_text ~trace:[] ~baseline:r.Soak.baseline_points in
+  let rec repeats = function
+    | (_, _, a) :: ((_, _, b) :: _ as rest) ->
+        Int64.bits_of_float a = Int64.bits_of_float b || repeats rest
+    | _ -> false
+  in
+  Alcotest.(check bool) "consecutive samples repeat a re-solve" true
+    (repeats base.Soak.baseline_points);
+  for cut = 0 to base.Soak.events - 1 do
+    let label = Printf.sprintf "cut %d: " cut in
+    match Soak.run ~kill_at_event:cut scenario config with
+    | Soak.Completed _ -> Alcotest.fail (label ^ "kill did not fire")
+    | Soak.Killed st -> (
+        match Soak.run ~resume_from:st scenario config with
+        | Soak.Killed _ -> Alcotest.fail (label ^ "resume killed")
+        | Soak.Completed r ->
+            Alcotest.(check string) (label ^ "report") (Soak.render base) (Soak.render r);
+            Alcotest.(check string) (label ^ "event log")
+              (Event_log.render base.Soak.log) (Event_log.render r.Soak.log);
+            Alcotest.(check string) (label ^ "baseline samples") (samples base) (samples r))
+  done;
+  List.iter
+    (fun kill_at_event ->
+      let v = Recovery.verify ~state_dir:(fresh_dir ()) ~kill_at_event scenario config in
+      if not v.Recovery.ok then Alcotest.fail (String.concat "\n" v.Recovery.lines))
+    [ 17; 47; 71 ]
+
 (* --- the disk-fault DSL --- *)
 
 let test_disk_dsl_roundtrip () =
@@ -730,6 +771,8 @@ let suite =
     Alcotest.test_case "kill past the end still matches" `Quick
       test_verify_recovery_kill_past_end;
     QCheck_alcotest.to_alcotest prop_boundary_free_recovery_bit_identical;
+    Alcotest.test_case "baseline memo: kill/resume at every cut" `Quick
+      test_baseline_memo_kill_resume;
     Alcotest.test_case "disk-fault DSL round-trips and schedules" `Quick
       test_disk_dsl_roundtrip;
     Alcotest.test_case "journal treats hostile lengths as a torn tail" `Quick

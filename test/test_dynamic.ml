@@ -624,6 +624,102 @@ let prop_lower_bound_is_kernel =
       && same_bits (Dynamic.lower_bound t') (occupied_bound ~servers t')
       && same_bits (Dynamic.lower_bound t') (Dynamic.lower_bound t))
 
+(* What a re-solve of the session sees: the offline problem {!snapshot}
+   materialises (client nodes in id order, servers, every latency
+   entry) and the live servers. *)
+let problem_view t =
+  let problem =
+    if Dynamic.num_clients t = 0 then None
+    else
+      let p, _ = Dynamic.snapshot t in
+      let m = Problem.latency p in
+      let n = Matrix.dim m in
+      Some
+        ( Problem.clients p,
+          Problem.servers p,
+          Array.init (n * n) (fun i -> Matrix.get m (i / n) (i mod n)) )
+  in
+  (problem, Dynamic.active_servers t)
+
+let prop_problem_version =
+  (* Random op sequences over every session mutator: the version moves by
+     exactly one on an op that may change the problem (join, leave,
+     failover, recovery, a drift to a new factor) and stays put on the
+     assignment-only ops (move, rebalance, standby refresh) and on a
+     same-factor drift; whenever it stays put, the problem a re-solve
+     sees is unchanged; and a restore starts it at 0. *)
+  QCheck.Test.make ~name:"problem_version tracks the snapshot problem" ~count:40
+    QCheck.(triple (int_bound 1_000_000) (int_range 10 150) bool)
+    (fun (seed, steps, capacitated) ->
+      let rng = Random.State.make [| seed; 0x7e |] in
+      let capacity = if capacitated then Some 8 else None in
+      let t = Dynamic.create ?capacity matrix ~servers in
+      let live = ref [] in
+      let connected id =
+        match Dynamic.server_of t id with _ -> true | exception Invalid_argument _ -> false
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let s = Random.State.int rng 6 in
+        let before = Dynamic.problem_version t and view = problem_view t in
+        (* Each op returns the bump it must cause. *)
+        let bumps =
+          match Random.State.int rng 14 with
+          | 0 | 1 | 2 | 3 -> (
+              match Dynamic.join t ~node:(Random.State.int rng 80) with
+              | id ->
+                  live := id :: !live;
+                  1
+              | exception Failure _ -> 0)
+          | 4 | 5 -> (
+              match !live with
+              | [] -> 0
+              | id :: rest ->
+                  Dynamic.leave t id;
+                  live := rest;
+                  1)
+          | 6 -> (
+              match !live with
+              | [] -> 0
+              | id :: _ -> (
+                  try Dynamic.move t id s; 0 with Invalid_argument _ -> 0))
+          | 7 -> ignore (Dynamic.rebalance ~max_moves:3 t); 0
+          | 8 -> ignore (Dynamic.refresh_standbys t); 0
+          | 9 -> (
+              try ignore (Dynamic.fail_server_report t s); 1
+              with Invalid_argument _ -> 0)
+          | 10 -> (
+              try ignore (Dynamic.promote_standby t s); 1
+              with Invalid_argument _ -> 0)
+          | 11 -> ( try Dynamic.recover_server t s; 1 with Invalid_argument _ -> 0)
+          | 12 ->
+              let factor = 0.5 +. Random.State.float rng 1.5 in
+              let changes = factor <> Dynamic.drift t s in
+              Dynamic.set_drift t ~server:s ~factor;
+              if changes then 1 else 0
+          | _ ->
+              Dynamic.set_drift t ~server:s ~factor:(Dynamic.drift t s);
+              0
+        in
+        live := List.filter connected !live;
+        let after = Dynamic.problem_version t in
+        let unchanged = compare view (problem_view t) = 0 in
+        if after <> before + bumps || (after = before && not unchanged) then ok := false
+      done;
+      let drift =
+        List.filter_map
+          (fun s ->
+            let f = Dynamic.drift t s in
+            if f <> 1.0 then Some (s, f) else None)
+          (List.init 6 Fun.id)
+      in
+      let t' =
+        Dynamic.restore ?capacity matrix ~servers ~members:(Dynamic.members t)
+          ~next_id:(Dynamic.next_id t) ~failed:(Dynamic.failed_servers t) ~drift
+          ~stats:(Dynamic.stats t)
+      in
+      !ok && Dynamic.problem_version t' = 0)
+
 let test_lower_bound_one_live_server () =
   let t = fresh () in
   List.iter (fun node -> ignore (Dynamic.join t ~node)) [ 3; 17; 40; 41; 66 ];
@@ -760,6 +856,7 @@ let suite =
     Alcotest.test_case "zero-delay placements match pinned digests" `Quick
       test_zero_delay_placements_pinned;
     QCheck_alcotest.to_alcotest prop_lower_bound_is_kernel;
+    QCheck_alcotest.to_alcotest prop_problem_version;
     Alcotest.test_case "LB kernel with one live server" `Quick
       test_lower_bound_one_live_server;
     Alcotest.test_case "LB kernel with every member on one node" `Quick

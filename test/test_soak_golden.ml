@@ -1,4 +1,4 @@
-(* Soak golden digests: four soak configurations run in-process, each
+(* Soak golden digests: five soak configurations run in-process, each
    pinned by the MD5 of its rendered report and of its rendered event
    log. The constants are the outputs of the CLI runs
 
@@ -7,7 +7,10 @@
        --checkpoint-every 100 --budget B [EXTRA]
 
    for the chaos soaks at budget 8 and 64, the load soak
-   (EXTRA = --delay mm1:30, budget 8) and a capacitated soak
+   (EXTRA = --delay mm1:30, budget 8), the load soak with the offline
+   baseline stream (EXTRA = --delay mm1:30 --baseline, budget 8; its
+   report's competitive line folds every re-solve of the survivor
+   problem under the delay model) and a capacitated soak
    (EXTRA = --capacity 30 --clients 200 --baseline, budget 8). A
    refactor that leaves the control plane's behaviour alone keeps every
    byte of both; a deliberate behaviour change updates the constants
@@ -51,6 +54,11 @@ let cases =
       { chaos_scenario with delay = Some mm1_30 },
       config ~budget:8,
       "158675fc0654faf0d48277a0a8a3e371",
+      "0e2998e9d09169067dea80070923168d" );
+    ( "load mm1:30 + baseline",
+      { chaos_scenario with delay = Some mm1_30 },
+      { (config ~budget:8) with offline_baseline = true },
+      "d4dc96261e7bdbee87caa07173b0c992",
       "0e2998e9d09169067dea80070923168d" );
     ( "capacity 30",
       { chaos_scenario with capacity = Some 30; clients = 200 },
