@@ -287,6 +287,15 @@ let prop_random_operation_sequences_stay_consistent =
         objective_ok && capacity_ok && no_failed_hosting
       end)
 
+let delay_of = function
+  | 0 -> Dia_core.Delay.Constant 0.
+  | 1 -> Dia_core.Delay.Constant 2.
+  | 2 -> Dia_core.Delay.Linear { base = 0.5; coeff = 0.25 }
+  | 3 -> Dia_core.Delay.Queueing { mu = 40. }
+  (* mu = 6 saturates routinely under this churn — the total-order
+     convention past the pole is exercised, not just defined. *)
+  | _ -> Dia_core.Delay.Queueing { mu = 6. }
+
 let prop_load_objective_bit_identical_to_scratch =
   (* The incremental objective and bound of a session with a delay
      model (D_load/LB_load): after every operation of a random
@@ -295,15 +304,6 @@ let prop_load_objective_bit_identical_to_scratch =
      from-scratch recompute over the member table; a restore round-trip
      must reproduce both; and under [Constant 0.] the objective must be
      the network D of the offline evaluator bit-for-bit. *)
-  let delay_of = function
-    | 0 -> Dia_core.Delay.Constant 0.
-    | 1 -> Dia_core.Delay.Constant 2.
-    | 2 -> Dia_core.Delay.Linear { base = 0.5; coeff = 0.25 }
-    | 3 -> Dia_core.Delay.Queueing { mu = 40. }
-    (* mu = 6 saturates routinely under this churn — the total-order
-       convention past the pole is exercised, not just defined. *)
-    | _ -> Dia_core.Delay.Queueing { mu = 6. }
-  in
   QCheck.Test.make
     ~name:"incremental D_load/LB_load bit-identical to scratch" ~count:25
     QCheck.(
@@ -814,6 +814,228 @@ let test_zero_delay_placements_pinned () =
   Alcotest.(check string) "membership digest" "198b7de93d992038614c5c8270e63c3b"
     (Digest.to_hex (Digest.string all))
 
+(* Drift and failover, pinned the same way: 30 seeded sequences per
+   delay model over every mutator that rewrites or rereads distances —
+   drift (a return to 1.0 included), report failover, standby refresh
+   then promotion, recovery, a mid-sequence restore and rebalance — with
+   the membership, the standbys, the failover reports and the hex D and
+   LB after every step folded into one digest. The constants were
+   recorded while the session still read every distance from the
+   matrix, so a stale cached distance after a drift, failure or restore
+   changes the digest. *)
+let failover_digest ~delay =
+  let sequence ~seed =
+    let nodes = 30 + (seed mod 50) and k = 3 + (seed mod 6) in
+    let capacity = if seed mod 3 = 0 then Some (4 + (seed mod 8)) else None in
+    let m = Synthetic.internet_like ~seed nodes in
+    let servers = Dia_placement.Placement.random ~seed ~k ~n:nodes in
+    let t = ref (Dynamic.create ?capacity ~delay m ~servers) in
+    let rng = Random.State.make [| seed; 0xfa11 |] in
+    let live = ref [] in
+    let trace = Buffer.create 4096 in
+    let say fmt = Printf.bprintf trace fmt in
+    for step = 1 to 200 do
+      let s = Random.State.int rng k in
+      (match Random.State.int rng 16 with
+      | 0 | 1 | 2 | 3 | 4 -> (
+          try live := Dynamic.join !t ~node:(Random.State.int rng nodes) :: !live
+          with Failure _ -> ())
+      | 5 | 6 | 7 -> (
+          match !live with
+          | [] -> ()
+          | l -> Dynamic.leave !t (List.nth l (Random.State.int rng (List.length l))))
+      | 8 | 9 -> Dynamic.set_drift !t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5)
+      | 10 -> Dynamic.set_drift !t ~server:s ~factor:1.0
+      | 11 -> (
+          match Dynamic.fail_server_report !t s with
+          | r ->
+              say "fail %d %d %h %h " r.Dynamic.migrated (List.length r.Dynamic.stranded)
+                r.Dynamic.objective_after r.Dynamic.objective_resolve
+          | exception Invalid_argument _ -> ())
+      | 12 -> (
+          say "refresh %d " (Dynamic.refresh_standbys !t);
+          match Dynamic.promote_standby !t s with
+          | r ->
+              say "promote %d %d %d %h " r.Dynamic.promoted r.Dynamic.fallback
+                (List.length r.Dynamic.stranded) r.Dynamic.promised
+          | exception Invalid_argument _ -> ())
+      | 13 -> ( try Dynamic.recover_server !t s with Invalid_argument _ -> ())
+      | _ -> say "moves %d " (Dynamic.rebalance ~max_moves:4 !t));
+      if step = 100 then begin
+        let drift =
+          List.filter_map
+            (fun s ->
+              let f = Dynamic.drift !t s in
+              if f <> 1.0 then Some (s, f) else None)
+            (List.init k Fun.id)
+        in
+        t :=
+          Dynamic.restore ?capacity ~delay ~standbys:(Dynamic.standbys !t) m ~servers
+            ~members:(Dynamic.members !t) ~next_id:(Dynamic.next_id !t)
+            ~failed:(Dynamic.failed_servers !t) ~drift ~stats:(Dynamic.stats !t)
+      end;
+      live :=
+        List.filter
+          (fun id ->
+            match Dynamic.server_of !t id with
+            | _ -> true
+            | exception Invalid_argument _ -> false)
+          !live;
+      List.iter (fun (id, n, s) -> say "%d:%d:%d " id n s) (Dynamic.members !t);
+      List.iter (fun (id, sb) -> say "%d>%d " id sb) (Dynamic.standbys !t);
+      say "D=%h LB=%h\n" (Dynamic.objective !t) (Dynamic.lower_bound !t)
+    done;
+    Digest.string (Buffer.contents trace)
+  in
+  Digest.to_hex (Digest.string (String.concat "" (List.init 30 (fun seed -> sequence ~seed))))
+
+let test_failover_digest_zero_delay () =
+  Alcotest.(check string) "zero-delay failover digest" "eedfcc1159b04b1acf0d6eb764e0a6dc"
+    (failover_digest ~delay:Dia_core.Delay.zero)
+
+let test_failover_digest_mm1 () =
+  Alcotest.(check string) "mm1:40 failover digest" "3931916a8cf82a1489b9f04c632980c4"
+    (failover_digest ~delay:(Dia_core.Delay.Queueing { mu = 40. }))
+
+(* --- a test-only referee for one rebalance round ----------------------- *)
+
+(* The move [rebalance ~max_moves:1] must make, re-derived from the
+   public view alone: eccentricities rebuilt from {!Dynamic.members}
+   over {!Dynamic.snapshot}'s drifted matrix, the longest pairs, their
+   witnesses in id order, and for each witness the full scan of every
+   live target with room — the round as first written, before any
+   pre-check. [None] when no single move beats D by more than 1e-12. *)
+let referee_move ~delay t =
+  if Dynamic.num_clients t = 0 then None
+  else begin
+    let p, _ = Dynamic.snapshot t in
+    let m = Problem.latency p and srv = Problem.servers p in
+    let k = Array.length srv in
+    let d u s = Matrix.get m u srv.(s) and d_ss a b = Matrix.get m srv.(a) srv.(b) in
+    let members = Dynamic.members t in
+    let load = Array.init k (Dynamic.load t) in
+    let failed = Dynamic.failed_servers t in
+    let capacity = Option.value ~default:max_int (Dynamic.capacity t) in
+    let delay_at = Dia_core.Delay.eval delay in
+    let ecc_excluding ?(except = -1) s =
+      List.fold_left
+        (fun e (id, u, s') -> if s' = s && id <> except then Float.max e (d u s) else e)
+        neg_infinity members
+    in
+    let ecc = Array.init k (fun s -> ecc_excluding s) in
+    let eff =
+      Array.init k (fun s ->
+          if ecc.(s) > neg_infinity then ecc.(s) +. delay_at load.(s) else neg_infinity)
+    in
+    let objective eff =
+      let best = ref neg_infinity in
+      for s1 = 0 to k - 1 do
+        for s2 = s1 to k - 1 do
+          if eff.(s1) > neg_infinity && eff.(s2) > neg_infinity then
+            best := Float.max !best (eff.(s1) +. d_ss s1 s2 +. eff.(s2))
+        done
+      done;
+      !best
+    in
+    let dd = objective eff in
+    let on_longest s =
+      eff.(s) > neg_infinity
+      && List.exists
+           (fun s' ->
+             let a = min s s' and b = max s s' in
+             eff.(s') > neg_infinity && eff.(a) +. d_ss a b +. eff.(b) >= dd -. 1e-9)
+           (List.init k Fun.id)
+    in
+    let mover (id, u, old_s) =
+      let e = ecc_excluding ~except:id old_s in
+      let trial = Array.copy eff in
+      trial.(old_s) <-
+        (if e > neg_infinity then e +. delay_at (load.(old_s) - 1) else neg_infinity);
+      let d_rest = objective trial in
+      let best = ref (-1) and best_d = ref infinity in
+      for s = 0 to k - 1 do
+        if s <> old_s && (not (List.mem s failed)) && load.(s) < capacity then begin
+          let next = delay_at (load.(s) + 1) in
+          let hop =
+            (if next > delay_at load.(s) then Float.max ecc.(s) (d u s) else d u s) +. next
+          in
+          let cost = ref (2. *. hop) in
+          for s'' = 0 to k - 1 do
+            if trial.(s'') > neg_infinity then
+              cost := Float.max !cost (hop +. d_ss s s'' +. trial.(s''))
+          done;
+          let resulting = Float.max d_rest !cost in
+          if resulting < !best_d then begin
+            best_d := resulting;
+            best := s
+          end
+        end
+      done;
+      if !best >= 0 && !best_d < dd -. 1e-12 then Some (id, !best) else None
+    in
+    List.find_map
+      (fun (id, u, s) ->
+        if on_longest s && d u s >= ecc.(s) -. 1e-9 then mover (id, u, s) else None)
+      members
+  end
+
+let prop_rebalance_referee =
+  (* Random sequences with drift, report failover, promotion and
+     recovery, under all five delay models: every [rebalance
+     ~max_moves:1] makes exactly the referee's move, or none when the
+     referee finds none. *)
+  QCheck.Test.make ~name:"rebalance makes the referee's single move" ~count:250
+    QCheck.(triple (int_bound 1_000_000) (int_range 10 80) (int_bound 4))
+    (fun (seed, steps, model) ->
+      let delay = delay_of model in
+      let rng = Random.State.make [| seed; 0x4eb |] in
+      let capacity = if seed mod 3 = 0 then 8 else 30 in
+      let t = Dynamic.create ~capacity ~delay matrix ~servers in
+      let live = ref [] in
+      let connected id =
+        match Dynamic.server_of t id with _ -> true | exception Invalid_argument _ -> false
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let s = Random.State.int rng 6 in
+        (match Random.State.int rng 14 with
+        | 0 | 1 | 2 | 3 -> (
+            try live := Dynamic.join t ~node:(Random.State.int rng 80) :: !live
+            with Failure _ -> ())
+        | 4 | 5 -> (
+            match !live with
+            | [] -> ()
+            | id :: rest ->
+                Dynamic.leave t id;
+                live := rest)
+        | 6 -> (
+            match !live with
+            | [] -> ()
+            | id :: _ -> ( try Dynamic.move t id s with Invalid_argument _ -> ()))
+        | 7 -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5)
+        | 8 -> Dynamic.set_drift t ~server:s ~factor:1.0
+        | 9 -> ( try ignore (Dynamic.fail_server_report t s) with Invalid_argument _ -> ())
+        | 10 -> (
+            ignore (Dynamic.refresh_standbys t);
+            try ignore (Dynamic.promote_standby t s) with Invalid_argument _ -> ())
+        | 11 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
+        | _ ->
+            let before = Dynamic.members t in
+            let expected =
+              match referee_move ~delay t with
+              | None -> before
+              | Some (mover, target) ->
+                  List.map
+                    (fun (id, u, s) -> if id = mover then (id, u, target) else (id, u, s))
+                    before
+            in
+            let moves = Dynamic.rebalance ~max_moves:1 t in
+            if Dynamic.members t <> expected || moves <> (if expected = before then 0 else 1)
+            then ok := false);
+        live := List.filter connected !live
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "empty session" `Quick test_empty_session;
@@ -857,6 +1079,10 @@ let suite =
       test_zero_delay_placements_pinned;
     QCheck_alcotest.to_alcotest prop_lower_bound_is_kernel;
     QCheck_alcotest.to_alcotest prop_problem_version;
+    Alcotest.test_case "zero-delay failover digest pinned" `Quick
+      test_failover_digest_zero_delay;
+    Alcotest.test_case "mm1:40 failover digest pinned" `Quick test_failover_digest_mm1;
+    QCheck_alcotest.to_alcotest prop_rebalance_referee;
     Alcotest.test_case "LB kernel with one live server" `Quick
       test_lower_bound_one_live_server;
     Alcotest.test_case "LB kernel with every member on one node" `Quick
