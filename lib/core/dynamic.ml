@@ -19,6 +19,9 @@ type t = {
   base : Matrix.t;  (** pristine latencies, never mutated *)
   mutable matrix : Matrix.t;  (** == [base] until drift copies it *)
   servers : int array;
+  ns : float array;
+      (** [ns.(node * k + s) = d(node, servers.(s))] over [matrix] *)
+  ss : float array;  (** [ss.(s1 * k + s2) = d(servers.(s1), servers.(s2))] *)
   capacity : int;
   delay : Delay.t;  (** load-latency model; [Delay.zero] = the paper's D *)
   members : (client_id, member) Hashtbl.t;
@@ -33,6 +36,7 @@ type t = {
   sb_load : int array array;
       (** [sb_load.(p).(s)] = members of primary [p] whose standby is [s] *)
   failed : bool array;
+  mutable live : int array;  (** the servers not [failed], ascending *)
   node_drift : float array;  (** per-node multiplicative factor, 1.0 = none *)
   node_count : int array;  (** members per network node (occupancy) *)
   mutable d_cache : float;  (** D over [eff]; valid iff [not d_dirty] *)
@@ -68,11 +72,24 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Dynamic.create: capacity must be positive"
   | _ -> ());
-  let k = Array.length servers in
+  let k = Array.length servers and n = Matrix.dim matrix in
+  let ns = Array.make (n * k) 0. and ss = Array.make (k * k) 0. in
+  for u = 0 to n - 1 do
+    for s = 0 to k - 1 do
+      ns.((u * k) + s) <- Matrix.get matrix u servers.(s)
+    done
+  done;
+  for s1 = 0 to k - 1 do
+    for s2 = 0 to k - 1 do
+      ss.((s1 * k) + s2) <- Matrix.get matrix servers.(s1) servers.(s2)
+    done
+  done;
   {
     base = matrix;
     matrix;
     servers = Array.copy servers;
+    ns;
+    ss;
     capacity = Option.value ~default:max_int capacity;
     delay;
     members = Hashtbl.create 64;
@@ -84,6 +101,7 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
     dists = Array.make k Fmap.empty;
     sb_load = Array.make_matrix k k 0;
     failed = Array.make k false;
+    live = Array.init k Fun.id;
     node_drift = Array.make (Matrix.dim matrix) 1.0;
     node_count = Array.make (Matrix.dim matrix) 0;
     d_cache = neg_infinity;
@@ -102,13 +120,20 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
     moves = 0;
   }
 
-let k t = Array.length t.servers
+let[@inline] k t = Array.length t.servers
 
-let d_ns t node s = Matrix.get t.matrix node t.servers.(s)
-let d_ss t s1 s2 = Matrix.get t.matrix t.servers.(s1) t.servers.(s2)
+(* Every hot scan reads distances from the two tables: a [node] is
+   range-checked once where it enters the session (join, restore), and
+   server indices are the session's own. *)
+let[@inline] d_ns t node s = Array.unsafe_get t.ns ((node * k t) + s)
+let[@inline] d_ss t s1 s2 = Array.unsafe_get t.ss ((s1 * k t) + s2)
 
 let active_servers t =
   List.filter (fun s -> not t.failed.(s)) (List.init (k t) Fun.id)
+
+let set_failed t s failed =
+  t.failed.(s) <- failed;
+  t.live <- Array.of_list (active_servers t)
 
 (* D from per-server (effective) eccentricities: the max over used
    pairs, smaller server index on the left. *)
@@ -173,15 +198,28 @@ let objective t =
   end;
   t.d_cache
 
+(* The referee reads the matrix through [servers], never the tables the
+   incremental paths read, so a stale table entry shows as a mismatch. *)
 let objective_scratch t =
+  let d u s = Matrix.get t.matrix u t.servers.(s) in
   let ecc = Array.make (k t) neg_infinity in
   let load = Array.make (k t) 0 in
   Hashtbl.iter
     (fun _ m ->
       load.(m.server) <- load.(m.server) + 1;
-      ecc.(m.server) <- Float.max ecc.(m.server) (d_ns t m.node m.server))
+      ecc.(m.server) <- Float.max ecc.(m.server) (d m.node m.server))
     t.members;
-  objective_of t (Ecc.effective ~delay:t.delay ecc ~load)
+  let eff = Ecc.effective ~delay:t.delay ecc ~load in
+  let best = ref neg_infinity in
+  for s1 = 0 to k t - 1 do
+    for s2 = s1 to k t - 1 do
+      if eff.(s1) > neg_infinity && eff.(s2) > neg_infinity then begin
+        let len = eff.(s1) +. d t.servers.(s1) s2 +. eff.(s2) in
+        if len > !best then best := len
+      end
+    done
+  done;
+  !best
 
 let mset_add t s d =
   t.dists.(s) <-
@@ -251,7 +289,7 @@ let lb_invalidate t = t.lb_valid <- false
    maximum. *)
 let lb_extend t u =
   if t.lb_valid then begin
-    let live = Array.of_list (active_servers t) in
+    let live = t.live in
     let kl = Array.length live and reach = t.lb_reach in
     for j' = 0 to kl - 1 do
       let m = ref infinity in
@@ -263,22 +301,21 @@ let lb_extend t u =
     done;
     let best = ref t.lb_cache in
     let wa = ref t.lb_wa and wb = ref t.lb_wb in
-    Array.iteri
-      (fun v count ->
-        if count > 0 then begin
-          let a = if v < u then v else u and b = if v < u then u else v in
-          let len = ref infinity in
-          for j' = 0 to kl - 1 do
-            let l = reach.((a * kl) + j') +. d_ns t b live.(j') in
-            if l < !len then len := l
-          done;
-          if !len > !best then begin
-            best := !len;
-            wa := a;
-            wb := b
-          end
-        end)
-      t.node_count;
+    for v = 0 to Array.length t.node_count - 1 do
+      if t.node_count.(v) > 0 then begin
+        let a = if v < u then v else u and b = if v < u then u else v in
+        let len = ref infinity in
+        for j' = 0 to kl - 1 do
+          let l = reach.((a * kl) + j') +. d_ns t b live.(j') in
+          if l < !len then len := l
+        done;
+        if !len > !best then begin
+          best := !len;
+          wa := a;
+          wb := b
+        end
+      end
+    done;
     t.lb_cache <- !best;
     t.lb_wa <- !wa;
     t.lb_wb <- !wb
@@ -297,20 +334,26 @@ let node_remove t node =
 
 let network_lower_bound t =
   if not t.lb_valid then begin
-    let live = Array.of_list (active_servers t) in
+    let live = t.live in
     let kl = Array.length live in
     let occupied =
       Seq.init (Array.length t.node_count) Fun.id
       |> Seq.filter (fun u -> t.node_count.(u) > 0)
       |> Array.of_seq
     in
-    let grid rows d =
-      Array.init (Array.length rows * kl) (fun i -> d rows.(i / kl) live.(i mod kl))
-    in
     let n = Array.length occupied in
-    let r =
-      Lower_bound.scan ~k:kl ~cs:(grid occupied (d_ns t)) ~ss:(grid live (d_ss t)) n
-    in
+    let cs = Array.make (n * kl) 0. and ss = Array.make (kl * kl) 0. in
+    for i = 0 to n - 1 do
+      for j = 0 to kl - 1 do
+        cs.((i * kl) + j) <- d_ns t occupied.(i) live.(j)
+      done
+    done;
+    for i = 0 to kl - 1 do
+      for j = 0 to kl - 1 do
+        ss.((i * kl) + j) <- d_ss t live.(i) live.(j)
+      done
+    done;
+    let r = Lower_bound.scan ~k:kl ~cs ~ss n in
     Array.iteri (fun i u -> Array.blit r.reach (i * kl) t.lb_reach (u * kl) kl) occupied;
     t.lb_cache <- r.value;
     t.lb_wa <- (if r.wa < 0 then -1 else occupied.(r.wa));
@@ -321,8 +364,10 @@ let network_lower_bound t =
 
 (* Reference recompute sharing no cached state with
    [network_lower_bound]: occupancy from the member table, reach rows
-   rebuilt fresh. *)
+   rebuilt fresh, distances read from the matrix. *)
 let network_lower_bound_scratch t =
+  let d_ns t u s = Matrix.get t.matrix u t.servers.(s) in
+  let d_ss t s s' = Matrix.get t.matrix t.servers.(s) t.servers.(s') in
   let n = Array.length t.node_count in
   let occupied = Array.make n false in
   Hashtbl.iter (fun _ m -> occupied.(m.node) <- true) t.members;
@@ -524,6 +569,19 @@ let load t s =
     invalid_arg (Printf.sprintf "Dynamic.load: server %d out of range" s);
   t.load.(s)
 
+(* Move a member to [s] (a different live server with room): loads,
+   both eccentricities, the standby and the move counter follow. *)
+let relocate t member s =
+  let old_s = member.server in
+  clear_standby t member;
+  t.load.(old_s) <- t.load.(old_s) - 1;
+  t.load.(s) <- t.load.(s) + 1;
+  ecc_remove t old_s (d_ns t member.node old_s);
+  member.server <- s;
+  ecc_add t s (d_ns t member.node s);
+  select_standby t member;
+  t.moves <- t.moves + 1
+
 let move t id target =
   let member = find t id in
   if target < 0 || target >= k t then
@@ -533,20 +591,57 @@ let move t id target =
   if member.server <> target then begin
     if t.load.(target) >= t.capacity then
       invalid_arg (Printf.sprintf "Dynamic.move: server %d is saturated" target);
-    clear_standby t member;
-    let old_s = member.server in
-    t.load.(old_s) <- t.load.(old_s) - 1;
-    t.load.(target) <- t.load.(target) + 1;
-    ecc_remove t old_s (d_ns t member.node old_s);
-    member.server <- target;
-    ecc_add t target (d_ns t member.node target);
-    select_standby t member;
-    t.moves <- t.moves + 1
+    relocate t member target
   end
 
+(* Where a member at [node] on [old_s] moves in a rebalance round whose
+   objective is [d]: the live server with room that minimises the
+   objective once the member re-attaches there, or -1 when no target
+   beats [d] by more than 1e-12. A pure function of [(node, old_s)]:
+   the trial session drops one distance d(node, old_s) from the donor's
+   multiset and one unit of its load, whichever member that is. *)
+let target t ~d node old_s =
+  let trial = Array.copy t.eff in
+  let e = ecc_without t old_s (d_ns t node old_s) in
+  trial.(old_s) <-
+    (if e > neg_infinity then e +. Delay.eval t.delay (t.load.(old_s) - 1)
+     else neg_infinity);
+  let d_rest = objective_of t trial in
+  let best = ref (-1) and best_d = ref infinity in
+  for s = 0 to k t - 1 do
+    if s <> old_s && (not t.failed.(s)) && t.load.(s) < t.capacity then begin
+      let cost = attach_cost t trial ~hop:(placement_hop t node s) s in
+      let resulting = Float.max d_rest cost in
+      if resulting < !best_d then begin
+        best_d := resulting;
+        best := s
+      end
+    end
+  done;
+  if !best >= 0 && !best_d < d -. 1e-12 then !best else -1
+
+(* Whether any round candidate can move, decided at node level. A
+   candidate is a member on a longest-pair server [s] realising [s]'s
+   eccentricity; its node [u] is occupied, d(u,s) passes the same
+   filter, and d(u,s) is a key of [s]'s distance multiset. So the pairs
+   tested here are a superset of the candidates' (node, server) pairs,
+   and a candidate's move is [target] of its pair: [false] means the
+   member fold would move nobody. *)
+let any_mover t ~d on_longest =
+  let n = Array.length t.node_count in
+  let rec scan s u =
+    if s >= k t then false
+    else if u >= n || not on_longest.(s) then scan (s + 1) 0
+    else
+      (t.node_count.(u) > 0
+      && d_ns t u s >= t.ecc.(s) -. 1e-9
+      && Fmap.mem (d_ns t u s) t.dists.(s)
+      && target t ~d u s >= 0)
+      || scan s (u + 1)
+  in
+  scan 0 0
+
 let rebalance ?(max_moves = max_int) t =
-  if max_moves <= 0 then 0
-  else begin
   let moves = ref 0 in
   let continue = ref true in
   while !continue && !moves < max_moves do
@@ -567,57 +662,33 @@ let rebalance ?(max_moves = max_int) t =
           end
         done
     done;
-    let candidates =
-      Hashtbl.fold
-        (fun id member acc ->
-          if on_longest.(member.server)
-             && d_ns t member.node member.server >= t.ecc.(member.server) -. 1e-9
-          then (id, member) :: acc
-          else acc)
-        t.members []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
+    let moved =
+      any_mover t ~d on_longest
+      &&
+      let candidates =
+        Hashtbl.fold
+          (fun id member acc ->
+            if on_longest.(member.server)
+               && d_ns t member.node member.server >= t.ecc.(member.server) -. 1e-9
+            then (id, member) :: acc
+            else acc)
+          t.members []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.exists
+        (fun (_, member) ->
+          let s = target t ~d member.node member.server in
+          s >= 0
+          && begin
+               relocate t member s;
+               incr moves;
+               true
+             end)
+        candidates
     in
-    let try_move (_id, member) =
-      let old_s = member.server in
-      let d_old = d_ns t member.node old_s in
-      (* The session without the mover: its donor loses the member's
-         distance and one unit of load. *)
-      let trial = Array.copy t.eff in
-      let e = ecc_without t old_s d_old in
-      trial.(old_s) <-
-        (if e > neg_infinity then e +. Delay.eval t.delay (t.load.(old_s) - 1)
-         else neg_infinity);
-      let d_rest = objective_of t trial in
-      let best = ref (-1) and best_d = ref infinity in
-      for s = 0 to k t - 1 do
-        if s <> old_s && (not t.failed.(s)) && t.load.(s) < t.capacity then begin
-          let cost = attach_cost t trial ~hop:(placement_hop t member.node s) s in
-          let resulting = Float.max d_rest cost in
-          if resulting < !best_d then begin
-            best_d := resulting;
-            best := s
-          end
-        end
-      done;
-      if !best >= 0 && !best_d < d -. 1e-12 then begin
-        let s = !best in
-        clear_standby t member;
-        t.load.(old_s) <- t.load.(old_s) - 1;
-        t.load.(s) <- t.load.(s) + 1;
-        ecc_remove t old_s d_old;
-        member.server <- s;
-        ecc_add t s (d_ns t member.node s);
-        select_standby t member;
-        t.moves <- t.moves + 1;
-        incr moves;
-        true
-      end
-      else false
-    in
-    if not (List.exists try_move candidates) then continue := false
+    if not moved then continue := false
   done;
   !moves
-  end
 
 let snapshot t =
   if num_clients t = 0 then invalid_arg "Dynamic.snapshot: no clients";
@@ -716,7 +787,7 @@ let set_drift t ~server ~factor =
   if t.node_drift.(sv) <> factor then begin
     if t.matrix == t.base then t.matrix <- Matrix.copy t.base;
     t.node_drift.(sv) <- factor;
-    let n = Matrix.dim t.base in
+    let n = Matrix.dim t.base and k = k t in
     for u = 0 to n - 1 do
       if u <> sv then
         (* The factor product is grouped apart from the base entry:
@@ -728,6 +799,24 @@ let set_drift t ~server ~factor =
            ulps), which used to break kill/resume bit-identity. *)
         Matrix.set t.matrix u sv
           (Matrix.get t.base u sv *. (factor *. t.node_drift.(u)))
+    done;
+    (* Only row and column [sv] of the matrix changed: patch [sv]'s row
+       of [ns], and the [ns] column and the [ss] row and column of every
+       server at [sv] — O(n + k) each. *)
+    for s = 0 to k - 1 do
+      t.ns.((sv * k) + s) <- Matrix.get t.matrix sv t.servers.(s)
+    done;
+    for s = 0 to k - 1 do
+      if t.servers.(s) = sv then begin
+        for u = 0 to n - 1 do
+          t.ns.((u * k) + s) <- Matrix.get t.matrix u sv
+        done;
+        for s' = 0 to k - 1 do
+          let v = Matrix.get t.matrix sv t.servers.(s') in
+          t.ss.((s * k) + s') <- v;
+          t.ss.((s' * k) + s) <- v
+        done
+      end
     done;
     (* The index read the pre-drift entries; next query rebuilds it. *)
     t.landmark <- None;
@@ -745,7 +834,7 @@ let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_li
     (fun srv ->
       if srv < 0 || srv >= k t then
         invalid_arg (Printf.sprintf "Dynamic.restore: failed server %d out of range" srv);
-      t.failed.(srv) <- true)
+      set_failed t srv true)
     failed;
   List.iter (fun (server, factor) -> set_drift t ~server ~factor) drift_list;
   List.iter
@@ -811,7 +900,7 @@ let check_failable t s ~label =
    [s]) — and zero the dead server's caches. Returns the orphans and the
    ids whose standby was invalidated. *)
 let fail_prologue t s =
-  t.failed.(s) <- true;
+  set_failed t s true;
   (* One bump covers the whole failover, stranded removals included. *)
   t.version <- t.version + 1;
   let orphans =
@@ -1035,6 +1124,6 @@ let recover_server t s =
     invalid_arg (Printf.sprintf "Dynamic.recover_server: server %d out of range" s);
   if not t.failed.(s) then
     invalid_arg (Printf.sprintf "Dynamic.recover_server: server %d is not failed" s);
-  t.failed.(s) <- false;
+  set_failed t s false;
   t.version <- t.version + 1;
   lb_invalidate t

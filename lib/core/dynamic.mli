@@ -12,7 +12,12 @@
     drift.
 
     All operations are incremental: joins cost O(|S|²), leaves
-    O(|S| + load), rebalance O(moves · |S|²  + |C|) — no full re-solve.
+    O(|S| + load), and a {!rebalance} round O(|S|·n) plus O(|S|²) per
+    (node, server) pair at a longest-pair eccentricity, with an O(|C|)
+    member fold only in a round that moves someone — no full re-solve.
+    Every scan reads distances from two flat tables the session keeps,
+    node × server and server × server, O(n·|S|) floats for an
+    [n]-node network.
 
     {b Standby replicas.} Alongside its primary, every client carries a
     {e standby} server — the live server (other than the primary) that
@@ -100,8 +105,10 @@ val objective : t -> float
 
 val objective_scratch : t -> float
 (** Reference recompute of {!objective} from the member table alone —
-    O(|C| + |S|²), sharing no cached state. Exposed so tests can pin
-    the incremental value to the from-scratch one exactly. *)
+    O(|C| + |S|²), sharing no cached state and reading every distance
+    from the (drifted) matrix rather than the session's tables. Exposed
+    so tests can pin the incremental value to the from-scratch one
+    exactly. *)
 
 val lower_bound : t -> float
 (** Super-optimal lower bound on D(A) over the {e live} servers and the
@@ -123,16 +130,22 @@ val lower_bound : t -> float
     exact zero. *)
 
 val lower_bound_scratch : t -> float
-(** Reference recompute of {!lower_bound} sharing no cached state —
-    O(m²·|S| + m·|S|²) for m occupied nodes. The incremental value is
+(** Reference recompute of {!lower_bound} sharing no cached state and
+    reading the matrix, not the session's tables — O(m²·|S| + m·|S|²)
+    for m occupied nodes. The incremental value is
     bit-identical to this, which tests enforce. *)
 
 val rebalance : ?max_moves:int -> t -> int
 (** Perform up to [max_moves] (default unlimited) strictly improving
     single-client moves, Distributed-Greedy style, and return how many
-    were made. Afterwards (when not cut short by [max_moves]) no single
-    move can reduce the objective. [max_moves <= 0] is a guaranteed
-    no-op returning [0] — the migration budget can always be exhausted
+    were made. Each round moves the lowest-id client that realises its
+    server's eccentricity on a longest pair and has an improving target.
+    A move depends only on the client's (node, server), so a round first
+    tries each occupied node at a longest-pair server's eccentricity and
+    ends at once, skipping the member scan, when none would move.
+    Afterwards (when not cut short by [max_moves]) no single move can
+    reduce the objective. [max_moves <= 0] is a guaranteed no-op
+    returning [0] — the migration budget can always be exhausted
     safely. *)
 
 val snapshot : t -> Problem.t * Assignment.t
@@ -211,8 +224,10 @@ val set_drift : t -> server:int -> factor:float -> unit
 (** Rescale every latency to and from [server]'s node by [factor]
     (replacing any previous factor for that server; links between two
     drifted server nodes carry the product of the two factors). Models
-    congestion or route change at a server site. All cached
-    eccentricities are rebuilt against the drifted matrix, and
+    congestion or route change at a server site. The session's
+    distance tables are patched where the matrix changed (the server
+    node's row and column, O(n + |S|)), all cached eccentricities are
+    rebuilt against the drifted matrix, and
     {!snapshot} materialises the drifted distances, so offline re-solves
     and lower bounds stay comparable with {!objective}. The caller's
     matrix is never mutated (copy-on-first-drift).
