@@ -142,70 +142,3 @@ let pp ppf m =
     let mn, mean, mx = entry_stats m in
     Format.fprintf ppf "<matrix %dx%d min=%.2f mean=%.2f max=%.2f>" m.n m.n mn
       mean mx
-
-module Reference = struct
-  let create_flat = create
-
-  type boxed = { rn : int; rdata : float array }
-
-  let create n =
-    if n < 0 then invalid_arg "Matrix.create: negative dimension";
-    { rn = n; rdata = Array.make (n * n) 0. }
-
-  let dim r = r.rn
-
-  let check_index r i =
-    if i < 0 || i >= r.rn then
-      invalid_arg (Printf.sprintf "Matrix: index %d out of bounds [0, %d)" i r.rn)
-
-  let get r i j =
-    check_index r i;
-    check_index r j;
-    r.rdata.((i * r.rn) + j)
-
-  let set r i j v =
-    check_index r i;
-    check_index r j;
-    check_value v;
-    if i = j && v <> 0. then invalid_arg "Matrix.set: non-zero diagonal";
-    r.rdata.((i * r.rn) + j) <- v;
-    r.rdata.((j * r.rn) + i) <- v
-
-  let init n f =
-    let r = create n in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        set r i j (f i j)
-      done
-    done;
-    r
-
-  let of_matrix m =
-    let r = create m.n in
-    for i = 0 to (m.n * m.n) - 1 do
-      r.rdata.(i) <- Bigarray.Array1.unsafe_get m.data i
-    done;
-    r
-
-  let to_matrix r =
-    let m = create_flat r.rn in
-    for i = 0 to (r.rn * r.rn) - 1 do
-      Bigarray.Array1.unsafe_set m.data i r.rdata.(i)
-    done;
-    m
-
-  let bit_equal r m =
-    r.rn = m.n
-    &&
-    let len = r.rn * r.rn in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < len do
-      if
-        Int64.bits_of_float r.rdata.(!i)
-        <> Int64.bits_of_float (Bigarray.Array1.unsafe_get m.data !i)
-      then ok := false;
-      incr i
-    done;
-    !ok
-end

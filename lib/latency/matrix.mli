@@ -8,8 +8,8 @@
 
     The store is a flat row-major float64 {!Bigarray.Array1}; entries are
     bit-identical IEEE-754 doubles to the historical [float array] backing
-    (see {!Reference}), so switching layouts never changes a computed
-    objective. Gather loops over indices validated once read it with
+    (kept as [Dia_oracle.Reference.Boxed_matrix]), so switching layouts
+    never changes a computed objective. Gather loops over indices validated once read it with
     {!unsafe_get}. *)
 
 type t
@@ -85,27 +85,3 @@ val pp : Format.formatter -> t -> unit
 (** Debug printer; prints the full matrix for small [n], a one-line
     min/mean/max summary (one pass, no [mean=nan] for degenerate sizes)
     otherwise. *)
-
-(** The historical boxed [float array] layout, kept as a differential
-    oracle: the test suite builds instances on both layouts and requires
-    bit-identical entries and algorithm outputs. Not used on any hot
-    path. *)
-module Reference : sig
-  type boxed
-
-  val create : int -> boxed
-  val init : int -> (int -> int -> float) -> boxed
-  val dim : boxed -> int
-  val get : boxed -> int -> int -> float
-  val set : boxed -> int -> int -> float -> unit
-
-  val of_matrix : t -> boxed
-  (** Entry-preserving copy out of the flat store. *)
-
-  val to_matrix : boxed -> t
-  (** Entry-preserving copy into the flat store (raw values, no
-      re-validation — the boxed side already enforced the invariants). *)
-
-  val bit_equal : boxed -> t -> bool
-  (** True iff every entry is bitwise ([Int64.bits_of_float]) identical. *)
-end

@@ -430,9 +430,9 @@ let check_instance ~seed =
      and must reproduce every assignment and objective bit-for-bit. *)
   let index_metric =
     let m0 = Problem.latency p in
-    let boxed = Matrix.Reference.of_matrix m0 in
+    let boxed = Reference.Boxed_matrix.of_matrix m0 in
     checked "layout round-trip"
-      (if Matrix.Reference.bit_equal boxed m0 then Ok ()
+      (if Reference.Boxed_matrix.bit_equal boxed m0 then Ok ()
        else Error "boxed copy is not bit-identical to the flat store");
     let index = Landmark.build m0 ~candidates:(Problem.servers p) in
     let bad = ref None in
@@ -450,7 +450,7 @@ let check_instance ~seed =
                "client %d: index picked server %d, exhaustive scan %d (metric_ok=%b)"
                c i s (Landmark.metric_ok index)));
     if seed mod 4 = 0 then begin
-      let rt = Matrix.Reference.to_matrix boxed in
+      let rt = Reference.Boxed_matrix.to_matrix boxed in
       let p' =
         Problem.make
           ?capacity:(Problem.capacity p)

@@ -283,3 +283,19 @@ let distributed_greedy p =
         probes = !probes;
       };
   }
+
+module Boxed_matrix = struct
+  type t = { n : int; data : float array }
+
+  let of_matrix m =
+    let n = Matrix.dim m in
+    { n; data = Array.init (n * n) (fun i -> Matrix.get m (i / n) (i mod n)) }
+
+  let to_matrix b = Matrix.init b.n (fun i j -> b.data.((i * b.n) + j))
+
+  let bit_equal b m =
+    b.n = Matrix.dim m
+    && Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         b.data (of_matrix m).data
+end

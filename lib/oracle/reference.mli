@@ -36,3 +36,22 @@ val distributed_greedy : Dia_core.Problem.t -> Dia_core.Distributed_greedy.resul
     every pair scan and every target's {!Dia_core.Ecc.attach} runs in
     full. Same assignment, trace and stats as
     {!Dia_core.Distributed_greedy.run}, whose scans stop early. *)
+
+(** The distance matrix's historical boxed [float array] layout, kept
+    to diff the flat {!Dia_latency.Matrix} store against: the oracle and
+    the test suite build instances on both layouts and require
+    bit-identical entries and algorithm outputs. *)
+module Boxed_matrix : sig
+  type t
+
+  val of_matrix : Dia_latency.Matrix.t -> t
+  (** Entry-preserving copy out of the flat store. *)
+
+  val to_matrix : t -> Dia_latency.Matrix.t
+  (** Entry-preserving copy back into the flat store (built through
+      {!Dia_latency.Matrix.init}, which mirrors the upper triangle: a
+      copy of a valid matrix is symmetric with a zero diagonal). *)
+
+  val bit_equal : t -> Dia_latency.Matrix.t -> bool
+  (** True iff every entry is bitwise ([Int64.bits_of_float]) identical. *)
+end
