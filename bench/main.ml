@@ -406,6 +406,19 @@ let make_lb_rebuild_kernel ~query =
     Dia_core.Dynamic.set_drift session ~server:0 ~factor:(if !up then 1.25 else 1.);
     if query then Dia_core.Dynamic.lower_bound session else nan
 
+(* Pre-population: 300 joins at seeded random nodes on a fresh session
+   over the 400-node churn matrix with 20 servers — the base sessions a
+   soak-scale soak joins before its trace. About 210 nodes end up
+   occupied, so most joins extend the cached lower bound. *)
+let make_populate_kernel () =
+  let servers = Placement.random ~seed:6 ~k:20 ~n:churn_nodes in
+  let rng = Random.State.make [| 6 |] in
+  let nodes = Array.init 300 (fun _ -> Random.State.int rng churn_nodes) in
+  fun () ->
+    let session = Dia_core.Dynamic.create churn_matrix ~servers in
+    Array.iter (fun node -> ignore (Dia_core.Dynamic.join session ~node)) nodes;
+    session
+
 (* Each kernel is [(calls, make)]. [make] builds the kernel's state
    just before it is timed, so only that kernel's state is live while it
    runs: bechamel compacts the heap before every sample, and the quota
@@ -516,6 +529,7 @@ let tests =
         make_lb_rebuild_kernel ~query:true);
     kernel ~calls:50 "session/drift-toggle(occupied≈210,k=20)" (fun () ->
         make_lb_rebuild_kernel ~query:false);
+    kernel "session/populate(clients=300,k=20)" make_populate_kernel;
     kernel ~calls:10 "soak/epoch-plan(survivors=310,k=20)" make_epoch_plan_kernel;
     kernel "soak/load-baseline(clients=50,horizon=150)" load_baseline_kernel;
   ]

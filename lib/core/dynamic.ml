@@ -76,12 +76,12 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
   let ns = Array.make (n * k) 0. and ss = Array.make (k * k) 0. in
   for u = 0 to n - 1 do
     for s = 0 to k - 1 do
-      ns.((u * k) + s) <- Matrix.get matrix u servers.(s)
+      ns.((u * k) + s) <- Matrix.unsafe_get matrix u servers.(s)
     done
   done;
   for s1 = 0 to k - 1 do
     for s2 = 0 to k - 1 do
-      ss.((s1 * k) + s2) <- Matrix.get matrix servers.(s1) servers.(s2)
+      ss.((s1 * k) + s2) <- Matrix.unsafe_get matrix servers.(s1) servers.(s2)
     done
   done;
   {
@@ -804,15 +804,15 @@ let set_drift t ~server ~factor =
        of [ns], and the [ns] column and the [ss] row and column of every
        server at [sv] — O(n + k) each. *)
     for s = 0 to k - 1 do
-      t.ns.((sv * k) + s) <- Matrix.get t.matrix sv t.servers.(s)
+      t.ns.((sv * k) + s) <- Matrix.unsafe_get t.matrix sv t.servers.(s)
     done;
     for s = 0 to k - 1 do
       if t.servers.(s) = sv then begin
         for u = 0 to n - 1 do
-          t.ns.((u * k) + s) <- Matrix.get t.matrix u sv
+          t.ns.((u * k) + s) <- Matrix.unsafe_get t.matrix u sv
         done;
         for s' = 0 to k - 1 do
-          let v = Matrix.get t.matrix sv t.servers.(s') in
+          let v = Matrix.unsafe_get t.matrix sv t.servers.(s') in
           t.ss.((s * k) + s') <- v;
           t.ss.((s' * k) + s) <- v
         done

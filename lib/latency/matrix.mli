@@ -9,8 +9,8 @@
     The store is a flat row-major float64 {!Bigarray.Array1}; entries are
     bit-identical IEEE-754 doubles to the historical [float array] backing
     (kept as [Dia_oracle.Reference.Boxed_matrix]), so switching layouts
-    never changes a computed objective. Gather loops over indices validated once read it with
-    {!unsafe_get}. *)
+    never changes a computed objective. Gather loops over indices
+    validated once read it with {!unsafe_get}. *)
 
 type t
 (** A symmetric [n x n] latency matrix with zero diagonal. *)

@@ -15,6 +15,7 @@ module Objective = Dia_core.Objective
 module Lower_bound = Dia_core.Lower_bound
 module Nearest = Dia_core.Nearest
 module Dynamic = Dia_core.Dynamic
+module Boxed = Dia_oracle.Reference.Boxed_matrix
 module Kcenter = Dia_placement.Kcenter
 module Differential = Dia_oracle.Differential
 module Pool = Dia_parallel.Pool
@@ -42,11 +43,11 @@ let prop_layout_roundtrip_bit_identical =
       let capacity = if seed mod 3 = 0 then Some (((n - 1) / k) + 1) else None in
       let p = random_instance ?capacity seed ~n ~k in
       let m = Problem.latency p in
-      let boxed = Dia_oracle.Reference.Boxed_matrix.of_matrix m in
-      if not (Dia_oracle.Reference.Boxed_matrix.bit_equal boxed m) then false
+      let boxed = Boxed.of_matrix m in
+      if not (Boxed.bit_equal boxed m) then false
       else begin
         let p' =
-          Problem.make ?capacity ~latency:(Dia_oracle.Reference.Boxed_matrix.to_matrix boxed)
+          Problem.make ?capacity ~latency:(Boxed.to_matrix boxed)
             ~servers:(Problem.servers p) ~clients:(Problem.clients p) ()
         in
         List.for_all
@@ -197,7 +198,7 @@ let prop_dynamic_incremental_bit_identical =
         end
       done;
       (* Restore round-trip over the round-tripped base matrix. *)
-      let rt = Dia_oracle.Reference.Boxed_matrix.to_matrix (Dia_oracle.Reference.Boxed_matrix.of_matrix m) in
+      let rt = Boxed.to_matrix (Boxed.of_matrix m) in
       let drift =
         List.filter_map
           (fun s ->
