@@ -1,4 +1,4 @@
-(* Soak golden digests: five soak configurations run in-process, each
+(* Soak golden digests: seven soak configurations run in-process, each
    pinned by the MD5 of its rendered report and of its rendered event
    log. The constants are the outputs of the CLI runs
 
@@ -11,10 +11,13 @@
    baseline stream (EXTRA = --delay mm1:30 --baseline, budget 8; its
    report's competitive line folds every re-solve of the survivor
    problem under the delay model) and a capacitated soak
-   (EXTRA = --capacity 30 --clients 200 --baseline, budget 8). A
-   refactor that leaves the control plane's behaviour alone keeps every
-   byte of both; a deliberate behaviour change updates the constants
-   and says so. *)
+   (EXTRA = --capacity 30 --clients 200 --baseline, budget 8), the
+   chaos soak without standbys (EXTRA = --no-standby, budget 8: every
+   crash takes the full-migration failover path) and the chaos soak in
+   weighted mode (EXTRA = --coreset-eps 0.2, budget 8: the one mode that
+   builds every pair of the latency matrix). A refactor that leaves the
+   control plane's behaviour alone keeps every byte of both; a
+   deliberate behaviour change updates the constants and says so. *)
 
 module Soak = Dia_runtime.Soak
 module Event_log = Dia_runtime.Event_log
@@ -65,6 +68,16 @@ let cases =
       { (config ~budget:8) with offline_baseline = true },
       "68a265ca5ccea85b0a377f9f368173f1",
       "a33d1c6a6bcbbab2c752fd0e21e66ec5" );
+    ( "no standby",
+      chaos_scenario,
+      { (config ~budget:8) with standby = false },
+      "cb11812665c00176b16b2bcc69de1da3",
+      "5a674a59cfe508e8a1e2267c8a23fcb1" );
+    ( "coreset eps 0.2",
+      { chaos_scenario with coreset_eps = Some 0.2 },
+      config ~budget:8,
+      "58903d06e469e8b21ab0268818dba873",
+      "9dba943c07fbb24d210c7021f122483c" );
   ]
 
 let run_case (name, scenario, config, report_md5, log_md5) =
