@@ -450,8 +450,17 @@ let make_epoch_plan_kernel () =
   let p = Problem.make ~latency:churn_matrix ~servers ~clients () in
   fun () -> Dia_core.Distributed_greedy.run p
 
+(* Substrate kernels: the 400-node matrix a soak-scale or soak-chaos run
+   generates, in full and with only its 20 server rows, as a classic-mode
+   soak builds it. *)
+let substrate_servers = Placement.random ~seed:7 ~k:20 ~n:churn_nodes
+
 let tests =
   [
+    kernel "substrate/internet_like(n=400)" (fun () () ->
+        Dia_latency.Synthetic.internet_like ~seed:7 churn_nodes);
+    kernel "substrate/internet_like(n=400,rows=20)" (fun () () ->
+        Dia_latency.Synthetic.internet_like ~rows:substrate_servers ~seed:7 churn_nodes);
     kernel ~calls:1000 "objective/fast(n=120)" (fun () () ->
         Objective.max_interaction_path small_problem small_assignment);
     kernel ~calls:5 "objective/naive(n=120)" (fun () () ->

@@ -11,12 +11,14 @@
    Timing is best-of-N wall clock after warmup — the minimum is the right
    statistic for a regression gate because noise only ever adds time.
 
-   Three relative gates follow, each a ratio of two kernels timed
+   Four relative gates follow, each a ratio of two kernels timed
    together in this process, so host speed cancels and no seed row is
    needed: Greedy under an M/M/1 delay model against Greedy under the
-   default zero model on the same instance (at most 2x), a session's lower-bound rebuild against its
-   from-scratch referee (at least 5x faster), and the write-ahead
-   journal's tax on the churn kernel (--journal-max-overhead). *)
+   default zero model on the same instance (at most 2x), a session's
+   lower-bound rebuild against its from-scratch referee (at least 5x
+   faster), a 20-row substrate build against the full 400-node one (at
+   most 0.5x), and the write-ahead journal's tax on the churn kernel
+   (--journal-max-overhead). *)
 
 module Problem = Dia_core.Problem
 module Placement = Dia_placement.Placement
@@ -33,6 +35,9 @@ let load_max_ratio = 2.0
 
 (* Min speed-up of a session's lower-bound rebuild over its scratch referee. *)
 let lb_rebuild_min = 5.0
+
+(* Max cost of a 20-row substrate build relative to the full 400-node one. *)
+let rows_max_ratio = 0.5
 
 let () =
   Arg.parse
@@ -221,6 +226,29 @@ let () =
       "speedup: the session lower-bound rebuild is only %.2fx faster than \
        lower_bound_scratch (gate: %.1fx)\n"
       factor lb_rebuild_min;
+    exit 1
+  end
+
+(* Substrate gate: a classic-mode soak materialises only its servers'
+   rows. On the 400-node, 20-server shape of soak-scale that build must
+   cost at most [rows_max_ratio] of the full build; it still draws every
+   pair's random numbers, so it cannot approach 20/400. *)
+let () =
+  let nodes = 400 in
+  let rows = Placement.random ~seed:7 ~k:20 ~n:nodes in
+  let full, partial =
+    interleaved_best ~rounds:(3 * !runs)
+      (fun () -> Dia_latency.Synthetic.internet_like ~seed:7 nodes)
+      (fun () -> Dia_latency.Synthetic.internet_like ~rows ~seed:7 nodes)
+  in
+  let ratio = partial /. full in
+  let verdict = if ratio <= rows_max_ratio then "OK" else "TOO SLOW" in
+  Printf.printf "%-32s full %9.0f ns   rows=20 %9.0f ns   ratio %5.2fx   [%s]\n"
+    "substrate/internet_like(n=400)" full partial ratio verdict;
+  if ratio > rows_max_ratio then begin
+    Printf.eprintf
+      "speedup: the 20-row build costs %.2fx the full build (gate: %.1fx)\n"
+      ratio rows_max_ratio;
     exit 1
   end
 

@@ -67,7 +67,10 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
   Array.iter
     (fun s ->
       if s < 0 || s >= Matrix.dim matrix then
-        invalid_arg (Printf.sprintf "Dynamic.create: server node %d out of range" s))
+        invalid_arg (Printf.sprintf "Dynamic.create: server node %d out of range" s);
+      if not (Matrix.has_row matrix s) then
+        invalid_arg
+          (Printf.sprintf "Dynamic.create: server node %d has no materialised row" s))
     servers;
   (match capacity with
   | Some c when c <= 0 -> invalid_arg "Dynamic.create: capacity must be positive"

@@ -47,8 +47,13 @@ val create :
     (join, failover re-homing, {!rebalance}) and the failover reports
     read it; standby selection alone stays on the network distance.
 
-    @raise Invalid_argument on invalid servers, non-positive capacity,
-    or an invalid delay model ({!Delay.validate}). *)
+    The session reads only the servers' rows of the matrix, so a
+    rows-only matrix ({!Dia_latency.Synthetic.internet_like} [~rows])
+    listing the servers serves it exactly as the full one does.
+
+    @raise Invalid_argument on invalid servers (out of range, or a row
+    that is not materialised), non-positive capacity, or an invalid
+    delay model ({!Delay.validate}). *)
 
 val join : t -> node:int -> client_id
 (** A client at network node [node] joins; it is assigned to the

@@ -25,6 +25,13 @@ let make ?capacity ~latency ~servers ~clients () =
   in
   Array.iter (check_node "server") servers;
   Array.iter (check_node "client") clients;
+  (* Every algorithm reads d(c,s) and d(s,s') only: a server row covers
+     both, so a rows-only matrix serves any client set. *)
+  Array.iter
+    (fun s ->
+      if not (Matrix.has_row latency s) then
+        invalid_arg (Printf.sprintf "Problem: server node %d has no materialised row" s))
+    servers;
   if Array.length servers = 0 then invalid_arg "Problem: no servers";
   let seen = Hashtbl.create (Array.length servers) in
   Array.iter

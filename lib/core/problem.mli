@@ -19,8 +19,11 @@ val make :
 (** Build an instance. Server and client node ids must be in range for the
     matrix; servers must be distinct and non-empty (clients may coincide
     with servers or each other — the paper places a client at every node,
-    including server nodes). If [capacity] is given it must satisfy
-    [capacity * |S| >= |C|], otherwise no assignment exists.
+    including server nodes). Every server's row must be materialised
+    ({!Dia_latency.Matrix.has_row}); clients need not be, since the
+    instance only ever reads [d(c, s)] and [d(s, s')]. If [capacity] is
+    given it must satisfy [capacity * |S| >= |C|], otherwise no
+    assignment exists.
 
     @raise Invalid_argument if any constraint is violated. *)
 

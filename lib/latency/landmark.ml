@@ -95,7 +95,10 @@ let build ?(num_landmarks = 4) ?coords matrix ~candidates =
     (fun c ->
       if c < 0 || c >= n then
         invalid_arg
-          (Printf.sprintf "Landmark.build: candidate node %d out of bounds [0, %d)" c n))
+          (Printf.sprintf "Landmark.build: candidate node %d out of bounds [0, %d)" c n);
+      if not (Matrix.has_row matrix c) then
+        invalid_arg
+          (Printf.sprintf "Landmark.build: candidate node %d has no materialised row" c))
     candidates;
   if num_landmarks <= 0 then
     invalid_arg "Landmark.build: num_landmarks must be positive";

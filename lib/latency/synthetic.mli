@@ -33,8 +33,19 @@ val default_params : params
     roughly 80–120 ms, a long tail past 400 ms, and a triangle-violation
     fraction in the 5–15% range typical of King data. *)
 
-val internet_like : ?params:params -> seed:int -> int -> Matrix.t
-(** [internet_like ~seed n] generates an [n]-node Internet-like matrix. *)
+val internet_like : ?params:params -> ?rows:int array -> seed:int -> int -> Matrix.t
+(** [internet_like ~seed n] generates an [n]-node Internet-like matrix.
+
+    With [~rows], only the pairs that touch a listed node are computed;
+    every other pair is absent (see {!Matrix}, "Absent pairs"). Each
+    present entry is bit-identical to the same entry of the full build:
+    the random stream still advances for every pair, and only the
+    arithmetic is skipped. Duplicates in [rows] are allowed; the default
+    is every node.
+
+    @raise Invalid_argument if [n < 0], a cluster count is not positive,
+    a row is out of bounds, or [params] yield a negative or non-finite
+    latency. *)
 
 val meridian_like : ?seed:int -> unit -> Matrix.t
 (** The stand-in for the Meridian data set: 1796 nodes, default seed 42. *)

@@ -255,11 +255,17 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
   in
   let dg = digest scenario config in
   let delay = Option.value scenario.delay ~default:Dia_core.Delay.zero in
-  let matrix =
-    Dia_latency.Synthetic.internet_like ~seed:scenario.seed scenario.nodes
-  in
   let server_nodes =
     place ~seed:scenario.seed ~servers:scenario.servers ~nodes:scenario.nodes
+  in
+  (* Classic mode reads d(c,s) and d(s,s') only, so it materialises the
+     server rows; weighted mode embeds every pair with Vivaldi to bucket
+     sessions, so it builds them all. Entries are the same either way. *)
+  let matrix =
+    let rows =
+      match scenario.coreset_eps with None -> Some server_nodes | Some _ -> None
+    in
+    Dia_latency.Synthetic.internet_like ?rows ~seed:scenario.seed scenario.nodes
   in
   let trace = build_trace scenario in
   (* --- controller state: fresh, or rebuilt from a checkpoint --- *)

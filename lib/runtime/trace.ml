@@ -74,19 +74,12 @@ let crashes_of_plan plan ~servers =
         | Some r -> [ { time = r; kind = Recover { server = actor } } ])))
     (Dia_sim.Fault.crash_schedule plan)
 
+(* The concatenation lists events by (stream, index), so a stable sort on
+   time alone orders them by (time, stream, index). The horizon filter
+   drops NaN times, and on every other float [Float.compare] agrees with
+   polymorphic [compare]. *)
 let merge ~horizon streams =
-  let tagged =
-    List.concat
-      (List.mapi
-         (fun stream events ->
-           List.mapi (fun i e -> (e.time, stream, i, e)) events)
-         streams)
-  in
-  let kept = List.filter (fun (t, _, _, _) -> t <= horizon) tagged in
-  let sorted =
-    List.sort
-      (fun (t1, s1, i1, _) (t2, s2, i2, _) ->
-        compare (t1, s1, i1) (t2, s2, i2))
-      kept
-  in
-  Array.of_list (List.map (fun (_, _, _, e) -> e) sorted)
+  List.concat streams
+  |> List.filter (fun e -> e.time <= horizon)
+  |> List.stable_sort (fun a b -> Float.compare a.time b.time)
+  |> Array.of_list

@@ -296,6 +296,33 @@ let delay_of = function
      convention past the pole is exercised, not just defined. *)
   | _ -> Dia_core.Delay.Queueing { mu = 6. }
 
+(* The same network with only the servers' rows materialised: a session
+   over it must be indistinguishable from one over [matrix]. *)
+let rows_matrix = Synthetic.internet_like ~rows:servers ~seed:21 80
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Two sessions that received the same ops hold the same state, bit for
+   bit, and their snapshots solve to the same offline answers. *)
+let sessions_agree ~delay t r =
+  let module G = Dia_core.Greedy in
+  let module DG = Dia_core.Distributed_greedy in
+  let module LB = Dia_core.Lower_bound in
+  Dynamic.members t = Dynamic.members r
+  && Dynamic.standbys t = Dynamic.standbys r
+  && Dynamic.failed_servers t = Dynamic.failed_servers r
+  && same_bits (Dynamic.objective t) (Dynamic.objective r)
+  && same_bits (Dynamic.lower_bound t) (Dynamic.lower_bound r)
+  && (Dynamic.num_clients t = 0
+     ||
+     let p, a = Dynamic.snapshot t and p', a' = Dynamic.snapshot r in
+     let d = DG.run p and d' = DG.run p' in
+     Assignment.to_array a = Assignment.to_array a'
+     && Assignment.to_array (G.assign ~delay p) = Assignment.to_array (G.assign ~delay p')
+     && Assignment.to_array d.DG.assignment = Assignment.to_array d'.DG.assignment
+     && Array.for_all2 same_bits d.DG.trace d'.DG.trace
+     && same_bits (LB.compute p) (LB.compute p'))
+
 let prop_load_objective_bit_identical_to_scratch =
   (* The incremental objective and bound of a session with a delay
      model (D_load/LB_load): after every operation of a random
@@ -303,7 +330,9 @@ let prop_load_objective_bit_identical_to_scratch =
      cached values must be bit-identical (=, not within epsilon) to a
      from-scratch recompute over the member table; a restore round-trip
      must reproduce both; and under [Constant 0.] the objective must be
-     the network D of the offline evaluator bit-for-bit. *)
+     the network D of the offline evaluator bit-for-bit. A second
+     session over [rows_matrix] receives every op too and must agree
+     with the first after each one, snapshot solves included. *)
   QCheck.Test.make
     ~name:"incremental D_load/LB_load bit-identical to scratch" ~count:25
     QCheck.(
@@ -312,6 +341,15 @@ let prop_load_objective_bit_identical_to_scratch =
       let delay = delay_of model in
       let rng = Random.State.make [| seed; 0x10ad |] in
       let t = Dynamic.create ~capacity:30 ~delay matrix ~servers in
+      let r = Dynamic.create ~capacity:30 ~delay rows_matrix ~servers in
+      (* [f] on the primary session, then the same call on the rows-only
+         one; an exception on the primary skips the twin, one on the
+         twin alone leaves the two apart and fails the next check. *)
+      let both f =
+        let v = f t in
+        ignore (f r);
+        v
+      in
       let live = ref [] in
       let failed = ref [] in
       let consistent () =
@@ -321,73 +359,73 @@ let prop_load_objective_bit_identical_to_scratch =
            ||
            let p, a = Dynamic.snapshot t in
            Dynamic.objective t = Objective.max_interaction_path p a)
+        && sessions_agree ~delay t r
+      in
+      let drop_departed () =
+        live :=
+          List.filter
+            (fun id ->
+              match Dynamic.server_of t id with
+              | _ -> true
+              | exception Invalid_argument _ -> false)
+            !live
       in
       let ok = ref true in
       for _ = 1 to steps do
         (match Random.State.int rng 13 with
         | 0 | 1 | 2 | 3 ->
-            (try live := Dynamic.join t ~node:(Random.State.int rng 80) :: !live
+            let node = Random.State.int rng 80 in
+            (try live := both (fun s -> Dynamic.join s ~node) :: !live
              with Failure _ -> ())
         | 4 | 5 -> (
             match !live with
             | [] -> ()
             | id :: rest ->
-                Dynamic.leave t id;
+                both (fun s -> Dynamic.leave s id);
                 live := rest)
         | 6 -> (
             match !live with
             | [] -> ()
             | id :: _ -> (
                 let s = Random.State.int rng 6 in
-                try Dynamic.move t id s with Invalid_argument _ | Failure _ -> ()))
-        | 7 -> ignore (Dynamic.rebalance ~max_moves:3 t)
+                try both (fun x -> Dynamic.move x id s)
+                with Invalid_argument _ | Failure _ -> ()))
+        | 7 -> ignore (both (Dynamic.rebalance ~max_moves:3))
         | 8 ->
             let s = Random.State.int rng 6 in
             if not (List.mem s !failed) && List.length !failed < 4 then (
               try
                 (* Stranded orphans leave the session silently here —
                    the report already accounts for them. *)
-                ignore (Dynamic.fail_server_report t s);
+                ignore (both (fun x -> Dynamic.fail_server_report x s));
                 failed := s :: !failed;
-                live :=
-                  List.filter
-                    (fun id ->
-                      match Dynamic.server_of t id with
-                      | _ -> true
-                      | exception Invalid_argument _ -> false)
-                    !live
+                drop_departed ()
               with Invalid_argument _ -> ())
         | 9 ->
             (* Standby promotion: arm the canonical map, then O(1)-fail
                a random live server through it. *)
             let s = Random.State.int rng 6 in
             if not (List.mem s !failed) && List.length !failed < 4 then (
-              ignore (Dynamic.refresh_standbys t);
+              ignore (both Dynamic.refresh_standbys);
               try
-                ignore (Dynamic.promote_standby t s);
+                ignore (both (fun x -> Dynamic.promote_standby x s));
                 failed := s :: !failed;
-                live :=
-                  List.filter
-                    (fun id ->
-                      match Dynamic.server_of t id with
-                      | _ -> true
-                      | exception Invalid_argument _ -> false)
-                    !live
+                drop_departed ()
               with Invalid_argument _ -> ())
         | 10 -> (
             match !failed with
             | [] -> ()
             | s :: rest ->
-                Dynamic.recover_server t s;
+                both (fun x -> Dynamic.recover_server x s);
                 failed := rest)
         | _ ->
             let s = Random.State.int rng 6 in
-            Dynamic.set_drift t ~server:s
-              ~factor:(0.5 +. Random.State.float rng 1.5));
+            let factor = 0.5 +. Random.State.float rng 1.5 in
+            both (fun x -> Dynamic.set_drift x ~server:s ~factor));
         if not (consistent ()) then ok := false
       done;
       (* Restore round-trip: the rebuilt session must reproduce the
-         load-aware numbers bit-for-bit. *)
+         load-aware numbers bit-for-bit, over either matrix. *)
       let drift =
         List.filter_map
           (fun s ->
@@ -395,14 +433,16 @@ let prop_load_objective_bit_identical_to_scratch =
             if f <> 1.0 then Some (s, f) else None)
           (List.init 6 Fun.id)
       in
-      let t' =
-        Dynamic.restore ~capacity:30 ~delay matrix ~servers
+      let restore m =
+        Dynamic.restore ~capacity:30 ~delay m ~servers
           ~members:(Dynamic.members t) ~next_id:(Dynamic.next_id t)
           ~failed:(Dynamic.failed_servers t) ~drift ~stats:(Dynamic.stats t)
       in
+      let t' = restore matrix and r' = restore rows_matrix in
       !ok
       && Dynamic.objective t' = Dynamic.objective t
-      && Dynamic.lower_bound t' = Dynamic.lower_bound t)
+      && Dynamic.lower_bound t' = Dynamic.lower_bound t
+      && sessions_agree ~delay t' r')
 
 let test_rebalance_zero_budget_noop () =
   let t = fresh () in

@@ -251,6 +251,35 @@ let test_trace_merge_stable () =
   Alcotest.(check bool) "tie broken by stream order" true
     (merged.(0).Trace.kind = Trace.Crash { server = 0 })
 
+(* Times drawn from a handful of values, so most events tie with events
+   of other streams (and of their own); every event is distinct, so the
+   order is checked exactly against a (time, stream, index) tuple sort. *)
+let prop_trace_merge_ties =
+  QCheck.Test.make ~name:"trace merge orders ties by stream then index" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 4) (list_of_size Gen.(int_range 0 12) (int_bound 6)))
+    (fun streams ->
+      let streams =
+        List.mapi
+          (fun s times ->
+            List.mapi
+              (fun i t ->
+                {
+                  Trace.time = float_of_int t *. 0.5;
+                  kind = Trace.Join { session = (1000 * s) + i; node = s };
+                })
+              times)
+          streams
+      in
+      let horizon = 2.5 in
+      let expected =
+        List.concat
+          (List.mapi (fun s es -> List.mapi (fun i e -> ((e.Trace.time, s, i), e)) es) streams)
+        |> List.filter (fun ((t, _, _), _) -> t <= horizon)
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd |> Array.of_list
+      in
+      Trace.merge ~horizon streams = expected)
+
 (* --- Event_log --- *)
 
 let all_kinds =
@@ -681,6 +710,7 @@ let suite =
     Alcotest.test_case "crash schedule lifted from fault plan" `Quick
       test_trace_crashes_of_plan;
     Alcotest.test_case "trace merge is stable" `Quick test_trace_merge_stable;
+    QCheck_alcotest.to_alcotest prop_trace_merge_ties;
     Alcotest.test_case "event log round-trips every record kind" `Quick
       test_event_log_roundtrip;
     Alcotest.test_case "checkpoint codec round-trips, rejects truncation" `Quick
