@@ -620,8 +620,10 @@ let soak_cmd =
   let kill_after_arg =
     Arg.(value & opt (some int) None
          & info [ "kill-after" ] ~docv:"N"
-             ~doc:"Stop (exit 137) right after the $(docv)-th checkpoint of \
-                   this process — a deterministic kill -9 for tests and CI.")
+             ~doc:"Stop (exit 137) right after the run's $(docv)-th checkpoint, \
+                   counting those taken before a $(b,--resume) (resumed from \
+                   checkpoint 1, $(b,--kill-after) 2 stops at the first \
+                   boundary) — a deterministic kill -9 for tests and CI.")
   in
   let state_dir_arg =
     Arg.(value & opt (some string) None

@@ -52,10 +52,10 @@ type scenario = {
   servers : int;  (** number of servers, placed on distinct random nodes *)
   capacity : int option;  (** per-server capacity, [None] = uncapacitated *)
   horizon : float;  (** trace length in trace-time units *)
-  join_rate : float;  (** Poisson arrival rate *)
-  mean_lifetime : float;  (** mean exponential session lifetime *)
-  drift_period : float;  (** drift step period; [<= 0] disables drift *)
-  drift_amplitude : float;  (** drift factor spread, in [\[0, 1\]] *)
+  join_rate : float;  (** Poisson arrival rate; finite and positive *)
+  mean_lifetime : float;  (** mean exponential session lifetime; finite and positive *)
+  drift_period : float;  (** drift step period, finite; [<= 0] disables drift *)
+  drift_amplitude : float;  (** drift factor spread, in [\[0, 1\]] (so not NaN) *)
   fault : Dia_sim.Fault.plan;
       (** crash rules feed the membership layer and disk rules the
           durability layer; network rules (loss, duplication, spikes,
@@ -211,9 +211,11 @@ val run :
 (** Execute (or continue) a soak run. [resume_from] continues from a
     state whose digest matches and which carries its history (a
     {!Killed} state or a {!Recovery.restore}d one, not a bare decoded
-    file); [kill_after n] stops the run immediately after the [n]-th
-    checkpoint of {e this} process — used by tests and CI to exercise
-    the kill/resume path deterministically.
+    file); [kill_after n] stops the run immediately after the run's
+    [n]-th checkpoint, counting those taken before a resume (a run
+    resumed from checkpoint 1 with [kill_after 2] stops at its first
+    boundary) — used by tests and CI to exercise the kill/resume path
+    deterministically.
 
     {b Durable recovery.} [state_dir] turns on the durability layer: a
     write-ahead {!Journal} holding the run's history (each event's log
@@ -230,7 +232,8 @@ val run :
     with {!Recovery.restore} this is the boundary-free kill/resume path.
     The scenario digest is unchanged by any of these options.
 
-    @raise Invalid_argument on invalid scenario/config values, a digest
+    @raise Invalid_argument on invalid scenario/config values (NaN and
+    infinite rates, lifetimes and drift parameters included), a digest
     mismatch on resume, a [resume_from] without its history or whose
     cut [state_dir]'s journal lacks, [keep < 1], or a negative
     [kill_at_event]. *)

@@ -532,6 +532,41 @@ let test_two_kill_resume_cycles () =
                 (String.concat "" (List.map (fun r -> r.Journal.payload) j.Journal.records))))
     modes
 
+(* The checkpoint generations and the journal of a state dir, by name. *)
+let state_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> f = "journal" || String.starts_with ~prefix:"ckpt." f)
+  |> List.sort compare
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+let test_generation_bytes_survive_kill_resume () =
+  (* A killed, restored and resumed run rewrites the state dir it took
+     over: the generations it saves and the journal it continues must
+     be byte for byte those of a run that was never interrupted — the
+     referee for what a checkpoint captures and a resume rebuilds. *)
+  List.iter
+    (fun (mode, scenario) ->
+      let reference = fresh_dir () in
+      ignore (Soak.run ~state_dir:reference scenario small_config);
+      let dir = fresh_dir () in
+      (match Soak.run ~state_dir:dir ~kill_at_event:33 scenario small_config with
+      | Soak.Killed _ -> ()
+      | Soak.Completed _ -> Alcotest.fail "kill did not fire");
+      (match restore_and_resume ~dir scenario small_config with
+      | { Recovery.generation = Some _; _ }, Soak.Completed _ -> ()
+      | _ -> Alcotest.fail "restore found no generation, or the resume was killed");
+      let expected = state_files reference and got = state_files dir in
+      Alcotest.(check (list string)) (mode ^ ": files") (List.map fst expected)
+        (List.map fst got);
+      List.iter2
+        (fun (name, e) (_, g) -> Alcotest.(check string) (mode ^ ": " ^ name) e g)
+        expected got)
+    [
+      ("plain", small_scenario);
+      ("delay", { small_scenario with Soak.delay = Some (Dia_core.Delay.Queueing { mu = 12. }) });
+      ("coreset", { small_scenario with Soak.clients = 2_000; coreset_eps = Some 0.2 });
+    ]
+
 let test_journal_tear_before_newest_cut () =
   (* Journal flushes: the header (op 1), then one per generation save —
      op 3 is the flush just before ckpt.2, torn 5 bytes in. ckpt.2 still
@@ -781,6 +816,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_event_log_mutations_never_raise;
     Alcotest.test_case "two kill/restore/resume cycles are bit-identical" `Quick
       test_two_kill_resume_cycles;
+    Alcotest.test_case "generation and journal bytes survive kill/resume" `Quick
+      test_generation_bytes_survive_kill_resume;
     Alcotest.test_case "journal tear before the newest cut rolls back" `Quick
       test_journal_tear_before_newest_cut;
     Alcotest.test_case "resume refuses a decoded state without history" `Quick

@@ -584,6 +584,32 @@ let test_soak_delay_rejects_coreset () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "delay + coreset accepted"
 
+let test_soak_refuses_non_finite () =
+  (* A NaN fails every comparison, so a bound written as "refuse if
+     below" lets it through; Soak must name the field itself rather than
+     run with a feature silently off or leave the refusal to Trace. *)
+  let fields =
+    [
+      ("join_rate", fun v -> { small_scenario with Soak.join_rate = v });
+      ("mean_lifetime", fun v -> { small_scenario with Soak.mean_lifetime = v });
+      ("drift_period", fun v -> { small_scenario with Soak.drift_period = v });
+      ("drift_amplitude", fun v -> { small_scenario with Soak.drift_amplitude = v });
+    ]
+  in
+  List.iter
+    (fun (field, scenario) ->
+      List.iter
+        (fun v ->
+          match Soak.run (scenario v) small_config with
+          | exception Invalid_argument m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s = %h refused by Soak (%s)" field v m)
+                true
+                (String.starts_with ~prefix:("Soak: " ^ field) m)
+          | _ -> Alcotest.failf "%s = %h accepted" field v)
+        [ nan; infinity; neg_infinity ])
+    fields
+
 (* --- qcheck: the protocol-repair epoch's contract --- *)
 
 (* The state right after the trace event whose step logged entry [j]
@@ -735,6 +761,8 @@ let suite =
       test_soak_delay_kill_resume_identical;
     Alcotest.test_case "delay soak rejects coreset mode" `Quick
       test_soak_delay_rejects_coreset;
+    Alcotest.test_case "soak refuses non-finite rates and drift" `Quick
+      test_soak_refuses_non_finite;
     QCheck_alcotest.to_alcotest prop_soak_deterministic_under_random_kills;
     QCheck_alcotest.to_alcotest prop_protocol_repair_contract;
   ]

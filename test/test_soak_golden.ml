@@ -90,4 +90,26 @@ let run_case (name, scenario, config, report_md5, log_md5) =
           Alcotest.(check string) "event log" log_md5
             (md5 (Event_log.render r.Soak.log)))
 
-let suite = List.map run_case cases
+(* The newest checkpoint generation of the chaos budget-8 case run with
+   a state dir — the MD5 of ckpt.10 after
+
+     dia soak <the chaos arguments above> --budget 8 --state-dir DIR
+
+   A change to the checkpoint codec, or to what a checkpoint captures
+   of the controller, changes these bytes. *)
+let test_generation_digest () =
+  let dir = Filename.temp_dir "dia_soak_golden" "" in
+  (match Soak.run ~state_dir:dir chaos_scenario (config ~budget:8) with
+  | Soak.Killed _ -> Alcotest.fail "soak stopped before the end of its trace"
+  | Soak.Completed _ -> ());
+  Alcotest.(check (option int)) "newest generation" (Some 10)
+    (Dia_runtime.Generation.latest ~dir);
+  Alcotest.(check string) "ckpt.10" "6cde7bf53fb6a108752e17204bdbd5a9"
+    (Digest.to_hex (Digest.file (Dia_runtime.Generation.path ~dir 10)))
+
+let suite =
+  List.map run_case cases
+  @ [
+      Alcotest.test_case "chaos budget 8: newest generation" `Quick
+        test_generation_digest;
+    ]
