@@ -1,4 +1,4 @@
-(* Soak golden digests: seven soak configurations run in-process, each
+(* Soak golden digests: eight soak configurations run in-process, each
    pinned by the MD5 of its rendered report and of its rendered event
    log. The constants are the outputs of the CLI runs
 
@@ -15,7 +15,10 @@
    chaos soak without standbys (EXTRA = --no-standby, budget 8: every
    crash takes the full-migration failover path) and the chaos soak in
    weighted mode (EXTRA = --coreset-eps 0.2, budget 8: the one mode that
-   builds every pair of the latency matrix). A refactor that leaves the
+   builds every pair of the latency matrix), and a capacitated soak
+   without standbys (EXTRA = --capacity 30 --clients 215 --no-standby,
+   budget 8: its first crash re-homes 19 orphans greedily under
+   capacity and strands 11). A refactor that leaves the
    control plane's behaviour alone keeps every byte of both; a
    deliberate behaviour change updates the constants and says so. *)
 
@@ -78,6 +81,11 @@ let cases =
       config ~budget:8,
       "58903d06e469e8b21ab0268818dba873",
       "9dba943c07fbb24d210c7021f122483c" );
+    ( "capacity 30, 215 clients, no standby",
+      { chaos_scenario with capacity = Some 30; clients = 215 },
+      { (config ~budget:8) with standby = false },
+      "28b2189e3969582811c69e927f23f4a9",
+      "828587c625f17af65282ecd8c91694b9" );
   ]
 
 let run_case (name, scenario, config, report_md5, log_md5) =
