@@ -232,10 +232,10 @@ let make_churn_kernel ~clients =
 (* Failover kernels: the same steady session, but each run takes down
    the currently most-loaded server (so the victim always carries a
    real population, whatever the redistribution dynamics did) and
-   brings it back up. [promote] repairs with the O(1)-per-client
-   standby promotion; the baseline pays the greedy full-migration path
-   plus its Greedy re-solve report — the cost a control plane without
-   standbys eats on every crash. *)
+   brings it back up. failover/promote repairs with the O(1)-per-client
+   standby promotion ([~greedy:false]); failover/rehome places each
+   orphan by the join rule ([~greedy:true]), an objective scan per
+   orphan — what a control plane without standbys pays on every crash. *)
 (* Weighted-churn kernel: the same steady-state batch, but the million
    sessions sit behind a coreset bucket layer, so the Dynamic only ever
    holds one member per occupied cell and each leave/join is a counter
@@ -368,7 +368,7 @@ let load_baseline_kernel () =
   let config = { Soak.default_config with Soak.offline_baseline = true } in
   fun () -> Soak.run scenario config
 
-let make_failover_kernel ~clients ~promote =
+let make_failover_kernel ~clients ~greedy =
   let session = Dia_core.Dynamic.create churn_matrix ~servers:churn_servers in
   for i = 0 to clients - 1 do
     ignore (Dia_core.Dynamic.join session ~node:(i mod churn_nodes))
@@ -380,8 +380,7 @@ let make_failover_kernel ~clients ~promote =
       if Dia_core.Dynamic.load session s > Dia_core.Dynamic.load session !victim
       then victim := s
     done;
-    (if promote then ignore (Dia_core.Dynamic.promote_standby session !victim)
-     else ignore (Dia_core.Dynamic.fail_server_report session !victim));
+    ignore (Dia_core.Dynamic.fail_server session !victim ~greedy);
     Dia_core.Dynamic.recover_server session !victim
 
 (* Lower-bound rebuild: a session shaped like the end-to-end
@@ -527,13 +526,13 @@ let tests =
         | Error m -> failwith m);
     kernel ~calls:30 "checkpoint/generation-save(events=2700)" generation_save_kernel;
     kernel ~calls:3 "failover/promote(clients=1000)" (fun () ->
-        make_failover_kernel ~clients:1_000 ~promote:true);
-    kernel "failover/resolve(clients=1000)" (fun () ->
-        make_failover_kernel ~clients:1_000 ~promote:false);
+        make_failover_kernel ~clients:1_000 ~greedy:false);
+    kernel "failover/rehome(clients=1000)" (fun () ->
+        make_failover_kernel ~clients:1_000 ~greedy:true);
     kernel "failover/promote(clients=10000)" (fun () ->
-        make_failover_kernel ~clients:10_000 ~promote:true);
-    kernel "failover/resolve(clients=10000)" (fun () ->
-        make_failover_kernel ~clients:10_000 ~promote:false);
+        make_failover_kernel ~clients:10_000 ~greedy:false);
+    kernel "failover/rehome(clients=10000)" (fun () ->
+        make_failover_kernel ~clients:10_000 ~greedy:true);
     kernel ~calls:5 "session/lb-rebuild(occupied≈210,k=20)" (fun () ->
         make_lb_rebuild_kernel ~query:true);
     kernel ~calls:50 "session/drift-toggle(occupied≈210,k=20)" (fun () ->

@@ -131,12 +131,12 @@ let[@inline] k t = Array.length t.servers
 let[@inline] d_ns t node s = Array.unsafe_get t.ns ((node * k t) + s)
 let[@inline] d_ss t s1 s2 = Array.unsafe_get t.ss ((s1 * k t) + s2)
 
-let active_servers t =
-  List.filter (fun s -> not t.failed.(s)) (List.init (k t) Fun.id)
+let active_servers t = Array.to_list t.live
 
 let set_failed t s failed =
   t.failed.(s) <- failed;
-  t.live <- Array.of_list (active_servers t)
+  t.live <-
+    Array.of_list (List.filter (fun s -> not t.failed.(s)) (List.init (k t) Fun.id))
 
 (* D from per-server (effective) eccentricities: the max over used
    pairs, smaller server index on the left. *)
@@ -476,8 +476,8 @@ let query_bounds t node =
    counts the primary's members already pointing at [s']. The matrix
    makes the promise compositional: every client of [p] reserving [s']
    fits into [s'] together. Reservations are advisory for joins, moves
-   and rebalance (normal placement ignores them); the failover paths
-   honour them. Standbys never point at a failed server. *)
+   and rebalance (normal placement ignores them); failover honours
+   them. Standbys never point at a failed server. *)
 
 let clear_standby t member =
   if member.standby >= 0 then begin
@@ -714,7 +714,10 @@ let problem_version t = t.version
 let next_id t = t.next_id
 
 let failed_servers t =
-  List.filter (fun s -> t.failed.(s)) (List.init (k t) Fun.id)
+  let rec from s acc =
+    if s < 0 then acc else from (s - 1) (if t.failed.(s) then s :: acc else acc)
+  in
+  from (k t - 1) []
 
 let members t =
   Hashtbl.fold (fun id m acc -> (id, m.node, m.server) :: acc) t.members []
@@ -887,47 +890,12 @@ let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_li
   t.moves <- s.moves;
   t
 
-let check_failable t s ~label =
-  if s < 0 || s >= k t then
-    invalid_arg (Printf.sprintf "Dynamic.%s: server %d out of range" label s);
-  if t.failed.(s) then
-    invalid_arg (Printf.sprintf "Dynamic.%s: server %d already failed" label s);
-  if List.for_all (fun s' -> s' = s || t.failed.(s')) (List.init (k t) Fun.id) then
-    invalid_arg
-      (Printf.sprintf "Dynamic.%s: server %d is the last live server" label s)
-
-(* Common prologue of both failover paths: mark [s] failed, collect its
-   orphans (ascending id, each with the standby it held at crash time),
-   release every reservation touching [s] — the orphans' own (row [s])
-   and those of members elsewhere whose standby {e was} [s] (column
-   [s]) — and zero the dead server's caches. Returns the orphans and the
-   ids whose standby was invalidated. *)
-let fail_prologue t s =
-  set_failed t s true;
-  (* One bump covers the whole failover, stranded removals included. *)
-  t.version <- t.version + 1;
-  let orphans =
-    Hashtbl.fold
-      (fun id member acc -> if member.server = s then (id, member) :: acc else acc)
-      t.members []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let orphans = List.map (fun (id, m) -> (id, m, m.standby)) orphans in
-  List.iter (fun (_, m, _) -> clear_standby t m) orphans;
-  let invalidated = ref [] in
-  Hashtbl.iter
-    (fun id m ->
-      if m.standby = s then begin
-        clear_standby t m;
-        invalidated := id :: !invalidated
-      end)
-    t.members;
-  t.load.(s) <- 0;
-  t.ecc.(s) <- neg_infinity;
-  t.dists.(s) <- Fmap.empty;
-  refresh_eff t s;
-  lb_invalidate t;
-  (orphans, !invalidated)
+type failover = {
+  rehomed : int;
+  promoted : int;
+  fallback : int;
+  stranded : (client_id * int) list;
+}
 
 (* Least-loaded live server with a free slot, ties to the lowest index;
    -1 when every live server is saturated. *)
@@ -940,187 +908,105 @@ let least_loaded_feasible t =
   done;
   !fb
 
-(* Fresh standbys for the members a failure touched: surviving orphans
-   (their primary changed) and members whose standby pointed at the dead
-   server — in ascending id order so resumes replay identically. *)
-let rearm_standbys t ~orphans ~invalidated =
-  List.filter_map
-    (fun (id, _, _) -> if Hashtbl.mem t.members id then Some id else None)
-    orphans
-  @ invalidated
-  |> List.sort_uniq compare
-  |> List.iter (fun id -> select_standby t (Hashtbl.find t.members id))
+let has_room t = least_loaded_feasible t >= 0
 
-(* Take [s] down and re-home its clients in ascending id order. Each
-   orphan is placed greedily (the join rule) over the servers that still
-   have room once the co-orphans' outstanding standby reservations are
-   discounted — greedy never steals a slot reserved for a later orphan.
-   When greedy finds nothing the orphan falls back to its own standby,
-   then to the least-loaded server with any free slot; only when every
-   live server is saturated is it disconnected and returned in the
-   stranded list as an [(id, node)] pair. *)
-let fail_server_partial t s =
-  let orphans, invalidated = fail_prologue t s in
+(* The join rule for an orphan at [node] whose standby was [sb]: the
+   server minimising the resulting objective among those with room once
+   the co-orphans' outstanding reservations are discounted, so greedy
+   never steals a slot reserved for a later orphan; -1 when none has. *)
+let greedy_target t node ~reserved ~sb =
+  let current = objective t in
+  let lb = query_bounds t node in
+  let best = ref (-1) and best_d = ref infinity in
+  for s' = 0 to k t - 1 do
+    let spare = reserved.(s') - (if sb = s' then 1 else 0) in
+    if
+      (not t.failed.(s'))
+      && t.load.(s') + spare < t.capacity
+      && 2. *. Array.unsafe_get lb s' < !best_d
+    then begin
+      let resulting =
+        Float.max current (attach_cost t t.eff ~hop:(placement_hop t node s') s')
+      in
+      if resulting < !best_d then begin
+        best_d := resulting;
+        best := s'
+      end
+    end
+  done;
+  !best
+
+(* Each orphan, in ascending id order, lands by the join rule (only
+   with [greedy]), else on its standby, else on the least-loaded server
+   with room; with nowhere to go it is disconnected and reported. *)
+let fail_server t s ~greedy =
+  if s < 0 || s >= k t then
+    invalid_arg (Printf.sprintf "Dynamic.fail_server: server %d out of range" s);
+  if t.failed.(s) then
+    invalid_arg (Printf.sprintf "Dynamic.fail_server: server %d already failed" s);
+  if Array.length t.live = 1 then
+    invalid_arg
+      (Printf.sprintf "Dynamic.fail_server: server %d is the last live server" s);
+  set_failed t s true;
+  (* One bump covers the whole failover, stranded removals included. *)
+  t.version <- t.version + 1;
+  (* The orphans in ascending id order, each with the standby it held at
+     crash time; then every reservation touching [s] is released: the
+     orphans' own (row [s]) and those of members elsewhere whose standby
+     was [s] (column [s]). *)
+  let orphans =
+    Hashtbl.fold
+      (fun id m acc -> if m.server = s then (id, m, m.standby) :: acc else acc)
+      t.members []
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  in
+  List.iter (fun (_, m, _) -> clear_standby t m) orphans;
+  let touched = ref [] in
+  Hashtbl.iter
+    (fun id m ->
+      if m.standby = s then begin
+        clear_standby t m;
+        touched := id :: !touched
+      end)
+    t.members;
+  t.load.(s) <- 0;
+  t.ecc.(s) <- neg_infinity;
+  t.dists.(s) <- Fmap.empty;
+  refresh_eff t s;
+  lb_invalidate t;
   let reserved = Array.make (k t) 0 in
+  List.iter (fun (_, _, sb) -> if sb >= 0 then reserved.(sb) <- reserved.(sb) + 1) orphans;
+  let rehomed = ref 0 and promoted = ref 0 and fallback = ref 0 and stranded = ref [] in
   List.iter
-    (fun (_, _, sb) -> if sb >= 0 then reserved.(sb) <- reserved.(sb) + 1)
-    orphans;
-  let migrated = ref 0 and stranded = ref [] in
-  List.iter
-    (fun (id, member, sb) ->
-      let current = objective t in
-      let lb = query_bounds t member.node in
-      let best = ref (-1) and best_d = ref infinity in
-      for s' = 0 to k t - 1 do
-        let spare = reserved.(s') - (if sb = s' then 1 else 0) in
-        if
-          (not t.failed.(s'))
-          && t.load.(s') + spare < t.capacity
-          && 2. *. Array.unsafe_get lb s' < !best_d
-        then begin
-          let resulting =
-            Float.max current
-              (attach_cost t t.eff ~hop:(placement_hop t member.node s') s')
-          in
-          if resulting < !best_d then begin
-            best_d := resulting;
-            best := s'
-          end
-        end
-      done;
-      let target =
-        if !best >= 0 then !best
-        else if sb >= 0 && (not t.failed.(sb)) && t.load.(sb) < t.capacity then sb
-        else least_loaded_feasible t
+    (fun (id, m, sb) ->
+      let best = if greedy then greedy_target t m.node ~reserved ~sb else -1 in
+      let target, count =
+        if best >= 0 then (best, rehomed)
+        else if sb >= 0 && (not t.failed.(sb)) && t.load.(sb) < t.capacity then
+          (sb, promoted)
+        else (least_loaded_feasible t, fallback)
       in
       if sb >= 0 then reserved.(sb) <- reserved.(sb) - 1;
       if target < 0 then begin
         Hashtbl.remove t.members id;
-        node_remove t member.node;
-        stranded := (id, member.node) :: !stranded
+        node_remove t m.node;
+        stranded := (id, m.node) :: !stranded
       end
       else begin
-        member.server <- target;
+        m.server <- target;
         t.load.(target) <- t.load.(target) + 1;
-        ecc_add t target (d_ns t member.node target);
+        ecc_add t target (d_ns t m.node target);
         t.moves <- t.moves + 1;
-        incr migrated
+        incr count;
+        touched := id :: !touched
       end)
     orphans;
-  rearm_standbys t ~orphans ~invalidated;
-  (!migrated, List.rev !stranded)
-
-let fail_server t s =
-  check_failable t s ~label:"fail_server";
-  let orphans =
-    Hashtbl.fold (fun _ m acc -> if m.server = s then acc + 1 else acc) t.members 0
-  in
-  let surviving_capacity =
-    List.fold_left
-      (fun acc s' ->
-        if s' = s || t.capacity = max_int then acc
-        else acc + (t.capacity - t.load.(s')))
-      (if t.capacity = max_int then max_int else 0)
-      (active_servers t)
-  in
-  if surviving_capacity < orphans then
-    failwith "Dynamic.fail_server: surviving servers cannot host the orphans";
-  let migrated, stranded = fail_server_partial t s in
-  assert (stranded = []);
-  migrated
-
-type degradation = {
-  failed_server : int;
-  migrated : int;
-  stranded : (client_id * int) list;
-  objective_before : float;
-  objective_after : float;
-  objective_resolve : float;
-  factor : float;
-}
-
-let fail_server_report t s =
-  check_failable t s ~label:"fail_server_report";
-  let objective_before = objective t in
-  let migrated, stranded = fail_server_partial t s in
-  let objective_after = objective t in
-  (* Fresh greedy re-solve over the surviving servers, same clients —
-     the quality a from-scratch assignment would reach, against which
-     the incremental migration is judged. *)
-  let survivors = Array.of_list (List.map (fun s' -> t.servers.(s')) (active_servers t)) in
-  let entries =
-    Hashtbl.fold (fun id member acc -> (id, member) :: acc) t.members []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let clients = Array.of_list (List.map (fun (_, m) -> m.node) entries) in
-  let objective_resolve =
-    if Array.length clients = 0 then neg_infinity
-    else begin
-      let capacity = if t.capacity = max_int then None else Some t.capacity in
-      let p = Problem.make ?capacity ~latency:t.matrix ~servers:survivors ~clients () in
-      Objective.max_interaction_path ~delay:t.delay p (Greedy.assign ~delay:t.delay p)
-    end
-  in
-  let factor =
-    if Array.length clients = 0 || objective_resolve <= 0. then 1.
-    else objective_after /. objective_resolve
-  in
-  { failed_server = s; migrated; stranded; objective_before; objective_after;
-    objective_resolve; factor }
-
-type promotion = {
-  failed_server : int;
-  promoted : int;
-  fallback : int;
-  stranded : (client_id * int) list;
-  objective_before : float;
-  objective_after : float;
-  promised : float;
-}
-
-(* The O(1)-per-client repair path: each orphan moves straight to its
-   armed standby — a constant-time reassignment (load bump, multiset
-   eccentricity update), no objective scan. The reservation matrix
-   guaranteed headroom at arm time, so under stable load every orphan's
-   slot is waiting; when load grew since (or the orphan had no standby),
-   the least-loaded feasible server catches it, and only a fully
-   saturated system strands anyone. *)
-let promote_standby t s =
-  check_failable t s ~label:"promote_standby";
-  let objective_before = objective t in
-  let promised = standby_objective t s in
-  let orphans, invalidated = fail_prologue t s in
-  let promoted = ref 0 and fallback = ref 0 and stranded = ref [] in
-  List.iter
-    (fun (id, member, sb) ->
-      let target, via_standby =
-        if sb >= 0 && (not t.failed.(sb)) && t.load.(sb) < t.capacity then
-          (sb, true)
-        else (least_loaded_feasible t, false)
-      in
-      if target < 0 then begin
-        Hashtbl.remove t.members id;
-        node_remove t member.node;
-        stranded := (id, member.node) :: !stranded
-      end
-      else begin
-        member.server <- target;
-        t.load.(target) <- t.load.(target) + 1;
-        ecc_add t target (d_ns t member.node target);
-        t.moves <- t.moves + 1;
-        if via_standby then incr promoted else incr fallback
-      end)
-    orphans;
-  rearm_standbys t ~orphans ~invalidated;
-  {
-    failed_server = s;
-    promoted = !promoted;
-    fallback = !fallback;
-    stranded = List.rev !stranded;
-    objective_before;
-    objective_after = objective t;
-    promised;
-  }
+  (* Fresh standbys for every member the failure touched, in ascending
+     id order so resumes replay identically. *)
+  List.sort_uniq compare !touched
+  |> List.iter (fun id -> select_standby t (Hashtbl.find t.members id));
+  { rehomed = !rehomed; promoted = !promoted; fallback = !fallback;
+    stranded = List.rev !stranded }
 
 let recover_server t s =
   if s < 0 || s >= k t then

@@ -27,9 +27,9 @@
     of one server's clients reserving the same standby are guaranteed to
     fit together. Standbys are maintained incrementally on join, move
     and rebalance (reservations are advisory for normal placement — they
-    never block a join), and {!promote_standby} turns them into an
-    O(1)-per-client failover: orphans move straight to their armed
-    standby with no objective scan and no repair epoch. *)
+    never block a join), and {!fail_server} [~greedy:false] turns them
+    into an O(1)-per-client failover: orphans move straight to their
+    armed standby with no objective scan and no repair epoch. *)
 
 type t
 (** A mutable dynamic assignment session. *)
@@ -44,8 +44,8 @@ val create :
     model ({!Objective.max_interaction_path} with that model): [D_load]
     under a load-dependent model, and the paper's [D] under the default
     {!Delay.zero}. {!objective}, {!lower_bound}, every placement scan
-    (join, failover re-homing, {!rebalance}) and the failover reports
-    read it; standby selection alone stays on the network distance.
+    (join, greedy failover re-homing, {!rebalance}) reads it; standby
+    selection alone stays on the network distance.
 
     The session reads only the servers' rows of the matrix, so a
     rows-only matrix ({!Dia_latency.Synthetic.internet_like} [~rows])
@@ -167,8 +167,8 @@ val problem_version : t -> int
 (** A counter that changes whenever the offline problem {!snapshot}
     materialises (its client nodes in id order, its servers and the
     drifted matrix) or {!active_servers} may have changed: {!join},
-    {!leave}, {!fail_server}, {!fail_server_report}, {!promote_standby}
-    (stranded removals included), {!recover_server}, and a {!set_drift}
+    {!leave}, {!fail_server} (stranded removals included),
+    {!recover_server}, and a {!set_drift}
     that actually changes the factor each bump it by one. {!move},
     {!rebalance} and {!refresh_standbys} change only the assignment, and a
     same-factor {!set_drift} changes nothing, so they leave it alone. Equal
@@ -208,14 +208,18 @@ val standby_objective : t -> int -> float
 (** The {e promised} post-failover objective of a server: {!objective}
     of the hypothetical assignment in which the server is removed and each of
     its clients sits on its armed standby (clients without one are
-    ignored). Exactly what {!promote_standby} realises when every orphan
-    still finds its reserved slot free.
+    ignored). Exactly what {!fail_server} [~greedy:false] realises when
+    every orphan still finds its reserved slot free.
 
     @raise Invalid_argument if the server index is out of range. *)
 
 val active_servers : t -> int list
 (** Server indices currently accepting clients (all of them until
     {!fail_server} is used), ascending. *)
+
+val has_room : t -> bool
+(** Whether some live server has a free slot, so a {!join} would be
+    placed; O(|S|) and allocation-free. Always [true] uncapacitated. *)
 
 val failed_servers : t -> int list
 (** Complement of {!active_servers}, ascending. *)
@@ -257,91 +261,51 @@ val restore :
     {!stats} and the id counter. Loads, eccentricities and standby
     reservations are recomputed, so the restored session is
     behaviourally identical to the one that was saved. When [standbys]
-    is omitted (a v1 checkpoint) every client restores standby-less;
-    callers wanting the canonical map run {!refresh_standbys}.
+    is omitted every client restores standby-less; callers wanting the
+    canonical map run {!refresh_standbys}.
 
     @raise Invalid_argument on out-of-range ids/nodes/servers, duplicate
     client ids, members on failed servers, ids at or above [next_id],
     capacity violations, or standbys that are unknown, duplicated,
     failed, out of range, or equal to the client's primary. *)
 
-val fail_server : t -> int -> int
-(** [fail_server t s] takes server [s] out of service: it stops accepting
-    joins and every client currently on it is migrated — each to the live
-    server that minimises the resulting objective (greedy, in client-id
-    order). Returns the number of clients migrated.
-
-    @raise Invalid_argument if [s] is out of range, already failed, or
-    the last live server (failing it would leave the session with no
-    live servers — callers must treat that as total outage instead).
-    @raise Failure if the surviving capacity cannot host the orphans. *)
-
-type degradation = {
-  failed_server : int;
-  migrated : int;  (** orphans re-homed by the failover *)
+type failover = {
+  rehomed : int;  (** orphans placed by the join rule ([~greedy:true] only) *)
+  promoted : int;  (** orphans that landed on their armed standby *)
+  fallback : int;
+      (** orphans placed on the least-loaded feasible server: greedy (if
+          tried) found no room and their standby was missing or
+          saturated *)
   stranded : (client_id * int) list;
       (** [(id, node)] of the orphans no live server had room for —
           disconnected from the session and reported here (never
           silently dropped), ascending by client id, with the network
-          node so supervisors can requeue them; empty whenever {e any}
-          live server still has a free slot per orphan *)
-  objective_before : float;  (** {!objective} just before the failure *)
-  objective_after : float;  (** {!objective} after greedy migration *)
-  objective_resolve : float;
-      (** the objective of a fresh Greedy re-solve, under the session's
-          delay model, on the surviving servers with the same clients —
-          the from-scratch baseline *)
-  factor : float;
-      (** [objective_after /. objective_resolve]: how far the surviving
-          incremental assignment is from a full re-solve (1.0 when empty
-          or the baseline is non-positive) *)
+          node so supervisors can requeue them; empty whenever any live
+          server still has a free slot per orphan *)
 }
 
-val fail_server_report : t -> int -> degradation
-(** {!fail_server} plus a degradation report: the surviving objective is
-    compared against a fresh {!Greedy.assign} re-solve over the
-    remaining servers, quantifying the cost of repairing incrementally
-    instead of reassigning everyone. Unlike {!fail_server}, insufficient
-    surviving capacity is not an error: the orphans that fit are
-    migrated and the rest are disconnected and listed in [stranded] —
-    graceful degradation for supervised runtimes. Orphan placement is
-    greedy over the servers with room left after discounting co-orphans'
-    standby reservations (greedy never steals a reserved slot), falling
-    back to the orphan's own standby and then to the least-loaded
-    feasible server, so a client is stranded only when no feasible
-    server exists at all.
+val fail_server : t -> int -> greedy:bool -> failover
+(** [fail_server t s ~greedy] takes server [s] out of service: it stops
+    accepting joins, and each client on it lands, in ascending id order,
+    on the first of
+    - with [~greedy:true], the server the join rule picks (the one
+      minimising the resulting objective) among those with room once the
+      co-orphans' standby reservations are discounted, so greedy never
+      steals a slot reserved for a later orphan;
+    - its armed standby, if that still has a free slot — with
+      [~greedy:false] a constant-time reassignment per client, no
+      objective scan, and under stable load the reservation matrix
+      guarantees the slot;
+    - the least-loaded live server with a free slot.
+    An orphan is stranded only when every live server is saturated.
+    Afterwards the touched clients' standbys are re-armed against the
+    surviving servers. Callers that want the objective before or after,
+    the promise ({!standby_objective}) or a from-scratch re-solve
+    compute it themselves.
 
     @raise Invalid_argument if [s] is out of range, already failed, or
-    the last live server. *)
-
-type promotion = {
-  failed_server : int;
-  promoted : int;  (** orphans that landed on their armed standby *)
-  fallback : int;
-      (** orphans whose standby was missing or saturated, placed on the
-          least-loaded feasible server instead *)
-  stranded : (client_id * int) list;
-      (** [(id, node)] pairs, as in {!degradation} — only when every
-          live server is saturated *)
-  objective_before : float;  (** {!objective} just before the failure *)
-  objective_after : float;  (** {!objective} after promotion *)
-  promised : float;
-      (** {!standby_objective} of the server at the instant of failure —
-          equals [objective_after] when every orphan was promoted *)
-}
-
-val promote_standby : t -> int -> promotion
-(** The O(1)-per-client failover: take the server down and move each of
-    its clients to its armed standby — a constant-time reassignment per
-    client (no objective scan, no repair epoch). The standby reservation
-    matrix guaranteed headroom when the standbys were armed, so under
-    stable load every orphan finds its slot free; orphans without a
-    usable standby fall back to the least-loaded feasible server, and
-    only a fully saturated system strands anyone. Afterwards the touched
-    clients' standbys are re-armed against the surviving servers.
-
-    @raise Invalid_argument if [s] is out of range, already failed, or
-    the last live server. *)
+    the last live server (failing it would leave the session with no
+    live servers — callers must treat that as total outage instead). *)
 
 val recover_server : t -> int -> unit
 (** Bring a failed server back into service (existing clients stay where

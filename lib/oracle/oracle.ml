@@ -102,7 +102,7 @@ let soak_determinism_checks ~seed =
 
 (* Standby failover: promotion must deliver exactly what the standby map
    promised. On an uncapacitated session with freshly armed standbys,
-   [promote_standby] lands every orphan on its standby — no fallback, no
+   [fail_server ~greedy:false] lands every orphan on its standby — no fallback, no
    stranding — and the post-failover objective equals the
    [standby_objective] computed before the crash. The surviving session
    must still be internally consistent (live primaries, live standbys,
@@ -125,25 +125,21 @@ let standby_promotion_checks ~seed =
     !v
   in
   let promised = Dynamic.standby_objective session victim in
-  let r = Dynamic.promote_standby session victim in
+  let r = Dynamic.fail_server session victim ~greedy:false in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if r.Dynamic.promised <> promised then
-    fail
-      "standby promotion: promise drifted (standby_objective %.17g, promotion \
-       recorded %.17g)"
-      promised r.Dynamic.promised;
   if r.Dynamic.fallback <> 0 || r.Dynamic.stranded <> [] then
     fail
       "standby promotion: uncapacitated refreshed session used %d fallbacks \
        and stranded %d clients (expected pure promotion)"
       r.Dynamic.fallback
       (List.length r.Dynamic.stranded);
-  if r.Dynamic.objective_after <> promised then
+  let after = Dynamic.objective session in
+  if after <> promised then
     fail
       "standby promotion: post-failover objective %.17g differs from the \
        promised %.17g"
-      r.Dynamic.objective_after promised;
+      after promised;
   let members = Dynamic.members session in
   let counts = Array.make k 0 in
   List.iter

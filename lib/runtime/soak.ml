@@ -477,12 +477,6 @@ let open_journal ~disk env resume_from dir =
   | Some (cp : Checkpoint.state) ->
       Journal.reopen ~disk ~path ~digest:env.digest cp.history
 
-let has_capacity env st =
-  let live = Dynamic.active_servers st.session in
-  match env.scenario.capacity with
-  | None -> live <> []
-  | Some c -> List.exists (fun s -> Dynamic.load st.session s < c) live
-
 (* [num /. den] where it means something: a finite numerator over a
    positive denominator. *)
 let quotient num den =
@@ -649,7 +643,7 @@ let repair env st out now to_ =
 (* Admit queued joins, oldest first, while the loop is Healthy and a
    live server has room. *)
 let rec drain env st out now =
-  if Slo.level st.slo = Slo.Healthy && has_capacity env st then
+  if Slo.level st.slo = Slo.Healthy && Dynamic.has_room st.session then
     match Admission.pop st.admission with
     | None -> ()
     | Some (sid, node) ->
@@ -693,7 +687,7 @@ let dispatch env st out now kind =
   | Trace.Join { session = sid; node } ->
       (match
          Admission.consider st.admission ~level:(Slo.level st.slo)
-           ~has_capacity:(has_capacity env st) ~session:sid ~node
+           ~has_capacity:(Dynamic.has_room st.session) ~session:sid ~node
        with
       | Admission.Admit ->
           let id = connect st sid node in
@@ -724,30 +718,23 @@ let dispatch env st out now kind =
       end
       else begin
         c.crashes <- c.crashes + 1;
-        let stranded =
-          if env.config.standby then begin
-            (* O(1)-per-client repair path: promote armed standbys first;
-               budgeted rebalance and protocol epochs only run afterwards
-               if the SLO (or the standby bound) says the result is not
-               good enough. *)
-            let { Dynamic.promoted; fallback; stranded; _ } =
-              Dynamic.promote_standby st.session server
-            in
-            emit
-              (Event_log.Promote
-                 { server; promoted; fallback; stranded = List.length stranded });
-            st.breach_pending <- true;
-            stranded
-          end
-          else begin
-            let { Dynamic.migrated; stranded; _ } =
-              Dynamic.fail_server_report st.session server
-            in
-            emit (Event_log.Crash { server; migrated; stranded = List.length stranded });
-            stranded
-          end
+        (* With standbys, the O(1)-per-client path: promote armed
+           standbys; budgeted rebalance and protocol epochs only run
+           afterwards if the SLO (or the standby bound) says the result
+           is not good enough. Without, the join rule re-homes orphans. *)
+        let { Dynamic.rehomed; promoted; fallback; stranded } =
+          Dynamic.fail_server st.session server ~greedy:(not env.config.standby)
         in
-        c.stranded <- c.stranded + List.length stranded;
+        let nstranded = List.length stranded in
+        if env.config.standby then begin
+          emit (Event_log.Promote { server; promoted; fallback; stranded = nstranded });
+          st.breach_pending <- true
+        end
+        else
+          emit
+            (Event_log.Crash
+               { server; migrated = rehomed + promoted + fallback; stranded = nstranded });
+        c.stranded <- c.stranded + nstranded;
         requeue_stranded st out now stranded;
         true
       end

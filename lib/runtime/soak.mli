@@ -10,14 +10,15 @@
       [D(A) / LB] ratio (the lower bound is recomputed every [lb_every]
       events and eagerly after structural changes: crash, recovery,
       drift);
-    - a crash is repaired by {b standby promotion} first (when [standby]
-      is on, the default): {!Dia_core.Dynamic.promote_standby} moves each
-      orphan to its pre-armed standby in O(1) per client — no objective
-      scan, no repair epoch. Only if the post-promotion [D/LB] exceeds
+    - a crash is repaired by {!Dia_core.Dynamic.fail_server}. With
+      [standby] on (the default) that is {b standby promotion}
+      ([~greedy:false]): each orphan moves to its pre-armed standby in
+      O(1) per client — no objective scan, no repair epoch ([Promote] in
+      the log). Only if the post-promotion [D/LB] exceeds
       [standby_bound] does a budgeted rebalance run immediately
       ([Standby_breach] in the log), and the usual SLO escalations still
-      apply afterwards. With [standby] off, crashes fall back to the
-      greedy {!Dia_core.Dynamic.fail_server_report} migration. Either
+      apply afterwards. With [standby] off ([~greedy:true]) each orphan
+      is first re-homed by the join rule ([Crash] in the log). Either
       way, stranded orphans re-enter admission control (queued or shed,
       never silently dropped), and standbys are re-armed canonically at
       every checkpoint boundary ([Standby_refresh]);

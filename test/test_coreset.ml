@@ -211,9 +211,7 @@ let prop_incremental_caches_bit_identical =
             let s = Random.State.int rng 6 in
             if (not (List.mem s !failed)) && List.length !failed < 4 then (
               try
-                (if Random.State.bool rng then
-                   ignore (Dynamic.promote_standby t s)
-                 else ignore (Dynamic.fail_server_report t s));
+                ignore (Dynamic.fail_server t s ~greedy:(not (Random.State.bool rng)));
                 failed := s :: !failed;
                 live :=
                   List.filter

@@ -13,6 +13,9 @@ let servers = Dia_placement.Placement.random ~seed:21 ~k:6 ~n:80
 
 let fresh ?capacity () = Dynamic.create ?capacity matrix ~servers
 
+(* Orphans a failover landed somewhere. *)
+let migrated (r : Dynamic.failover) = r.rehomed + r.promoted + r.fallback
+
 let test_empty_session () =
   let t = fresh () in
   Alcotest.(check int) "no clients" 0 (Dynamic.num_clients t);
@@ -169,9 +172,9 @@ let test_fail_server_migrates_clients () =
     Assignment.server_of a 0
   in
   let before = Dynamic.num_clients t in
-  let migrated = Dynamic.fail_server t victim in
+  let r = Dynamic.fail_server t victim ~greedy:true in
   Alcotest.(check int) "population preserved" before (Dynamic.num_clients t);
-  Alcotest.(check bool) "someone migrated" true (migrated > 0);
+  Alcotest.(check bool) "someone migrated" true (migrated r > 0);
   let p, a = Dynamic.snapshot t in
   Array.iteri
     (fun c s ->
@@ -188,41 +191,33 @@ let test_fail_server_migrates_clients () =
 let test_fail_server_twice_rejected () =
   let t = fresh () in
   ignore (Dynamic.join t ~node:0);
-  ignore (Dynamic.fail_server t 1);
+  ignore (Dynamic.fail_server t 1 ~greedy:true);
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Dynamic.fail_server t 1);
+       ignore (Dynamic.fail_server t 1 ~greedy:true);
        false
      with Invalid_argument _ -> true)
 
 let test_fail_server_capacity_exhaustion () =
   (* 6 servers x capacity 1, 6 clients: failing any server leaves nowhere
-     to put its client. *)
+     to put its client, so it is stranded and the server stays down. *)
   let t = fresh ~capacity:1 () in
-  for node = 0 to 5 do
-    ignore (Dynamic.join t ~node)
-  done;
-  let loaded =
-    (* Some server certainly has a client. *)
-    let p, a = Dynamic.snapshot t in
-    ignore p;
-    Assignment.server_of a 0
-  in
-  Alcotest.(check bool) "fails cleanly" true
-    (try
-       ignore (Dynamic.fail_server t loaded);
-       false
-     with Failure _ -> true);
-  (* The failed flag must have been rolled back. *)
-  Alcotest.(check int) "all servers still active" 6
-    (List.length (Dynamic.active_servers t))
+  let ids = List.init 6 (fun node -> Dynamic.join t ~node) in
+  let loaded = Dynamic.server_of t (List.hd ids) in
+  let r = Dynamic.fail_server t loaded ~greedy:true in
+  Alcotest.(check int) "nobody migrated" 0 (migrated r);
+  Alcotest.(check (list (pair int int))) "the orphan stranded" [ (List.hd ids, 0) ]
+    r.Dynamic.stranded;
+  Alcotest.(check int) "five servers still active" 5
+    (List.length (Dynamic.active_servers t));
+  Alcotest.(check int) "the rest stay connected" 5 (Dynamic.num_clients t)
 
 let test_recover_server () =
   let t = fresh () in
   for node = 0 to 29 do
     ignore (Dynamic.join t ~node)
   done;
-  ignore (Dynamic.fail_server t 0);
+  ignore (Dynamic.fail_server t 0 ~greedy:true);
   Dynamic.recover_server t 0;
   Alcotest.(check int) "all active again" 6 (List.length (Dynamic.active_servers t));
   (* Rebalance may move clients back onto the recovered server. *)
@@ -259,10 +254,9 @@ let prop_random_operation_sequences_stay_consistent =
         | 8 ->
             let s = Random.State.int rng 6 in
             if not (List.mem s !failed) && List.length !failed < 4 then (
-              try
-                ignore (Dynamic.fail_server t s);
-                failed := s :: !failed
-              with Failure _ -> Dynamic.recover_server t s |> ignore)
+              let r = Dynamic.fail_server t s ~greedy:true in
+              failed := s :: !failed;
+              live := List.filter (fun id -> not (List.mem_assoc id r.Dynamic.stranded)) !live)
         | _ -> (
             match !failed with
             | [] -> ()
@@ -397,7 +391,7 @@ let prop_load_objective_bit_identical_to_scratch =
               try
                 (* Stranded orphans leave the session silently here —
                    the report already accounts for them. *)
-                ignore (both (fun x -> Dynamic.fail_server_report x s));
+                ignore (both (fun x -> Dynamic.fail_server x s ~greedy:true));
                 failed := s :: !failed;
                 drop_departed ()
               with Invalid_argument _ -> ())
@@ -408,7 +402,7 @@ let prop_load_objective_bit_identical_to_scratch =
             if not (List.mem s !failed) && List.length !failed < 4 then (
               ignore (both Dynamic.refresh_standbys);
               try
-                ignore (both (fun x -> Dynamic.promote_standby x s));
+                ignore (both (fun x -> Dynamic.fail_server x s ~greedy:false));
                 failed := s :: !failed;
                 drop_departed ()
               with Invalid_argument _ -> ())
@@ -463,29 +457,24 @@ let test_fail_last_server_rejected () =
   let m = Synthetic.internet_like ~seed:3 10 in
   let t = Dynamic.create m ~servers:[| 1; 4 |] in
   ignore (Dynamic.join t ~node:0);
-  ignore (Dynamic.fail_server t 0);
-  (match Dynamic.fail_server t 1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "failing the last live server must be rejected");
-  (match Dynamic.fail_server_report t 1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "fail_server_report must also reject the last server");
+  ignore (Dynamic.fail_server t 0 ~greedy:true);
+  List.iter
+    (fun greedy ->
+      match Dynamic.fail_server t 1 ~greedy with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "failing the last live server must be rejected")
+    [ true; false ];
   Alcotest.(check int) "session still serves" 1 (Dynamic.num_clients t)
 
 let test_capacitated_failover_strands () =
-  (* Both servers full: the orphans of a failure have nowhere to go.
-     fail_server refuses; fail_server_report strands them instead —
-     reported, never silently dropped. *)
+  (* Both servers full: the orphans of a failure have nowhere to go, so
+     they are stranded — reported, never silently dropped. *)
   let m = Synthetic.internet_like ~seed:4 12 in
   let t = Dynamic.create ~capacity:3 m ~servers:[| 0; 6 |] in
   let ids = List.init 6 (fun node -> Dynamic.join t ~node) in
   let victim = Dynamic.server_of t (List.hd ids) in
-  (match Dynamic.fail_server t victim with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "fail_server must refuse when orphans cannot be re-homed");
-  Alcotest.(check int) "refusal left everyone connected" 6 (Dynamic.num_clients t);
-  let r = Dynamic.fail_server_report t victim in
-  Alcotest.(check int) "nobody migrated" 0 r.Dynamic.migrated;
+  let r = Dynamic.fail_server t victim ~greedy:true in
+  Alcotest.(check int) "nobody migrated" 0 (migrated r);
   Alcotest.(check int) "every orphan reported stranded" 3
     (List.length r.Dynamic.stranded);
   List.iter
@@ -507,13 +496,12 @@ let test_capacitated_failover_partial_stranding () =
   let victim = if load0 >= load1 then 0 else 1 in
   let orphans = Dynamic.load t victim in
   let spare = 4 - Dynamic.load t (1 - victim) in
-  let r = Dynamic.fail_server_report t victim in
-  Alcotest.(check int) "those that fit migrated" (min orphans spare)
-    r.Dynamic.migrated;
+  let r = Dynamic.fail_server t victim ~greedy:true in
+  Alcotest.(check int) "those that fit migrated" (min orphans spare) (migrated r);
   Alcotest.(check int) "the rest stranded" (max 0 (orphans - spare))
     (List.length r.Dynamic.stranded);
   Alcotest.(check int) "everyone accounted for" orphans
-    (r.Dynamic.migrated + List.length r.Dynamic.stranded)
+    (migrated r + List.length r.Dynamic.stranded)
 
 let test_drift_rescales_and_snapshot_consistent () =
   let t = fresh () in
@@ -541,7 +529,7 @@ let test_restore_roundtrip () =
   let t = fresh ~capacity:10 () in
   let ids = List.init 25 (fun node -> Dynamic.join t ~node:(node mod 80)) in
   List.iteri (fun i id -> if i mod 5 = 0 then Dynamic.leave t id) ids;
-  ignore (Dynamic.fail_server t 1);
+  ignore (Dynamic.fail_server t 1 ~greedy:true);
   Dynamic.set_drift t ~server:3 ~factor:1.5;
   ignore (Dynamic.rebalance ~max_moves:4 t);
   let drift =
@@ -580,7 +568,7 @@ let test_move_and_load () =
   Dynamic.move t id s';
   Alcotest.(check int) "same-server move is a free no-op" 1
     (Dynamic.stats t).Dynamic.moves;
-  ignore (Dynamic.fail_server t s);
+  ignore (Dynamic.fail_server t s ~greedy:true);
   match Dynamic.move t id s with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "move onto a failed server accepted"
@@ -649,10 +637,10 @@ let prop_lower_bound_is_kernel =
             | id :: _ -> (
                 try Dynamic.move t id s with Invalid_argument _ | Failure _ -> ()))
         | 7 -> (
-            try ignore (Dynamic.fail_server_report t s) with Invalid_argument _ -> ())
+            try ignore (Dynamic.fail_server t s ~greedy:true) with Invalid_argument _ -> ())
         | 8 -> (
             ignore (Dynamic.refresh_standbys t);
-            try ignore (Dynamic.promote_standby t s) with Invalid_argument _ -> ())
+            try ignore (Dynamic.fail_server t s ~greedy:false) with Invalid_argument _ -> ())
         | 9 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
         | _ -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5));
         live := List.filter connected !live;
@@ -726,10 +714,10 @@ let prop_problem_version =
           | 7 -> ignore (Dynamic.rebalance ~max_moves:3 t); 0
           | 8 -> ignore (Dynamic.refresh_standbys t); 0
           | 9 -> (
-              try ignore (Dynamic.fail_server_report t s); 1
+              try ignore (Dynamic.fail_server t s ~greedy:true); 1
               with Invalid_argument _ -> 0)
           | 10 -> (
-              try ignore (Dynamic.promote_standby t s); 1
+              try ignore (Dynamic.fail_server t s ~greedy:false); 1
               with Invalid_argument _ -> 0)
           | 11 -> ( try Dynamic.recover_server t s; 1 with Invalid_argument _ -> 0)
           | 12 ->
@@ -763,7 +751,7 @@ let prop_problem_version =
 let test_lower_bound_one_live_server () =
   let t = fresh () in
   List.iter (fun node -> ignore (Dynamic.join t ~node)) [ 3; 17; 40; 41; 66 ];
-  List.iter (fun s -> ignore (Dynamic.fail_server t s)) [ 0; 1; 2; 4; 5 ];
+  List.iter (fun s -> ignore (Dynamic.fail_server t s ~greedy:true)) [ 0; 1; 2; 4; 5 ];
   Alcotest.(check (list int)) "one server left" [ 3 ] (Dynamic.active_servers t);
   check_kernel_bound "one live server" t;
   ignore (Dynamic.join t ~node:9);
@@ -804,7 +792,7 @@ let test_lower_bound_empty_and_refilled () =
   check_kernel_bound "filled" t;
   List.iter (Dynamic.leave t) ids;
   Alcotest.(check bool) "empty is -inf" true (Dynamic.lower_bound t = neg_infinity);
-  ignore (Dynamic.fail_server t 0);
+  ignore (Dynamic.fail_server t 0 ~greedy:true);
   Alcotest.(check bool) "empty rebuild is -inf" true
     (Dynamic.lower_bound t = neg_infinity);
   List.iter (fun node -> ignore (Dynamic.join t ~node)) [ 30; 5; 79 ];
@@ -856,13 +844,25 @@ let test_zero_delay_placements_pinned () =
 
 (* Drift and failover, pinned the same way: 30 seeded sequences per
    delay model over every mutator that rewrites or rereads distances —
-   drift (a return to 1.0 included), report failover, standby refresh
+   drift (a return to 1.0 included), greedy failover, standby refresh
    then promotion, recovery, a mid-sequence restore and rebalance — with
-   the membership, the standbys, the failover reports and the hex D and
-   LB after every step folded into one digest. The constants were
+   the membership, the standbys, each failover's counts, D after it and
+   either the survivors' Greedy re-solve or the standby promise, and the
+   hex D and LB after every step folded into one digest. The constants were
    recorded while the session still read every distance from the
    matrix, so a stale cached distance after a drift, failure or restore
    changes the digest. *)
+let resolve ~delay t =
+  if Dynamic.num_clients t = 0 then neg_infinity
+  else
+    let p, _ = Dynamic.snapshot t in
+    let survivors = Array.of_list (List.map (Array.get (Problem.servers p)) (Dynamic.active_servers t)) in
+    let q =
+      Problem.make ?capacity:(Dynamic.capacity t) ~latency:(Problem.latency p)
+        ~servers:survivors ~clients:(Problem.clients p) ()
+    in
+    Objective.max_interaction_path ~delay q (Dia_core.Greedy.assign ~delay q)
+
 let failover_digest ~delay =
   let sequence ~seed =
     let nodes = 30 + (seed mod 50) and k = 3 + (seed mod 6) in
@@ -887,17 +887,18 @@ let failover_digest ~delay =
       | 8 | 9 -> Dynamic.set_drift !t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5)
       | 10 -> Dynamic.set_drift !t ~server:s ~factor:1.0
       | 11 -> (
-          match Dynamic.fail_server_report !t s with
+          match Dynamic.fail_server !t s ~greedy:true with
           | r ->
-              say "fail %d %d %h %h " r.Dynamic.migrated (List.length r.Dynamic.stranded)
-                r.Dynamic.objective_after r.Dynamic.objective_resolve
+              say "fail %d %d %h %h " (migrated r) (List.length r.Dynamic.stranded)
+                (Dynamic.objective !t) (resolve ~delay !t)
           | exception Invalid_argument _ -> ())
       | 12 -> (
           say "refresh %d " (Dynamic.refresh_standbys !t);
-          match Dynamic.promote_standby !t s with
+          let promised = Dynamic.standby_objective !t s in
+          match Dynamic.fail_server !t s ~greedy:false with
           | r ->
               say "promote %d %d %d %h " r.Dynamic.promoted r.Dynamic.fallback
-                (List.length r.Dynamic.stranded) r.Dynamic.promised
+                (List.length r.Dynamic.stranded) promised
           | exception Invalid_argument _ -> ())
       | 13 -> ( try Dynamic.recover_server !t s with Invalid_argument _ -> ())
       | _ -> say "moves %d " (Dynamic.rebalance ~max_moves:4 !t));
@@ -1020,7 +1021,7 @@ let referee_move ~delay t =
   end
 
 let prop_rebalance_referee =
-  (* Random sequences with drift, report failover, promotion and
+  (* Random sequences with drift, greedy failover, promotion and
      recovery, under all five delay models: every [rebalance
      ~max_moves:1] makes exactly the referee's move, or none when the
      referee finds none. *)
@@ -1054,10 +1055,10 @@ let prop_rebalance_referee =
             | id :: _ -> ( try Dynamic.move t id s with Invalid_argument _ -> ()))
         | 7 -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5)
         | 8 -> Dynamic.set_drift t ~server:s ~factor:1.0
-        | 9 -> ( try ignore (Dynamic.fail_server_report t s) with Invalid_argument _ -> ())
+        | 9 -> ( try ignore (Dynamic.fail_server t s ~greedy:true) with Invalid_argument _ -> ())
         | 10 -> (
             ignore (Dynamic.refresh_standbys t);
-            try ignore (Dynamic.promote_standby t s) with Invalid_argument _ -> ())
+            try ignore (Dynamic.fail_server t s ~greedy:false) with Invalid_argument _ -> ())
         | 11 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
         | _ ->
             let before = Dynamic.members t in
@@ -1110,7 +1111,7 @@ let suite =
     Alcotest.test_case "server failure migrates clients" `Quick
       test_fail_server_migrates_clients;
     Alcotest.test_case "double failure rejected" `Quick test_fail_server_twice_rejected;
-    Alcotest.test_case "failure with exhausted capacity rolls back" `Quick
+    Alcotest.test_case "failure with exhausted capacity strands" `Quick
       test_fail_server_capacity_exhaustion;
     Alcotest.test_case "server recovery" `Quick test_recover_server;
     QCheck_alcotest.to_alcotest prop_random_operation_sequences_stay_consistent;

@@ -204,7 +204,7 @@ let test_dgreedy_server_crash () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e)
 
-let test_fail_server_report () =
+let test_greedy_fail_server () =
   let n = 30 and k = 4 in
   let matrix = Dia_latency.Synthetic.internet_like ~seed:9 n in
   let servers = Dia_placement.Placement.random ~seed:9 ~k ~n in
@@ -212,16 +212,21 @@ let test_fail_server_report () =
   for node = 0 to n - 1 do
     ignore (Dynamic.join t ~node)
   done;
-  let before = Dynamic.objective t in
-  let report = Dynamic.fail_server_report t 2 in
-  Alcotest.(check int) "failed server recorded" 2 report.Dynamic.failed_server;
-  Alcotest.(check (float 1e-9)) "before captured" before
-    report.Dynamic.objective_before;
-  Alcotest.(check (float 1e-9)) "after matches session" (Dynamic.objective t)
-    report.Dynamic.objective_after;
-  Alcotest.(check bool) "factor at least 1" true (report.Dynamic.factor >= 1. -. 1e-9);
-  Alcotest.(check bool) "resolve no better than after" true
-    (report.Dynamic.objective_resolve <= report.Dynamic.objective_after +. 1e-9);
+  let r = Dynamic.fail_server t 2 ~greedy:true in
+  (* Uncapacitated, the join rule always finds a live server. *)
+  Alcotest.(check int) "no standby or fallback landing" 0
+    (r.Dynamic.promoted + r.Dynamic.fallback);
+  Alcotest.(check (list (pair int int))) "none stranded" [] r.Dynamic.stranded;
+  (* A fresh Greedy re-solve on the survivors, same clients, is no worse
+     than the incrementally repaired session. *)
+  let after = Dynamic.objective t in
+  let survivors = Array.of_list (List.map (Array.get servers) (Dynamic.active_servers t)) in
+  let q =
+    Problem.make ~latency:matrix ~servers:survivors
+      ~clients:(Problem.clients (fst (Dynamic.snapshot t))) ()
+  in
+  let resolve = Objective.max_interaction_path q (Dia_core.Greedy.assign q) in
+  Alcotest.(check bool) "resolve no better than after" true (resolve <= after +. 1e-9);
   Alcotest.(check (list int)) "server gone from rotation" [ 0; 1; 3 ]
     (Dynamic.active_servers t);
   (* Every migrated client really left the failed server. *)
@@ -415,8 +420,8 @@ let suite =
       test_dgreedy_under_loss_replays;
     Alcotest.test_case "dgreedy survives a mid-run server crash" `Quick
       test_dgreedy_server_crash;
-    Alcotest.test_case "fail_server_report is consistent" `Quick
-      test_fail_server_report;
+    Alcotest.test_case "greedy fail_server is consistent" `Quick
+      test_greedy_fail_server;
     Alcotest.test_case "validate_assignment catches bad assignments" `Quick
       test_validate_assignment_errors;
   ]

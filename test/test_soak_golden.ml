@@ -13,7 +13,7 @@
    problem under the delay model) and a capacitated soak
    (EXTRA = --capacity 30 --clients 200 --baseline, budget 8), the
    chaos soak without standbys (EXTRA = --no-standby, budget 8: every
-   crash takes the full-migration failover path) and the chaos soak in
+   crash takes the greedy failover path) and the chaos soak in
    weighted mode (EXTRA = --coreset-eps 0.2, budget 8: the one mode that
    builds every pair of the latency matrix), and a capacitated soak
    without standbys (EXTRA = --capacity 30 --clients 215 --no-standby,

@@ -95,18 +95,12 @@ let test_promote_delivers_promise () =
   ignore (Dynamic.refresh_standbys t);
   let victim = busiest t ~k in
   let promised = Dynamic.standby_objective t victim in
-  let before = Dynamic.objective t in
-  let r = Dynamic.promote_standby t victim in
-  Alcotest.(check (float 0.)) "promise recorded exactly" promised
-    r.Dynamic.promised;
-  Alcotest.(check (float 0.)) "before captured" before r.Dynamic.objective_before;
+  let r = Dynamic.fail_server t victim ~greedy:false in
   (* uncapacitated + freshly armed: every orphan lands on its standby *)
   Alcotest.(check int) "no fallback" 0 r.Dynamic.fallback;
   Alcotest.(check (list (pair int int))) "no stranding" [] r.Dynamic.stranded;
   Alcotest.(check (float 0.)) "objective equals the promise" promised
-    r.Dynamic.objective_after;
-  Alcotest.(check (float 0.)) "session agrees" (Dynamic.objective t)
-    r.Dynamic.objective_after;
+    (Dynamic.objective t);
   check_standby_invariants t;
   (* the failed server is empty and out of the rotation *)
   Alcotest.(check int) "victim drained" 0 (Dynamic.load t victim);
@@ -120,13 +114,13 @@ let test_promote_strands_iff_no_room () =
   let saturated = session ~capacity:10 ~seed:5 ~n:30 ~k:3 ~clients:30 () in
   let victim = busiest saturated ~k:3 in
   let orphans = Dynamic.load saturated victim in
-  let r = Dynamic.promote_standby saturated victim in
+  let r = Dynamic.fail_server saturated victim ~greedy:false in
   Alcotest.(check int) "every orphan stranded" orphans
     (List.length r.Dynamic.stranded);
   Alcotest.(check int) "none promoted" 0 r.Dynamic.promoted;
   let roomy = session ~capacity:20 ~seed:5 ~n:30 ~k:3 ~clients:30 () in
   let victim = busiest roomy ~k:3 in
-  let r = Dynamic.promote_standby roomy victim in
+  let r = Dynamic.fail_server roomy victim ~greedy:false in
   Alcotest.(check (list (pair int int))) "none stranded with headroom" []
     r.Dynamic.stranded;
   check_standby_invariants ~capacity:20 roomy
@@ -165,7 +159,7 @@ let prop_promotion_preserves_validity =
           0
           (List.filter (fun s -> s <> victim) (Dynamic.active_servers t))
       in
-      let r = Dynamic.promote_standby t victim in
+      let r = Dynamic.fail_server t victim ~greedy:false in
       let stranded = List.length r.Dynamic.stranded in
       let expected_stranded =
         if free = max_int then 0 else max 0 (orphans - free)
@@ -199,9 +193,8 @@ let prop_promotion_on_refreshed_session_is_exact =
       ignore (Dynamic.refresh_standbys t);
       let victim = busiest t ~k in
       let promised = Dynamic.standby_objective t victim in
-      let r = Dynamic.promote_standby t victim in
-      r.Dynamic.promised = promised
-      && r.Dynamic.objective_after = promised
+      let r = Dynamic.fail_server t victim ~greedy:false in
+      Dynamic.objective t = promised
       && r.Dynamic.fallback = 0
       && r.Dynamic.stranded = [])
 

@@ -187,7 +187,7 @@ let prop_dynamic_incremental_bit_identical =
             if List.length (Dynamic.active_servers t) > 1 then begin
               let s = Random.State.int rng k in
               if not (List.mem s (Dynamic.failed_servers t)) then begin
-                ignore (Dynamic.fail_server t s);
+                ignore (Dynamic.fail_server t s ~greedy:true);
                 Dynamic.recover_server t s
               end
             end);
