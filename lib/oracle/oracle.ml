@@ -102,8 +102,8 @@ let soak_determinism_checks ~seed =
 
 (* Standby failover: promotion must deliver exactly what the standby map
    promised. On an uncapacitated session with freshly armed standbys,
-   [fail_server ~greedy:false] lands every orphan on its standby — no fallback, no
-   stranding — and the post-failover objective equals the
+   [fail_server ~greedy:false] lands every orphan on its standby — no
+   fallback, no stranding — and the post-failover objective equals the
    [standby_objective] computed before the crash. The surviving session
    must still be internally consistent (live primaries, live standbys,
    loads matching membership). *)

@@ -256,7 +256,8 @@ let prop_random_operation_sequences_stay_consistent =
             if not (List.mem s !failed) && List.length !failed < 4 then (
               let r = Dynamic.fail_server t s ~greedy:true in
               failed := s :: !failed;
-              live := List.filter (fun id -> not (List.mem_assoc id r.Dynamic.stranded)) !live)
+              live :=
+                List.filter (fun id -> not (List.mem_assoc id r.Dynamic.stranded)) !live)
         | _ -> (
             match !failed with
             | [] -> ()
@@ -637,10 +638,12 @@ let prop_lower_bound_is_kernel =
             | id :: _ -> (
                 try Dynamic.move t id s with Invalid_argument _ | Failure _ -> ()))
         | 7 -> (
-            try ignore (Dynamic.fail_server t s ~greedy:true) with Invalid_argument _ -> ())
+            try ignore (Dynamic.fail_server t s ~greedy:true)
+            with Invalid_argument _ -> ())
         | 8 -> (
             ignore (Dynamic.refresh_standbys t);
-            try ignore (Dynamic.fail_server t s ~greedy:false) with Invalid_argument _ -> ())
+            try ignore (Dynamic.fail_server t s ~greedy:false)
+            with Invalid_argument _ -> ())
         | 9 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
         | _ -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5));
         live := List.filter connected !live;
@@ -856,7 +859,9 @@ let resolve ~delay t =
   if Dynamic.num_clients t = 0 then neg_infinity
   else
     let p, _ = Dynamic.snapshot t in
-    let survivors = Array.of_list (List.map (Array.get (Problem.servers p)) (Dynamic.active_servers t)) in
+    let survivors =
+      Array.of_list (List.map (Array.get (Problem.servers p)) (Dynamic.active_servers t))
+    in
     let q =
       Problem.make ?capacity:(Dynamic.capacity t) ~latency:(Problem.latency p)
         ~servers:survivors ~clients:(Problem.clients p) ()
@@ -1055,10 +1060,13 @@ let prop_rebalance_referee =
             | id :: _ -> ( try Dynamic.move t id s with Invalid_argument _ -> ()))
         | 7 -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5)
         | 8 -> Dynamic.set_drift t ~server:s ~factor:1.0
-        | 9 -> ( try ignore (Dynamic.fail_server t s ~greedy:true) with Invalid_argument _ -> ())
+        | 9 -> (
+            try ignore (Dynamic.fail_server t s ~greedy:true)
+            with Invalid_argument _ -> ())
         | 10 -> (
             ignore (Dynamic.refresh_standbys t);
-            try ignore (Dynamic.fail_server t s ~greedy:false) with Invalid_argument _ -> ())
+            try ignore (Dynamic.fail_server t s ~greedy:false)
+            with Invalid_argument _ -> ())
         | 11 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
         | _ ->
             let before = Dynamic.members t in

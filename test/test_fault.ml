@@ -220,7 +220,9 @@ let test_greedy_fail_server () =
   (* A fresh Greedy re-solve on the survivors, same clients, is no worse
      than the incrementally repaired session. *)
   let after = Dynamic.objective t in
-  let survivors = Array.of_list (List.map (Array.get servers) (Dynamic.active_servers t)) in
+  let survivors =
+    Array.of_list (List.map (Array.get servers) (Dynamic.active_servers t))
+  in
   let q =
     Problem.make ~latency:matrix ~servers:survivors
       ~clients:(Problem.clients (fst (Dynamic.snapshot t))) ()
