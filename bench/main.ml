@@ -229,13 +229,6 @@ let make_churn_kernel ~clients =
     done;
     Dia_core.Dynamic.rebalance ~max_moves:8 session
 
-(* Failover kernels: the same steady session, but each run takes down
-   the currently most-loaded server (so the victim always carries a
-   real population, whatever the redistribution dynamics did) and
-   brings it back up. failover/promote repairs with the O(1)-per-client
-   standby promotion ([~greedy:false]); failover/rehome places each
-   orphan by the join rule ([~greedy:true]), an objective scan per
-   orphan — what a control plane without standbys pays on every crash. *)
 (* Weighted-churn kernel: the same steady-state batch, but the million
    sessions sit behind a coreset bucket layer, so the Dynamic only ever
    holds one member per occupied cell and each leave/join is a counter
@@ -368,7 +361,13 @@ let load_baseline_kernel () =
   let config = { Soak.default_config with Soak.offline_baseline = true } in
   fun () -> Soak.run scenario config
 
-let make_failover_kernel ~clients ~greedy =
+(* Failover kernel: the same steady session, but each run takes down
+   the currently most-loaded server (so the victim always carries a
+   real population, whatever the redistribution dynamics did) and
+   brings it back up. Each orphan is re-homed by the join rule, an
+   objective scan per orphan — what the control plane pays on every
+   crash. *)
+let make_failover_kernel ~clients =
   let session = Dia_core.Dynamic.create churn_matrix ~servers:churn_servers in
   for i = 0 to clients - 1 do
     ignore (Dia_core.Dynamic.join session ~node:(i mod churn_nodes))
@@ -380,7 +379,7 @@ let make_failover_kernel ~clients ~greedy =
       if Dia_core.Dynamic.load session s > Dia_core.Dynamic.load session !victim
       then victim := s
     done;
-    ignore (Dia_core.Dynamic.fail_server session !victim ~greedy);
+    ignore (Dia_core.Dynamic.fail_server session !victim);
     Dia_core.Dynamic.recover_server session !victim
 
 (* Lower-bound rebuild: a session shaped like the end-to-end
@@ -525,14 +524,10 @@ let tests =
         | Ok j -> List.length j.Dia_runtime.Journal.records
         | Error m -> failwith m);
     kernel ~calls:30 "checkpoint/generation-save(events=2700)" generation_save_kernel;
-    kernel ~calls:3 "failover/promote(clients=1000)" (fun () ->
-        make_failover_kernel ~clients:1_000 ~greedy:false);
     kernel "failover/rehome(clients=1000)" (fun () ->
-        make_failover_kernel ~clients:1_000 ~greedy:true);
-    kernel "failover/promote(clients=10000)" (fun () ->
-        make_failover_kernel ~clients:10_000 ~greedy:false);
+        make_failover_kernel ~clients:1_000);
     kernel "failover/rehome(clients=10000)" (fun () ->
-        make_failover_kernel ~clients:10_000 ~greedy:true);
+        make_failover_kernel ~clients:10_000);
     kernel ~calls:5 "session/lb-rebuild(occupied≈210,k=20)" (fun () ->
         make_lb_rebuild_kernel ~query:true);
     kernel ~calls:50 "session/drift-toggle(occupied≈210,k=20)" (fun () ->

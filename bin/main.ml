@@ -664,18 +664,6 @@ let soak_cmd =
          & info [ "log" ] ~docv:"FILE"
              ~doc:"Write the structured event log to $(docv).")
   in
-  let no_standby_arg =
-    Arg.(value & flag
-         & info [ "no-standby" ]
-             ~doc:"Disable standby replicas: repair crashes with the greedy \
-                   full-migration path instead of O(1) promotion.")
-  in
-  let standby_bound_arg =
-    Arg.(value & opt float dc.Soak.standby_bound
-         & info [ "standby-bound" ] ~docv:"B"
-             ~doc:"Max tolerated post-promotion D/LB; a breach triggers an \
-                   immediate budgeted rebalance.")
-  in
   let baseline_arg =
     Arg.(value & flag
          & info [ "baseline" ]
@@ -717,7 +705,7 @@ let soak_cmd =
   in
   let run seed nodes servers capacity horizon rate lifetime drift_period
       drift_amplitude fault budget max_queue lb_every checkpoint_every resume kill_after state_dir keep kill_event
-      verify_recovery log_path no_standby standby_bound baseline clients
+      verify_recovery log_path baseline clients
       coreset_eps delay csv_path =
     let scenario =
       {
@@ -743,8 +731,6 @@ let soak_cmd =
         max_queue;
         lb_every;
         checkpoint_every;
-        standby = not no_standby;
-        standby_bound;
         offline_baseline = baseline;
       }
     in
@@ -840,8 +826,7 @@ let soak_cmd =
                $ drift_amplitude_arg $ soak_fault_arg $ budget_arg
                $ max_queue_arg $ lb_every_arg $ checkpoint_every_arg $ resume_arg $ kill_after_arg
                $ state_dir_arg $ keep_arg $ kill_event_arg
-               $ verify_recovery_arg $ log_arg $ no_standby_arg
-               $ standby_bound_arg $ baseline_arg $ clients_arg
+               $ verify_recovery_arg $ log_arg $ baseline_arg $ clients_arg
                $ coreset_eps_arg $ soak_delay_arg $ soak_csv_arg))
 
 (* dia competitive *)
@@ -887,16 +872,9 @@ let competitive_cmd =
          & info [ "csv" ] ~docv:"FILE"
              ~doc:"Write the per-trace ratio table to $(docv) as CSV.")
   in
-  let no_standby_arg =
-    Arg.(value & flag
-         & info [ "no-standby" ]
-             ~doc:"Measure the online policy without standby promotion.")
-  in
-  let run seed nodes servers capacity horizon fault traces bound csv
-      no_standby =
+  let run seed nodes servers capacity horizon fault traces bound csv =
     let scenario = { d with Soak.seed; nodes; servers; capacity; horizon; fault } in
-    let config = { dc with Soak.standby = not no_standby } in
-    match Competitive.run ~traces ~bound scenario config with
+    match Competitive.run ~traces ~bound scenario dc with
     | exception Invalid_argument m -> `Error (false, m)
     | summary ->
         print_string (Competitive.render summary);
@@ -912,14 +890,13 @@ let competitive_cmd =
   Cmd.v
     (Cmd.info "competitive"
        ~doc:"Empirical competitive-ratio harness: replay seeded churn/crash \
-             traces comparing the online sticky policy (greedy joins, O(1) \
-             standby promotion, budget-bounded repair) against an offline \
+             traces comparing the online sticky policy (greedy joins, greedy \
+             re-homing on crashes, budget-bounded repair) against an offline \
              Greedy re-solve at every lower-bound refresh, and judge the \
              worst observed ratio against the documented bound. Exits 1 on \
              violation.")
     Term.(ret (const run $ seed_arg $ nodes_arg $ servers_arg $ capacity_arg
-               $ horizon_arg $ fault_arg $ traces_arg $ bound_arg $ csv_arg
-               $ no_standby_arg))
+               $ horizon_arg $ fault_arg $ traces_arg $ bound_arg $ csv_arg))
 
 (* dia vivaldi *)
 

@@ -64,7 +64,7 @@ let () =
   done;
   ignore (Dynamic.rebalance t);
   let before = Dynamic.objective t in
-  let r = Dynamic.fail_server t 1 ~greedy:true in
+  let r = Dynamic.fail_server t 1 in
   let after = Dynamic.objective t in
   let survivors =
     Array.of_list (List.map (Array.get servers) (Dynamic.active_servers t))
@@ -79,5 +79,5 @@ let () =
     \  %d clients migrated; D %.2f -> %.2f ms\n\
     \  fresh Greedy re-solve on survivors: %.2f ms\n\
     \  degradation factor (migrated / re-solved): %.3fx\n"
-    (r.Dynamic.rehomed + r.Dynamic.promoted + r.Dynamic.fallback)
+    r.Dynamic.rehomed
     before after resolve (after /. resolve)

@@ -3,8 +3,7 @@ module Landmark = Dia_latency.Landmark
 
 type client_id = int
 
-type member = { node : int; mutable server : int; mutable standby : int }
-(* [standby = -1] means no standby is currently armed. *)
+type member = { node : int; mutable server : int }
 
 type stats = { joins : int; leaves : int; moves : int }
 
@@ -33,8 +32,6 @@ type t = {
   next_delay : float array;  (** [delay (load s + 1)]: what a join onto [s] pays *)
   delay_grows : bool array;  (** [delay (load s + 1) > delay (load s)] *)
   dists : int Fmap.t array;  (** per-server distance multiset backing [ecc] *)
-  sb_load : int array array;
-      (** [sb_load.(p).(s)] = members of primary [p] whose standby is [s] *)
   failed : bool array;
   mutable live : int array;  (** the servers not [failed], ascending *)
   node_drift : float array;  (** per-node multiplicative factor, 1.0 = none *)
@@ -102,7 +99,6 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
     next_delay = Array.make k (Delay.eval delay 1);
     delay_grows = Array.make k (Delay.eval delay 1 > Delay.eval delay 0);
     dists = Array.make k Fmap.empty;
-    sb_load = Array.make_matrix k k 0;
     failed = Array.make k false;
     live = Array.init k Fun.id;
     node_drift = Array.make (Matrix.dim matrix) 1.0;
@@ -444,14 +440,14 @@ let placement_hop t node s =
   let d = d_ns t node s in
   (if t.delay_grows.(s) then Float.max t.ecc.(s) d else d) +. t.next_delay.(s)
 
-(* Landmark pruning for the placement scans below (join, standby
-   re-arm, failover re-homing). Every cost those scans minimise is at
+(* Landmark pruning for the placement scan below, which joins and
+   failover re-homing share. Every cost it minimises is at
    least [2 d(node, s)] — [attach_cost]'s round-trip floor [2 hop],
    with [hop >= d(node, s)], survives the [Float.max]es stacked on
    top — so a certified bound lb <= d(node, s)
    retires server s whenever [2 lb] already fails to beat the best cost
-   in hand: the skipped cost is >= 2 d >= 2 lb >= best, and the scans
-   update on strict <. Doubling is exact in binary floating point, so
+   in hand: the skipped cost is >= 2 d >= 2 lb >= best, and the scan
+   updates on strict <. Doubling is exact in binary floating point, so
    results are bit-identical with or without the index; on non-metric
    matrices the bounds are all 0 and nothing is skipped. The index is
    built lazily from the {e current} matrix and dropped on drift. *)
@@ -467,54 +463,10 @@ let query_bounds t node =
   Landmark.lower_bounds idx ~query:node t.landmark_lb;
   t.landmark_lb
 
-(* --- standby replicas ---------------------------------------------------
-
-   Every member may carry a standby: the live server, other than its
-   primary, that minimises its attach cost in the surviving configuration
-   (primary eccentricity removed), subject to headroom —
-   [load s' + sb_load.(p).(s') < capacity], where the reservation matrix
-   counts the primary's members already pointing at [s']. The matrix
-   makes the promise compositional: every client of [p] reserving [s']
-   fits into [s'] together. Reservations are advisory for joins, moves
-   and rebalance (normal placement ignores them); failover honours
-   them. Standbys never point at a failed server. *)
-
-let clear_standby t member =
-  if member.standby >= 0 then begin
-    let p = member.server and s = member.standby in
-    t.sb_load.(p).(s) <- t.sb_load.(p).(s) - 1;
-    member.standby <- -1
-  end
-
-let select_standby t member =
-  let p = member.server in
-  let trial = Array.copy t.ecc in
-  trial.(p) <- neg_infinity;
-  let lb = query_bounds t member.node in
-  let best = ref (-1) and best_c = ref infinity in
-  for s = 0 to k t - 1 do
-    if
-      s <> p
-      && (not t.failed.(s))
-      && t.load.(s) + t.sb_load.(p).(s) < t.capacity
-      && 2. *. Array.unsafe_get lb s < !best_c
-    then begin
-      (* Network distance only, whatever the session's delay model. *)
-      let c = attach_cost t trial ~hop:(d_ns t member.node s) s in
-      if c < !best_c then begin
-        best_c := c;
-        best := s
-      end
-    end
-  done;
-  if !best >= 0 then begin
-    member.standby <- !best;
-    t.sb_load.(p).(!best) <- t.sb_load.(p).(!best) + 1
-  end
-
-let join t ~node =
-  if node < 0 || node >= Matrix.dim t.matrix then
-    invalid_arg (Printf.sprintf "Dynamic.join: node %d out of range" node);
+(* The join rule: the live server with room that minimises the
+   resulting objective once a client at [node] attaches there, ties to
+   the lowest index; -1 when no live server has room. *)
+let best_server t node =
   let current = objective t in
   let lb = query_bounds t node in
   let best = ref (-1) and best_d = ref infinity in
@@ -533,16 +485,19 @@ let join t ~node =
       end
     end
   done;
-  if !best < 0 then failwith "Dynamic.join: all servers saturated";
-  let s = !best in
+  !best
+
+let join t ~node =
+  if node < 0 || node >= Matrix.dim t.matrix then
+    invalid_arg (Printf.sprintf "Dynamic.join: node %d out of range" node);
+  let s = best_server t node in
+  if s < 0 then failwith "Dynamic.join: all servers saturated";
   let id = t.next_id in
   t.next_id <- id + 1;
-  let m = { node; server = s; standby = -1 } in
-  Hashtbl.replace t.members id m;
+  Hashtbl.replace t.members id { node; server = s };
   t.load.(s) <- t.load.(s) + 1;
   ecc_add t s (d_ns t node s);
   node_add t node;
-  select_standby t m;
   t.joins <- t.joins + 1;
   t.version <- t.version + 1;
   id
@@ -554,7 +509,6 @@ let find t id =
 
 let leave t id =
   let member = find t id in
-  clear_standby t member;
   Hashtbl.remove t.members id;
   t.load.(member.server) <- t.load.(member.server) - 1;
   ecc_remove t member.server (d_ns t member.node member.server);
@@ -573,16 +527,14 @@ let load t s =
   t.load.(s)
 
 (* Move a member to [s] (a different live server with room): loads,
-   both eccentricities, the standby and the move counter follow. *)
+   both eccentricities and the move counter follow. *)
 let relocate t member s =
   let old_s = member.server in
-  clear_standby t member;
   t.load.(old_s) <- t.load.(old_s) - 1;
   t.load.(s) <- t.load.(s) + 1;
   ecc_remove t old_s (d_ns t member.node old_s);
   member.server <- s;
   ecc_add t s (d_ns t member.node s);
-  select_standby t member;
   t.moves <- t.moves + 1
 
 let move t id target =
@@ -723,44 +675,6 @@ let members t =
   Hashtbl.fold (fun id m acc -> (id, m.node, m.server) :: acc) t.members []
   |> List.sort compare
 
-let standby_of t id =
-  let m = find t id in
-  if m.standby >= 0 then Some m.standby else None
-
-let standbys t =
-  Hashtbl.fold
-    (fun id m acc -> if m.standby >= 0 then (id, m.standby) :: acc else acc)
-    t.members []
-  |> List.sort compare
-
-let refresh_standbys t =
-  let entries =
-    Hashtbl.fold (fun id m acc -> (id, m) :: acc) t.members []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let old = List.map (fun (_, m) -> m.standby) entries in
-  List.iter (fun (_, m) -> clear_standby t m) entries;
-  List.iter (fun (_, m) -> select_standby t m) entries;
-  List.fold_left2
-    (fun changed (_, m) was -> if m.standby <> was then changed + 1 else changed)
-    0 entries old
-
-let standby_objective t s =
-  if s < 0 || s >= k t then
-    invalid_arg (Printf.sprintf "Dynamic.standby_objective: server %d out of range" s);
-  let trial = Array.copy t.ecc and load = Array.copy t.load in
-  trial.(s) <- neg_infinity;
-  load.(s) <- 0;
-  Hashtbl.iter
-    (fun _ m ->
-      if m.server = s && m.standby >= 0 then begin
-        trial.(m.standby) <-
-          Float.max trial.(m.standby) (d_ns t m.node m.standby);
-        load.(m.standby) <- load.(m.standby) + 1
-      end)
-    t.members;
-  objective_of t (Ecc.effective ~delay:t.delay trial ~load)
-
 (* Rebuild every cached eccentricity (and its backing multiset) from
    scratch in one member pass — needed after a drift change rescales
    distances wholesale. *)
@@ -830,7 +744,7 @@ let set_drift t ~server ~factor =
     t.version <- t.version + 1
   end
 
-let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_list
+let restore ?capacity ?delay matrix ~servers ~members:member_list
     ~next_id ~failed ~drift:drift_list ~stats:(s : stats) =
   let t = create ?capacity ?delay matrix ~servers in
   (* One rebuild on the next query instead of an unpruned extend per
@@ -855,33 +769,13 @@ let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_li
         invalid_arg (Printf.sprintf "Dynamic.restore: duplicate client id %d" id);
       if t.load.(server) >= t.capacity then
         invalid_arg (Printf.sprintf "Dynamic.restore: server %d over capacity" server);
-      Hashtbl.replace t.members id { node; server; standby = -1 };
+      Hashtbl.replace t.members id { node; server };
       t.load.(server) <- t.load.(server) + 1;
       ecc_add t server (d_ns t node server);
       node_add t node;
       if id >= next_id then
         invalid_arg (Printf.sprintf "Dynamic.restore: client id %d >= next_id" id))
     member_list;
-  List.iter
-    (fun (id, sb) ->
-      match Hashtbl.find_opt t.members id with
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Dynamic.restore: standby for unknown client %d" id)
-      | Some m ->
-          if sb < 0 || sb >= k t then
-            invalid_arg (Printf.sprintf "Dynamic.restore: standby %d out of range" sb);
-          if t.failed.(sb) then
-            invalid_arg (Printf.sprintf "Dynamic.restore: standby on failed server %d" sb);
-          if sb = m.server then
-            invalid_arg
-              (Printf.sprintf "Dynamic.restore: client %d standby equals primary" id);
-          if m.standby >= 0 then
-            invalid_arg
-              (Printf.sprintf "Dynamic.restore: duplicate standby for client %d" id);
-          m.standby <- sb;
-          t.sb_load.(m.server).(sb) <- t.sb_load.(m.server).(sb) + 1)
-    standbys;
   t.next_id <- next_id;
   (* The replayed drifts bumped it; a restored session starts afresh. *)
   t.version <- 0;
@@ -890,56 +784,18 @@ let restore ?capacity ?delay ?(standbys = []) matrix ~servers ~members:member_li
   t.moves <- s.moves;
   t
 
-type failover = {
-  rehomed : int;
-  promoted : int;
-  fallback : int;
-  stranded : (client_id * int) list;
-}
+type failover = { rehomed : int; stranded : (client_id * int) list }
 
-(* Least-loaded live server with a free slot, ties to the lowest index;
-   -1 when every live server is saturated. *)
-let least_loaded_feasible t =
-  let fb = ref (-1) in
-  for s' = k t - 1 downto 0 do
-    if (not t.failed.(s')) && t.load.(s') < t.capacity
-       && (!fb < 0 || t.load.(s') <= t.load.(!fb))
-    then fb := s'
+let has_room t =
+  let i = ref 0 and n = Array.length t.live in
+  while !i < n && t.load.(t.live.(!i)) >= t.capacity do
+    incr i
   done;
-  !fb
+  !i < n
 
-let has_room t = least_loaded_feasible t >= 0
-
-(* The join rule for an orphan at [node] whose standby was [sb]: the
-   server minimising the resulting objective among those with room once
-   the co-orphans' outstanding reservations are discounted, so greedy
-   never steals a slot reserved for a later orphan; -1 when none has. *)
-let greedy_target t node ~reserved ~sb =
-  let current = objective t in
-  let lb = query_bounds t node in
-  let best = ref (-1) and best_d = ref infinity in
-  for s' = 0 to k t - 1 do
-    let spare = reserved.(s') - (if sb = s' then 1 else 0) in
-    if
-      (not t.failed.(s'))
-      && t.load.(s') + spare < t.capacity
-      && 2. *. Array.unsafe_get lb s' < !best_d
-    then begin
-      let resulting =
-        Float.max current (attach_cost t t.eff ~hop:(placement_hop t node s') s')
-      in
-      if resulting < !best_d then begin
-        best_d := resulting;
-        best := s'
-      end
-    end
-  done;
-  !best
-
-(* Each orphan, in ascending id order, lands by the join rule (only
-   with [greedy]), else on its standby, else on the least-loaded server
-   with room; with nowhere to go it is disconnected and reported. *)
-let fail_server t s ~greedy =
+(* Each orphan, in ascending id order, lands by the join rule; once no
+   live server has room, the rest are disconnected and reported. *)
+let fail_server t s =
   if s < 0 || s >= k t then
     invalid_arg (Printf.sprintf "Dynamic.fail_server: server %d out of range" s);
   if t.failed.(s) then
@@ -950,43 +806,19 @@ let fail_server t s ~greedy =
   set_failed t s true;
   (* One bump covers the whole failover, stranded removals included. *)
   t.version <- t.version + 1;
-  (* The orphans in ascending id order, each with the standby it held at
-     crash time; then every reservation touching [s] is released: the
-     orphans' own (row [s]) and those of members elsewhere whose standby
-     was [s] (column [s]). *)
   let orphans =
-    Hashtbl.fold
-      (fun id m acc -> if m.server = s then (id, m, m.standby) :: acc else acc)
-      t.members []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    Hashtbl.fold (fun id m acc -> if m.server = s then (id, m) :: acc else acc) t.members []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  List.iter (fun (_, m, _) -> clear_standby t m) orphans;
-  let touched = ref [] in
-  Hashtbl.iter
-    (fun id m ->
-      if m.standby = s then begin
-        clear_standby t m;
-        touched := id :: !touched
-      end)
-    t.members;
   t.load.(s) <- 0;
   t.ecc.(s) <- neg_infinity;
   t.dists.(s) <- Fmap.empty;
   refresh_eff t s;
   lb_invalidate t;
-  let reserved = Array.make (k t) 0 in
-  List.iter (fun (_, _, sb) -> if sb >= 0 then reserved.(sb) <- reserved.(sb) + 1) orphans;
-  let rehomed = ref 0 and promoted = ref 0 and fallback = ref 0 and stranded = ref [] in
+  let stranded = ref [] in
   List.iter
-    (fun (id, m, sb) ->
-      let best = if greedy then greedy_target t m.node ~reserved ~sb else -1 in
-      let target, count =
-        if best >= 0 then (best, rehomed)
-        else if sb >= 0 && (not t.failed.(sb)) && t.load.(sb) < t.capacity then
-          (sb, promoted)
-        else (least_loaded_feasible t, fallback)
-      in
-      if sb >= 0 then reserved.(sb) <- reserved.(sb) - 1;
+    (fun (id, m) ->
+      let target = best_server t m.node in
       if target < 0 then begin
         Hashtbl.remove t.members id;
         node_remove t m.node;
@@ -996,17 +828,10 @@ let fail_server t s ~greedy =
         m.server <- target;
         t.load.(target) <- t.load.(target) + 1;
         ecc_add t target (d_ns t m.node target);
-        t.moves <- t.moves + 1;
-        incr count;
-        touched := id :: !touched
+        t.moves <- t.moves + 1
       end)
     orphans;
-  (* Fresh standbys for every member the failure touched, in ascending
-     id order so resumes replay identically. *)
-  List.sort_uniq compare !touched
-  |> List.iter (fun id -> select_standby t (Hashtbl.find t.members id));
-  { rehomed = !rehomed; promoted = !promoted; fallback = !fallback;
-    stranded = List.rev !stranded }
+  { rehomed = List.length orphans - List.length !stranded; stranded = List.rev !stranded }
 
 let recover_server t s =
   if s < 0 || s >= k t then

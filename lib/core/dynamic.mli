@@ -19,17 +19,9 @@
     node × server and server × server, O(n·|S|) floats for an
     [n]-node network.
 
-    {b Standby replicas.} Alongside its primary, every client carries a
-    {e standby} server — the live server (other than the primary) that
-    minimises the client's attach cost in the surviving configuration,
-    chosen under capacity headroom: a reservation matrix counts, per
-    (primary, standby) pair, the clients already pointing there, so all
-    of one server's clients reserving the same standby are guaranteed to
-    fit together. Standbys are maintained incrementally on join, move
-    and rebalance (reservations are advisory for normal placement — they
-    never block a join), and {!fail_server} [~greedy:false] turns them
-    into an O(1)-per-client failover: orphans move straight to their
-    armed standby with no objective scan and no repair epoch. *)
+    {b Failover.} {!fail_server} re-homes a failed server's clients by
+    the same join rule, one at a time — the paper's §IV greedy rule, so
+    a crash needs no state armed in advance. *)
 
 type t
 (** A mutable dynamic assignment session. *)
@@ -43,9 +35,8 @@ val create :
     no clients yet. The session's objective is [D] under its [delay]
     model ({!Objective.max_interaction_path} with that model): [D_load]
     under a load-dependent model, and the paper's [D] under the default
-    {!Delay.zero}. {!objective}, {!lower_bound}, every placement scan
-    (join, greedy failover re-homing, {!rebalance}) reads it; standby
-    selection alone stays on the network distance.
+    {!Delay.zero}. {!objective}, {!lower_bound} and every placement scan
+    (join, failover re-homing, {!rebalance}) read it.
 
     The session reads only the servers' rows of the matrix, so a
     rows-only matrix ({!Dia_latency.Synthetic.internet_like} [~rows])
@@ -169,8 +160,8 @@ val problem_version : t -> int
     drifted matrix) or {!active_servers} may have changed: {!join},
     {!leave}, {!fail_server} (stranded removals included),
     {!recover_server}, and a {!set_drift}
-    that actually changes the factor each bump it by one. {!move},
-    {!rebalance} and {!refresh_standbys} change only the assignment, and a
+    that actually changes the factor each bump it by one. {!move} and
+    {!rebalance} change only the assignment, and a
     same-factor {!set_drift} changes nothing, so they leave it alone. Equal
     versions of one session therefore mean an identical survivor problem,
     which lets callers memoise any pure function of it. A fresh or
@@ -184,34 +175,6 @@ val next_id : t -> client_id
 val members : t -> (client_id * int * int) list
 (** Current membership as [(id, node, server)] triples, ascending by id —
     the serializable session state consumed by checkpointing. *)
-
-val standby_of : t -> client_id -> int option
-(** The client's armed standby server, if any ([None] when no feasible
-    standby existed at the last (re)selection).
-
-    @raise Invalid_argument for unknown or departed ids. *)
-
-val standbys : t -> (client_id * int) list
-(** All armed standbys as [(id, standby)] pairs, ascending by id — the
-    serializable standby state consumed by checkpointing (v2). *)
-
-val refresh_standbys : t -> int
-(** Re-arm every client's standby from scratch, in ascending client-id
-    order (the canonical order — restoring a checkpoint and refreshing
-    reproduces the exact same map), and return how many standbys
-    changed. Incremental maintenance keeps standbys {e valid} but lets
-    their quality drift as eccentricities and loads evolve; callers run
-    this at natural barriers (the soak runs it at checkpoint
-    boundaries). *)
-
-val standby_objective : t -> int -> float
-(** The {e promised} post-failover objective of a server: {!objective}
-    of the hypothetical assignment in which the server is removed and each of
-    its clients sits on its armed standby (clients without one are
-    ignored). Exactly what {!fail_server} [~greedy:false] realises when
-    every orphan still finds its reserved slot free.
-
-    @raise Invalid_argument if the server index is out of range. *)
 
 val active_servers : t -> int list
 (** Server indices currently accepting clients (all of them until
@@ -247,7 +210,6 @@ val set_drift : t -> server:int -> factor:float -> unit
 val restore :
   ?capacity:int ->
   ?delay:Delay.t ->
-  ?standbys:(client_id * int) list ->
   Dia_latency.Matrix.t ->
   servers:int array ->
   members:(client_id * int * int) list ->
@@ -257,50 +219,32 @@ val restore :
   stats:stats ->
   t
 (** Rebuild a session from checkpointed state: the exact inverse of
-    reading {!members}, {!standbys}, {!failed_servers}, {!drift},
-    {!stats} and the id counter. Loads, eccentricities and standby
-    reservations are recomputed, so the restored session is
-    behaviourally identical to the one that was saved. When [standbys]
-    is omitted every client restores standby-less; callers wanting the
-    canonical map run {!refresh_standbys}.
+    reading {!members}, {!failed_servers}, {!drift}, {!stats} and the id
+    counter. Loads and eccentricities are recomputed, so the restored
+    session is behaviourally identical to the one that was saved.
 
     @raise Invalid_argument on out-of-range ids/nodes/servers, duplicate
-    client ids, members on failed servers, ids at or above [next_id],
-    capacity violations, or standbys that are unknown, duplicated,
-    failed, out of range, or equal to the client's primary. *)
+    client ids, members on failed servers, ids at or above [next_id], or
+    capacity violations. *)
 
 type failover = {
-  rehomed : int;  (** orphans placed by the join rule ([~greedy:true] only) *)
-  promoted : int;  (** orphans that landed on their armed standby *)
-  fallback : int;
-      (** orphans placed on the least-loaded feasible server: greedy (if
-          tried) found no room and their standby was missing or
-          saturated *)
+  rehomed : int;  (** orphans placed by the join rule *)
   stranded : (client_id * int) list;
       (** [(id, node)] of the orphans no live server had room for —
           disconnected from the session and reported here (never
           silently dropped), ascending by client id, with the network
-          node so supervisors can requeue them; empty whenever any live
-          server still has a free slot per orphan *)
+          node so supervisors can requeue them; empty whenever the live
+          servers have a free slot per orphan *)
 }
 
-val fail_server : t -> int -> greedy:bool -> failover
-(** [fail_server t s ~greedy] takes server [s] out of service: it stops
-    accepting joins, and each client on it lands, in ascending id order,
-    on the first of
-    - with [~greedy:true], the server the join rule picks (the one
-      minimising the resulting objective) among those with room once the
-      co-orphans' standby reservations are discounted, so greedy never
-      steals a slot reserved for a later orphan;
-    - its armed standby, if that still has a free slot — with
-      [~greedy:false] a constant-time reassignment per client, no
-      objective scan, and under stable load the reservation matrix
-      guarantees the slot;
-    - the least-loaded live server with a free slot.
-    An orphan is stranded only when every live server is saturated.
-    Afterwards the touched clients' standbys are re-armed against the
-    surviving servers. Callers that want the objective before or after,
-    the promise ({!standby_objective}) or a from-scratch re-solve
+val fail_server : t -> int -> failover
+(** [fail_server t s] takes server [s] out of service: it stops
+    accepting joins, and each client on it, in ascending id order, is
+    re-homed by the {!join} rule — onto the live server with room that
+    minimises the resulting objective. An orphan is stranded only when
+    no live server has room, so [rehomed] is the smaller of the orphan
+    count and the free slots the other live servers had. Callers that
+    want the objective before or after, or a from-scratch re-solve,
     compute it themselves.
 
     @raise Invalid_argument if [s] is out of range, already failed, or

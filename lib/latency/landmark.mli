@@ -1,7 +1,7 @@
 (** Landmark-pruned exact queries over a fixed candidate set.
 
     A deployed assignment service answers "which server is closest to
-    this node?" constantly — joins, failovers, standby re-arms. The
+    this node?" constantly — on every join and failover re-homing. The
     exhaustive scan pays |S| matrix reads per query; on metric data a
     handful of landmarks gives a certified lower bound
     [lb(q, s) = max over landmarks l of |d(q, l) - d(l, s)|  <=  d(q, s)]

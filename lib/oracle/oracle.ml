@@ -100,69 +100,6 @@ let soak_determinism_checks ~seed =
   Sys.rmdir state_dir;
   failures
 
-(* Standby failover: promotion must deliver exactly what the standby map
-   promised. On an uncapacitated session with freshly armed standbys,
-   [fail_server ~greedy:false] lands every orphan on its standby — no
-   fallback, no stranding — and the post-failover objective equals the
-   [standby_objective] computed before the crash. The surviving session
-   must still be internally consistent (live primaries, live standbys,
-   loads matching membership). *)
-let standby_promotion_checks ~seed =
-  let module Dynamic = Dia_core.Dynamic in
-  let n = 48 and k = 5 in
-  let matrix = Dia_latency.Synthetic.internet_like ~seed n in
-  let servers = Dia_placement.Placement.random ~seed ~k ~n in
-  let session = Dynamic.create matrix ~servers in
-  for i = 0 to 79 do
-    ignore (Dynamic.join session ~node:(i mod n))
-  done;
-  ignore (Dynamic.refresh_standbys session);
-  let victim =
-    let v = ref 0 in
-    for s = 1 to k - 1 do
-      if Dynamic.load session s > Dynamic.load session !v then v := s
-    done;
-    !v
-  in
-  let promised = Dynamic.standby_objective session victim in
-  let r = Dynamic.fail_server session victim ~greedy:false in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if r.Dynamic.fallback <> 0 || r.Dynamic.stranded <> [] then
-    fail
-      "standby promotion: uncapacitated refreshed session used %d fallbacks \
-       and stranded %d clients (expected pure promotion)"
-      r.Dynamic.fallback
-      (List.length r.Dynamic.stranded);
-  let after = Dynamic.objective session in
-  if after <> promised then
-    fail
-      "standby promotion: post-failover objective %.17g differs from the \
-       promised %.17g"
-      after promised;
-  let members = Dynamic.members session in
-  let counts = Array.make k 0 in
-  List.iter
-    (fun (id, _node, server) ->
-      if server = victim then
-        fail "standby promotion: client %d still on the failed server" id
-      else counts.(server) <- counts.(server) + 1;
-      match Dynamic.standby_of session id with
-      | Some sb when sb = victim ->
-          fail "standby promotion: client %d left with a dead standby" id
-      | Some sb when sb = server ->
-          fail "standby promotion: client %d is its own standby" id
-      | _ -> ())
-    members;
-  Array.iteri
-    (fun s c ->
-      if Dynamic.load session s <> c then
-        fail
-          "standby promotion: load(%d) = %d but %d members live there" s
-          (Dynamic.load session s) c)
-    counts;
-  List.rev !failures
-
 let aggregate_checks ~normalized_instances means =
   if normalized_instances < aggregate_min_sample then []
   else begin
@@ -236,14 +173,13 @@ let run ?jobs ?(count = 200) ~seed () =
       let suite_failures =
         pool_identity_checks pool ~seed
         @ soak_determinism_checks ~seed
-        @ standby_promotion_checks ~seed
         @ aggregate_checks ~normalized_instances:!norm_n mean_normalized
       in
       List.iter (fun m -> failures := (seed, m) :: !failures) suite_failures;
       {
         base_seed = seed;
         instances = count;
-        checks = !checks + 8 + (if !norm_n >= aggregate_min_sample then 4 else 0);
+        checks = !checks + 4 + (if !norm_n >= aggregate_min_sample then 4 else 0);
         failures = List.rev !failures;
         brute_checked = !brute;
         sim_checked = !sim;

@@ -1,4 +1,4 @@
-let version = 4
+let version = 5
 
 type counters = {
   mutable leaves : int;
@@ -53,7 +53,6 @@ type state = {
   now : float;
   capacity : int option;
   members : (int * int * int) list;
-  standbys : (int * int) list;
   next_id : int;
   failed : int list;
   drift : (int * float) list;
@@ -81,7 +80,7 @@ let fs = Codec.float_str
    (even when empty — a wholesale-deleted section must not verify). The
    run's history is not among them: it lives in the journal, up to the
    [history=] cut. *)
-let list_sections = [ "member"; "standby"; "session"; "drift"; "queue" ]
+let list_sections = [ "member"; "session"; "drift"; "queue" ]
 let section_names = "scalars" :: list_sections
 
 let encode s =
@@ -114,8 +113,6 @@ let encode s =
         List.iter
           (fun (id, node, server) -> line b "member=%d,%d,%d" id node server)
           s.members
-    | "standby" ->
-        List.iter (fun (id, standby) -> line b "standby=%d,%d" id standby) s.standbys
     | "session" ->
         List.iter
           (fun (session, client) -> line b "session=%d,%d" session client)
@@ -231,7 +228,7 @@ let decode text =
   try
     let content = verified_lines text in
     let scalars = Hashtbl.create 32 in
-    let members = ref [] and standbys = ref [] in
+    let members = ref [] in
     let sessions = ref [] and drift = ref [] and queue = ref [] in
     let pair key v = let a, b = split2 key v in (int_of key a, int_of key b) in
     List.iter
@@ -241,7 +238,6 @@ let decode text =
           | "member" ->
               let a, b, c = split3 key value in
               members := (int_of key a, int_of key b, int_of key c) :: !members
-          | "standby" -> standbys := pair key value :: !standbys
           | "session" -> sessions := pair key value :: !sessions
           | "drift" ->
               let a, b = split2 key value in
@@ -289,7 +285,6 @@ let decode text =
           | "none" -> None
           | _ -> Some (int "capacity"));
         members = List.rev !members;
-        standbys = List.rev !standbys;
         next_id = int "next_id";
         failed = (if str "failed" = "" then [] else ints "failed" (-1));
         drift = List.rev !drift;

@@ -4,8 +4,8 @@
     A checkpoint captures everything the soak loop needs to continue as
     if it had never stopped: the trace cursor (the event stream is a
     pure function of the scenario, so a single integer is the whole
-    stream position), the assignment session (membership, standbys,
-    failures, drift factors, counters, id cursor), the session↔client
+    stream position), the assignment session (membership, failures,
+    drift factors, counters, id cursor), the session↔client
     mapping, the SLO state machine, the admission queue and counters,
     and the repair bookkeeping.
 
@@ -16,14 +16,14 @@
     them from the journal, which is what {!Recovery.restore} does; a
     generation save costs O(live state) however long the run has been.
 
-    The format (v4) is line-oriented text; floats go through
+    The format (v5) is line-oriented text; floats go through
     {!Codec.float_str}, which round-trips exactly. The scalar block and
-    each list section (member, standby, session, drift, queue) get a
+    each list section (member, session, drift, queue) get a
     [crc=SECTION:HEX] line — even when empty, so wholesale deletion is
     detected — and the file must end with exactly the [end] marker. A
     scenario digest guards against resuming under another
-    configuration. Only v4 decodes: every checkpoint on disk is written
-    by this repository.
+    configuration. Only v5 decodes: every checkpoint on disk is written
+    by this repository, and an older file is refused by its header.
 
     {b Hardening.} {!decode} never raises and never yields a partial
     state: any corrupted, truncated or garbage input — including every
@@ -64,7 +64,6 @@ type state = {
   (* session *)
   capacity : int option;
   members : (int * int * int) list;  (** (client id, node, server) *)
-  standbys : (int * int) list;  (** (client id, standby server) *)
   next_id : int;
   failed : int list;
   drift : (int * float) list;  (** (server, factor), only factors <> 1 *)

@@ -2,28 +2,30 @@
 
     Competitive analysis of online assignment (cf. Harada & Itoh's
     online facility assignment bounds) compares an online algorithm —
-    here the soak's sticky policy: greedy joins, O(1) standby promotion
-    on crashes, budget-bounded repair — against the offline optimum on
+    here the soak's sticky policy: greedy joins, greedy re-homing on
+    crashes, budget-bounded repair — against an offline yardstick on
     the same input. An exact offline optimum is intractable at soak
-    sizes, so the harness uses the paper's Greedy re-solve as the
-    offline yardstick: {!run} replays [traces] churn/crash/drift traces
+    sizes, so the yardstick is the paper's Greedy re-solve, not an
+    optimum: {!run} replays [traces] churn/crash/drift traces
     (scenario seeds [seed], [seed+1], …), each with
     [offline_baseline = true], so at every lower-bound refresh the soak
     samples the pair (online D(A), offline Greedy re-solve D). The
     per-sample quotient is the instantaneous competitive ratio; the
     harness reports per-trace mean/max/final ratios and the aggregate —
     the empirical competitive ratio is the worst quotient observed
-    anywhere.
+    anywhere. Because the yardstick is itself a heuristic, the online
+    policy sometimes beats it: a quotient can fall below 1 (trace 28
+    of 200 on the default scenario ends at 0.902).
 
-    The documented constant: with standby promotion on, the online
-    policy stays within {!default_bound} (4.0×) of the offline Greedy
-    re-solve on the shipped scenarios; CI enforces this over 20 seeded
-    traces. The constant absorbs the transient spike right after a
-    crash (sampled before the breach-triggered rebalance lands) and the
-    stickiness cost of not rushing clients back onto a recovered server
-    — the worst ratio observed on the shipped traces is ~3.5, most
-    samples sit near 1. Everything is deterministic — same
-    scenario/config, same numbers, bit-exactly. *)
+    The documented constant: the online policy stays within
+    {!default_bound} (4.0×) of the offline Greedy re-solve over the 20
+    seeded default traces CI enforces. The constant absorbs the
+    transient spike right after a crash and the stickiness cost of not
+    rushing clients back onto a recovered server — the worst ratio
+    over those 20 traces is 3.75, at trace 10; most samples sit near 1.
+    It is not a bound on every trace: over 200 traces the worst is
+    7.24. Everything is deterministic — same scenario/config, same
+    numbers, bit-exactly. *)
 
 type trace_result = {
   index : int;  (** 0-based trace number *)

@@ -6,9 +6,6 @@ type kind =
   | Leave of { session : int; client : int }
   | Crash of { server : int; migrated : int; stranded : int }
   | Crash_skipped of { server : int }
-  | Promote of { server : int; promoted : int; fallback : int; stranded : int }
-  | Standby_refresh of { changed : int }
-  | Standby_breach of { ratio : float; bound : float }
   | Recover of { server : int }
   | Drift of { server : int; factor : float }
   | Transition of {
@@ -46,14 +43,6 @@ let kind_to_string = function
       Printf.sprintf "crash server=%d migrated=%d stranded=%d" server migrated
         stranded
   | Crash_skipped { server } -> Printf.sprintf "crash-skipped server=%d" server
-  | Promote { server; promoted; fallback; stranded } ->
-      Printf.sprintf "promote server=%d promoted=%d fallback=%d stranded=%d"
-        server promoted fallback stranded
-  | Standby_refresh { changed } ->
-      Printf.sprintf "standby-refresh changed=%d" changed
-  | Standby_breach { ratio; bound } ->
-      Printf.sprintf "standby-breach ratio=%s bound=%s" (Codec.float_str ratio)
-        (Codec.float_str bound)
   | Recover { server } -> Printf.sprintf "recover server=%d" server
   | Drift { server; factor } ->
       Printf.sprintf "drift server=%d factor=%s" server (Codec.float_str factor)
@@ -122,18 +111,6 @@ let kind_of ~tag fields =
           stranded = int_field fields "stranded";
         }
   | "crash-skipped" -> Crash_skipped { server = int_field fields "server" }
-  | "promote" ->
-      Promote
-        {
-          server = int_field fields "server";
-          promoted = int_field fields "promoted";
-          fallback = int_field fields "fallback";
-          stranded = int_field fields "stranded";
-        }
-  | "standby-refresh" -> Standby_refresh { changed = int_field fields "changed" }
-  | "standby-breach" ->
-      Standby_breach
-        { ratio = float_field fields "ratio"; bound = float_field fields "bound" }
   | "recover" -> Recover { server = int_field fields "server" }
   | "drift" ->
       Drift

@@ -19,19 +19,11 @@ type kind =
   | Shed of { session : int }
   | Leave of { session : int; client : int }
   | Crash of { server : int; migrated : int; stranded : int }
+      (** [migrated] orphans re-homed by the join rule, [stranded]
+          found no room anywhere *)
   | Crash_skipped of { server : int }
       (** the schedule asked to crash the last live server; the
           supervisor refuses total outage and records the refusal *)
-  | Promote of { server : int; promoted : int; fallback : int; stranded : int }
-      (** a crash repaired by standby promotion instead of greedy
-          migration: [promoted] orphans landed on their armed standby,
-          [fallback] on the least-loaded feasible server, [stranded]
-          found no room anywhere *)
-  | Standby_refresh of { changed : int }
-      (** canonical standby re-arm at a checkpoint boundary *)
-  | Standby_breach of { ratio : float; bound : float }
-      (** post-promotion D/LB exceeded the configured standby bound; a
-          budgeted repair follows immediately *)
   | Recover of { server : int }
   | Drift of { server : int; factor : float }
   | Transition of {

@@ -51,8 +51,6 @@ type config = {
   max_queue : int;
   lb_every : int;
   checkpoint_every : int;
-  standby : bool;
-  standby_bound : float;
   offline_baseline : bool;
 }
 
@@ -63,8 +61,6 @@ let default_config =
     max_queue = 64;
     lb_every = 10;
     checkpoint_every = 100;
-    standby = true;
-    standby_bound = 3.0;
     offline_baseline = false;
   }
 
@@ -105,9 +101,7 @@ let validate (s : scenario) (c : config) =
   require (c.budget >= 0) "budget must be non-negative";
   require (c.max_queue >= 0) "max_queue must be non-negative";
   require (c.lb_every >= 1) "lb_every must be >= 1";
-  require (c.checkpoint_every >= 0) "checkpoint_every must be non-negative";
-  require (Float.is_finite c.standby_bound && c.standby_bound >= 1.)
-    "standby_bound must be finite and >= 1"
+  require (c.checkpoint_every >= 0) "checkpoint_every must be non-negative"
 
 let fs = Codec.float_str
 
@@ -118,7 +112,7 @@ let digest scenario config =
       "soak seed=%d nodes=%d servers=%d capacity=%s horizon=%s join_rate=%s \
        mean_lifetime=%s drift_period=%s drift_amplitude=%s fault=%s \
        slo=%s,%s,%d,%s budget=%d max_queue=%d lb_every=%d checkpoint_every=%d \
-       standby=%b standby_bound=%s offline_baseline=%b"
+       offline_baseline=%b"
       s.seed s.nodes s.servers
       (match s.capacity with None -> "none" | Some c -> string_of_int c)
       (fs s.horizon) (fs s.join_rate) (fs s.mean_lifetime) (fs s.drift_period)
@@ -126,8 +120,7 @@ let digest scenario config =
       (Fault.to_string s.fault)
       (fs c.slo.Slo.degraded_at) (fs c.slo.Slo.critical_at) c.slo.Slo.hysteresis
       (fs c.slo.Slo.recover_margin) c.budget c.max_queue c.lb_every
-      c.checkpoint_every c.standby
-      (fs c.standby_bound) c.offline_baseline
+      c.checkpoint_every c.offline_baseline
   in
   (* The weighted-mode fields and the delay model extend the canonical
      string only when in use, so the scenarios without them keep their
@@ -207,8 +200,6 @@ type report = {
   promoted_clients : int;
   fallback_clients : int;
   standby_refreshes : int;
-  standby_changed : int;
-  standby_breaches : int;
   repairs : int;
   repair_moves : int;
   protocol_epochs : int;
@@ -265,7 +256,6 @@ type state = {
   mutable now : float;  (* the time of the last event *)
   mutable resolve_memo : (int * float option) option;
       (* the last offline re-solve, keyed on its problem version *)
-  mutable breach_pending : bool;  (* a promotion awaits its bound check *)
   mutable log : Event_log.entry list;
   mutable trace_points : point list;
   mutable baseline_points : point list;
@@ -353,7 +343,7 @@ let no_history = { Journal.records = 0; bytes = 0; crc = 0 }
 let initial env =
   {
     Checkpoint.digest = env.digest; cursor = 0; now = 0.;
-    capacity = env.scenario.capacity; members = []; standbys = []; next_id = 0;
+    capacity = env.scenario.capacity; members = []; next_id = 0;
     failed = []; drift = [];
     session_stats = { Dynamic.joins = 0; leaves = 0; moves = 0 };
     sessions = []; slo = Slo.encode (Slo.create env.config.slo); queue = [];
@@ -381,8 +371,8 @@ let resume env (cp : Checkpoint.state) =
     Dia_latency.Synthetic.internet_like ?rows ~seed:env.scenario.seed env.scenario.nodes
   in
   let session =
-    Dynamic.restore ?capacity:cp.capacity ~delay:env.delay ~standbys:cp.standbys
-      matrix ~servers:env.server_nodes ~members:cp.members ~next_id:cp.next_id
+    Dynamic.restore ?capacity:cp.capacity ~delay:env.delay matrix
+      ~servers:env.server_nodes ~members:cp.members ~next_id:cp.next_id
       ~failed:cp.failed ~drift:cp.drift ~stats:cp.session_stats
   in
   let sessions = Hashtbl.create 256 in
@@ -407,7 +397,6 @@ let resume env (cp : Checkpoint.state) =
     lb = cp.lb;
     now = cp.now;
     resolve_memo = None;
-    breach_pending = false;
     log = List.rev cp.log;
     trace_points = List.rev cp.trace_points;
     baseline_points = List.rev cp.baseline_points;
@@ -439,7 +428,6 @@ let capture env st ~cursor ~history =
     now = st.now;
     capacity = env.scenario.capacity;
     members = Dynamic.members session;
-    standbys = Dynamic.standbys session;
     next_id = Dynamic.next_id session;
     failed = Dynamic.failed_servers session;
     drift =
@@ -680,7 +668,7 @@ let requeue_stranded st out now stranded =
 (* Apply one trace event to the session; [true] when it changed the
    problem's structure (a crash, recovery or drift), which refreshes
    the lower bound at once. *)
-let dispatch env st out now kind =
+let dispatch st out now kind =
   let c = st.counters in
   let emit = log_event out now in
   match kind with
@@ -718,22 +706,12 @@ let dispatch env st out now kind =
       end
       else begin
         c.crashes <- c.crashes + 1;
-        (* With standbys, the O(1)-per-client path: promote armed
-           standbys; budgeted rebalance and protocol epochs only run
-           afterwards if the SLO (or the standby bound) says the result
-           is not good enough. Without, the join rule re-homes orphans. *)
-        let { Dynamic.rehomed; promoted; fallback; stranded } =
-          Dynamic.fail_server st.session server ~greedy:(not env.config.standby)
-        in
+        (* The join rule re-homes the orphans; budgeted rebalance and
+           protocol epochs only run afterwards if the SLO says the result
+           is not good enough. *)
+        let { Dynamic.rehomed; stranded } = Dynamic.fail_server st.session server in
         let nstranded = List.length stranded in
-        if env.config.standby then begin
-          emit (Event_log.Promote { server; promoted; fallback; stranded = nstranded });
-          st.breach_pending <- true
-        end
-        else
-          emit
-            (Event_log.Crash
-               { server; migrated = rehomed + promoted + fallback; stranded = nstranded });
+        emit (Event_log.Crash { server; migrated = rehomed; stranded = nstranded });
         c.stranded <- c.stranded + nstranded;
         requeue_stranded st out now stranded;
         true
@@ -756,30 +734,16 @@ let boundary config i =
   config.checkpoint_every > 0 && (i + 1) mod config.checkpoint_every = 0
 
 (* Advance [st] over trace event [i]: dispatch it, refresh the bound,
-   let the standby guard and the SLO repair, drain admission, and at a
-   checkpoint boundary re-arm the standbys. Returns what the event added
-   to the history. *)
+   let the SLO repair, drain admission, and log a checkpoint at a
+   boundary. Returns what the event added to the history. *)
 let step (env : env) st i =
   let c = st.counters and out = { entries = []; trace = []; baseline = [] } in
   let now = env.trace.(i).Trace.time in
   st.now <- now;
-  let structural = dispatch env st out now env.trace.(i).Trace.kind in
+  let structural = dispatch st out now env.trace.(i).Trace.kind in
   c.events_since_lb <- c.events_since_lb + 1;
   if structural || c.events_since_lb >= env.config.lb_every then
     recompute_lb env st out now;
-  (* Standby-bound guard: when a promotion just landed, check the
-     post-promotion D/LB against the configured bound and repair
-     immediately (budgeted) on a breach — before the SLO machinery gets
-     a say. *)
-  if st.breach_pending then begin
-    st.breach_pending <- false;
-    let r = ratio st (Dynamic.objective st.session) in
-    if Float.is_finite r && r > env.config.standby_bound then begin
-      log_event out now
-        (Event_log.Standby_breach { ratio = r; bound = env.config.standby_bound });
-      repair env st out now Slo.Degraded
-    end
-  end;
   let r = ratio st (Dynamic.objective st.session) in
   (match Slo.observe st.slo r with
   | None -> ()
@@ -789,13 +753,6 @@ let step (env : env) st i =
       if level_rank to_ > level_rank from_ then repair env st out now to_);
   drain env st out now;
   if boundary env.config i then begin
-    (* Canonical standby re-arm at the boundary, *before* capture: the
-       persisted map is then exactly what a restore-and-refresh would
-       rebuild. *)
-    if env.config.standby then begin
-      let changed = Dynamic.refresh_standbys st.session in
-      log_event out now (Event_log.Standby_refresh { changed })
-    end;
     c.checkpoints <- c.checkpoints + 1;
     log_event out now (Event_log.Checkpoint { id = c.checkpoints })
   end;
@@ -826,11 +783,6 @@ let finish (env : env) st ~prepop_seconds ~loop_seconds : report =
   let steady_ratio =
     Option.value (quotient final_objective resolve_objective) ~default:1.0
   in
-  (* Failover/standby counters are derived from the event log rather
-     than checkpointed: the log is already part of the determinism
-     contract, so resumed runs reconstruct identical numbers without
-     widening the checkpoint format with more scalars. *)
-  let count f = List.fold_left (fun n e -> n + f e.Event_log.kind) 0 st.log in
   let ratios =
     List.filter_map
       (fun (_, online, resolve) -> quotient online resolve)
@@ -870,15 +822,10 @@ let finish (env : env) st ~prepop_seconds ~loop_seconds : report =
     recoveries = c.recoveries;
     drifts = c.drifts;
     stranded = c.stranded;
-    promotions = count (function Event_log.Promote _ -> 1 | _ -> 0);
-    promoted_clients =
-      count (function Event_log.Promote { promoted; _ } -> promoted | _ -> 0);
-    fallback_clients =
-      count (function Event_log.Promote { fallback; _ } -> fallback | _ -> 0);
-    standby_refreshes = count (function Event_log.Standby_refresh _ -> 1 | _ -> 0);
-    standby_changed =
-      count (function Event_log.Standby_refresh { changed } -> changed | _ -> 0);
-    standby_breaches = count (function Event_log.Standby_breach _ -> 1 | _ -> 0);
+    promotions = 0;
+    promoted_clients = 0;
+    fallback_clients = 0;
+    standby_refreshes = 0;
     repairs = c.repairs;
     repair_moves = c.repair_moves;
     protocol_epochs = c.protocol_epochs;
@@ -974,10 +921,6 @@ let render (r : report) =
   line "  churn               leaves=%d" r.leaves;
   line "  chaos               crashes=%d refused=%d recoveries=%d drifts=%d stranded=%d"
     r.crashes r.crashes_skipped r.recoveries r.drifts r.stranded;
-  line "  failover            promotions=%d promoted=%d fallback=%d breaches=%d"
-    r.promotions r.promoted_clients r.fallback_clients r.standby_breaches;
-  line "  standby             refreshes=%d changed=%d" r.standby_refreshes
-    r.standby_changed;
   line "  competitive         samples=%d mean=%s max=%s"
     (List.length r.baseline_points)
     (fs r.competitive_mean) (fs r.competitive_max);

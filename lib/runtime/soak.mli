@@ -10,18 +10,10 @@
       [D(A) / LB] ratio (the lower bound is recomputed every [lb_every]
       events and eagerly after structural changes: crash, recovery,
       drift);
-    - a crash is repaired by {!Dia_core.Dynamic.fail_server}. With
-      [standby] on (the default) that is {b standby promotion}
-      ([~greedy:false]): each orphan moves to its pre-armed standby in
-      O(1) per client — no objective scan, no repair epoch ([Promote] in
-      the log). Only if the post-promotion [D/LB] exceeds
-      [standby_bound] does a budgeted rebalance run immediately
-      ([Standby_breach] in the log), and the usual SLO escalations still
-      apply afterwards. With [standby] off ([~greedy:true]) each orphan
-      is first re-homed by the join rule ([Crash] in the log). Either
-      way, stranded orphans re-enter admission control (queued or shed,
-      never silently dropped), and standbys are re-armed canonically at
-      every checkpoint boundary ([Standby_refresh]);
+    - a crash is repaired by {!Dia_core.Dynamic.fail_server}: each
+      orphan is re-homed by the join rule ([Crash] in the log), and the
+      usual SLO escalations apply afterwards. Stranded orphans re-enter
+      admission control (queued or shed, never silently dropped);
     - an escalation to {b Degraded} triggers a bounded repair:
       [Dynamic.rebalance ~max_moves:budget];
     - an escalation to {b Critical} additionally runs a
@@ -98,10 +90,6 @@ type config = {
   max_queue : int;  (** admission queue bound *)
   lb_every : int;  (** events between periodic lower-bound refreshes *)
   checkpoint_every : int;  (** events between checkpoints; [0] disables *)
-  standby : bool;  (** repair crashes by standby promotion first *)
-  standby_bound : float;
-      (** max tolerated post-promotion [D/LB]; a breach triggers an
-          immediate budgeted rebalance *)
   offline_baseline : bool;
       (** sample an offline Greedy re-solve at every lower-bound refresh
           — the baseline stream for the competitive-ratio harness. The
@@ -110,15 +98,13 @@ type config = {
           matrix, live servers — capacity and the delay model are fixed
           for the run, and Greedy is deterministic), and equal versions
           mean an equal problem, so a refresh after only shed or queued
-          joins, repairs or standby refreshes reuses the last value bit
-          for bit. The memo is not checkpointed; a resumed run starts it
+          joins or repairs reuses the last value bit for bit. The memo is not checkpointed; a resumed run starts it
           empty. *)
 }
 
 val default_config : config
 (** [Slo.default_config], budget 8, queue 64, LB every 10 events,
-    checkpoint every 100, standby promotion on with bound 3.0, offline
-    baseline off. *)
+    checkpoint every 100, offline baseline off. *)
 
 val digest : scenario -> config -> string
 (** Hex digest of the canonical rendering of both records — stamped into
@@ -165,12 +151,12 @@ type report = {
   recoveries : int;
   drifts : int;
   stranded : int;
-  promotions : int;  (** crashes repaired by standby promotion *)
-  promoted_clients : int;  (** orphans that landed on their armed standby *)
-  fallback_clients : int;  (** orphans placed by the least-loaded fallback *)
-  standby_refreshes : int;  (** canonical re-arms at checkpoint boundaries *)
-  standby_changed : int;  (** standbys changed across those refreshes *)
-  standby_breaches : int;  (** post-promotion [D/LB] over [standby_bound] *)
+  promotions : int;
+  promoted_clients : int;
+  fallback_clients : int;
+  standby_refreshes : int;
+      (** these four are always 0: crashes are repaired by greedy
+          re-homing alone; kept so report consumers keep their fields *)
   repairs : int;
   repair_moves : int;
   protocol_epochs : int;

@@ -60,7 +60,6 @@ let () =
       ("bucket", Test_bucket.suite);
       ("parallel", Test_parallel.suite);
       ("runtime", Test_runtime.suite);
-      ("standby", Test_standby.suite);
       ("durability", Test_durability.suite);
       ("coreset", Test_coreset.suite);
       ("substrate", Test_substrate.suite);

@@ -165,7 +165,7 @@ let test_weighted_rejects_capacity () =
 
 let prop_incremental_caches_bit_identical =
   (* After ANY op sequence — joins, leaves, moves, rebalances, failures
-     (greedy and standby-promoted), recoveries, drift — the incremental
+     (greedy re-homing), recoveries, drift — the incremental
      objective and lower bound must equal their from-scratch recomputes
      bit-for-bit, and survive a checkpoint-style restore round-trip
      bit-for-bit. This is the determinism contract the soak's
@@ -211,7 +211,7 @@ let prop_incremental_caches_bit_identical =
             let s = Random.State.int rng 6 in
             if (not (List.mem s !failed)) && List.length !failed < 4 then (
               try
-                ignore (Dynamic.fail_server t s ~greedy:(not (Random.State.bool rng)));
+                ignore (Dynamic.fail_server t s);
                 failed := s :: !failed;
                 live :=
                   List.filter
@@ -249,8 +249,7 @@ let prop_incremental_caches_bit_identical =
           (List.init 6 Fun.id)
       in
       let r =
-        Dynamic.restore ?capacity
-          ~standbys:(Dynamic.standbys t) matrix ~servers
+        Dynamic.restore ?capacity matrix ~servers
           ~members:(Dynamic.members t) ~next_id:(Dynamic.next_id t)
           ~failed:(Dynamic.failed_servers t) ~drift:drift_list
           ~stats:(Dynamic.stats t)

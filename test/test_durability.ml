@@ -1,5 +1,5 @@
 (* Tests for the durable-recovery layer: the write-ahead journal,
-   checkpoint generations, the storage fault injector, the hardened v3
+   checkpoint generations, the storage fault injector, the hardened
    checkpoint decoder, and the end-to-end recovery verification harness.
    The centrepiece is the boundary-free determinism property: a run
    killed at ANY event index — not just a checkpoint boundary — and
@@ -282,9 +282,23 @@ let test_checkpoint_rejects_garbage () =
     bad;
   (* junk after the end marker violates the truncation guard *)
   let text = Checkpoint.encode (killed small_scenario small_config) in
-  match Checkpoint.decode (text ^ "trailing junk\n") with
+  (match Checkpoint.decode (text ^ "trailing junk\n") with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing junk accepted"
+  | Ok _ -> Alcotest.fail "trailing junk accepted");
+  (* a v4 file, which still carried a standby section, is refused by
+     its header: a structured Error, never an exception *)
+  let v4 =
+    match String.split_on_char '\n' text with
+    | _ :: body ->
+        String.concat "\n" ("dia-soak-checkpoint v4" :: "standby=0,1" :: body)
+    | [] -> assert false
+  in
+  match Checkpoint.decode v4 with
+  | Error m ->
+      Alcotest.(check string) "v4 refused by its header"
+        "checkpoint: line 1: unsupported header \"dia-soak-checkpoint v4\"" m
+  | Ok _ -> Alcotest.fail "v4 checkpoint accepted"
+  | exception e -> Alcotest.fail ("v4 checkpoint raised " ^ Printexc.to_string e)
 
 let test_checkpoint_errors_carry_line_positions () =
   let st = killed small_scenario small_config in
@@ -314,7 +328,7 @@ let test_checkpoint_errors_carry_line_positions () =
          contains "section" || contains "line")
 
 let prop_mutation_fuzzer_never_panics =
-  (* Every single-byte flip and every proper truncation of a real v3
+  (* Every single-byte flip and every proper truncation of a real
      checkpoint must decode to a structured Error — never raise, never
      yield a partial state. *)
   let text =

@@ -13,9 +13,6 @@ let servers = Dia_placement.Placement.random ~seed:21 ~k:6 ~n:80
 
 let fresh ?capacity () = Dynamic.create ?capacity matrix ~servers
 
-(* Orphans a failover landed somewhere. *)
-let migrated (r : Dynamic.failover) = r.rehomed + r.promoted + r.fallback
-
 let test_empty_session () =
   let t = fresh () in
   Alcotest.(check int) "no clients" 0 (Dynamic.num_clients t);
@@ -172,9 +169,9 @@ let test_fail_server_migrates_clients () =
     Assignment.server_of a 0
   in
   let before = Dynamic.num_clients t in
-  let r = Dynamic.fail_server t victim ~greedy:true in
+  let r = Dynamic.fail_server t victim in
   Alcotest.(check int) "population preserved" before (Dynamic.num_clients t);
-  Alcotest.(check bool) "someone migrated" true (migrated r > 0);
+  Alcotest.(check bool) "someone migrated" true (r.Dynamic.rehomed > 0);
   let p, a = Dynamic.snapshot t in
   Array.iteri
     (fun c s ->
@@ -191,10 +188,10 @@ let test_fail_server_migrates_clients () =
 let test_fail_server_twice_rejected () =
   let t = fresh () in
   ignore (Dynamic.join t ~node:0);
-  ignore (Dynamic.fail_server t 1 ~greedy:true);
+  ignore (Dynamic.fail_server t 1);
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Dynamic.fail_server t 1 ~greedy:true);
+       ignore (Dynamic.fail_server t 1);
        false
      with Invalid_argument _ -> true)
 
@@ -204,8 +201,8 @@ let test_fail_server_capacity_exhaustion () =
   let t = fresh ~capacity:1 () in
   let ids = List.init 6 (fun node -> Dynamic.join t ~node) in
   let loaded = Dynamic.server_of t (List.hd ids) in
-  let r = Dynamic.fail_server t loaded ~greedy:true in
-  Alcotest.(check int) "nobody migrated" 0 (migrated r);
+  let r = Dynamic.fail_server t loaded in
+  Alcotest.(check int) "nobody migrated" 0 r.Dynamic.rehomed;
   Alcotest.(check (list (pair int int))) "the orphan stranded" [ (List.hd ids, 0) ]
     r.Dynamic.stranded;
   Alcotest.(check int) "five servers still active" 5
@@ -217,7 +214,7 @@ let test_recover_server () =
   for node = 0 to 29 do
     ignore (Dynamic.join t ~node)
   done;
-  ignore (Dynamic.fail_server t 0 ~greedy:true);
+  ignore (Dynamic.fail_server t 0);
   Dynamic.recover_server t 0;
   Alcotest.(check int) "all active again" 6 (List.length (Dynamic.active_servers t));
   (* Rebalance may move clients back onto the recovered server. *)
@@ -231,14 +228,19 @@ let prop_random_operation_sequences_stay_consistent =
   (* Model-based stress: a random sequence of joins / leaves / rebalances /
      failures / recoveries must keep the incremental objective equal to the
      snapshot-recomputed one, loads within capacity, and no client on a
-     failed server. *)
+     failed server. Every failure accounts for each orphan, re-homed or
+     stranded, and strands one only once no live server has room: it
+     re-homes as many as the other live servers had free slots. One seed
+     in three runs at capacity 6, where failures do strand. *)
   QCheck.Test.make ~name:"random op sequences keep invariants" ~count:25
     QCheck.(pair (int_bound 1_000_000) (int_range 10 120))
     (fun (seed, steps) ->
       let rng = Random.State.make [| seed |] in
-      let t = Dynamic.create ~capacity:30 matrix ~servers in
+      let capacity = if seed mod 3 = 0 then 6 else 30 in
+      let t = Dynamic.create ~capacity matrix ~servers in
       let live = ref [] in
       let failed = ref [] in
+      let accounted = ref true in
       for _ = 1 to steps do
         match Random.State.int rng 10 with
         | 0 | 1 | 2 | 3 | 4 ->
@@ -254,7 +256,19 @@ let prop_random_operation_sequences_stay_consistent =
         | 8 ->
             let s = Random.State.int rng 6 in
             if not (List.mem s !failed) && List.length !failed < 4 then (
-              let r = Dynamic.fail_server t s ~greedy:true in
+              let orphans = Dynamic.load t s in
+              let free =
+                List.fold_left
+                  (fun n s' -> if s' = s then n else n + capacity - Dynamic.load t s')
+                  0 (Dynamic.active_servers t)
+              in
+              let r = Dynamic.fail_server t s in
+              let stranded = List.length r.Dynamic.stranded in
+              if
+                r.Dynamic.rehomed + stranded <> orphans
+                || r.Dynamic.rehomed <> min orphans free
+                || (stranded > 0 && Dynamic.has_room t)
+              then accounted := false;
               failed := s :: !failed;
               live :=
                 List.filter (fun id -> not (List.mem_assoc id r.Dynamic.stranded)) !live)
@@ -265,8 +279,9 @@ let prop_random_operation_sequences_stay_consistent =
                 Dynamic.recover_server t s;
                 failed := rest)
       done;
-      if Dynamic.num_clients t = 0 then true
-      else begin
+      !accounted
+      && (Dynamic.num_clients t = 0
+      ||
         let p, a = Dynamic.snapshot t in
         let objective_ok =
           Float.abs
@@ -279,8 +294,7 @@ let prop_random_operation_sequences_stay_consistent =
             (fun s -> not (List.mem s !failed))
             (Assignment.to_array a)
         in
-        objective_ok && capacity_ok && no_failed_hosting
-      end)
+        objective_ok && capacity_ok && no_failed_hosting))
 
 let delay_of = function
   | 0 -> Dia_core.Delay.Constant 0.
@@ -304,7 +318,6 @@ let sessions_agree ~delay t r =
   let module DG = Dia_core.Distributed_greedy in
   let module LB = Dia_core.Lower_bound in
   Dynamic.members t = Dynamic.members r
-  && Dynamic.standbys t = Dynamic.standbys r
   && Dynamic.failed_servers t = Dynamic.failed_servers r
   && same_bits (Dynamic.objective t) (Dynamic.objective r)
   && same_bits (Dynamic.lower_bound t) (Dynamic.lower_bound r)
@@ -321,7 +334,7 @@ let sessions_agree ~delay t r =
 let prop_load_objective_bit_identical_to_scratch =
   (* The incremental objective and bound of a session with a delay
      model (D_load/LB_load): after every operation of a random
-     join/leave/move/fail/promote/recover/drift/rebalance sequence, the
+     join/leave/move/fail/recover/drift/rebalance sequence, the
      cached values must be bit-identical (=, not within epsilon) to a
      from-scratch recompute over the member table; a restore round-trip
      must reproduce both; and under [Constant 0.] the objective must be
@@ -386,24 +399,13 @@ let prop_load_objective_bit_identical_to_scratch =
                 try both (fun x -> Dynamic.move x id s)
                 with Invalid_argument _ | Failure _ -> ()))
         | 7 -> ignore (both (Dynamic.rebalance ~max_moves:3))
-        | 8 ->
+        | 8 | 9 ->
             let s = Random.State.int rng 6 in
             if not (List.mem s !failed) && List.length !failed < 4 then (
               try
                 (* Stranded orphans leave the session silently here —
                    the report already accounts for them. *)
-                ignore (both (fun x -> Dynamic.fail_server x s ~greedy:true));
-                failed := s :: !failed;
-                drop_departed ()
-              with Invalid_argument _ -> ())
-        | 9 ->
-            (* Standby promotion: arm the canonical map, then O(1)-fail
-               a random live server through it. *)
-            let s = Random.State.int rng 6 in
-            if not (List.mem s !failed) && List.length !failed < 4 then (
-              ignore (both Dynamic.refresh_standbys);
-              try
-                ignore (both (fun x -> Dynamic.fail_server x s ~greedy:false));
+                ignore (both (fun x -> Dynamic.fail_server x s));
                 failed := s :: !failed;
                 drop_departed ()
               with Invalid_argument _ -> ())
@@ -458,13 +460,10 @@ let test_fail_last_server_rejected () =
   let m = Synthetic.internet_like ~seed:3 10 in
   let t = Dynamic.create m ~servers:[| 1; 4 |] in
   ignore (Dynamic.join t ~node:0);
-  ignore (Dynamic.fail_server t 0 ~greedy:true);
-  List.iter
-    (fun greedy ->
-      match Dynamic.fail_server t 1 ~greedy with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "failing the last live server must be rejected")
-    [ true; false ];
+  ignore (Dynamic.fail_server t 0);
+  (match Dynamic.fail_server t 1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "failing the last live server must be rejected");
   Alcotest.(check int) "session still serves" 1 (Dynamic.num_clients t)
 
 let test_capacitated_failover_strands () =
@@ -474,8 +473,8 @@ let test_capacitated_failover_strands () =
   let t = Dynamic.create ~capacity:3 m ~servers:[| 0; 6 |] in
   let ids = List.init 6 (fun node -> Dynamic.join t ~node) in
   let victim = Dynamic.server_of t (List.hd ids) in
-  let r = Dynamic.fail_server t victim ~greedy:true in
-  Alcotest.(check int) "nobody migrated" 0 (migrated r);
+  let r = Dynamic.fail_server t victim in
+  Alcotest.(check int) "nobody migrated" 0 r.Dynamic.rehomed;
   Alcotest.(check int) "every orphan reported stranded" 3
     (List.length r.Dynamic.stranded);
   List.iter
@@ -497,12 +496,12 @@ let test_capacitated_failover_partial_stranding () =
   let victim = if load0 >= load1 then 0 else 1 in
   let orphans = Dynamic.load t victim in
   let spare = 4 - Dynamic.load t (1 - victim) in
-  let r = Dynamic.fail_server t victim ~greedy:true in
-  Alcotest.(check int) "those that fit migrated" (min orphans spare) (migrated r);
+  let r = Dynamic.fail_server t victim in
+  Alcotest.(check int) "those that fit migrated" (min orphans spare) r.Dynamic.rehomed;
   Alcotest.(check int) "the rest stranded" (max 0 (orphans - spare))
     (List.length r.Dynamic.stranded);
   Alcotest.(check int) "everyone accounted for" orphans
-    (migrated r + List.length r.Dynamic.stranded)
+    (r.Dynamic.rehomed + List.length r.Dynamic.stranded)
 
 let test_drift_rescales_and_snapshot_consistent () =
   let t = fresh () in
@@ -530,7 +529,7 @@ let test_restore_roundtrip () =
   let t = fresh ~capacity:10 () in
   let ids = List.init 25 (fun node -> Dynamic.join t ~node:(node mod 80)) in
   List.iteri (fun i id -> if i mod 5 = 0 then Dynamic.leave t id) ids;
-  ignore (Dynamic.fail_server t 1 ~greedy:true);
+  ignore (Dynamic.fail_server t 1);
   Dynamic.set_drift t ~server:3 ~factor:1.5;
   ignore (Dynamic.rebalance ~max_moves:4 t);
   let drift =
@@ -569,7 +568,7 @@ let test_move_and_load () =
   Dynamic.move t id s';
   Alcotest.(check int) "same-server move is a free no-op" 1
     (Dynamic.stats t).Dynamic.moves;
-  ignore (Dynamic.fail_server t s ~greedy:true);
+  ignore (Dynamic.fail_server t s);
   match Dynamic.move t id s with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "move onto a failed server accepted"
@@ -637,13 +636,7 @@ let prop_lower_bound_is_kernel =
             | [] -> ()
             | id :: _ -> (
                 try Dynamic.move t id s with Invalid_argument _ | Failure _ -> ()))
-        | 7 -> (
-            try ignore (Dynamic.fail_server t s ~greedy:true)
-            with Invalid_argument _ -> ())
-        | 8 -> (
-            ignore (Dynamic.refresh_standbys t);
-            try ignore (Dynamic.fail_server t s ~greedy:false)
-            with Invalid_argument _ -> ())
+        | 7 | 8 -> ( try ignore (Dynamic.fail_server t s) with Invalid_argument _ -> ())
         | 9 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
         | _ -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5));
         live := List.filter connected !live;
@@ -676,7 +669,7 @@ let prop_problem_version =
   (* Random op sequences over every session mutator: the version moves by
      exactly one on an op that may change the problem (join, leave,
      failover, recovery, a drift to a new factor) and stays put on the
-     assignment-only ops (move, rebalance, standby refresh) and on a
+     assignment-only ops (move, rebalance) and on a
      same-factor drift; whenever it stays put, the problem a re-solve
      sees is unchanged; and a restore starts it at 0. *)
   QCheck.Test.make ~name:"problem_version tracks the snapshot problem" ~count:40
@@ -714,14 +707,8 @@ let prop_problem_version =
               | [] -> 0
               | id :: _ -> (
                   try Dynamic.move t id s; 0 with Invalid_argument _ -> 0))
-          | 7 -> ignore (Dynamic.rebalance ~max_moves:3 t); 0
-          | 8 -> ignore (Dynamic.refresh_standbys t); 0
-          | 9 -> (
-              try ignore (Dynamic.fail_server t s ~greedy:true); 1
-              with Invalid_argument _ -> 0)
-          | 10 -> (
-              try ignore (Dynamic.fail_server t s ~greedy:false); 1
-              with Invalid_argument _ -> 0)
+          | 7 | 8 -> ignore (Dynamic.rebalance ~max_moves:3 t); 0
+          | 9 | 10 -> ( try ignore (Dynamic.fail_server t s); 1 with Invalid_argument _ -> 0)
           | 11 -> ( try Dynamic.recover_server t s; 1 with Invalid_argument _ -> 0)
           | 12 ->
               let factor = 0.5 +. Random.State.float rng 1.5 in
@@ -754,7 +741,7 @@ let prop_problem_version =
 let test_lower_bound_one_live_server () =
   let t = fresh () in
   List.iter (fun node -> ignore (Dynamic.join t ~node)) [ 3; 17; 40; 41; 66 ];
-  List.iter (fun s -> ignore (Dynamic.fail_server t s ~greedy:true)) [ 0; 1; 2; 4; 5 ];
+  List.iter (fun s -> ignore (Dynamic.fail_server t s)) [ 0; 1; 2; 4; 5 ];
   Alcotest.(check (list int)) "one server left" [ 3 ] (Dynamic.active_servers t);
   check_kernel_bound "one live server" t;
   ignore (Dynamic.join t ~node:9);
@@ -795,7 +782,7 @@ let test_lower_bound_empty_and_refilled () =
   check_kernel_bound "filled" t;
   List.iter (Dynamic.leave t) ids;
   Alcotest.(check bool) "empty is -inf" true (Dynamic.lower_bound t = neg_infinity);
-  ignore (Dynamic.fail_server t 0 ~greedy:true);
+  ignore (Dynamic.fail_server t 0);
   Alcotest.(check bool) "empty rebuild is -inf" true
     (Dynamic.lower_bound t = neg_infinity);
   List.iter (fun node -> ignore (Dynamic.join t ~node)) [ 30; 5; 79 ];
@@ -847,14 +834,11 @@ let test_zero_delay_placements_pinned () =
 
 (* Drift and failover, pinned the same way: 30 seeded sequences per
    delay model over every mutator that rewrites or rereads distances —
-   drift (a return to 1.0 included), greedy failover, standby refresh
-   then promotion, recovery, a mid-sequence restore and rebalance — with
-   the membership, the standbys, each failover's counts, D after it and
-   either the survivors' Greedy re-solve or the standby promise, and the
-   hex D and LB after every step folded into one digest. The constants were
-   recorded while the session still read every distance from the
-   matrix, so a stale cached distance after a drift, failure or restore
-   changes the digest. *)
+   drift (a return to 1.0 included), failover, recovery, a mid-sequence
+   restore and rebalance — with the membership, each failover's counts,
+   D after it and the survivors' Greedy re-solve, and the hex D and LB
+   after every step folded into one digest. A stale cached distance
+   after a drift, failure or restore changes the digest. *)
 let resolve ~delay t =
   if Dynamic.num_clients t = 0 then neg_infinity
   else
@@ -891,19 +875,11 @@ let failover_digest ~delay =
           | l -> Dynamic.leave !t (List.nth l (Random.State.int rng (List.length l))))
       | 8 | 9 -> Dynamic.set_drift !t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5)
       | 10 -> Dynamic.set_drift !t ~server:s ~factor:1.0
-      | 11 -> (
-          match Dynamic.fail_server !t s ~greedy:true with
+      | 11 | 12 -> (
+          match Dynamic.fail_server !t s with
           | r ->
-              say "fail %d %d %h %h " (migrated r) (List.length r.Dynamic.stranded)
+              say "fail %d %d %h %h " r.Dynamic.rehomed (List.length r.Dynamic.stranded)
                 (Dynamic.objective !t) (resolve ~delay !t)
-          | exception Invalid_argument _ -> ())
-      | 12 -> (
-          say "refresh %d " (Dynamic.refresh_standbys !t);
-          let promised = Dynamic.standby_objective !t s in
-          match Dynamic.fail_server !t s ~greedy:false with
-          | r ->
-              say "promote %d %d %d %h " r.Dynamic.promoted r.Dynamic.fallback
-                (List.length r.Dynamic.stranded) promised
           | exception Invalid_argument _ -> ())
       | 13 -> ( try Dynamic.recover_server !t s with Invalid_argument _ -> ())
       | _ -> say "moves %d " (Dynamic.rebalance ~max_moves:4 !t));
@@ -916,7 +892,7 @@ let failover_digest ~delay =
             (List.init k Fun.id)
         in
         t :=
-          Dynamic.restore ?capacity ~delay ~standbys:(Dynamic.standbys !t) m ~servers
+          Dynamic.restore ?capacity ~delay m ~servers
             ~members:(Dynamic.members !t) ~next_id:(Dynamic.next_id !t)
             ~failed:(Dynamic.failed_servers !t) ~drift ~stats:(Dynamic.stats !t)
       end;
@@ -928,7 +904,6 @@ let failover_digest ~delay =
             | exception Invalid_argument _ -> false)
           !live;
       List.iter (fun (id, n, s) -> say "%d:%d:%d " id n s) (Dynamic.members !t);
-      List.iter (fun (id, sb) -> say "%d>%d " id sb) (Dynamic.standbys !t);
       say "D=%h LB=%h\n" (Dynamic.objective !t) (Dynamic.lower_bound !t)
     done;
     Digest.string (Buffer.contents trace)
@@ -936,11 +911,11 @@ let failover_digest ~delay =
   Digest.to_hex (Digest.string (String.concat "" (List.init 30 (fun seed -> sequence ~seed))))
 
 let test_failover_digest_zero_delay () =
-  Alcotest.(check string) "zero-delay failover digest" "eedfcc1159b04b1acf0d6eb764e0a6dc"
+  Alcotest.(check string) "zero-delay failover digest" "50e36cf6ab15026550d0270b4379af11"
     (failover_digest ~delay:Dia_core.Delay.zero)
 
 let test_failover_digest_mm1 () =
-  Alcotest.(check string) "mm1:40 failover digest" "3931916a8cf82a1489b9f04c632980c4"
+  Alcotest.(check string) "mm1:40 failover digest" "894db886b3111072bb866a72693cf64d"
     (failover_digest ~delay:(Dia_core.Delay.Queueing { mu = 40. }))
 
 (* --- a test-only referee for one rebalance round ----------------------- *)
@@ -1026,8 +1001,8 @@ let referee_move ~delay t =
   end
 
 let prop_rebalance_referee =
-  (* Random sequences with drift, greedy failover, promotion and
-     recovery, under all five delay models: every [rebalance
+  (* Random sequences with drift, failover and recovery, under all five
+     delay models: every [rebalance
      ~max_moves:1] makes exactly the referee's move, or none when the
      referee finds none. *)
   QCheck.Test.make ~name:"rebalance makes the referee's single move" ~count:250
@@ -1060,13 +1035,7 @@ let prop_rebalance_referee =
             | id :: _ -> ( try Dynamic.move t id s with Invalid_argument _ -> ()))
         | 7 -> Dynamic.set_drift t ~server:s ~factor:(0.5 +. Random.State.float rng 1.5)
         | 8 -> Dynamic.set_drift t ~server:s ~factor:1.0
-        | 9 -> (
-            try ignore (Dynamic.fail_server t s ~greedy:true)
-            with Invalid_argument _ -> ())
-        | 10 -> (
-            ignore (Dynamic.refresh_standbys t);
-            try ignore (Dynamic.fail_server t s ~greedy:false)
-            with Invalid_argument _ -> ())
+        | 9 | 10 -> ( try ignore (Dynamic.fail_server t s) with Invalid_argument _ -> ())
         | 11 -> ( try Dynamic.recover_server t s with Invalid_argument _ -> ())
         | _ ->
             let before = Dynamic.members t in

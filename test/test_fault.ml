@@ -212,10 +212,10 @@ let test_greedy_fail_server () =
   for node = 0 to n - 1 do
     ignore (Dynamic.join t ~node)
   done;
-  let r = Dynamic.fail_server t 2 ~greedy:true in
+  let orphans = Dynamic.load t 2 in
+  let r = Dynamic.fail_server t 2 in
   (* Uncapacitated, the join rule always finds a live server. *)
-  Alcotest.(check int) "no standby or fallback landing" 0
-    (r.Dynamic.promoted + r.Dynamic.fallback);
+  Alcotest.(check int) "every orphan re-homed" orphans r.Dynamic.rehomed;
   Alcotest.(check (list (pair int int))) "none stranded" [] r.Dynamic.stranded;
   (* A fresh Greedy re-solve on the survivors, same clients, is no worse
      than the incrementally repaired session. *)

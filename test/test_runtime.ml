@@ -11,6 +11,7 @@ module Checkpoint = Dia_runtime.Checkpoint
 module Codec = Dia_runtime.Codec
 module Soak = Dia_runtime.Soak
 module Recovery = Dia_runtime.Recovery
+module Competitive = Dia_runtime.Competitive
 module Fault = Dia_sim.Fault
 
 let plan spec =
@@ -299,9 +300,6 @@ let all_kinds =
     Event_log.Protocol_repair
       { moves = 6; applied = true; before = 212.75; after = 198.3 };
     Event_log.Checkpoint { id = 3 };
-    Event_log.Promote { server = 2; promoted = 5; fallback = 1; stranded = 0 };
-    Event_log.Standby_refresh { changed = 7 };
-    Event_log.Standby_breach { ratio = 3.25; bound = 3.0 };
     Event_log.Recovery { generation = 2; skipped = 1; replayed = 14 };
   ]
 
@@ -319,7 +317,23 @@ let test_event_log_roundtrip () =
   Alcotest.(check bool) "garbage rejected" true
     (match Event_log.of_line "t=1.0 frobnicate x=1" with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  (* The kinds the standby layer used to log no longer parse: each comes
+     back as a structured Error naming the record, never an exception. *)
+  List.iter
+    (fun (line, tag) ->
+      match Event_log.of_line line with
+      | Error m ->
+          Alcotest.(check string) (tag ^ " rejected by name")
+            (Printf.sprintf "Event_log: unknown record %S" tag) m
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%S accepted" line)
+      | exception e ->
+          Alcotest.fail (Printf.sprintf "%S raised %s" line (Printexc.to_string e)))
+    [
+      ("t=60.5 promote server=2 promoted=5 fallback=1 stranded=0", "promote");
+      ("t=99.9 standby-refresh changed=7", "standby-refresh");
+      ("t=61 standby-breach ratio=3.25 bound=3", "standby-breach");
+    ]
 
 (* --- Soak + Checkpoint --- *)
 
@@ -715,6 +729,32 @@ let prop_soak_deterministic_under_random_kills =
               Soak.render r = Soak.render base
               && Event_log.render r.Soak.log = Event_log.render base.Soak.log))
 
+(* --- Competitive harness --- *)
+
+let test_competitive_harness_smoke () =
+  let scenario = { small_scenario with Soak.horizon = 40. } in
+  let s = Competitive.run ~traces:3 ~bound:50. scenario small_config in
+  Alcotest.(check int) "three traces" 3 (List.length s.Competitive.per_trace);
+  Alcotest.(check bool) "samples collected" true (s.Competitive.samples > 0);
+  Alcotest.(check bool) "ratio measured" true (Float.is_finite s.Competitive.max);
+  Alcotest.(check bool) "within the generous bound" true s.Competitive.ok;
+  (* deterministic: the CSV artifact reproduces byte-for-byte *)
+  let s' = Competitive.run ~traces:3 ~bound:50. scenario small_config in
+  Alcotest.(check string) "CSV is deterministic" (Competitive.to_csv s)
+    (Competitive.to_csv s');
+  let lines = String.split_on_char '\n' (String.trim (Competitive.to_csv s)) in
+  Alcotest.(check int) "header plus one row per trace" 4 (List.length lines);
+  Alcotest.(check string) "header names the columns"
+    "trace,seed,samples,mean,max,final" (List.hd lines)
+
+let test_competitive_rejects_bad_params () =
+  (match Competitive.run ~traces:0 small_scenario small_config with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "traces = 0 accepted");
+  match Competitive.run ~bound:0.5 small_scenario small_config with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "bound < 1 accepted"
+
 let suite =
   [
     Alcotest.test_case "slo hysteresis and level jumps" `Quick test_slo_hysteresis;
@@ -765,4 +805,8 @@ let suite =
       test_soak_refuses_non_finite;
     QCheck_alcotest.to_alcotest prop_soak_deterministic_under_random_kills;
     QCheck_alcotest.to_alcotest prop_protocol_repair_contract;
+    Alcotest.test_case "competitive harness measures and reproduces" `Quick
+      test_competitive_harness_smoke;
+    Alcotest.test_case "competitive harness validates parameters" `Quick
+      test_competitive_rejects_bad_params;
   ]

@@ -1,4 +1,4 @@
-(* Soak golden digests: eight soak configurations run in-process, each
+(* Soak golden digests: seven soak configurations run in-process, each
    pinned by the MD5 of its rendered report and of its rendered event
    log. The constants are the outputs of the CLI runs
 
@@ -12,13 +12,11 @@
    report's competitive line folds every re-solve of the survivor
    problem under the delay model) and a capacitated soak
    (EXTRA = --capacity 30 --clients 200 --baseline, budget 8), the
-   chaos soak without standbys (EXTRA = --no-standby, budget 8: every
-   crash takes the greedy failover path) and the chaos soak in
-   weighted mode (EXTRA = --coreset-eps 0.2, budget 8: the one mode that
-   builds every pair of the latency matrix), and a capacitated soak
-   without standbys (EXTRA = --capacity 30 --clients 215 --no-standby,
-   budget 8: its first crash re-homes 19 orphans greedily under
-   capacity and strands 11). A refactor that leaves the
+   chaos soak in weighted mode (EXTRA = --coreset-eps 0.2, budget 8:
+   the one mode that builds every pair of the latency matrix), and a
+   capacitated soak (EXTRA = --capacity 30 --clients 215, budget 8: its
+   first crash re-homes 19 orphans greedily under capacity and strands
+   11). A refactor that leaves the
    control plane's behaviour alone keeps every byte of both; a
    deliberate behaviour change updates the constants and says so. *)
 
@@ -49,42 +47,37 @@ let cases =
     ( "chaos budget 8",
       chaos_scenario,
       config ~budget:8,
-      "03974d4141734dc75c16161311f5d273",
-      "e086cdd400202afd376dfda55d923875" );
+      "17ca6593263298452ef1b53592a20650",
+      "5a674a59cfe508e8a1e2267c8a23fcb1" );
     ( "chaos budget 64",
       chaos_scenario,
       config ~budget:64,
-      "d2c577b7d05d395166b69a46b0fee916",
-      "de411aad5248d298ad0c9b3f3fa41373" );
+      "ee511f666d5c4f18c1f88b61b9ce3f6c",
+      "2d9f66264671e93d1705228b4bb1886c" );
     ( "load mm1:30",
       { chaos_scenario with delay = Some mm1_30 },
       config ~budget:8,
-      "158675fc0654faf0d48277a0a8a3e371",
-      "0e2998e9d09169067dea80070923168d" );
+      "e061b632e1634180899aee24019cfbe4",
+      "52ee16db8976c1d63e49080d6e2f7123" );
     ( "load mm1:30 + baseline",
       { chaos_scenario with delay = Some mm1_30 },
       { (config ~budget:8) with offline_baseline = true },
-      "d4dc96261e7bdbee87caa07173b0c992",
-      "0e2998e9d09169067dea80070923168d" );
+      "3280bf63b69fe326187d8717814df77b",
+      "52ee16db8976c1d63e49080d6e2f7123" );
     ( "capacity 30",
       { chaos_scenario with capacity = Some 30; clients = 200 },
       { (config ~budget:8) with offline_baseline = true },
-      "68a265ca5ccea85b0a377f9f368173f1",
-      "a33d1c6a6bcbbab2c752fd0e21e66ec5" );
-    ( "no standby",
-      chaos_scenario,
-      { (config ~budget:8) with standby = false },
-      "cb11812665c00176b16b2bcc69de1da3",
-      "5a674a59cfe508e8a1e2267c8a23fcb1" );
+      "2a22bdf8dd2c3fda81c16407ccbe8493",
+      "5f36309f92dd6a08a5ab0927878d8933" );
     ( "coreset eps 0.2",
       { chaos_scenario with coreset_eps = Some 0.2 },
       config ~budget:8,
-      "58903d06e469e8b21ab0268818dba873",
-      "9dba943c07fbb24d210c7021f122483c" );
-    ( "capacity 30, 215 clients, no standby",
+      "cbca728990ceeb1da2b61114c856dd7e",
+      "6ddb89337e19e82d7534721e26dec397" );
+    ( "capacity 30, 215 clients",
       { chaos_scenario with capacity = Some 30; clients = 215 },
-      { (config ~budget:8) with standby = false },
-      "28b2189e3969582811c69e927f23f4a9",
+      config ~budget:8,
+      "e5b4ff4d74ab6bd34da3a58d0619c7f8",
       "828587c625f17af65282ecd8c91694b9" );
   ]
 
@@ -112,7 +105,7 @@ let test_generation_digest () =
   | Soak.Completed _ -> ());
   Alcotest.(check (option int)) "newest generation" (Some 10)
     (Dia_runtime.Generation.latest ~dir);
-  Alcotest.(check string) "ckpt.10" "6cde7bf53fb6a108752e17204bdbd5a9"
+  Alcotest.(check string) "ckpt.10" "eb81e4d9de532a77cc1aba534784ad7e"
     (Digest.to_hex (Digest.file (Dia_runtime.Generation.path ~dir 10)))
 
 let suite =
