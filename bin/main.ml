@@ -253,17 +253,6 @@ let assign_cmd =
          & info [ "explain" ]
              ~doc:"Also print the worst interaction paths and per-server contributions for each algorithm.")
   in
-  let index_arg =
-    Arg.(value & flag
-         & info [ "index" ]
-             ~doc:"Build a landmark index over the servers and answer \
-                   Nearest-Server queries through it. Prints whether the \
-                   index's triangle bounds verified against the matrix; on \
-                   non-metric data (all real latency sets) every query falls \
-                   back to the exhaustive scan. The assignment is \
-                   bit-identical either way — the flag only changes how many \
-                   candidates each query touches.")
-  in
   let coreset_eps_arg =
     Arg.(value & opt (some float) None
          & info [ "coreset-eps" ] ~docv:"E"
@@ -285,7 +274,7 @@ let assign_cmd =
                    $(b,D_load) columns: each hop pays its server's \
                    load-dependent delay on top of the network path.")
   in
-  let run dataset profile matrix_file seed k placement algorithm capacity explain jobs fault use_index coreset_eps delay =
+  let run dataset profile matrix_file seed k placement algorithm capacity explain jobs fault coreset_eps delay =
     let matrix = load_matrix ~matrix_file ~dataset ~profile ~seed in
     let faulty = not (Dia_sim.Fault.equal fault Dia_sim.Fault.reliable) in
     if faulty && Dia_latency.Matrix.dim matrix > 600 then
@@ -306,18 +295,6 @@ let assign_cmd =
     else
     let servers = Placement.place placement ~seed matrix ~k in
     let p = Problem.all_nodes_clients ?capacity matrix ~servers in
-    let index =
-      if not use_index then None
-      else begin
-        let idx = Dia_latency.Landmark.build matrix ~candidates:servers in
-        Printf.printf "landmark index: %d landmarks, triangle bounds %s\n"
-          (Dia_latency.Landmark.num_landmarks idx)
-          (if Dia_latency.Landmark.metric_ok idx then
-             "verified — queries prune"
-           else "violated — exhaustive fallback");
-        Some idx
-      end
-    in
     let lb =
       Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool -> Lower_bound.compute ~pool p)
     in
@@ -378,12 +355,7 @@ let assign_cmd =
     let explanations = Buffer.create 256 in
     List.iter
       (fun algorithm ->
-        let a =
-          match (algorithm, index) with
-          | Algorithm.Nearest_server, Some index ->
-              Dia_core.Nearest.assign ?delay ~index p
-          | _ -> Algorithm.run ~seed ?delay algorithm p
-        in
+        let a = Algorithm.run ~seed ?delay algorithm p in
         let d = Objective.max_interaction_path p a in
         let loads = Assignment.loads p a in
         let load_columns =
@@ -453,7 +425,7 @@ let assign_cmd =
     (Cmd.info "assign" ~doc:"Assign clients to servers on a data set and report interactivity.")
     Term.(ret (const run $ dataset_arg $ profile_arg $ matrix_file_arg $ seed_arg
                $ servers_arg $ placement_arg $ algorithm_arg $ capacity_arg
-               $ explain_arg $ jobs_arg $ fault_arg $ index_arg $ coreset_eps_arg
+               $ explain_arg $ jobs_arg $ fault_arg $ coreset_eps_arg
                $ delay_arg))
 
 (* dia dataset *)
@@ -617,14 +589,6 @@ let soak_cmd =
                    fresh; the final report is bit-identical to an \
                    uninterrupted run.")
   in
-  let kill_after_arg =
-    Arg.(value & opt (some int) None
-         & info [ "kill-after" ] ~docv:"N"
-             ~doc:"Stop (exit 137) right after the run's $(docv)-th checkpoint, \
-                   counting those taken before a $(b,--resume) (resumed from \
-                   checkpoint 1, $(b,--kill-after) 2 stops at the first \
-                   boundary) — a deterministic kill -9 for tests and CI.")
-  in
   let state_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "state-dir" ] ~docv:"DIR"
@@ -704,7 +668,7 @@ let soak_cmd =
                    Incompatible with $(b,--coreset-eps).")
   in
   let run seed nodes servers capacity horizon rate lifetime drift_period
-      drift_amplitude fault budget max_queue lb_every checkpoint_every resume kill_after state_dir keep kill_event
+      drift_amplitude fault budget max_queue lb_every checkpoint_every resume state_dir keep kill_event
       verify_recovery log_path baseline clients
       coreset_eps delay csv_path =
     let scenario =
@@ -736,7 +700,7 @@ let soak_cmd =
     in
     let proceed resume_from =
       match
-        Soak.run ?state_dir ~keep ?resume_from ?kill_after ?kill_at_event:kill_event scenario config
+        Soak.run ?state_dir ~keep ?resume_from ?kill_at_event:kill_event scenario config
       with
       | exception Invalid_argument m -> `Error (false, m)
       | Soak.Completed r ->
@@ -824,7 +788,7 @@ let soak_cmd =
     Term.(ret (const run $ seed_arg $ nodes_arg $ servers_arg $ capacity_arg
                $ horizon_arg $ rate_arg $ lifetime_arg $ drift_period_arg
                $ drift_amplitude_arg $ soak_fault_arg $ budget_arg
-               $ max_queue_arg $ lb_every_arg $ checkpoint_every_arg $ resume_arg $ kill_after_arg
+               $ max_queue_arg $ lb_every_arg $ checkpoint_every_arg $ resume_arg
                $ state_dir_arg $ keep_arg $ kill_event_arg
                $ verify_recovery_arg $ log_arg $ baseline_arg $ clients_arg
                $ coreset_eps_arg $ soak_delay_arg $ soak_csv_arg))

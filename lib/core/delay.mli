@@ -13,8 +13,7 @@
 
     Every model is {b non-negative} and {b monotone non-decreasing} in
     the load — both are load-bearing: non-negativity keeps
-    [D_load >= D] pointwise (and keeps the [2·lb] landmark prune of
-    {!Dynamic} sound), monotonicity makes a join a monotone raise of
+    [D_load >= D] pointwise, monotonicity makes a join a monotone raise of
     its server's effective eccentricity, so the O(k) incremental bump
     machinery carries over unchanged. *)
 

@@ -1,5 +1,4 @@
 module Matrix = Dia_latency.Matrix
-module Landmark = Dia_latency.Landmark
 
 type client_id = int
 
@@ -45,10 +44,6 @@ type t = {
   mutable lb_valid : bool;
   mutable lb_wa : int;  (** witness node pair realising [lb_cache]... *)
   mutable lb_wb : int;  (** ...(-1,-1) when empty *)
-  mutable landmark : Landmark.t option;
-      (** lazy pruning index over [matrix] with the servers as
-          candidates; dropped whenever the matrix changes (drift) *)
-  landmark_lb : float array;  (** per-server bound scratch for one query *)
   mutable next_id : int;
   mutable version : int;
       (** bumped by every op that may change the problem {!snapshot} and
@@ -110,8 +105,6 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
     lb_valid = true;
     lb_wa = -1;
     lb_wb = -1;
-    landmark = None;
-    landmark_lb = Array.make k 0.;
     next_id = 0;
     version = 0;
     joins = 0;
@@ -440,42 +433,14 @@ let placement_hop t node s =
   let d = d_ns t node s in
   (if t.delay_grows.(s) then Float.max t.ecc.(s) d else d) +. t.next_delay.(s)
 
-(* Landmark pruning for the placement scan below, which joins and
-   failover re-homing share. Every cost it minimises is at
-   least [2 d(node, s)] — [attach_cost]'s round-trip floor [2 hop],
-   with [hop >= d(node, s)], survives the [Float.max]es stacked on
-   top — so a certified bound lb <= d(node, s)
-   retires server s whenever [2 lb] already fails to beat the best cost
-   in hand: the skipped cost is >= 2 d >= 2 lb >= best, and the scan
-   updates on strict <. Doubling is exact in binary floating point, so
-   results are bit-identical with or without the index; on non-metric
-   matrices the bounds are all 0 and nothing is skipped. The index is
-   built lazily from the {e current} matrix and dropped on drift. *)
-let query_bounds t node =
-  let idx =
-    match t.landmark with
-    | Some idx -> idx
-    | None ->
-        let idx = Landmark.build t.matrix ~candidates:t.servers in
-        t.landmark <- Some idx;
-        idx
-  in
-  Landmark.lower_bounds idx ~query:node t.landmark_lb;
-  t.landmark_lb
-
 (* The join rule: the live server with room that minimises the
    resulting objective once a client at [node] attaches there, ties to
    the lowest index; -1 when no live server has room. *)
 let best_server t node =
   let current = objective t in
-  let lb = query_bounds t node in
   let best = ref (-1) and best_d = ref infinity in
   for s = 0 to k t - 1 do
-    if
-      (not t.failed.(s))
-      && t.load.(s) < t.capacity
-      && 2. *. Array.unsafe_get lb s < !best_d
-    then begin
+    if (not t.failed.(s)) && t.load.(s) < t.capacity then begin
       let resulting =
         Float.max current (attach_cost t t.eff ~hop:(placement_hop t node s) s)
       in
@@ -738,8 +703,6 @@ let set_drift t ~server ~factor =
         done
       end
     done;
-    (* The index read the pre-drift entries; next query rebuilds it. *)
-    t.landmark <- None;
     rebuild_ecc t;
     t.version <- t.version + 1
   end

@@ -1,32 +1,13 @@
-module Landmark = Dia_latency.Landmark
 module Matrix = Dia_latency.Matrix
-
-(* An index is only usable when it answers exactly the queries the
-   exhaustive scan would: same matrix (physically — a drifted copy has
-   different entries) and the same candidate nodes in server order, so
-   index i in an answer IS server i. *)
-let check_index p index =
-  if Landmark.matrix index != Problem.latency p then
-    invalid_arg "Nearest.assign: index built over a different matrix";
-  let cands = Landmark.candidates index in
-  let servers = Problem.servers p in
-  if
-    Array.length cands <> Array.length servers
-    || not (Array.for_all2 ( = ) cands servers)
-  then invalid_arg "Nearest.assign: index candidates do not match the servers"
 
 (* Clients arrive in index order and each joins the feasible server
    minimising its marginal hop cost d(c,s) + delay(load s + 1) — the
    delay its own join inflicts. Under [Delay.zero] that is the nearest
    server with room, the paper's rule: an ascending strict-< scan keeps
    ties at the lowest index, exactly the order [Problem.nearest_server]
-   and the capacitated distance sort produce. Every cost is at least
-   d(c,s), which is at least the index's certified bound, so a server
-   whose bound already fails to beat the best cost in hand is skipped
-   without reading its distance. *)
-let assign ?(delay = Delay.zero) ?index p =
+   and the capacitated distance sort produce. *)
+let assign ?(delay = Delay.zero) p =
   Delay.validate delay;
-  Option.iter (check_index p) index;
   let n = Problem.num_clients p and k = Problem.num_servers p in
   let cap = match Problem.capacity p with None -> max_int | Some c -> c in
   let m = Problem.latency p in
@@ -34,14 +15,12 @@ let assign ?(delay = Delay.zero) ?index p =
   (* A join never lifts a load above n. *)
   let dtab = Array.init (n + 1) (Delay.eval delay) in
   let load = Array.make k 0 in
-  let lb = Array.make k 0. in
   let pick c =
     let q = clients.(c) in
-    Option.iter (fun index -> Landmark.lower_bounds index ~query:q lb) index;
     let best = ref (-1) and best_cost = ref infinity in
     for s = 0 to k - 1 do
       let l = Array.unsafe_get load s in
-      if l < cap && Array.unsafe_get lb s < !best_cost then begin
+      if l < cap then begin
         let cost =
           Matrix.unsafe_get m q (Array.unsafe_get servers s)
           +. Array.unsafe_get dtab (l + 1)

@@ -23,8 +23,8 @@
     whole-matrix calls {!iter_pairs}, {!max_entry}, {!min_entry},
     {!mean_entry}, {!equal}, {!to_rows} and {!pp} on any matrix that has
     one. {!copy} keeps the rows. Consumers that read only rows they
-    checked with {!has_row} (a problem's servers, a landmark index's
-    candidates, a session's servers) work on such a matrix unchanged. *)
+    checked with {!has_row} (a problem's servers, a session's servers)
+    work on such a matrix unchanged. *)
 
 type t
 (** A symmetric [n x n] latency matrix with zero diagonal. *)

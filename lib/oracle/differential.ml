@@ -1,5 +1,4 @@
 module Matrix = Dia_latency.Matrix
-module Landmark = Dia_latency.Landmark
 module Problem = Dia_core.Problem
 module Assignment = Dia_core.Assignment
 module Algorithm = Dia_core.Algorithm
@@ -73,7 +72,6 @@ type outcome = {
   transport_checked : bool;
   greedy_monotonic : bool option;
   load_greedy_better : bool;
-  index_metric : bool;
 }
 
 let strictly_decreasing trace =
@@ -421,60 +419,39 @@ let check_instance ~seed =
          true
        end
   in
-  (* Layout and index differentials — the flat-substrate contracts. The
-     boxed reference layout must round-trip bit-for-bit; the landmark
-     index must answer every client's nearest-server query exactly as
-     the exhaustive scan, whether or not its triangle bounds verified
-     (non-metric instances exercise the fallback); and on a seed slice
+  (* Layout differentials — the flat-substrate contracts. The boxed
+     reference layout must round-trip bit-for-bit, and on a seed slice
      the whole algorithm suite re-runs over the round-tripped matrix
      and must reproduce every assignment and objective bit-for-bit. *)
-  let index_metric =
-    let m0 = Problem.latency p in
-    let boxed = Reference.Boxed_matrix.of_matrix m0 in
-    checked "layout round-trip"
-      (if Reference.Boxed_matrix.bit_equal boxed m0 then Ok ()
-       else Error "boxed copy is not bit-identical to the flat store");
-    let index = Landmark.build m0 ~candidates:(Problem.servers p) in
-    let bad = ref None in
-    for c = Problem.num_clients p - 1 downto 0 do
-      let i, di = Landmark.nearest index ~query:(Problem.clients p).(c) in
-      let s = Problem.nearest_server p c in
-      if i <> s || di <> Problem.d_cs p c s then bad := Some (c, i, s)
-    done;
-    checked "index nearest exact"
-      (match !bad with
-      | None -> Ok ()
-      | Some (c, i, s) ->
-          Error
-            (Printf.sprintf
-               "client %d: index picked server %d, exhaustive scan %d (metric_ok=%b)"
-               c i s (Landmark.metric_ok index)));
-    if seed mod 4 = 0 then begin
-      let rt = Reference.Boxed_matrix.to_matrix boxed in
-      let p' =
-        Problem.make
-          ?capacity:(Problem.capacity p)
-          ~latency:rt ~servers:(Problem.servers p) ~clients:(Problem.clients p)
-          ()
-      in
-      List.iter
-        (fun (key, a) ->
-          let a' = run_algo ~seed key p' in
-          let v' = Objective.max_interaction_path p' a' in
-          checked (key ^ " layout-stable")
-            (if Assignment.equal a a' && v' = value key then Ok ()
-             else
-               Error
-                 (Printf.sprintf "D %.17g on flat vs %.17g on round-tripped"
-                    (value key) v')))
-        assignments;
-      checked "LB layout-stable"
-        (let lb' = Lower_bound.compute p' in
-         if lb' = lb then Ok ()
-         else Error (Printf.sprintf "LB %.17g on flat vs %.17g on round-tripped" lb lb'))
-    end;
-    Landmark.metric_ok index
-  in
+  (let m0 = Problem.latency p in
+   let boxed = Reference.Boxed_matrix.of_matrix m0 in
+   checked "layout round-trip"
+     (if Reference.Boxed_matrix.bit_equal boxed m0 then Ok ()
+      else Error "boxed copy is not bit-identical to the flat store");
+   if seed mod 4 = 0 then begin
+     let rt = Reference.Boxed_matrix.to_matrix boxed in
+     let p' =
+       Problem.make
+         ?capacity:(Problem.capacity p)
+         ~latency:rt ~servers:(Problem.servers p) ~clients:(Problem.clients p)
+         ()
+     in
+     List.iter
+       (fun (key, a) ->
+         let a' = run_algo ~seed key p' in
+         let v' = Objective.max_interaction_path p' a' in
+         checked (key ^ " layout-stable")
+           (if Assignment.equal a a' && v' = value key then Ok ()
+            else
+              Error
+                (Printf.sprintf "D %.17g on flat vs %.17g on round-tripped"
+                   (value key) v')))
+       assignments;
+     checked "LB layout-stable"
+       (let lb' = Lower_bound.compute p' in
+        if lb' = lb then Ok ()
+        else Error (Printf.sprintf "LB %.17g on flat vs %.17g on round-tripped" lb lb'))
+   end);
   {
     seed;
     instance = Format.asprintf "%a" Gen.pp_descriptor d;
@@ -488,5 +465,4 @@ let check_instance ~seed =
     transport_checked;
     greedy_monotonic;
     load_greedy_better;
-    index_metric;
   }

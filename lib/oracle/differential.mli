@@ -82,11 +82,6 @@ type outcome = {
       (** diagnostic only: was load-aware Greedy no worse than
           load-blind Greedy on [D_load] under this instance's delay
           model? *)
-  index_metric : bool;
-      (** did the landmark index's triangle bounds verify on this
-          instance's matrix? (Its nearest-server answers are checked
-          against the exhaustive scan either way — [false] means the
-          exhaustive fallback was the path exercised.) *)
 }
 
 val run_algo : seed:int -> string -> Dia_core.Problem.t -> Dia_core.Assignment.t

@@ -44,9 +44,6 @@ type report = {
   load_greedy_losses : int;
       (** diagnostic: instances where load-aware Greedy was worse than
           load-blind Greedy on [D_load] (measured over every instance) *)
-  index_metric : int;
-      (** instances whose landmark index verified its triangle bounds
-          (the rest exercised the exhaustive fallback) *)
 }
 
 val run : ?jobs:int -> ?count:int -> seed:int -> unit -> report

@@ -1,5 +1,4 @@
 module Matrix = Dia_latency.Matrix
-module Landmark = Dia_latency.Landmark
 
 let check_k m k =
   let n = Matrix.dim m in
@@ -148,41 +147,16 @@ let greedy m ~k =
   Array.sort compare centers;
   centers
 
-let radius ?index m centers =
+let radius m centers =
   let n = Matrix.dim m in
-  if n = 0 then 0.
-  else if Array.length centers = 0 then infinity
-  else begin
-    (match index with
-    | None -> ()
-    | Some idx ->
-        if Landmark.matrix idx != m then
-          invalid_arg "Kcenter.radius: index built over a different matrix";
-        let cands = Landmark.candidates idx in
-        if
-          Array.length cands <> Array.length centers
-          || not (Array.for_all2 ( = ) cands centers)
-        then invalid_arg "Kcenter.radius: index candidates do not match the centers");
-    let worst = ref 0. in
-    (match index with
-    | Some idx ->
-        (* The pruned scan returns the same nearest-center distance as
-           the fold (min over identical doubles; the zero-sign edge a
-           [Float.min] fold can produce never survives the strict [>]
-           against the non-negative running max). *)
-        for v = 0 to n - 1 do
-          let _, nearest = Landmark.nearest idx ~query:v in
-          if nearest > !worst then worst := nearest
-        done
-    | None ->
-        for v = 0 to n - 1 do
-          let nearest =
-            Array.fold_left (fun acc c -> Float.min acc (Matrix.get m v c)) infinity centers
-          in
-          if nearest > !worst then worst := nearest
-        done);
-    !worst
-  end
+  let worst = ref 0. in
+  for v = 0 to n - 1 do
+    let nearest =
+      Array.fold_left (fun acc c -> Float.min acc (Matrix.get m v c)) infinity centers
+    in
+    if nearest > !worst then worst := nearest
+  done;
+  if n = 0 then 0. else !worst
 
 exception Node_limit
 

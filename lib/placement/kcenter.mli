@@ -44,11 +44,8 @@ val optimal : ?node_limit:int -> Dia_latency.Matrix.t -> k:int -> int array
     @raise Failure if [node_limit] (default [5_000_000]) search nodes are
     exceeded. *)
 
-val radius :
-  ?index:Dia_latency.Landmark.t -> Dia_latency.Matrix.t -> int array -> float
-(** Coverage radius of a center set (same as
-    {!Placement.coverage_radius}; re-exported here so this module is
-    self-contained). [index] — a landmark index over this matrix with
-    exactly the center nodes as candidates — prunes each node's
-    nearest-center scan without changing the result; raises
-    [Invalid_argument] if it does not match. *)
+val radius : Dia_latency.Matrix.t -> int array -> float
+(** [radius m centers] is the K-center objective: the maximum over
+    nodes of the distance to the nearest centre ([infinity] when
+    [centers] is empty and the matrix is non-empty, [0.] on an empty
+    matrix). *)

@@ -35,16 +35,3 @@ let place strategy ?(seed = 0) m ~k =
   | Random_placement -> random ~seed ~k ~n:(Matrix.dim m)
   | K_center_a -> Kcenter.two_approx ~seed m ~k
   | K_center_b -> Kcenter.greedy m ~k
-
-let coverage_radius m centers =
-  let n = Matrix.dim m in
-  let radius = ref 0. in
-  for v = 0 to n - 1 do
-    let nearest =
-      Array.fold_left
-        (fun acc c -> Float.min acc (Matrix.get m v c))
-        infinity centers
-    in
-    if nearest > !radius then radius := nearest
-  done;
-  if n = 0 then 0. else !radius

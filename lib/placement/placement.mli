@@ -28,8 +28,3 @@ val place : strategy -> ?seed:int -> Dia_latency.Matrix.t -> k:int -> int array
     K-center-A's choice of initial centre.
 
     @raise Invalid_argument unless [0 <= k <= dim]. *)
-
-val coverage_radius : Dia_latency.Matrix.t -> int array -> float
-(** [coverage_radius m centers] is the K-center objective: the maximum
-    over nodes of the distance to the nearest centre ([infinity] when
-    [centers] is empty and the matrix is non-empty). *)

@@ -83,6 +83,11 @@ let fs = Codec.float_str
 let list_sections = [ "member"; "session"; "drift"; "queue" ]
 let section_names = "scalars" :: list_sections
 
+let scalar_keys =
+  [ "digest"; "cursor"; "now"; "capacity"; "next_id"; "failed"; "stats"; "slo";
+    "admitted"; "queued"; "shed"; "drained"; "abandoned"; "lb"; "history" ]
+  @ List.map (fun (key, _, _) -> key) counter_fields
+
 let encode s =
   let line b fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
   let scalars = Buffer.create 1024 in
@@ -231,6 +236,7 @@ let decode text =
     let members = ref [] in
     let sessions = ref [] and drift = ref [] and queue = ref [] in
     let pair key v = let a, b = split2 key v in (int_of key a, int_of key b) in
+    let session_ids = Hashtbl.create 64 in
     List.iter
       (fun (ln, key, value) ->
         try
@@ -238,13 +244,24 @@ let decode text =
           | "member" ->
               let a, b, c = split3 key value in
               members := (int_of key a, int_of key b, int_of key c) :: !members
-          | "session" -> sessions := pair key value :: !sessions
+          | "session" ->
+              (* Ids may be negative: pre-populated sessions count down
+                 from -1. *)
+              let ((sid, _) as p) = pair key value in
+              if Hashtbl.mem session_ids sid then
+                fail "checkpoint: repeated session id %d" sid;
+              Hashtbl.replace session_ids sid ();
+              sessions := p :: !sessions
           | "drift" ->
               let a, b = split2 key value in
               drift := (int_of key a, Codec.float_of_str b) :: !drift
           | "queue" -> queue := pair key value :: !queue
           | "crc" -> ()  (* verified above *)
-          | _ -> Hashtbl.replace scalars key (ln, value)
+          | _ ->
+              if not (List.mem key scalar_keys) then
+                fail "checkpoint: unknown key %S" key;
+              if Hashtbl.mem scalars key then fail "checkpoint: repeated key %S" key;
+              Hashtbl.replace scalars key (ln, value)
         with Bad m | Failure m -> fail "%s [line %d]" m ln)
       content;
     let scalar key =
@@ -252,10 +269,13 @@ let decode text =
       | Some lv -> lv
       | None -> fail "checkpoint: missing field %S" key
     in
+    (* Every integer field is a count, an id cursor or a server index:
+       none is negative in a file [encode] wrote. *)
     let int key =
       let ln, v = scalar key in
       match int_of_string_opt v with
-      | Some i -> i
+      | Some i when i >= 0 -> i
+      | Some _ -> fail "checkpoint: %s is negative (%S) [line %d]" key v ln
       | None ->
           fail "checkpoint: %s is not an integer (%S) [line %d]" key v ln
     in
@@ -269,9 +289,26 @@ let decode text =
     let ints key n =
       let ln, v = scalar key in
       match List.map (int_of key) (String.split_on_char ',' v) with
+      | l when List.exists (fun i -> i < 0) l ->
+          fail "checkpoint: %s has a negative field (%S) [line %d]" key v ln
       | l when n < 0 || List.length l = n -> l
       | _ -> fail "checkpoint: %s expects %d fields (%S) [line %d]" key n v ln
       | exception Bad m -> fail "%s [line %d]" m ln
+    in
+    let now =
+      match flt "now" with
+      | t when Float.is_finite t -> t
+      | t ->
+          fail "checkpoint: now is not finite (%s) [line %d]" (fs t)
+            (fst (scalar "now"))
+    in
+    (* The SLO config is attached on resume; the state alone decides
+       whether the string parses. *)
+    let slo =
+      let ln, v = scalar "slo" in
+      match Slo.decode Slo.default_config v with
+      | _ -> v
+      | exception Failure m -> fail "checkpoint: %s [line %d]" m ln
     in
     let c = counters () in
     List.iter (fun (key, _, set) -> set c (int key)) counter_fields;
@@ -279,11 +316,16 @@ let decode text =
       {
         digest = str "digest";
         cursor = int "cursor";
-        now = flt "now";
+        now;
         capacity =
           (match str "capacity" with
           | "none" -> None
-          | _ -> Some (int "capacity"));
+          | _ -> (
+              match int "capacity" with
+              | 0 ->
+                  fail "checkpoint: capacity must be positive [line %d]"
+                    (fst (scalar "capacity"))
+              | c -> Some c));
         members = List.rev !members;
         next_id = int "next_id";
         failed = (if str "failed" = "" then [] else ints "failed" (-1));
@@ -293,7 +335,7 @@ let decode text =
           | [ joins; leaves; moves ] -> { Dia_core.Dynamic.joins; leaves; moves }
           | _ -> assert false);
         sessions = List.rev !sessions;
-        slo = str "slo";
+        slo;
         queue = List.rev !queue;
         admitted = int "admitted";
         queued = int "queued";

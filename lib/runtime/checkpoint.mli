@@ -94,7 +94,12 @@ val encode : state -> string
 val decode : string -> (state, string) result
 (** [decode (encode s)] is [Ok s] with the history lists empty. Every
     section is verified against its [crc=] line before any field is
-    trusted. Never raises. *)
+    trusted. A file whose sections verify is still refused, naming the
+    line, when it holds what [encode] never writes and a resume could
+    not use: an unknown or repeated scalar key, a negative integer
+    field, a capacity of 0, a non-finite [now], an SLO state
+    {!Slo.decode} refuses, or a repeated session id (ids themselves may
+    be negative). Never raises. *)
 
 val points_text :
   trace:(float * float * float) list ->

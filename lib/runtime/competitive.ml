@@ -30,7 +30,7 @@ let run ?(traces = 20) ?(bound = default_bound) scenario config =
         let sc = { scenario with Soak.seed = scenario.Soak.seed + i } in
         let cf = { config with Soak.offline_baseline = true } in
         match Soak.run sc cf with
-        | Soak.Killed _ -> assert false (* no kill_after was requested *)
+        | Soak.Killed _ -> assert false (* no kill was requested *)
         | Soak.Completed r ->
             let final =
               match List.rev r.Soak.baseline_points with

@@ -361,6 +361,10 @@ let resume env (cp : Checkpoint.state) =
     invalid_arg
       "Soak.run: resume_from carries no history up to its cut (a decoded \
        checkpoint: restore it with Recovery.restore)";
+  if cp.cursor > Array.length env.trace then
+    invalid_arg
+      (Printf.sprintf "Soak.run: resume cursor %d lies past the trace (%d events)"
+         cp.cursor (Array.length env.trace));
   (* Classic mode reads d(c,s) and d(s,s') only, so it materialises the
      server rows; weighted mode embeds every pair with Vivaldi to bucket
      sessions, so it builds them all. Entries are the same either way. *)
@@ -841,8 +845,7 @@ let finish (env : env) st ~prepop_seconds ~loop_seconds : report =
     log = List.rev st.log;
   }
 
-let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
-    scenario config =
+let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_at_event scenario config =
   validate scenario config;
   if keep < 1 then invalid_arg "Soak: keep must be >= 1";
   if Option.value kill_at_event ~default:0 < 0 then
@@ -856,11 +859,6 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
      leaves the state dir as it found it. *)
   let env =
     { env with journal = Option.map (open_journal ~disk env resume_from) state_dir }
-  in
-  let kill_point i =
-    kill_at_event = Some i
-    || boundary config i
-       && st.counters.checkpoints >= Option.value kill_after ~default:max_int
   in
   (* Fold [step] over the rest of the trace; [Some] checkpoint if the
      run is killed. *)
@@ -880,7 +878,7 @@ let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_after ?kill_at_event
               (Generation.save ~disk ~dir ~keep
                  (capture env st ~cursor:(i + 1) ~history:false)))
           state_dir;
-      if kill_point i then Some (capture env st ~cursor:(i + 1) ~history:true)
+      if kill_at_event = Some i then Some (capture env st ~cursor:(i + 1) ~history:true)
       else loop (i + 1)
     end
   in

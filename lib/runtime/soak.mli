@@ -180,8 +180,8 @@ type report = {
 type outcome =
   | Completed of report
   | Killed of Checkpoint.state
-      (** the run stopped right after checkpoint [kill_after] or event
-          [kill_at_event] — the deterministic stand-in for [kill -9];
+      (** the run stopped right after event [kill_at_event] — the
+          deterministic stand-in for [kill -9];
           the state carries its history, so resuming from it finishes
           the run *)
 
@@ -190,7 +190,6 @@ val run :
   ?keep:int ->
   ?disk:Disk.t ->
   ?resume_from:Checkpoint.state ->
-  ?kill_after:int ->
   ?kill_at_event:int ->
   scenario ->
   config ->
@@ -198,11 +197,7 @@ val run :
 (** Execute (or continue) a soak run. [resume_from] continues from a
     state whose digest matches and which carries its history (a
     {!Killed} state or a {!Recovery.restore}d one, not a bare decoded
-    file); [kill_after n] stops the run immediately after the run's
-    [n]-th checkpoint, counting those taken before a resume (a run
-    resumed from checkpoint 1 with [kill_after 2] stops at its first
-    boundary) — used by tests and CI to exercise the kill/resume path
-    deterministically.
+    file).
 
     {b Durable recovery.} [state_dir] turns on the durability layer: a
     write-ahead {!Journal} holding the run's history (each event's log
@@ -216,14 +211,15 @@ val run :
     corrupt exactly the writes they name. [kill_at_event i] stops the
     run right after processing trace event [i] — {e any} event index,
     not just a checkpoint boundary — with the captured state; combined
-    with {!Recovery.restore} this is the boundary-free kill/resume path.
+    with {!Recovery.restore} this is the kill/resume path tests and CI
+    drive deterministically.
     The scenario digest is unchanged by any of these options.
 
     @raise Invalid_argument on invalid scenario/config values (NaN and
     infinite rates, lifetimes and drift parameters included), a digest
-    mismatch on resume, a [resume_from] without its history or whose
-    cut [state_dir]'s journal lacks, [keep < 1], or a negative
-    [kill_at_event]. *)
+    mismatch on resume, a [resume_from] without its history, whose
+    cursor lies past the trace, or whose cut [state_dir]'s journal
+    lacks, [keep < 1], or a negative [kill_at_event]. *)
 
 val render : report -> string
 (** Deterministic human-readable report. Two runs are considered

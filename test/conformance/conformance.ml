@@ -43,16 +43,7 @@ let test_oracle_suite () =
   Alcotest.(check bool) "simulation slice ran" true
     (report.Oracle.sim_checked > 0);
   Alcotest.(check bool) "lossy-transport slice ran" true
-    (conformance_count < 500 || report.Oracle.transport_checked > 0);
-  (* The landmark-index differential must exercise both sides of the
-     metric gate: instances whose triangle bounds verify (pruned path)
-     and instances that fall back to the exhaustive scan. Measured on
-     the default seed line: roughly 5:3 verified to fallback. *)
-  Alcotest.(check bool) "metric landmark indexes seen" true
-    (conformance_count < 100 || report.Oracle.index_metric > 0);
-  Alcotest.(check bool) "exhaustive-fallback indexes seen" true
-    (conformance_count < 100
-    || report.Oracle.index_metric < report.Oracle.instances)
+    (conformance_count < 500 || report.Oracle.transport_checked > 0)
 
 let test_report_jobs_identity () =
   let r1 = Oracle.run ~jobs:1 ~count:120 ~seed:9000 () in

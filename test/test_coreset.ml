@@ -285,7 +285,7 @@ let test_weighted_soak_kill_resume () =
   let base =
     match Soak.run weighted_scenario weighted_config with
     | Soak.Completed r -> r
-    | Soak.Killed _ -> Alcotest.fail "run killed without kill_after"
+    | Soak.Killed _ -> Alcotest.fail "run killed without a kill point"
   in
   Alcotest.(check bool) "ran in weighted mode" true base.Soak.weighted;
   Alcotest.(check bool) "coreset collapsed the population" true
@@ -295,9 +295,11 @@ let test_weighted_soak_kill_resume () =
     (String.length (Soak.csv base) > String.length "t,objective,ratio\n"
     && String.sub (Soak.csv base) 0 18 = "t,objective,ratio\n");
   List.iter
-    (fun kill_after ->
-      match Soak.run ~kill_after weighted_scenario weighted_config with
-      | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+    (fun n ->
+      (* Killed right after the [n]-th checkpoint. *)
+      let kill_at_event = (n * weighted_config.Soak.checkpoint_every) - 1 in
+      match Soak.run ~kill_at_event weighted_scenario weighted_config with
+      | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
       | Soak.Killed st -> (
           match
             Soak.run ~resume_from:st weighted_scenario weighted_config
@@ -305,12 +307,10 @@ let test_weighted_soak_kill_resume () =
           | Soak.Killed _ -> Alcotest.fail "resumed run killed"
           | Soak.Completed resumed ->
               Alcotest.(check string)
-                (Printf.sprintf "weighted report identical after kill %d"
-                   kill_after)
+                (Printf.sprintf "weighted report identical after kill %d" n)
                 (Soak.render base) (Soak.render resumed);
               Alcotest.(check string)
-                (Printf.sprintf "weighted log identical after kill %d"
-                   kill_after)
+                (Printf.sprintf "weighted log identical after kill %d" n)
                 (Event_log.render base.Soak.log)
                 (Event_log.render resumed.Soak.log)))
     [ 1; 2 ]

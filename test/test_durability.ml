@@ -44,6 +44,46 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
+let contains s sub =
+  let n = String.length s and ls = String.length sub in
+  let rec go i = i <= n - ls && (String.sub s i ls = sub || go (i + 1)) in
+  go 0
+
+(* Recompute the [crc=] lines of an edited checkpoint, so that a hostile
+   edit gets past the section checksums to the field checks. *)
+let reseal text =
+  let lists = [ "member"; "session"; "drift"; "queue" ] in
+  let bodies = List.map (fun name -> (name, Buffer.create 256)) ("scalars" :: lists) in
+  match
+    List.filter
+      (fun l -> l <> "" && l <> "end" && not (String.starts_with ~prefix:"crc=" l))
+      (String.split_on_char '\n' text)
+  with
+  | [] -> text
+  | header :: content ->
+      List.iter
+        (fun l ->
+          let key = String.sub l 0 (String.index l '=') in
+          let section = if List.mem key lists then key else "scalars" in
+          Printf.bprintf (List.assoc section bodies) "%s\n" l)
+        content;
+      let crcs =
+        List.map
+          (fun (name, b) -> Printf.sprintf "crc=%s:%s" name (Crc.hex (Buffer.contents b)))
+          bodies
+      in
+      String.concat "\n" ((header :: content) @ crcs @ [ "end"; "" ])
+
+(* Edit a checkpoint's [key=] lines: [f] maps each one to the lines
+   that replace it. *)
+let edit_key key f text =
+  String.split_on_char '\n' text
+  |> List.concat_map (fun l ->
+         if String.starts_with ~prefix:(key ^ "=") l then f l else [ l ])
+  |> String.concat "\n"
+
+let set_key key v = edit_key key (fun _ -> [ key ^ "=" ^ v ])
+
 (* The same small chaos scenario the runtime tests soak: 40 nodes, 4
    servers, one crash mid-run, checkpoints every 20 events. *)
 let small_scenario =
@@ -59,9 +99,12 @@ let small_scenario =
 
 let small_config = { Soak.default_config with Soak.checkpoint_every = 20 }
 
+(* Killed right after the first checkpoint. *)
 let killed scenario config =
-  match Soak.run ~kill_after:1 scenario config with
-  | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+  match
+    Soak.run ~kill_at_event:(config.Soak.checkpoint_every - 1) scenario config
+  with
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
   | Soak.Killed st -> st
 
 (* --- Crc --- *)
@@ -266,9 +309,29 @@ let test_generation_rolls_back_over_corruption () =
       Alcotest.(check bool) "reason pinpoints the corruption" true (reason <> "")
   | _ -> Alcotest.fail "rollback to the older generation did not happen");
   (* a digest mismatch is as disqualifying as corruption *)
-  match Generation.newest_verifying ~dir ~digest:"0000" () with
+  (match Generation.newest_verifying ~dir ~digest:"0000" () with
   | None, skipped -> Alcotest.(check int) "all rejected" 2 (List.length skipped)
-  | Some _, _ -> Alcotest.fail "wrong-digest generation accepted"
+  | Some _, _ -> Alcotest.fail "wrong-digest generation accepted");
+  (* A newest generation whose checksums hold but whose SLO state does
+     not parse is as disqualifying: restore lands on ckpt.1 and the
+     resumed run finishes as the uninterrupted one. *)
+  let dir = fresh_dir () in
+  (match Soak.run ~state_dir:dir ~kill_at_event:47 small_scenario small_config with
+  | Soak.Killed _ -> ()
+  | Soak.Completed _ -> Alcotest.fail "kill did not fire");
+  let p2 = Generation.path ~dir 2 in
+  write_file p2 (reseal (set_key "slo" "garbage" (read_file p2)));
+  let r = Recovery.restore ~dir ~digest:(Soak.digest small_scenario small_config) in
+  match (r.Recovery.generation, r.Recovery.skipped) with
+  | Some (1, st), [ (2, _) ] -> (
+      match
+        ( Soak.run small_scenario small_config,
+          Soak.run ~state_dir:dir ~resume_from:st small_scenario small_config )
+      with
+      | Soak.Completed base, Soak.Completed resumed ->
+          Alcotest.(check string) "resumed report" (Soak.render base) (Soak.render resumed)
+      | _ -> Alcotest.fail "a run was killed")
+  | _ -> Alcotest.fail "restore did not roll back over the unparsable SLO state"
 
 (* --- Checkpoint hardening --- *)
 
@@ -303,29 +366,42 @@ let test_checkpoint_rejects_garbage () =
 let test_checkpoint_errors_carry_line_positions () =
   let st = killed small_scenario small_config in
   let text = Checkpoint.encode st in
-  (* corrupt a scalar value in place: same length, same section lines *)
-  let lines = String.split_on_char '\n' text in
-  let mangled =
-    List.map
-      (fun l ->
-        if l = Printf.sprintf "cursor=%d" st.Checkpoint.cursor then "cursor=x"
-        else l)
-      lines
-    |> String.concat "\n"
+  Alcotest.(check string) "reseal leaves an encoded file as it is" text (reseal text);
+  Alcotest.(check bool) "the killed state has sessions" true
+    (st.Checkpoint.sessions <> []);
+  let twice = ref false in
+  let repeat_first_session l =
+    if !twice then [ l ] else (twice := true; [ l; l ])
   in
-  match Checkpoint.decode mangled with
-  | Ok _ -> Alcotest.fail "mangled cursor accepted"
-  | Error m ->
-      (* the scalar crc catches it first and names the section *)
-      Alcotest.(check bool)
-        (Printf.sprintf "error names a section or line (%s)" m)
-        true
-        (let contains sub =
-           let n = String.length m and ls = String.length sub in
-           let rec go i = i <= n - ls && (String.sub m i ls = sub || go (i + 1)) in
-           go 0
-         in
-         contains "section" || contains "line")
+  (* A value corrupted in place is caught by the scalar crc first, which
+     names the section. Every other variant is re-sealed, so only the
+     field checks can refuse it — none is something a resume could use
+     — and the refusal names the offending line. *)
+  let hostile =
+    ("mangled cursor", set_key "cursor" "x" text, "section")
+    :: List.map
+         (fun (what, edited) -> (what, reseal edited, "[line "))
+         [
+           ("repeated cursor", edit_key "cursor" (fun l -> [ l; "cursor=3" ]) text);
+           ("unknown key", edit_key "digest" (fun l -> [ l; "bogus=1" ]) text);
+           ("negative cursor", set_key "cursor" "-5" text);
+           ("negative count", set_key "admitted" "-7" text);
+           ("non-finite now", set_key "now" "nan" text);
+           ("garbage slo", set_key "slo" "garbage" text);
+           ("zero capacity", set_key "capacity" "0" text);
+           ("repeated session id", edit_key "session" repeat_first_session text);
+         ]
+  in
+  List.iter
+    (fun (what, mangled, names) ->
+      match Checkpoint.decode mangled with
+      | Ok _ -> Alcotest.fail (what ^ " accepted")
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: the error names its %s (%s)" what names m)
+            true (contains m names)
+      | exception e -> Alcotest.fail (what ^ " raised " ^ Printexc.to_string e))
+    hostile
 
 let prop_mutation_fuzzer_never_panics =
   (* Every single-byte flip and every proper truncation of a real
@@ -617,9 +693,21 @@ let test_resume_refuses_bare_decoded_state () =
   | Ok bare -> (
       Alcotest.(check bool) "a decoded state does not" false
         (Checkpoint.has_history bare);
-      match Soak.run ~resume_from:bare small_scenario small_config with
+      (match Soak.run ~resume_from:bare small_scenario small_config with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "resumed from a state without its history")
+      | _ -> Alcotest.fail "resumed from a state without its history");
+      (* A cursor past the trace is refused by name, not by an
+         out-of-bounds read. *)
+      match
+        Soak.run ~resume_from:{ st with Checkpoint.cursor = 999_999 } small_scenario
+          small_config
+      with
+      | exception Invalid_argument m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "the refusal names the cursor (%s)" m)
+            true
+            (contains m "cursor 999999" && contains m "events")
+      | _ -> Alcotest.fail "resumed past the end of the trace")
 
 let test_generation_size_flat_in_horizon () =
   (* Checkpoints hold live state only: at a fixed session count the

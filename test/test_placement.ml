@@ -44,7 +44,7 @@ let test_two_approx_guarantee () =
   let centers = Kcenter.two_approx ~seed:0 m ~k in
   Alcotest.(check int) "k centers" k (Array.length centers);
   Alcotest.(check bool) "distinct" true (distinct centers);
-  let radius = Placement.coverage_radius m centers in
+  let radius = Kcenter.radius m centers in
   let best = Kcenter.radius m (Kcenter.optimal m ~k) in
   Alcotest.(check bool)
     (Printf.sprintf "radius %.2f within 2x optimum %.2f" radius best)
@@ -59,7 +59,7 @@ let test_exact_kcenter_matches_enumeration () =
   for a = 0 to 10 do
     for b = a + 1 to 10 do
       for c = b + 1 to 10 do
-        best := Float.min !best (Placement.coverage_radius m [| a; b; c |])
+        best := Float.min !best (Kcenter.radius m [| a; b; c |])
       done
     done
   done;
@@ -89,7 +89,7 @@ let test_greedy_no_worse_than_double_optimum_here () =
   Alcotest.(check int) "k centers" k (Array.length centers);
   Alcotest.(check bool) "distinct" true (distinct centers);
   Alcotest.(check bool) "radius finite" true
-    (Float.is_finite (Placement.coverage_radius m centers))
+    (Float.is_finite (Kcenter.radius m centers))
 
 let test_greedy_deterministic () =
   let m = Synthetic.internet_like ~seed:8 60 in
@@ -102,12 +102,12 @@ let test_kcenter_improves_over_random () =
     (* Average a few random placements for a stable comparison. *)
     let total = ref 0. in
     for seed = 0 to 9 do
-      total := !total +. Placement.coverage_radius m (Placement.random ~seed ~k ~n:150)
+      total := !total +. Kcenter.radius m (Placement.random ~seed ~k ~n:150)
     done;
     !total /. 10.
   in
-  let greedy_radius = Placement.coverage_radius m (Kcenter.greedy m ~k) in
-  let approx_radius = Placement.coverage_radius m (Kcenter.two_approx m ~k) in
+  let greedy_radius = Kcenter.radius m (Kcenter.greedy m ~k) in
+  let approx_radius = Kcenter.radius m (Kcenter.two_approx m ~k) in
   Alcotest.(check bool)
     (Printf.sprintf "greedy %.1f < random %.1f" greedy_radius random_radius)
     true (greedy_radius < random_radius);
@@ -144,7 +144,7 @@ let test_coverage_radius_of_full_placement () =
   let m = Synthetic.internet_like ~seed:2 20 in
   let all = Array.init 20 Fun.id in
   Alcotest.(check (float 1e-9)) "radius zero when all nodes are centers" 0.
-    (Placement.coverage_radius m all)
+    (Kcenter.radius m all)
 
 (* Distances drawn from 1..5: radii tie constantly, which is where an
    early exit could slip past the strict [<] lowest-index tie-break. *)

@@ -353,15 +353,20 @@ let small_config = { Soak.default_config with Soak.checkpoint_every = 20 }
 let complete scenario config =
   match Soak.run scenario config with
   | Soak.Completed r -> r
-  | Soak.Killed _ -> Alcotest.fail "run killed without kill_after"
+  | Soak.Killed _ -> Alcotest.fail "run killed without a kill point"
 
-(* Kill a run that keeps a state dir after its [kill_after]-th
-   checkpoint, restore the dir (newest generation plus the history its
-   journal holds) and resume into it — the path a process that really
-   died takes. [None] when the run finished before the kill point. *)
-let kill_restore_resume ~kill_after scenario config =
+(* The event right after which a fresh run takes its [n]-th checkpoint. *)
+let after_checkpoint n config = (n * config.Soak.checkpoint_every) - 1
+
+(* Kill a run that keeps a state dir after its [n]-th checkpoint,
+   restore the dir (newest generation plus the history its journal
+   holds) and resume into it — the path a process that really died
+   takes. [None] when the run finished before the kill point. *)
+let kill_restore_resume n scenario config =
   let dir = Filename.temp_dir "dia_runtime" "" in
-  match Soak.run ~state_dir:dir ~kill_after scenario config with
+  match
+    Soak.run ~state_dir:dir ~kill_at_event:(after_checkpoint n config) scenario config
+  with
   | Soak.Completed r -> Some (None, r)
   | Soak.Killed _ -> (
       let r = Recovery.restore ~dir ~digest:(Soak.digest scenario config) in
@@ -374,8 +379,10 @@ let kill_restore_resume ~kill_after scenario config =
       | Soak.Completed resumed -> Some (r.Recovery.generation, resumed))
 
 let test_checkpoint_codec_roundtrip () =
-  match Soak.run ~kill_after:1 small_scenario small_config with
-  | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+  match
+    Soak.run ~kill_at_event:(after_checkpoint 1 small_config) small_scenario small_config
+  with
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
   | Soak.Killed st -> (
       match Checkpoint.decode (Checkpoint.encode st) with
       | Error m -> Alcotest.fail m
@@ -394,25 +401,30 @@ let test_checkpoint_codec_roundtrip () =
 let test_soak_kill_resume_identical () =
   let base = complete small_scenario small_config in
   List.iter
-    (fun kill_after ->
-      match Soak.run ~kill_after small_scenario small_config with
-      | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+    (fun n ->
+      match
+        Soak.run ~kill_at_event:(after_checkpoint n small_config) small_scenario
+          small_config
+      with
+      | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
       | Soak.Killed st -> (
           match Soak.run ~resume_from:st small_scenario small_config with
           | Soak.Killed _ -> Alcotest.fail "resumed run killed"
           | Soak.Completed resumed ->
               Alcotest.(check string)
-                (Printf.sprintf "report identical after kill %d" kill_after)
+                (Printf.sprintf "report identical after kill %d" n)
                 (Soak.render base) (Soak.render resumed);
               Alcotest.(check string)
-                (Printf.sprintf "event log identical after kill %d" kill_after)
+                (Printf.sprintf "event log identical after kill %d" n)
                 (Event_log.render base.Soak.log)
                 (Event_log.render resumed.Soak.log)))
     [ 1; 2; 3 ]
 
 let test_soak_resume_rejects_other_config () =
-  match Soak.run ~kill_after:1 small_scenario small_config with
-  | Soak.Completed _ -> Alcotest.fail "kill_after ignored"
+  match
+    Soak.run ~kill_at_event:(after_checkpoint 1 small_config) small_scenario small_config
+  with
+  | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
   | Soak.Killed st -> (
       let other = { small_config with Soak.budget = small_config.Soak.budget + 1 } in
       match Soak.run ~resume_from:st small_scenario other with
@@ -576,16 +588,16 @@ let test_soak_delay_kill_resume_identical () =
   Alcotest.(check (option string))
     "delay model survives to the report" (Some "mm1:12") base.Soak.delay_model;
   List.iter
-    (fun kill_after ->
-      match kill_restore_resume ~kill_after delay_scenario small_config with
+    (fun n ->
+      match kill_restore_resume n delay_scenario small_config with
       | None -> Alcotest.fail "resumed run killed"
-      | Some (None, _) -> Alcotest.fail "kill_after ignored or nothing restored"
+      | Some (None, _) -> Alcotest.fail "kill ignored or nothing restored"
       | Some (Some _, resumed) ->
           Alcotest.(check string)
-            (Printf.sprintf "report identical after kill %d" kill_after)
+            (Printf.sprintf "report identical after kill %d" n)
             (Soak.render base) (Soak.render resumed);
           Alcotest.(check string)
-            (Printf.sprintf "event log identical after kill %d" kill_after)
+            (Printf.sprintf "event log identical after kill %d" n)
             (Event_log.render base.Soak.log)
             (Event_log.render resumed.Soak.log))
     [ 1; 2 ]
@@ -709,7 +721,7 @@ let prop_soak_deterministic_under_random_kills =
   QCheck.Test.make ~name:"soak kill/resume is bit-identical at any kill point"
     ~count:12
     QCheck.(triple (int_bound 1000) (int_range 5 40) (int_range 1 3))
-    (fun (seed, checkpoint_every, kill_after) ->
+    (fun (seed, checkpoint_every, n) ->
       let scenario =
         {
           small_scenario with
@@ -723,7 +735,7 @@ let prop_soak_deterministic_under_random_kills =
       | Soak.Completed base -> (
           (* without enough checkpoints to kill at, the run must be the
              uninterrupted one; otherwise the resumed one must match it *)
-          match kill_restore_resume ~kill_after scenario config with
+          match kill_restore_resume n scenario config with
           | None -> false
           | Some (_, r) ->
               Soak.render r = Soak.render base

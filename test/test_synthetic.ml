@@ -184,12 +184,9 @@ let test_consumers_refuse_absent_server_rows () =
   let clients = Array.init n Fun.id in
   let held = [| 3; 9; 17 |] and stray = [| 3; 9; 18 |] in
   ignore (Dia_core.Problem.make ~latency:m ~servers:held ~clients ());
-  ignore (Dia_latency.Landmark.build m ~candidates:held);
   ignore (Dia_core.Dynamic.create m ~servers:held);
   Alcotest.(check bool) "Problem.make refuses" true
     (raises (fun () -> Dia_core.Problem.make ~latency:m ~servers:stray ~clients ()));
-  Alcotest.(check bool) "Landmark.build refuses" true
-    (raises (fun () -> Dia_latency.Landmark.build m ~candidates:stray));
   Alcotest.(check bool) "Dynamic.create refuses" true
     (raises (fun () -> Dia_core.Dynamic.create m ~servers:stray))
 
