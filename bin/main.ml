@@ -702,7 +702,6 @@ let soak_cmd =
       match
         Soak.run ?state_dir ~keep ?resume_from ?kill_at_event:kill_event scenario config
       with
-      | exception Invalid_argument m -> `Error (false, m)
       | Soak.Completed r ->
           print_string (Soak.render r);
           (* Timing is wall clock — parenthesised so determinism checks
@@ -737,45 +736,50 @@ let soak_cmd =
             | None -> "");
           exit 137
     in
-    if verify_recovery then
-      match (state_dir, kill_event) with
-      | Some dir, Some kill_at_event ->
-          let v =
-            Dia_runtime.Recovery.verify ~keep ~state_dir:dir ~kill_at_event
-              scenario config
-          in
-          List.iter print_endline v.Dia_runtime.Recovery.lines;
-          if v.Dia_runtime.Recovery.ok then begin
-            print_endline "recovery verified: bit-identical to the uninterrupted run";
-            `Ok ()
-          end
-          else `Error (false, "recovery verification failed")
-      | _ ->
-          `Error
-            (false, "--verify-recovery requires --state-dir DIR and --kill-event N")
-    else if resume then
-      match state_dir with
-      | Some dir -> (
-          let r =
-            Dia_runtime.Recovery.restore ~dir
-              ~digest:(Soak.digest scenario config)
-          in
-          List.iter
-            (fun (g, m) -> Printf.printf "(skipping corrupt ckpt.%d: %s)\n" g m)
-            r.Dia_runtime.Recovery.skipped;
-          match r.Dia_runtime.Recovery.generation with
-          | Some (g, st) ->
-              Printf.printf
-                "(restored generation ckpt.%d at event %d; %d journal records \
-                 cover the tail)\n"
-                g st.Checkpoint.cursor r.Dia_runtime.Recovery.replayed;
-              proceed (Some st)
-          | None ->
-              print_endline
-                "(no verifying checkpoint generation; restarting from scratch)";
-              proceed None)
-      | None -> `Error (false, "--resume requires --state-dir DIR")
-    else proceed None
+    (* Every path refuses invalid input the same way, and before it
+       reads or writes a state dir. *)
+    try
+      Soak.validate ~keep ?kill_at_event:kill_event scenario config;
+      if verify_recovery then
+        match (state_dir, kill_event) with
+        | Some dir, Some kill_at_event ->
+            let v =
+              Dia_runtime.Recovery.verify ~keep ~state_dir:dir ~kill_at_event
+                scenario config
+            in
+            List.iter print_endline v.Dia_runtime.Recovery.lines;
+            if v.Dia_runtime.Recovery.ok then begin
+              print_endline "recovery verified: bit-identical to the uninterrupted run";
+              `Ok ()
+            end
+            else `Error (false, "recovery verification failed")
+        | _ ->
+            `Error
+              (false, "--verify-recovery requires --state-dir DIR and --kill-event N")
+      else if resume then
+        match state_dir with
+        | Some dir -> (
+            let r =
+              Dia_runtime.Recovery.restore ~dir
+                ~digest:(Soak.digest scenario config)
+            in
+            List.iter
+              (fun (g, m) -> Printf.printf "(skipping corrupt ckpt.%d: %s)\n" g m)
+              r.Dia_runtime.Recovery.skipped;
+            match r.Dia_runtime.Recovery.generation with
+            | Some (g, st) ->
+                Printf.printf
+                  "(restored generation ckpt.%d at event %d; %d journal records \
+                   cover the tail)\n"
+                  g st.Checkpoint.cursor r.Dia_runtime.Recovery.replayed;
+                proceed (Some st)
+            | None ->
+                print_endline
+                  "(no verifying checkpoint generation; restarting from scratch)";
+                proceed None)
+        | None -> `Error (false, "--resume requires --state-dir DIR")
+      else proceed None
+    with Invalid_argument m -> `Error (false, m)
   in
   Cmd.v
     (Cmd.info "soak"

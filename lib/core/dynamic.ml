@@ -628,8 +628,6 @@ let stats t = { joins = t.joins; leaves = t.leaves; moves = t.moves }
 
 let problem_version t = t.version
 
-let next_id t = t.next_id
-
 let failed_servers t =
   let rec from s acc =
     if s < 0 then acc else from (s - 1) (if t.failed.(s) then s :: acc else acc)
@@ -707,9 +705,28 @@ let set_drift t ~server ~factor =
     t.version <- t.version + 1
   end
 
-let restore ?capacity ?delay matrix ~servers ~members:member_list
-    ~next_id ~failed ~drift:drift_list ~stats:(s : stats) =
-  let t = create ?capacity ?delay matrix ~servers in
+type image = {
+  capacity : int option;
+  members : (client_id * int * int) list;
+  next_id : client_id;
+  failed : int list;
+  drift : (int * float) list;
+  stats : stats;
+}
+
+let image t =
+  {
+    capacity = capacity t;
+    members = members t;
+    next_id = t.next_id;
+    failed = failed_servers t;
+    drift =
+      List.init (k t) (fun s -> (s, drift t s)) |> List.filter (fun (_, f) -> f <> 1.0);
+    stats = stats t;
+  }
+
+let restore ?delay matrix ~servers (i : image) =
+  let t = create ?capacity:i.capacity ?delay matrix ~servers in
   (* One rebuild on the next query instead of an unpruned extend per
      node. *)
   lb_invalidate t;
@@ -718,8 +735,8 @@ let restore ?capacity ?delay matrix ~servers ~members:member_list
       if srv < 0 || srv >= k t then
         invalid_arg (Printf.sprintf "Dynamic.restore: failed server %d out of range" srv);
       set_failed t srv true)
-    failed;
-  List.iter (fun (server, factor) -> set_drift t ~server ~factor) drift_list;
+    i.failed;
+  List.iter (fun (server, factor) -> set_drift t ~server ~factor) i.drift;
   List.iter
     (fun (id, node, server) ->
       if node < 0 || node >= Matrix.dim matrix then
@@ -736,15 +753,15 @@ let restore ?capacity ?delay matrix ~servers ~members:member_list
       t.load.(server) <- t.load.(server) + 1;
       ecc_add t server (d_ns t node server);
       node_add t node;
-      if id >= next_id then
+      if id >= i.next_id then
         invalid_arg (Printf.sprintf "Dynamic.restore: client id %d >= next_id" id))
-    member_list;
-  t.next_id <- next_id;
+    i.members;
+  t.next_id <- i.next_id;
   (* The replayed drifts bumped it; a restored session starts afresh. *)
   t.version <- 0;
-  t.joins <- s.joins;
-  t.leaves <- s.leaves;
-  t.moves <- s.moves;
+  t.joins <- i.stats.joins;
+  t.leaves <- i.stats.leaves;
+  t.moves <- i.stats.moves;
   t
 
 type failover = { rehomed : int; stranded : (client_id * int) list }

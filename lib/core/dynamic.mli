@@ -165,16 +165,11 @@ val problem_version : t -> int
     same-factor {!set_drift} changes nothing, so they leave it alone. Equal
     versions of one session therefore mean an identical survivor problem,
     which lets callers memoise any pure function of it. A fresh or
-    {!restore}d session starts at 0; the counter is not part of the
-    checkpointable state. *)
-
-val next_id : t -> client_id
-(** The id the next {!join} will receive — part of the checkpointable
-    session state ({!restore} takes it back). *)
+    {!restore}d session starts at 0; the counter is not part of its
+    {!image}. *)
 
 val members : t -> (client_id * int * int) list
-(** Current membership as [(id, node, server)] triples, ascending by id —
-    the serializable session state consumed by checkpointing. *)
+(** Current membership as [(id, node, server)] triples, ascending by id. *)
 
 val active_servers : t -> int list
 (** Server indices currently accepting clients (all of them until
@@ -207,25 +202,29 @@ val set_drift : t -> server:int -> factor:float -> unit
     @raise Invalid_argument if [server] is out of range or [factor] is
     not a positive finite number. *)
 
+type image = {
+  capacity : int option;
+  members : (client_id * int * int) list;  (** as {!members} returns them *)
+  next_id : client_id;  (** the id the next {!join} will receive *)
+  failed : int list;  (** as {!failed_servers} returns them *)
+  drift : (int * float) list;  (** (server, factor), ascending, only factors <> 1 *)
+  stats : stats;
+}
+(** The session's persisted state: everything {!restore} needs, and
+    nothing it can recompute (loads, eccentricities, caches). *)
+
+val image : t -> image
+
 val restore :
-  ?capacity:int ->
-  ?delay:Delay.t ->
-  Dia_latency.Matrix.t ->
-  servers:int array ->
-  members:(client_id * int * int) list ->
-  next_id:int ->
-  failed:int list ->
-  drift:(int * float) list ->
-  stats:stats ->
-  t
-(** Rebuild a session from checkpointed state: the exact inverse of
-    reading {!members}, {!failed_servers}, {!drift}, {!stats} and the id
-    counter. Loads and eccentricities are recomputed, so the restored
-    session is behaviourally identical to the one that was saved.
+  ?delay:Delay.t -> Dia_latency.Matrix.t -> servers:int array -> image -> t
+(** Rebuild a session from its image: the exact inverse of {!image}.
+    Loads and eccentricities are recomputed, so the restored session is
+    behaviourally identical to the one that was saved, and
+    [image (restore m ~servers (image t)) = image t].
 
     @raise Invalid_argument on out-of-range ids/nodes/servers, duplicate
-    client ids, members on failed servers, ids at or above [next_id], or
-    capacity violations. *)
+    client ids, members on failed servers, ids at or above [next_id], a
+    non-positive capacity, or capacity violations. *)
 
 type failover = {
   rehomed : int;  (** orphans placed by the join rule *)

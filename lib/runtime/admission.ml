@@ -1,7 +1,6 @@
 type decision = Admit | Queue | Shed
 
 type t = {
-  max_queue : int;
   mutable queue : (int * int) list;
   mutable admitted : int;
   mutable queued : int;
@@ -10,19 +9,12 @@ type t = {
   mutable abandoned : int;
 }
 
-let create ~max_queue =
-  if max_queue < 0 then invalid_arg "Admission.create: max_queue < 0";
-  {
-    max_queue;
-    queue = [];
-    admitted = 0;
-    queued = 0;
-    shed = 0;
-    drained = 0;
-    abandoned = 0;
-  }
+let create () =
+  { queue = []; admitted = 0; queued = 0; shed = 0; drained = 0; abandoned = 0 }
 
-let consider t ~level ~has_capacity ~session ~node =
+let copy t = { t with queue = t.queue }
+
+let consider t ~max_queue ~level ~has_capacity ~session ~node =
   match (level : Slo.level) with
   | Critical ->
       t.shed <- t.shed + 1;
@@ -32,7 +24,7 @@ let consider t ~level ~has_capacity ~session ~node =
         t.admitted <- t.admitted + 1;
         Admit
       end
-      else if List.length t.queue < t.max_queue then begin
+      else if List.length t.queue < max_queue then begin
         t.queue <- t.queue @ [ (session, node) ];
         t.queued <- t.queued + 1;
         Queue

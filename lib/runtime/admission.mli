@@ -15,13 +15,13 @@
       drain FIFO as capacity allows.
 
     Every decision is counted, so the soak report can state exactly how
-    much traffic the guardrails turned away. The queue and counters are
-    plain data, checkpointed verbatim. *)
+    much traffic the guardrails turned away. A [t] is the layer's whole
+    state, the queue and the five counts, and a checkpoint carries it
+    verbatim; the queue bound is configuration, passed to {!consider}. *)
 
 type decision = Admit | Queue | Shed
 
 type t = {
-  max_queue : int;
   mutable queue : (int * int) list;
       (** [(session, node)], oldest first — kept short (bounded) *)
   mutable admitted : int;
@@ -31,13 +31,17 @@ type t = {
   mutable abandoned : int;  (** queued joins whose leave arrived first *)
 }
 
-val create : max_queue:int -> t
-(** @raise Invalid_argument if [max_queue < 0]. *)
+val create : unit -> t
+(** An empty queue and zero counts. *)
+
+val copy : t -> t
 
 val consider :
-  t -> level:Slo.level -> has_capacity:bool -> session:int -> node:int -> decision
-(** Decide one join and update queue/counters accordingly. The caller
-    performs the actual {!Dia_core.Dynamic.join} on [Admit]. *)
+  t -> max_queue:int -> level:Slo.level -> has_capacity:bool -> session:int -> node:int ->
+  decision
+(** Decide one join and update queue/counters accordingly; a join that
+    would queue sheds once [max_queue] joins wait. The caller performs
+    the actual {!Dia_core.Dynamic.join} on [Admit]. *)
 
 val pop : t -> (int * int) option
 (** Dequeue the oldest waiting join (the caller admits it and it counts

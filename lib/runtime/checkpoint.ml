@@ -51,21 +51,11 @@ type state = {
   digest : string;
   cursor : int;
   now : float;
-  capacity : int option;
-  members : (int * int * int) list;
-  next_id : int;
-  failed : int list;
-  drift : (int * float) list;
-  session_stats : Dia_core.Dynamic.stats;
+  lb : float;
+  session : Dia_core.Dynamic.image;
   sessions : (int * int) list;
   slo : string;
-  queue : (int * int) list;
-  admitted : int;
-  queued : int;
-  shed : int;
-  drained : int;
-  abandoned : int;
-  lb : float;
+  admission : Admission.t;
   counters : counters;
   history : Journal.cut;
   trace_points : (float * float * float) list;
@@ -92,21 +82,21 @@ let encode s =
   let line b fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
   let scalars = Buffer.create 1024 in
   let sline fmt = line scalars fmt in
+  let i = s.session and a = s.admission in
   sline "digest=%s" s.digest;
   sline "cursor=%d" s.cursor;
   sline "now=%s" (fs s.now);
   sline "capacity=%s"
-    (match s.capacity with None -> "none" | Some c -> string_of_int c);
-  sline "next_id=%d" s.next_id;
-  sline "failed=%s" (String.concat "," (List.map string_of_int s.failed));
-  sline "stats=%d,%d,%d" s.session_stats.Dia_core.Dynamic.joins
-    s.session_stats.Dia_core.Dynamic.leaves s.session_stats.Dia_core.Dynamic.moves;
+    (match i.capacity with None -> "none" | Some c -> string_of_int c);
+  sline "next_id=%d" i.next_id;
+  sline "failed=%s" (String.concat "," (List.map string_of_int i.failed));
+  sline "stats=%d,%d,%d" i.stats.joins i.stats.leaves i.stats.moves;
   sline "slo=%s" s.slo;
-  sline "admitted=%d" s.admitted;
-  sline "queued=%d" s.queued;
-  sline "shed=%d" s.shed;
-  sline "drained=%d" s.drained;
-  sline "abandoned=%d" s.abandoned;
+  sline "admitted=%d" a.admitted;
+  sline "queued=%d" a.queued;
+  sline "shed=%d" a.shed;
+  sline "drained=%d" a.drained;
+  sline "abandoned=%d" a.abandoned;
   sline "lb=%s" (fs s.lb);
   List.iter (fun (key, get, _) -> sline "%s=%d" key (get s.counters)) counter_fields;
   sline "history=%d,%d,0x%08x" s.history.Journal.records s.history.Journal.bytes
@@ -117,7 +107,7 @@ let encode s =
     | "member" ->
         List.iter
           (fun (id, node, server) -> line b "member=%d,%d,%d" id node server)
-          s.members
+          i.members
     | "session" ->
         List.iter
           (fun (session, client) -> line b "session=%d,%d" session client)
@@ -125,9 +115,9 @@ let encode s =
     | "drift" ->
         List.iter
           (fun (server, factor) -> line b "drift=%d,%s" server (fs factor))
-          s.drift
+          i.drift
     | "queue" ->
-        List.iter (fun (session, node) -> line b "queue=%d,%d" session node) s.queue
+        List.iter (fun (session, node) -> line b "queue=%d,%d" session node) a.queue
     | _ -> assert false);
     b
   in
@@ -317,32 +307,38 @@ let decode text =
         digest = str "digest";
         cursor = int "cursor";
         now;
-        capacity =
-          (match str "capacity" with
-          | "none" -> None
-          | _ -> (
-              match int "capacity" with
-              | 0 ->
-                  fail "checkpoint: capacity must be positive [line %d]"
-                    (fst (scalar "capacity"))
-              | c -> Some c));
-        members = List.rev !members;
-        next_id = int "next_id";
-        failed = (if str "failed" = "" then [] else ints "failed" (-1));
-        drift = List.rev !drift;
-        session_stats =
-          (match ints "stats" 3 with
-          | [ joins; leaves; moves ] -> { Dia_core.Dynamic.joins; leaves; moves }
-          | _ -> assert false);
+        lb = flt "lb";
+        session =
+          {
+            capacity =
+              (match str "capacity" with
+              | "none" -> None
+              | _ -> (
+                  match int "capacity" with
+                  | 0 ->
+                      fail "checkpoint: capacity must be positive [line %d]"
+                        (fst (scalar "capacity"))
+                  | c -> Some c));
+            members = List.rev !members;
+            next_id = int "next_id";
+            failed = (if str "failed" = "" then [] else ints "failed" (-1));
+            drift = List.rev !drift;
+            stats =
+              (match ints "stats" 3 with
+              | [ joins; leaves; moves ] -> { joins; leaves; moves }
+              | _ -> assert false);
+          };
         sessions = List.rev !sessions;
         slo;
-        queue = List.rev !queue;
-        admitted = int "admitted";
-        queued = int "queued";
-        shed = int "shed";
-        drained = int "drained";
-        abandoned = int "abandoned";
-        lb = flt "lb";
+        admission =
+          {
+            queue = List.rev !queue;
+            admitted = int "admitted";
+            queued = int "queued";
+            shed = int "shed";
+            drained = int "drained";
+            abandoned = int "abandoned";
+          };
         counters = c;
         history =
           (match ints "history" 3 with

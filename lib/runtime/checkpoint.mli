@@ -4,10 +4,9 @@
     A checkpoint captures everything the soak loop needs to continue as
     if it had never stopped: the trace cursor (the event stream is a
     pure function of the scenario, so a single integer is the whole
-    stream position), the assignment session (membership, failures,
-    drift factors, counters, id cursor), the session↔client
-    mapping, the SLO state machine, the admission queue and counters,
-    and the repair bookkeeping.
+    stream position), the assignment session's {!Dia_core.Dynamic.image},
+    the session↔client mapping, the SLO state machine, the
+    {!Admission.t}, and the repair bookkeeping.
 
     {b History lives in the journal.} The event log and the trace and
     baseline samples grow with run length, so the file holds only their
@@ -61,23 +60,11 @@ type state = {
   digest : string;  (** hex digest of the scenario/config, from the soak *)
   cursor : int;  (** next trace event index *)
   now : float;  (** trace time of the last processed event *)
-  (* session *)
-  capacity : int option;
-  members : (int * int * int) list;  (** (client id, node, server) *)
-  next_id : int;
-  failed : int list;
-  drift : (int * float) list;  (** (server, factor), only factors <> 1 *)
-  session_stats : Dia_core.Dynamic.stats;
-  sessions : (int * int) list;  (** trace session -> live client id *)
-  (* controller *)
-  slo : string;  (** {!Slo.encode} *)
-  queue : (int * int) list;
-  admitted : int;
-  queued : int;
-  shed : int;
-  drained : int;
-  abandoned : int;
   lb : float;  (** last computed lower bound *)
+  session : Dia_core.Dynamic.image;  (** the assignment session *)
+  sessions : (int * int) list;  (** trace session -> live client id *)
+  slo : string;  (** {!Slo.encode} *)
+  admission : Admission.t;  (** the admission queue and counts *)
   counters : counters;
   history : Journal.cut;  (** the journal position just before event [cursor] *)
   trace_points : (float * float * float) list;
@@ -87,7 +74,10 @@ type state = {
           for the competitive-ratio harness, oldest first *)
   log : Event_log.entry list;  (** oldest first *)
 }
-(** The last three fields are the history: never encoded. *)
+(** One persisted value per layer. [admission] and [counters] are
+    mutable: a state is never shared with a live run (the soak copies
+    them in and out). The last three fields are the history: never
+    encoded. *)
 
 val encode : state -> string
 

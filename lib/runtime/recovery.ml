@@ -96,6 +96,7 @@ let audit ~journal ~restored ~final_log =
 type verdict = { ok : bool; lines : string list }
 
 let verify ?(keep = 3) ~state_dir ~kill_at_event scenario config =
+  Soak.validate ~keep ~kill_at_event scenario config;
   let lines = ref [] and failed = ref false in
   let check name ok detail =
     if not ok then failed := true;

@@ -75,4 +75,7 @@ val verify :
     check that the recovered report and event log are bit-identical to
     the uninterrupted run, that the journal {!audit} passes, and that
     the continued journal's log payloads are exactly the final log.
-    [lines] is the human-readable transcript. *)
+    [lines] is the human-readable transcript.
+
+    @raise Invalid_argument on what {!Soak.validate} refuses, before
+    any run. *)

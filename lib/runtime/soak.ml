@@ -65,7 +65,7 @@ let default_config =
   }
 
 (* Every numeric requirement is stated positively, so a NaN fails it. *)
-let validate (s : scenario) (c : config) =
+let validate ?(keep = 1) ?(kill_at_event = 0) (s : scenario) (c : config) =
   let require ok what = if not ok then invalid_arg ("Soak: " ^ what) in
   let positive x = Float.is_finite x && x > 0. in
   require (s.nodes >= 2) "nodes must be >= 2";
@@ -101,7 +101,9 @@ let validate (s : scenario) (c : config) =
   require (c.budget >= 0) "budget must be non-negative";
   require (c.max_queue >= 0) "max_queue must be non-negative";
   require (c.lb_every >= 1) "lb_every must be >= 1";
-  require (c.checkpoint_every >= 0) "checkpoint_every must be non-negative"
+  require (c.checkpoint_every >= 0) "checkpoint_every must be non-negative";
+  require (keep >= 1) "keep must be >= 1";
+  require (kill_at_event >= 0) "kill_at_event must be >= 0"
 
 let fs = Codec.float_str
 
@@ -342,14 +344,13 @@ let no_history = { Journal.records = 0; bytes = 0; crc = 0 }
 (* The checkpoint of a run that has taken no event yet. *)
 let initial env =
   {
-    Checkpoint.digest = env.digest; cursor = 0; now = 0.;
-    capacity = env.scenario.capacity; members = []; next_id = 0;
-    failed = []; drift = [];
-    session_stats = { Dynamic.joins = 0; leaves = 0; moves = 0 };
-    sessions = []; slo = Slo.encode (Slo.create env.config.slo); queue = [];
-    admitted = 0; queued = 0; shed = 0; drained = 0; abandoned = 0; lb = nan;
-    counters = Checkpoint.counters (); history = no_history;
-    trace_points = []; baseline_points = []; log = [];
+    Checkpoint.digest = env.digest; cursor = 0; now = 0.; lb = nan;
+    session =
+      { capacity = env.scenario.capacity; members = []; next_id = 0; failed = [];
+        drift = []; stats = { joins = 0; leaves = 0; moves = 0 } };
+    sessions = []; slo = Slo.encode (Slo.create env.config.slo);
+    admission = Admission.create (); counters = Checkpoint.counters ();
+    history = no_history; trace_points = []; baseline_points = []; log = [];
   }
 
 (* The state checkpoint [cp] describes: the inverse of [capture]. The
@@ -375,28 +376,16 @@ let resume env (cp : Checkpoint.state) =
     Dia_latency.Synthetic.internet_like ?rows ~seed:env.scenario.seed env.scenario.nodes
   in
   let session =
-    Dynamic.restore ?capacity:cp.capacity ~delay:env.delay matrix
-      ~servers:env.server_nodes ~members:cp.members ~next_id:cp.next_id
-      ~failed:cp.failed ~drift:cp.drift ~stats:cp.session_stats
+    Dynamic.restore ~delay:env.delay matrix ~servers:env.server_nodes cp.session
   in
   let sessions = Hashtbl.create 256 in
   List.iter (fun (sid, id) -> Hashtbl.replace sessions sid id) cp.sessions;
-  let slo = Slo.decode env.config.slo cp.slo in
   {
     session;
     sessions;
     weighted = attach env matrix session sessions;
-    admission =
-      {
-        Admission.max_queue = env.config.max_queue;
-        queue = cp.queue;
-        admitted = cp.admitted;
-        queued = cp.queued;
-        shed = cp.shed;
-        drained = cp.drained;
-        abandoned = cp.abandoned;
-      };
-    slo;
+    admission = Admission.copy cp.admission;
+    slo = Slo.decode env.config.slo cp.slo;
     counters = Checkpoint.copy cp.counters;
     lb = cp.lb;
     now = cp.now;
@@ -425,30 +414,17 @@ let fresh env =
    lists are only materialised for an in-memory kill; a generation save
    records the journal cut and the counts instead. *)
 let capture env st ~cursor ~history =
-  let session = st.session and a = st.admission in
   {
     Checkpoint.digest = env.digest;
     cursor;
     now = st.now;
-    capacity = env.scenario.capacity;
-    members = Dynamic.members session;
-    next_id = Dynamic.next_id session;
-    failed = Dynamic.failed_servers session;
-    drift =
-      List.init env.scenario.servers (fun s -> (s, Dynamic.drift session s))
-      |> List.filter (fun (_, f) -> f <> 1.0);
-    session_stats = Dynamic.stats session;
+    lb = st.lb;
+    session = Dynamic.image st.session;
     sessions =
       Hashtbl.fold (fun sid id acc -> (sid, id) :: acc) st.sessions []
       |> List.sort compare;
     slo = Slo.encode st.slo;
-    queue = a.queue;
-    admitted = a.admitted;
-    queued = a.queued;
-    shed = a.shed;
-    drained = a.drained;
-    abandoned = a.abandoned;
-    lb = st.lb;
+    admission = Admission.copy st.admission;
     counters = Checkpoint.copy st.counters;
     history = Option.fold env.journal ~none:no_history ~some:Journal.position;
     trace_points = (if history then List.rev st.trace_points else []);
@@ -649,7 +625,7 @@ let rec drain env st out now =
    sessions re-enter admission control (capacity is gone, so they queue
    under Healthy/Degraded and shed under Critical or a full queue),
    exactly like a fresh arrival that found no room. *)
-let requeue_stranded st out now stranded =
+let requeue_stranded env st out now stranded =
   if stranded <> [] then begin
     let by_id = Hashtbl.create 8 in
     Hashtbl.iter (fun sid id -> Hashtbl.replace by_id id sid) st.sessions;
@@ -660,8 +636,8 @@ let requeue_stranded st out now stranded =
         | Some sid -> (
             Hashtbl.remove st.sessions sid;
             match
-              Admission.consider st.admission ~level:(Slo.level st.slo)
-                ~has_capacity:false ~session:sid ~node
+              Admission.consider st.admission ~max_queue:env.config.max_queue
+                ~level:(Slo.level st.slo) ~has_capacity:false ~session:sid ~node
             with
             | Admission.Admit -> ()  (* unreachable: has_capacity is false *)
             | Admission.Queue -> log_event out now (Event_log.Queued { session = sid })
@@ -672,14 +648,15 @@ let requeue_stranded st out now stranded =
 (* Apply one trace event to the session; [true] when it changed the
    problem's structure (a crash, recovery or drift), which refreshes
    the lower bound at once. *)
-let dispatch st out now kind =
+let dispatch env st out now kind =
   let c = st.counters in
   let emit = log_event out now in
   match kind with
   | Trace.Join { session = sid; node } ->
       (match
-         Admission.consider st.admission ~level:(Slo.level st.slo)
-           ~has_capacity:(Dynamic.has_room st.session) ~session:sid ~node
+         Admission.consider st.admission ~max_queue:env.config.max_queue
+           ~level:(Slo.level st.slo) ~has_capacity:(Dynamic.has_room st.session)
+           ~session:sid ~node
        with
       | Admission.Admit ->
           let id = connect st sid node in
@@ -717,7 +694,7 @@ let dispatch st out now kind =
         let nstranded = List.length stranded in
         emit (Event_log.Crash { server; migrated = rehomed; stranded = nstranded });
         c.stranded <- c.stranded + nstranded;
-        requeue_stranded st out now stranded;
+        requeue_stranded env st out now stranded;
         true
       end
   | Trace.Recover { server } ->
@@ -744,7 +721,7 @@ let step (env : env) st i =
   let c = st.counters and out = { entries = []; trace = []; baseline = [] } in
   let now = env.trace.(i).Trace.time in
   st.now <- now;
-  let structural = dispatch st out now env.trace.(i).Trace.kind in
+  let structural = dispatch env st out now env.trace.(i).Trace.kind in
   c.events_since_lb <- c.events_since_lb + 1;
   if structural || c.events_since_lb >= env.config.lb_every then
     recompute_lb env st out now;
@@ -846,10 +823,7 @@ let finish (env : env) st ~prepop_seconds ~loop_seconds : report =
   }
 
 let run ?state_dir ?(keep = 3) ?disk ?resume_from ?kill_at_event scenario config =
-  validate scenario config;
-  if keep < 1 then invalid_arg "Soak: keep must be >= 1";
-  if Option.value kill_at_event ~default:0 < 0 then
-    invalid_arg "Soak: kill_at_event must be >= 0";
+  validate ~keep ?kill_at_event scenario config;
   let disk = match disk with Some d -> d | None -> Disk.create scenario.fault in
   let env = environment scenario config in
   let st, prepop_seconds =

@@ -106,6 +106,14 @@ val default_config : config
 (** [Slo.default_config], budget 8, queue 64, LB every 10 events,
     checkpoint every 100, offline baseline off. *)
 
+val validate : ?keep:int -> ?kill_at_event:int -> scenario -> config -> unit
+(** The checks {!run} makes before it touches anything, for callers that
+    must refuse bad input before they read a state dir.
+
+    @raise Invalid_argument naming the first invalid value: a NaN or
+    infinite rate, lifetime or drift parameter included, [keep < 1], or
+    a negative [kill_at_event]. *)
+
 val digest : scenario -> config -> string
 (** Hex digest of the canonical rendering of both records — stamped into
     checkpoints so a resume under a different configuration is refused. *)
@@ -215,11 +223,10 @@ val run :
     drive deterministically.
     The scenario digest is unchanged by any of these options.
 
-    @raise Invalid_argument on invalid scenario/config values (NaN and
-    infinite rates, lifetimes and drift parameters included), a digest
-    mismatch on resume, a [resume_from] without its history, whose
+    @raise Invalid_argument on what {!validate} refuses, a digest
+    mismatch on resume, or a [resume_from] without its history, whose
     cursor lies past the trace, or whose cut [state_dir]'s journal
-    lacks, [keep < 1], or a negative [kill_at_event]. *)
+    lacks. *)
 
 val render : report -> string
 (** Deterministic human-readable report. Two runs are considered

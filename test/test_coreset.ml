@@ -241,19 +241,7 @@ let prop_incremental_caches_bit_identical =
               <= 1e-9 *. Float.max 1. (Float.abs offline));
       (* checkpoint-style restore: same state, same cached values,
          bit-for-bit — including the drift-rebuilt matrix *)
-      let drift_list =
-        List.filter_map
-          (fun s ->
-            let f = Dynamic.drift t s in
-            if f <> 1.0 then Some (s, f) else None)
-          (List.init 6 Fun.id)
-      in
-      let r =
-        Dynamic.restore ?capacity matrix ~servers
-          ~members:(Dynamic.members t) ~next_id:(Dynamic.next_id t)
-          ~failed:(Dynamic.failed_servers t) ~drift:drift_list
-          ~stats:(Dynamic.stats t)
-      in
+      let r = Dynamic.restore matrix ~servers (Dynamic.image t) in
       !ok
       && same_bits (Dynamic.objective r) (Dynamic.objective t)
       && same_bits (Dynamic.lower_bound r) (Dynamic.lower_bound t)

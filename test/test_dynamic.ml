@@ -280,6 +280,8 @@ let prop_random_operation_sequences_stay_consistent =
                 failed := rest)
       done;
       !accounted
+      && Dynamic.image (Dynamic.restore matrix ~servers (Dynamic.image t))
+         = Dynamic.image t
       && (Dynamic.num_clients t = 0
       ||
         let p, a = Dynamic.snapshot t in
@@ -423,18 +425,7 @@ let prop_load_objective_bit_identical_to_scratch =
       done;
       (* Restore round-trip: the rebuilt session must reproduce the
          load-aware numbers bit-for-bit, over either matrix. *)
-      let drift =
-        List.filter_map
-          (fun s ->
-            let f = Dynamic.drift t s in
-            if f <> 1.0 then Some (s, f) else None)
-          (List.init 6 Fun.id)
-      in
-      let restore m =
-        Dynamic.restore ~capacity:30 ~delay m ~servers
-          ~members:(Dynamic.members t) ~next_id:(Dynamic.next_id t)
-          ~failed:(Dynamic.failed_servers t) ~drift ~stats:(Dynamic.stats t)
-      in
+      let restore m = Dynamic.restore ~delay m ~servers (Dynamic.image t) in
       let t' = restore matrix and r' = restore rows_matrix in
       !ok
       && Dynamic.objective t' = Dynamic.objective t
@@ -532,24 +523,10 @@ let test_restore_roundtrip () =
   ignore (Dynamic.fail_server t 1);
   Dynamic.set_drift t ~server:3 ~factor:1.5;
   ignore (Dynamic.rebalance ~max_moves:4 t);
-  let drift =
-    List.filter_map
-      (fun s ->
-        let f = Dynamic.drift t s in
-        if f <> 1.0 then Some (s, f) else None)
-      (List.init 6 Fun.id)
-  in
-  let t' =
-    Dynamic.restore ~capacity:10 matrix ~servers ~members:(Dynamic.members t)
-      ~next_id:(Dynamic.next_id t) ~failed:(Dynamic.failed_servers t) ~drift
-      ~stats:(Dynamic.stats t)
-  in
-  Alcotest.(check bool) "members equal" true (Dynamic.members t' = Dynamic.members t);
-  Alcotest.(check bool) "failed equal" true
-    (Dynamic.failed_servers t' = Dynamic.failed_servers t);
+  let t' = Dynamic.restore matrix ~servers (Dynamic.image t) in
+  Alcotest.(check bool) "image round-trips" true (Dynamic.image t' = Dynamic.image t);
   Alcotest.(check bool) "objective equal" true
     (Dynamic.objective t' = Dynamic.objective t);
-  Alcotest.(check bool) "stats equal" true (Dynamic.stats t' = Dynamic.stats t);
   let a = Dynamic.join t ~node:11 and b = Dynamic.join t' ~node:11 in
   Alcotest.(check int) "id counter preserved" a b;
   Alcotest.(check int) "restored session places joins identically"
@@ -596,17 +573,7 @@ let check_kernel_bound ?(servers = servers) msg t =
   if not (same_bits lb expected) then
     Alcotest.failf "%s: session LB %h, Lower_bound.compute %h" msg lb expected
 
-let restore_of ~servers t =
-  let drift =
-    List.filter_map
-      (fun s ->
-        let f = Dynamic.drift t s in
-        if f <> 1.0 then Some (s, f) else None)
-      (List.init (Array.length servers) Fun.id)
-  in
-  Dynamic.restore matrix ~servers ~members:(Dynamic.members t)
-    ~next_id:(Dynamic.next_id t) ~failed:(Dynamic.failed_servers t) ~drift
-    ~stats:(Dynamic.stats t)
+let restore_of ~servers t = Dynamic.restore matrix ~servers (Dynamic.image t)
 
 let prop_lower_bound_is_kernel =
   QCheck.Test.make ~name:"session LB bit-equal to Lower_bound.compute" ~count:25
@@ -724,19 +691,8 @@ let prop_problem_version =
         let unchanged = compare view (problem_view t) = 0 in
         if after <> before + bumps || (after = before && not unchanged) then ok := false
       done;
-      let drift =
-        List.filter_map
-          (fun s ->
-            let f = Dynamic.drift t s in
-            if f <> 1.0 then Some (s, f) else None)
-          (List.init 6 Fun.id)
-      in
-      let t' =
-        Dynamic.restore ?capacity matrix ~servers ~members:(Dynamic.members t)
-          ~next_id:(Dynamic.next_id t) ~failed:(Dynamic.failed_servers t) ~drift
-          ~stats:(Dynamic.stats t)
-      in
-      !ok && Dynamic.problem_version t' = 0)
+      let t' = Dynamic.restore matrix ~servers (Dynamic.image t) in
+      !ok && Dynamic.problem_version t' = 0 && Dynamic.image t' = Dynamic.image t)
 
 let test_lower_bound_one_live_server () =
   let t = fresh () in
@@ -883,19 +839,7 @@ let failover_digest ~delay =
           | exception Invalid_argument _ -> ())
       | 13 -> ( try Dynamic.recover_server !t s with Invalid_argument _ -> ())
       | _ -> say "moves %d " (Dynamic.rebalance ~max_moves:4 !t));
-      if step = 100 then begin
-        let drift =
-          List.filter_map
-            (fun s ->
-              let f = Dynamic.drift !t s in
-              if f <> 1.0 then Some (s, f) else None)
-            (List.init k Fun.id)
-        in
-        t :=
-          Dynamic.restore ?capacity ~delay m ~servers
-            ~members:(Dynamic.members !t) ~next_id:(Dynamic.next_id !t)
-            ~failed:(Dynamic.failed_servers !t) ~drift ~stats:(Dynamic.stats !t)
-      end;
+      if step = 100 then t := Dynamic.restore ~delay m ~servers (Dynamic.image !t);
       live :=
         List.filter
           (fun id ->

@@ -172,27 +172,20 @@ let test_slo_pending_switch_resets_streak () =
 (* --- Admission --- *)
 
 let test_admission_policy () =
-  let t = Admission.create ~max_queue:2 in
+  let t = Admission.create () in
+  let consider level has_capacity session node =
+    Admission.consider t ~max_queue:2 ~level ~has_capacity ~session ~node
+  in
   Alcotest.(check bool) "critical sheds" true
-    (Admission.consider t ~level:Slo.Critical ~has_capacity:true ~session:0
-       ~node:1
-    = Admission.Shed);
+    (consider Slo.Critical true 0 1 = Admission.Shed);
   Alcotest.(check bool) "healthy with room admits" true
-    (Admission.consider t ~level:Slo.Healthy ~has_capacity:true ~session:1
-       ~node:1
-    = Admission.Admit);
+    (consider Slo.Healthy true 1 1 = Admission.Admit);
   Alcotest.(check bool) "degraded queues" true
-    (Admission.consider t ~level:Slo.Degraded ~has_capacity:true ~session:2
-       ~node:1
-    = Admission.Queue);
+    (consider Slo.Degraded true 2 1 = Admission.Queue);
   Alcotest.(check bool) "no capacity queues" true
-    (Admission.consider t ~level:Slo.Healthy ~has_capacity:false ~session:3
-       ~node:2
-    = Admission.Queue);
+    (consider Slo.Healthy false 3 2 = Admission.Queue);
   Alcotest.(check bool) "overflow sheds" true
-    (Admission.consider t ~level:Slo.Degraded ~has_capacity:true ~session:4
-       ~node:3
-    = Admission.Shed);
+    (consider Slo.Degraded true 4 3 = Admission.Shed);
   Alcotest.(check int) "pending" 2 (Admission.pending t);
   Alcotest.(check bool) "fifo pop" true (Admission.pop t = Some (2, 1));
   Alcotest.(check bool) "abandon removes" true (Admission.abandon t ~session:3);
@@ -407,17 +400,24 @@ let test_soak_kill_resume_identical () =
           small_config
       with
       | Soak.Completed _ -> Alcotest.fail "kill_at_event ignored"
-      | Soak.Killed st -> (
-          match Soak.run ~resume_from:st small_scenario small_config with
-          | Soak.Killed _ -> Alcotest.fail "resumed run killed"
-          | Soak.Completed resumed ->
-              Alcotest.(check string)
-                (Printf.sprintf "report identical after kill %d" n)
-                (Soak.render base) (Soak.render resumed);
-              Alcotest.(check string)
-                (Printf.sprintf "event log identical after kill %d" n)
-                (Event_log.render base.Soak.log)
-                (Event_log.render resumed.Soak.log)))
+      | Soak.Killed st ->
+          let text = Checkpoint.encode st in
+          (* Twice from the one value: a resume never mutates the state
+             it starts from. *)
+          List.iter
+            (fun round ->
+              match Soak.run ~resume_from:st small_scenario small_config with
+              | Soak.Killed _ -> Alcotest.fail "resumed run killed"
+              | Soak.Completed resumed ->
+                  let tag what = Printf.sprintf "%s after kill %d, resume %d" what n round in
+                  Alcotest.(check string) (tag "report identical") (Soak.render base)
+                    (Soak.render resumed);
+                  Alcotest.(check string) (tag "event log identical")
+                    (Event_log.render base.Soak.log)
+                    (Event_log.render resumed.Soak.log);
+                  Alcotest.(check string) (tag "killed state unchanged") text
+                    (Checkpoint.encode st))
+            [ 1; 2 ])
     [ 1; 2; 3 ]
 
 let test_soak_resume_rejects_other_config () =
@@ -707,9 +707,9 @@ let prop_protocol_repair_contract =
               && List.for_all
                    (fun (_, _, server) ->
                      load.(server) <- load.(server) + 1;
-                     (not (List.mem server st.Checkpoint.failed))
+                     (not (List.mem server st.Checkpoint.session.failed))
                      && match capacity with None -> true | Some c -> load.(server) <= c)
-                   st.Checkpoint.members
+                   st.Checkpoint.session.members
         | _ -> true
       in
       r.Soak.protocol_stalls = 0

@@ -105,21 +105,7 @@ let prop_dynamic_incremental_bit_identical =
       done;
       (* Restore round-trip over the round-tripped base matrix. *)
       let rt = Boxed.to_matrix (Boxed.of_matrix m) in
-      let drift =
-        List.filter_map
-          (fun s ->
-            let f = Dynamic.drift t s in
-            if f <> 1.0 then Some (s, f) else None)
-          (List.init k Fun.id)
-      in
-      let t' =
-        Dynamic.restore rt ~servers
-          ~members:(Dynamic.members t)
-          ~next_id:(Dynamic.next_id t)
-          ~failed:(Dynamic.failed_servers t)
-          ~drift
-          ~stats:(Dynamic.stats t)
-      in
+      let t' = Dynamic.restore rt ~servers (Dynamic.image t) in
       !ok
       && Dynamic.objective t = Dynamic.objective t'
       && Dynamic.lower_bound t = Dynamic.lower_bound t')
