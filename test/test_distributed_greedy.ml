@@ -123,6 +123,65 @@ let prop_matches_reference =
       Assignment.equal fast.assignment reference.assignment
       && fast.trace = reference.trace && fast.stats = reference.stats)
 
+(* The runs [pinned_digests] fixes. *)
+let dg ?initial ?delay p =
+  match delay with
+  | None -> Distributed_greedy.run ?initial p
+  | Some delay -> Distributed_greedy.run_load ?initial ~delay p
+
+(* One digest per run kind over the first 50 oracle instances (about a
+   third capacitated): the final assignment, every trace value in hex
+   and the stats. Any change to the improvement loop, its scorers, its
+   start or its message counters moves a digest. *)
+let pinned_digests () =
+  let runs =
+    [
+      ("nearest start", fun p -> Some (dg p));
+      ( "random start",
+        fun p ->
+          let initial = Assignment.random p ~seed:3 in
+          if Assignment.respects_capacity p initial then Some (dg ~initial p) else None );
+      ("delay zero", fun p -> Some (dg ~delay:Dia_core.Delay.zero p));
+      ("delay constant", fun p -> Some (dg ~delay:(Dia_core.Delay.Constant 2.5) p));
+      ( "delay linear",
+        fun p -> Some (dg ~delay:(Dia_core.Delay.Linear { base = 1.; coeff = 0.75 }) p) );
+      ("delay mm1", fun p -> Some (dg ~delay:(Dia_core.Delay.Queueing { mu = 12. }) p));
+    ]
+  in
+  let problems =
+    List.init 50 (fun seed ->
+        Dia_oracle.Gen.instantiate (Dia_oracle.Gen.descriptor_of_seed seed))
+  in
+  let digest run =
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun p ->
+        match run p with
+        | None -> Buffer.add_string b "skip;"
+        | Some (r : Distributed_greedy.result) ->
+            Array.iter (Printf.bprintf b "%d,") (Assignment.to_array r.assignment);
+            Array.iter (Printf.bprintf b "%h,") r.trace;
+            let s = r.stats in
+            Printf.bprintf b "%d/%d/%d/%d;" s.modifications s.examined s.broadcasts
+              s.probes)
+      problems;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.map (fun (name, run) -> (name, digest run)) runs
+
+let test_pinned_digests () =
+  Alcotest.(check (list (pair string string)))
+    "digests"
+    [
+      ("nearest start", "530a076188cc40171e6887d11ae725b7");
+      ("random start", "ef40d918dee0adb4d2c90943a6f86bb1");
+      ("delay zero", "273606429ab9f7d8b51f857df9d4e297");
+      ("delay constant", "726014302043709f7533069bd116cb74");
+      ("delay linear", "d82d510814540b2883564987e7e51c56");
+      ("delay mm1", "cb06db51e9eeb5127f9f53b0e61da36d");
+    ]
+    (pinned_digests ())
+
 let suite =
   [
     Alcotest.test_case "trace starts at initial objective" `Quick
@@ -138,5 +197,6 @@ let suite =
       test_capacitated_moves_stay_feasible;
     Alcotest.test_case "improves over NSA on clustered data" `Quick
       test_improves_over_nearest_when_possible;
+    Alcotest.test_case "pinned digests over 50 oracle instances" `Quick test_pinned_digests;
     QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
