@@ -462,9 +462,9 @@ let tests =
     kernel ~calls:1000 "objective/fast(n=120)" (fun () () ->
         Objective.max_interaction_path small_problem small_assignment);
     kernel ~calls:5 "objective/naive(n=120)" (fun () () ->
-        Objective.naive_max_interaction_path small_problem small_assignment);
+        Dia_oracle.Reference.max_interaction_path small_problem small_assignment);
     kernel ~calls:50 "lower-bound/pruned(n=120)" (fun () () -> Lower_bound.compute small_problem);
-    kernel "lower-bound/naive(n=120)" (fun () () -> Lower_bound.naive small_problem);
+    kernel "lower-bound/naive(n=120)" (fun () () -> Dia_oracle.Reference.lower_bound small_problem);
     kernel ~calls:15 "assign/nearest(n=300,k=20)" (fun () () ->
         Dia_core.Nearest.assign bench_problem);
     kernel ~calls:7 "assign/lfb(n=300,k=20)" (fun () () ->

@@ -40,9 +40,6 @@ let run ?(seed = 0) ?delay algorithm p =
   | Nearest_server -> Nearest.assign ?delay p
   | Longest_first_batch -> Longest_first_batch.assign p
   | Greedy -> Greedy.assign ?delay p
-  | Distributed_greedy -> (
-      match delay with
-      | None -> Distributed_greedy.assign p
-      | Some delay -> Distributed_greedy.assign_load ~delay p)
+  | Distributed_greedy -> Distributed_greedy.assign ?delay p
   | Single_server -> Baselines.best_single_server p
   | Random_assignment -> Baselines.random ~seed p

@@ -34,8 +34,8 @@ val run : ?seed:int -> ?delay:Delay.t -> t -> Problem.t -> Assignment.t
 
     [delay] selects the load-aware variant where one exists:
     {!Nearest.assign} and {!Greedy.assign} take the model (omitting it
-    is {!Delay.zero}, the paper's algorithm), and Distributed-Greedy
-    switches to {!Distributed_greedy.assign_load} — a different search,
-    so even [~delay:Delay.zero] can end elsewhere than the paper's
-    protocol. The remaining algorithms return their load-blind
+    is {!Delay.zero}, the paper's algorithm), and
+    {!Distributed_greedy.assign} switches to its [D_load] scorer — a
+    different search, so even [~delay:Delay.zero] can end elsewhere than
+    the paper's protocol. The remaining algorithms return their load-blind
     assignment (callers score it under [D_load] all the same). *)

@@ -12,23 +12,20 @@ type result = {
   stats : stats;
 }
 
-(* The server-server block as a flat snapshot, and for each row [s1]
-   the largest [d(s1, s2)] over [s2 >= s1]: fixed for a run, so built
-   once per run. *)
-type pairs = { ss : float array; rowmax : float array }
-
-let pairs p =
-  let k = Problem.num_servers p in
-  let ss = Problem.ss_table p in
-  let rowmax =
-    Array.init k (fun s1 ->
-        let best = ref neg_infinity in
-        for s2 = s1 to k - 1 do
-          best := Float.max !best ss.((s1 * k) + s2)
-        done;
-        !best)
-  in
-  { ss; rowmax }
+(* The protocol's state. [ss] is the server-server block as a flat
+   snapshot and [rowmax.(s1)] the largest [d(s1, s2)] over [s2 >= s1],
+   both fixed for a run; the rest changes with every committed move. *)
+type state = {
+  ss : float array;
+  rowmax : float array;
+  assignment : int array;
+  load : int array;
+  ecc : float array;  (* raw eccentricities *)
+  mutable trace : float list;  (* the objective after each committed move, newest first *)
+  mutable examined : int;
+  mutable broadcasts : int;
+  mutable probes : int;
+}
 
 (* Clients lying on some longest interaction path: clients that realise
    their server's eccentricity [ecc], for a server on a longest pair of
@@ -42,7 +39,7 @@ let pairs p =
    [eff s2 <= maxeff]; float addition rounds monotonically, so with
    the same grouping the bound is >= each pair's computed sum, and a
    skipped row holds no qualifying pair. *)
-let longest_path_clients p { ss; rowmax } assignment ~ecc ~eff d =
+let longest_path_clients p { ss; rowmax; assignment; ecc; _ } ~eff d =
   let k = Problem.num_servers p in
   let threshold = d -. 1e-9 in
   let maxeff = Array.fold_left Float.max neg_infinity eff in
@@ -61,199 +58,152 @@ let longest_path_clients p { ss; rowmax } assignment ~ecc ~eff d =
       done
     end
   done;
-  let candidates = ref [] in
-  Array.iteri
-    (fun c s ->
-      if on_longest.(s) && Problem.d_cs p c s >= ecc.(s) -. 1e-9 then
-        candidates := c :: !candidates)
-    assignment;
-  List.rev !candidates
+  let rec collect c acc =
+    if c < 0 then acc
+    else
+      let s = assignment.(c) in
+      collect (c - 1)
+        (if on_longest.(s) && Problem.d_cs p c s >= ecc.(s) -. 1e-9 then c :: acc else acc)
+  in
+  collect (Array.length assignment - 1) []
 
-(* The starting assignment and its per-server loads and eccentricities. *)
-let prepare ~label ~default initial p =
+(* The first unsaturated target other than [from] minimising
+   [score s' best], where [best] is the minimum so far: [(target,
+   score)], or [(-1, infinity)] when no target is open. *)
+let best_target ~capacity st ~from score =
+  let k = Array.length st.load in
+  let rec scan s' target best =
+    if s' = k then (target, best)
+    else if s' <> from && st.load.(s') < capacity then
+      let v = score s' best in
+      if v < best then scan (s' + 1) s' v else scan (s' + 1) target best
+    else scan (s' + 1) target best
+  in
+  scan 0 (-1) infinity
+
+(* The two scorers. Each proposes a target for [client], moving off
+   [from] ([l_minus] is [from]'s eccentricity without it), and the
+   objective after that move; [(-1, _)] proposes nothing. *)
+
+(* The paper's D: the target minimising the longest path through the
+   client ([Ecc.attach], bounded by the best target so far), then the
+   global objective recomputed for that one target — other longest
+   paths may keep D unchanged (the paper's multiple-longest-paths
+   case). *)
+let attach_move p ~capacity st ~client ~from ~l_minus ~d =
+  let ecc = Array.copy st.ecc in
+  ecc.(from) <- l_minus;
+  let target, longest =
+    best_target ~capacity st ~from (fun s' bound ->
+        Ecc.attach ~bound p ecc ~client ~server:s')
+  in
+  if target >= 0 && longest < d -. 1e-12 then begin
+    ecc.(target) <- Float.max ecc.(target) (Problem.d_cs p client target);
+    (target, Ecc.objective p ecc)
+  end
+  else (-1, infinity)
+
+(* D_load: a move changes the loads of both endpoints (the donor's
+   effective eccentricity drops by one unit of delay, the target's
+   rises), so every target is judged by a full trial evaluation. *)
+let trial_move p ~capacity ~delay st ~client ~from ~l_minus ~d:_ =
+  let ecc = Array.copy st.ecc and load = Array.copy st.load in
+  ecc.(from) <- l_minus;
+  load.(from) <- load.(from) - 1;
+  best_target ~capacity st ~from (fun s' _ ->
+      let e = ecc.(s') and l = load.(s') in
+      ecc.(s') <- Float.max e (Problem.d_cs p client s');
+      load.(s') <- l + 1;
+      let d' = Ecc.objective p (Ecc.effective ~delay ecc ~load) in
+      ecc.(s') <- e;
+      load.(s') <- l;
+      d')
+
+(* One candidate's turn: commit its proposal if that strictly lowers
+   the objective [d]. *)
+let try_move p ~propose st d client =
+  let k = Array.length st.ecc in
+  st.examined <- st.examined + 1;
+  let from = st.assignment.(client) in
+  (* Server [from] announces the client and its eccentricity without
+     it; the other servers each probe their latency to the client and
+     reply. *)
+  st.broadcasts <- st.broadcasts + k;
+  st.probes <- st.probes + (k - 1);
+  let l_minus = Ecc.excluding p st.assignment ~server:from ~client in
+  let s', d' = propose st ~client ~from ~l_minus ~d in
+  if s' >= 0 && d' < d -. 1e-12 then begin
+    st.assignment.(client) <- s';
+    st.load.(from) <- st.load.(from) - 1;
+    st.load.(s') <- st.load.(s') + 1;
+    st.ecc.(from) <- l_minus;
+    st.ecc.(s') <- Float.max st.ecc.(s') (Problem.d_cs p client s');
+    (* The new server broadcasts its updated longest distance. *)
+    st.broadcasts <- st.broadcasts + 1;
+    st.trace <- d' :: st.trace;
+    true
+  end
+  else false
+
+let run ?initial ?delay p =
+  Option.iter Delay.validate delay;
   let k = Problem.num_servers p in
+  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
   let start =
     match initial with
-    | None -> default ()
+    | None -> Nearest.assign ?delay p
     | Some a ->
         let a = Assignment.of_array p (Assignment.to_array a) in
         if not (Assignment.respects_capacity p a) then
-          invalid_arg (label ^ ": initial assignment violates capacity");
+          invalid_arg "Distributed_greedy.run: initial assignment violates capacity";
         a
   in
-  let assignment = Assignment.to_array start in
-  let load = Array.make k 0 in
-  Array.iter (fun s -> load.(s) <- load.(s) + 1) assignment;
-  let ecc =
-    Array.init k (fun s ->
-        let l = ref neg_infinity in
-        Array.iteri
-          (fun c s' -> if s' = s then l := Float.max !l (Problem.d_cs p c s))
-          assignment;
-        !l)
+  let effective, propose =
+    match delay with
+    | None -> ((fun ecc _ -> ecc), attach_move p ~capacity)
+    | Some delay ->
+        ((fun ecc load -> Ecc.effective ~delay ecc ~load), trial_move p ~capacity ~delay)
   in
-  (start, assignment, load, ecc)
-
-let result ~start assignment trace ~examined ~broadcasts ~probes =
+  let assignment = Assignment.to_array start in
+  let ecc, load = Ecc.of_assignment p assignment in
+  (* Initial exchange: every server broadcasts its inter-server distances
+     and its longest client distance, and measures its own clients. *)
+  let ss = Problem.ss_table p in
+  let st =
+    {
+      ss;
+      rowmax =
+        Array.init k (fun s1 ->
+            Array.fold_left Float.max neg_infinity (Array.sub ss ((s1 * k) + s1) (k - s1)));
+      assignment;
+      load;
+      ecc;
+      trace = [ Ecc.objective p (effective ecc load) ];
+      examined = 0;
+      broadcasts = k;
+      probes = Array.length assignment;
+    }
+  in
+  (* Candidates take their turns in index order until one move commits;
+     the protocol has converged when none does. *)
+  while
+    let d = List.hd st.trace in
+    List.exists (try_move p ~propose st d)
+      (longest_path_clients p st ~eff:(effective st.ecc st.load) d)
+  do
+    ()
+  done;
   {
-    assignment = Assignment.unsafe_of_array assignment;
+    assignment = Assignment.unsafe_of_array st.assignment;
     initial = start;
-    trace = Array.of_list (List.rev trace);
+    trace = Array.of_list (List.rev st.trace);
     stats =
       {
-        modifications = List.length trace - 1;
-        examined;
-        broadcasts;
-        probes;
+        modifications = List.length st.trace - 1;
+        examined = st.examined;
+        broadcasts = st.broadcasts;
+        probes = st.probes;
       };
   }
 
-let run ?initial p =
-  let k = Problem.num_servers p in
-  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
-  let start, assignment, load, ecc =
-    prepare ~label:"Distributed_greedy.run" ~default:(fun () -> Nearest.assign p)
-      initial p
-  in
-  (* Initial exchange: every server broadcasts its inter-server distances
-     and its longest client distance, and measures its own clients. *)
-  let broadcasts = ref k and probes = ref (Array.length assignment) in
-  let examined = ref 0 in
-  let trace = ref [ Ecc.objective p ecc ] in
-  let pairs = pairs p in
-  let continue = ref true in
-  while !continue do
-    let d = List.hd !trace in
-    let candidates = longest_path_clients p pairs assignment ~ecc ~eff:ecc d in
-    let moved = ref false in
-    let rec try_candidates = function
-      | [] -> ()
-      | c :: rest ->
-          incr examined;
-          let old_s = assignment.(c) in
-          (* Server old_s announces c and its eccentricity without c; the
-             other servers each probe their latency to c and reply. *)
-          incr broadcasts;
-          probes := !probes + (k - 1);
-          broadcasts := !broadcasts + (k - 1);
-          let l_minus = Ecc.excluding p assignment ~server:old_s ~client:c in
-          let ecc' = Array.copy ecc in
-          ecc'.(old_s) <- l_minus;
-          (* L(s') = longest interaction path involving c if c moved to
-             s': max over servers s'' (with their clients) of
-             d(c,s') + d(s',s'') + l(s''), plus c's own round trip. *)
-          let best_target = ref (-1) and best_l = ref infinity in
-          for s' = 0 to k - 1 do
-            if s' <> old_s && load.(s') < capacity then begin
-              let longest = Ecc.attach ~bound:!best_l p ecc' ~client:c ~server:s' in
-              if longest < !best_l then begin
-                best_l := longest;
-                best_target := s'
-              end
-            end
-          done;
-          if !best_target >= 0 && !best_l < d -. 1e-12 then begin
-            (* Tentative move: recompute the global objective and commit
-               only on strict improvement (other longest paths may keep D
-               unchanged — the multiple-longest-paths case of the paper). *)
-            let s' = !best_target in
-            let new_ecc = Array.copy ecc' in
-            new_ecc.(s') <- Float.max new_ecc.(s') (Problem.d_cs p c s');
-            let d' = Ecc.objective p new_ecc in
-            if d' < d -. 1e-12 then begin
-              assignment.(c) <- s';
-              load.(old_s) <- load.(old_s) - 1;
-              load.(s') <- load.(s') + 1;
-              Array.blit new_ecc 0 ecc 0 k;
-              (* The new server broadcasts its updated longest distance. *)
-              incr broadcasts;
-              trace := d' :: !trace;
-              moved := true
-            end
-            else try_candidates rest
-          end
-          else try_candidates rest
-    in
-    try_candidates candidates;
-    if not !moved then continue := false
-  done;
-  result ~start assignment !trace ~examined:!examined ~broadcasts:!broadcasts
-    ~probes:!probes
-
-let assign p = (run p).assignment
-
-(* Load-aware protocol: the same candidate-driven improvement loop on
-   the D_load objective. A move changes the loads of both endpoints, so
-   a target is judged by a full trial evaluation (the donor's effective
-   eccentricity drops by one unit of delay, the target's rises) rather
-   than the [Ecc.attach] local estimate; every committed move still
-   strictly improves the objective, so the loop terminates. *)
-let run_load ?initial ~delay p =
-  Delay.validate delay;
-  let k = Problem.num_servers p in
-  let capacity = match Problem.capacity p with None -> max_int | Some c -> c in
-  let start, assignment, load, ecc =
-    prepare ~label:"Distributed_greedy.run_load"
-      ~default:(fun () -> Nearest.assign ~delay p) initial p
-  in
-  let broadcasts = ref k and probes = ref (Array.length assignment) in
-  let examined = ref 0 in
-  let trace = ref [ Ecc.objective p (Ecc.effective ~delay ecc ~load) ] in
-  let pairs = pairs p in
-  let continue = ref true in
-  while !continue do
-    let d = List.hd !trace in
-    let candidates =
-      longest_path_clients p pairs assignment ~ecc ~eff:(Ecc.effective ~delay ecc ~load) d
-    in
-    let moved = ref false in
-    let rec try_candidates = function
-      | [] -> ()
-      | c :: rest ->
-          incr examined;
-          let old_s = assignment.(c) in
-          incr broadcasts;
-          probes := !probes + (k - 1);
-          broadcasts := !broadcasts + (k - 1);
-          let l_minus = Ecc.excluding p assignment ~server:old_s ~client:c in
-          let best_target = ref (-1) and best_d = ref infinity in
-          let trial_ecc = Array.copy ecc in
-          let trial_load = Array.copy load in
-          trial_ecc.(old_s) <- l_minus;
-          trial_load.(old_s) <- trial_load.(old_s) - 1;
-          for s' = 0 to k - 1 do
-            if s' <> old_s && load.(s') < capacity then begin
-              let saved_e = trial_ecc.(s') and saved_l = trial_load.(s') in
-              trial_ecc.(s') <- Float.max trial_ecc.(s') (Problem.d_cs p c s');
-              trial_load.(s') <- saved_l + 1;
-              let d' =
-                Ecc.objective p (Ecc.effective ~delay trial_ecc ~load:trial_load)
-              in
-              if d' < !best_d then begin
-                best_d := d';
-                best_target := s'
-              end;
-              trial_ecc.(s') <- saved_e;
-              trial_load.(s') <- saved_l
-            end
-          done;
-          if !best_target >= 0 && !best_d < d -. 1e-12 then begin
-            let s' = !best_target in
-            assignment.(c) <- s';
-            load.(old_s) <- load.(old_s) - 1;
-            load.(s') <- load.(s') + 1;
-            ecc.(old_s) <- l_minus;
-            ecc.(s') <- Float.max ecc.(s') (Problem.d_cs p c s');
-            incr broadcasts;
-            trace := !best_d :: !trace;
-            moved := true
-          end
-          else try_candidates rest
-    in
-    try_candidates candidates;
-    if not !moved then continue := false
-  done;
-  result ~start assignment !trace ~examined:!examined ~broadcasts:!broadcasts
-    ~probes:!probes
-
-let assign_load ~delay p = (run_load ~delay p).assignment
+let assign ?delay p = (run ?delay p).assignment

@@ -38,42 +38,30 @@ type result = {
   stats : stats;
 }
 
-val run : ?initial:Assignment.t -> Problem.t -> result
-(** Run to convergence. [initial] overrides the Nearest-Server starting
-    point (it must respect the instance's capacity).
+val run : ?initial:Assignment.t -> ?delay:Delay.t -> Problem.t -> result
+(** Run to convergence from the Nearest-Server assignment (under
+    [delay], if given), or from [initial], which must respect the
+    instance's capacity.
 
-    Two scans stop early without changing a result: each target's
-    {!Ecc.attach} is bounded by the best target so far, and the
-    longest-path scan skips a row of server pairs whose rounded upper
-    bound falls short of [D]. The assignment, trace and stats are those
-    of the full scans, which the oracle keeps as
-    [Dia_oracle.Reference.distributed_greedy].
+    Without [delay] this is the paper's protocol on [D]: a candidate's
+    target minimises {!Ecc.attach}, and the move commits only if the
+    recomputed [D] strictly drops. Each target's {!Ecc.attach} is
+    bounded by the best target so far, and the longest-path scan skips
+    rows of server pairs whose rounded upper bound falls short of [D];
+    neither changes a result, which the oracle checks against the full
+    scans of [Dia_oracle.Reference.distributed_greedy].
 
-    @raise Invalid_argument if [initial] is invalid or violates
-    capacity. *)
+    With [delay] the same loop runs on [D_load]
+    ({!Objective.max_interaction_path} under [delay]). A move changes
+    the loads of both endpoints, so each target is judged by a full
+    trial evaluation of [D_load] instead; every committed move still
+    strictly lowers [D_load], and the trace records it. This is a
+    different search: even [~delay:Delay.zero] ends elsewhere than no
+    [delay] on 229 of 4000 oracle instances, so Fig. 7 and the soak's
+    repair epochs pass no [delay].
 
-val assign : Problem.t -> Assignment.t
+    @raise Invalid_argument if [delay] or [initial] is invalid, or
+    [initial] violates capacity. *)
+
+val assign : ?delay:Delay.t -> Problem.t -> Assignment.t
 (** [run] and keep only the final assignment. *)
-
-val run_load : ?initial:Assignment.t -> delay:Delay.t -> Problem.t -> result
-(** Load-aware protocol: the same candidate-driven improvement loop run
-    on the [D_load] objective (each hop pays its server's
-    load-dependent delay — {!Objective.max_interaction_path} under
-    [delay]). A move changes the loads of both endpoint servers, so
-    targets are judged by a full trial evaluation instead of the local
-    {!Ecc.attach} estimate; every committed move still strictly
-    improves [D_load], so the protocol terminates. Starts from
-    {!Nearest.assign} under [delay] unless [initial] is given; the trace
-    records [D_load] after every committed modification.
-
-    This is the one algorithm that keeps a separate load-aware entry
-    point: the trial evaluation is a different search from {!run}'s
-    [Ecc.attach] scoring, so even under {!Delay.zero} the two can end at
-    different assignments (229 of 4000 oracle instances do), and folding
-    them would change Fig. 7 and every soak's repair epochs.
-
-    @raise Invalid_argument if [initial] is invalid or violates
-    capacity. *)
-
-val assign_load : delay:Delay.t -> Problem.t -> Assignment.t
-(** [run_load] and keep only the final assignment. *)

@@ -11,15 +11,8 @@ type view = {
 }
 
 let view_of p a =
-  let k = Problem.num_servers p in
   let assignment = Assignment.to_array a in
-  let load = Array.make k 0 in
-  let ecc = Array.make k neg_infinity in
-  Array.iteri
-    (fun c s ->
-      load.(s) <- load.(s) + 1;
-      ecc.(s) <- Float.max ecc.(s) (Problem.d_cs p c s))
-    assignment;
+  let ecc, load = Ecc.of_assignment p assignment in
   {
     p;
     assignment;

@@ -244,23 +244,6 @@ let compute ?pool p =
      ~ss:(Problem.ss_table p) (Problem.num_clients p))
     .value
 
-let naive p =
-  let n = Problem.num_clients p and k = Problem.num_servers p in
-  let best = ref neg_infinity in
-  for c = 0 to n - 1 do
-    for c' = c to n - 1 do
-      let g = ref infinity in
-      for s = 0 to k - 1 do
-        for s' = 0 to k - 1 do
-          let len = Problem.d_cs p c s +. Problem.d_ss p s s' +. Problem.d_cs p c' s' in
-          if len < !g then g := len
-        done
-      done;
-      if !g > !best then best := !g
-    done
-  done;
-  !best
-
 let normalized p a =
   let lb = compute p in
   if not (Float.is_finite lb) || lb <= 0. then nan

@@ -33,10 +33,6 @@ val scan :
     [min_s' reach(c,s') + d(c',s')], so the client order fixes each
     pair value's float association. *)
 
-val naive : Problem.t -> float
-(** Direct four-way loop, O(|C|² |S|²) — correctness oracle for tests and
-    the ablation bench. *)
-
 val normalized : Problem.t -> Assignment.t -> float
 (** [normalized p a] is [D(A) / LB], the paper's "normalized
     interactivity" (1.0 is ideal). [nan] when the bound is zero or the

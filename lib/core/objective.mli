@@ -12,7 +12,9 @@
     [D(A) = max over used servers s1, s2 of l(s1) + d(s1, s2) + l(s2)]
     (the [s1 = s2] case covers client pairs sharing a server and a
     client's round trip to itself), costing O(|C| + |S|²) instead of the
-    naive O(|C|²). *)
+    naive O(|C|²). Both the eccentricities and the pair scan are
+    {!Ecc}'s; the naive evaluator the tests diff against is
+    [Dia_oracle.Reference.max_interaction_path]. *)
 
 val eccentricities : ?delay:Delay.t -> Problem.t -> Assignment.t -> float array
 (** Per-server eccentricity [l(s)], plus [delay(load s)] under a delay
@@ -35,20 +37,15 @@ val max_interaction_path : ?delay:Delay.t -> Problem.t -> Assignment.t -> float
     {!Delay.zero} adds exact zeros, so this {e is} [D(A)] bit for
     bit. *)
 
-val naive_max_interaction_path :
-  ?delay:Delay.t -> Problem.t -> Assignment.t -> float
-(** Direct O(|C|²) evaluation of the same quantity — the correctness
-    oracle for the decomposed evaluator (bit-identical: both group each
-    pair as [(d1 + delay1) + d_ss + (d2 + delay2)], smaller server index
-    first) and the ablation baseline for the [objective] bench. *)
-
 val path_length : Problem.t -> Assignment.t -> int -> int -> float
 (** Interaction-path length between two client indices (equal indices give
     the round-trip [2 d(c, sA(c))]). *)
 
 val longest_pair : Problem.t -> Assignment.t -> int * int * float
 (** Some client pair achieving [D(A)] (as [ci, cj, length]); [ci] may
-    equal [cj].
+    equal [cj]. The pair is {!Ecc.longest}'s server pair, each side
+    represented by its first client (in index order) realising that
+    server's eccentricity.
 
     @raise Invalid_argument if the instance has no clients. *)
 

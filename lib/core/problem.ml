@@ -117,13 +117,3 @@ let nearest_server p c =
     if d_cs p c s < d_cs p c !best then best := s
   done;
   !best
-
-let servers_by_distance p c =
-  let order = Array.init (num_servers p) Fun.id in
-  Array.sort
-    (fun s1 s2 ->
-      match Float.compare (d_cs p c s1) (d_cs p c s2) with
-      | 0 -> compare s1 s2
-      | cmp -> cmp)
-    order;
-  order

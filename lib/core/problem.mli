@@ -81,8 +81,3 @@ val ss_table : t -> float array
 val nearest_server : t -> int -> int
 (** [nearest_server p c] is the server index minimising [d_cs p c], ties
     broken by lowest index. O(|S|). *)
-
-val servers_by_distance : t -> int -> int array
-(** Server indices sorted by increasing distance from client [c], ties by
-    index — the order a client tries servers in the capacitated
-    Nearest-Server algorithm. O(|S| log |S|). *)

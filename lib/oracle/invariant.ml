@@ -194,7 +194,7 @@ let load_zero_identity ~label p a =
    O(|C|^2) definition — bit-identical, same term grouping. *)
 let load_fast_naive_agree ~delay ~label p a =
   let fast = Objective.max_interaction_path ~delay p a in
-  let naive = Objective.naive_max_interaction_path ~delay p a in
+  let naive = Reference.max_interaction_path ~delay p a in
   if fast = naive then Ok ()
   else
     Error

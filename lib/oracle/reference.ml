@@ -284,6 +284,49 @@ let distributed_greedy p =
       };
   }
 
+let max_interaction_path ?(delay = Delay.zero) p a =
+  let n = Problem.num_clients p in
+  let load = Assignment.loads p a in
+  let best = ref neg_infinity in
+  for ci = 0 to n - 1 do
+    for cj = ci to n - 1 do
+      let s1 = Assignment.server_of a ci and s2 = Assignment.server_of a cj in
+      (* Same left-to-right grouping AND the same pair orientation as
+         the fast evaluator's [eff(s1) +. d_ss +. eff(s2)] scan (smaller
+         server index on the left): float addition is monotone, so with
+         matching orientation every pair is bounded by its server pair's
+         eccentricity term and the witness pair achieves exact equality
+         — the two evaluators agree bit for bit. *)
+      let sa, ca, sb, cb =
+        if s1 <= s2 then (s1, ci, s2, cj) else (s2, cj, s1, ci)
+      in
+      let len =
+        (Problem.d_cs p ca sa +. Delay.eval delay load.(sa))
+        +. Problem.d_ss p sa sb
+        +. (Problem.d_cs p cb sb +. Delay.eval delay load.(sb))
+      in
+      if len > !best then best := len
+    done
+  done;
+  !best
+
+let lower_bound p =
+  let n = Problem.num_clients p and k = Problem.num_servers p in
+  let best = ref neg_infinity in
+  for c = 0 to n - 1 do
+    for c' = c to n - 1 do
+      let g = ref infinity in
+      for s = 0 to k - 1 do
+        for s' = 0 to k - 1 do
+          let len = Problem.d_cs p c s +. Problem.d_ss p s s' +. Problem.d_cs p c' s' in
+          if len < !g then g := len
+        done
+      done;
+      if !g > !best then best := !g
+    done
+  done;
+  !best
+
 module Boxed_matrix = struct
   type t = { n : int; data : float array }
 

@@ -37,6 +37,21 @@ val distributed_greedy : Dia_core.Problem.t -> Dia_core.Distributed_greedy.resul
     full. Same assignment, trace and stats as
     {!Dia_core.Distributed_greedy.run}, whose scans stop early. *)
 
+val max_interaction_path :
+  ?delay:Dia_core.Delay.t -> Dia_core.Problem.t -> Dia_core.Assignment.t -> float
+(** [D(A)] (or [D_load(A)] under [delay]) by the direct O(|C|²) scan
+    over client pairs — the referee for
+    {!Dia_core.Objective.max_interaction_path}'s decomposed evaluator.
+    Bit-identical to it: both group each pair as
+    [(d1 + delay1) + d_ss + (d2 + delay2)], smaller server index first.
+    The bench harness times it as [objective/naive]. *)
+
+val lower_bound : Dia_core.Problem.t -> float
+(** The super-optimal lower bound by the direct four-way loop,
+    O(|C|² |S|²) — the referee for {!Dia_core.Lower_bound.compute}'s
+    pruned scan, which the bench harness times against it as
+    [lower-bound/naive]. *)
+
 (** The distance matrix's historical boxed [float array] layout, kept
     to diff the flat {!Dia_latency.Matrix} store against: the oracle and
     the test suite build instances on both layouts and require

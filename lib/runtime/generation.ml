@@ -19,7 +19,11 @@ let list ~dir =
 let latest ~dir = match List.rev (list ~dir) with [] -> None | n :: _ -> Some n
 
 let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then
+      invalid_arg ("state dir " ^ dir ^ " is not a directory")
+  end
+  else try Sys.mkdir dir 0o755 with Sys_error m -> invalid_arg ("state dir " ^ m)
 
 let save ?disk ~dir ~keep state =
   if keep < 1 then invalid_arg "Generation.save: keep must be >= 1";

@@ -21,7 +21,11 @@ val latest : dir:string -> int option
 (** The newest generation number present, if any. *)
 
 val ensure_dir : string -> unit
-(** Create the state directory if it does not exist yet (single level). *)
+(** Create the state directory if it does not exist yet (single level).
+
+    @raise Invalid_argument naming [dir] if it is not a directory and
+    cannot be created as one (a file in the way, a parent that is not
+    a directory, no permission). *)
 
 val save : ?disk:Disk.t -> dir:string -> keep:int -> Checkpoint.state -> int
 (** Write the state as the next generation (creating [dir] if needed)

@@ -124,10 +124,7 @@ let prop_matches_reference =
       && fast.trace = reference.trace && fast.stats = reference.stats)
 
 (* The runs [pinned_digests] fixes. *)
-let dg ?initial ?delay p =
-  match delay with
-  | None -> Distributed_greedy.run ?initial p
-  | Some delay -> Distributed_greedy.run_load ?initial ~delay p
+let dg = Distributed_greedy.run
 
 (* One digest per run kind over the first 50 oracle instances (about a
    third capacitated): the final assignment, every trace value in hex

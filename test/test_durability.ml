@@ -709,6 +709,19 @@ let test_resume_refuses_bare_decoded_state () =
             (contains m "cursor 999999" && contains m "events")
       | _ -> Alcotest.fail "resumed past the end of the trace")
 
+let test_state_dir_refused_by_name () =
+  (* A state dir under a regular file cannot be created: the run is
+     refused with an [Invalid_argument] naming it, before any write. *)
+  let file = Filename.concat (fresh_dir ()) "afile" in
+  write_file file "";
+  let dir = Filename.concat file "st" in
+  match Soak.run ~state_dir:dir ~kill_at_event:5 small_scenario small_config with
+  | exception Invalid_argument m ->
+      Alcotest.(check bool) (Printf.sprintf "the refusal names the dir (%s)" m) true
+        (contains m dir);
+      Alcotest.(check string) "the file is untouched" "" (read_file file)
+  | _ -> Alcotest.fail "ran with an uncreatable state dir"
+
 let test_generation_size_flat_in_horizon () =
   (* Checkpoints hold live state only: at a fixed session count the
      newest generation is the same size after 300 or 3 000 time units. *)
@@ -924,6 +937,8 @@ let suite =
       test_journal_tear_before_newest_cut;
     Alcotest.test_case "resume refuses a decoded state without history" `Quick
       test_resume_refuses_bare_decoded_state;
+    Alcotest.test_case "uncreatable state dir refused by name" `Quick
+      test_state_dir_refused_by_name;
     Alcotest.test_case "newest generation size flat in the horizon" `Quick
       test_generation_size_flat_in_horizon;
     Alcotest.test_case "journal reopen truncates at the cut, refuses others"

@@ -29,14 +29,14 @@ let test_hand_computed_bound () =
      Pair (c1, c1): min over s,s' of d+d(s,s')+d = 1+0+1 = 2. Same for c2.
      LB = 4. *)
   Alcotest.(check (float 1e-9)) "LB" 4. (Lower_bound.compute p);
-  Alcotest.(check (float 1e-9)) "naive agrees" 4. (Lower_bound.naive p)
+  Alcotest.(check (float 1e-9)) "naive agrees" 4. (Dia_oracle.Reference.lower_bound p)
 
 let prop_pruned_equals_naive =
   QCheck.Test.make ~name:"pruned lower bound equals naive" ~count:100
     QCheck.(triple (int_bound 1_000_000) (int_range 1 6) (int_range 1 20))
     (fun (seed, k, extra) ->
       let p = random_instance seed ~n:(k + extra) ~k in
-      Float.abs (Lower_bound.compute p -. Lower_bound.naive p) <= 1e-9)
+      Float.abs (Lower_bound.compute p -. Dia_oracle.Reference.lower_bound p) <= 1e-9)
 
 let prop_bound_below_every_algorithm =
   QCheck.Test.make ~name:"LB <= D(A) for every algorithm" ~count:60

@@ -33,7 +33,7 @@ let test_hand_computed_objective () =
   let a = Assignment.of_array p [| 0; 0; 1 |] in
   Alcotest.(check (float 1e-9)) "D" 19. (Objective.max_interaction_path p a);
   Alcotest.(check (float 1e-9)) "same by naive" 19.
-    (Objective.naive_max_interaction_path p a)
+    (Dia_oracle.Reference.max_interaction_path p a)
 
 let test_single_server_objective_is_double_ecc () =
   let p = hand_instance () in
@@ -110,7 +110,7 @@ let prop_fast_equals_naive =
       let p = Problem.all_nodes_clients m ~servers in
       let a = Assignment.random p ~seed:(seed + 1) in
       let fast = Objective.max_interaction_path p a in
-      let naive = Objective.naive_max_interaction_path p a in
+      let naive = Dia_oracle.Reference.max_interaction_path p a in
       Float.abs (fast -. naive) <= 1e-9 *. Float.max 1. (Float.abs naive))
 
 let prop_average_at_most_max =

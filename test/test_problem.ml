@@ -82,18 +82,6 @@ let test_nearest_server_is_minimal () =
     done
   done
 
-let test_servers_by_distance_sorted () =
-  let p = small_instance () in
-  for c = 0 to Problem.num_clients p - 1 do
-    let order = Problem.servers_by_distance p c in
-    Alcotest.(check int) "all servers" (Problem.num_servers p) (Array.length order);
-    for i = 1 to Array.length order - 1 do
-      Alcotest.(check bool) "ascending" true
-        (Problem.d_cs p c order.(i - 1) <= Problem.d_cs p c order.(i))
-    done;
-    Alcotest.(check int) "first is nearest" (Problem.nearest_server p c) order.(0)
-  done
-
 let test_with_capacity () =
   let p = small_instance () in
   let p' = Problem.with_capacity p (Some 3) in
@@ -149,8 +137,6 @@ let suite =
     Alcotest.test_case "all_nodes_clients covers every node" `Quick test_all_nodes_clients;
     Alcotest.test_case "distance accessors agree with the matrix" `Quick test_distance_accessors;
     Alcotest.test_case "nearest_server is minimal" `Quick test_nearest_server_is_minimal;
-    Alcotest.test_case "servers_by_distance sorted ascending" `Quick
-      test_servers_by_distance_sorted;
     Alcotest.test_case "with_capacity" `Quick test_with_capacity;
     Alcotest.test_case "assignment validation" `Quick test_assignment_validation;
     Alcotest.test_case "assignment loads and used servers" `Quick test_assignment_loads_and_used;
