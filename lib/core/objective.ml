@@ -23,7 +23,7 @@ let witness p a ecc server =
 
 let longest_pair p a =
   if Problem.num_clients p = 0 then invalid_arg "Objective.longest_pair: no clients";
-  let ecc = eccentricities p a in
+  let ecc, _ = Ecc.of_assignment p (Assignment.to_array a) in
   let k = Problem.num_servers p in
   let pair = Ecc.longest p ecc in
   let ci = witness p a ecc (pair / k) and cj = witness p a ecc (pair mod k) in

@@ -126,10 +126,10 @@ let prop_matches_reference =
 (* The runs [pinned_digests] fixes. *)
 let dg = Distributed_greedy.run
 
-(* One digest per run kind over the first 50 oracle instances (about a
-   third capacitated): the final assignment, every trace value in hex
-   and the stats. Any change to the improvement loop, its scorers, its
-   start or its message counters moves a digest. *)
+(* One digest per run kind over the first 50 oracle instances (23 of
+   them capacitated): the final assignment, every trace value in hex and
+   the stats. Any change to the improvement loop, its scorers, its start
+   or its message counters moves a digest. *)
 let pinned_digests () =
   let runs =
     [
