@@ -36,7 +36,12 @@ let prop_pruned_equals_naive =
     QCheck.(triple (int_bound 1_000_000) (int_range 1 6) (int_range 1 20))
     (fun (seed, k, extra) ->
       let p = random_instance seed ~n:(k + extra) ~k in
-      Float.abs (Lower_bound.compute p -. Dia_oracle.Reference.lower_bound p) <= 1e-9)
+      (* Both sides sum (d(c,s) + d(s,s')) + d(c',s') for c <= c', and
+         rounding is monotone, so min_s' of min_s commutes with the last
+         addition: the two values are the same double. *)
+      Int64.equal
+        (Int64.bits_of_float (Lower_bound.compute p))
+        (Int64.bits_of_float (Dia_oracle.Reference.lower_bound p)))
 
 let prop_bound_below_every_algorithm =
   QCheck.Test.make ~name:"LB <= D(A) for every algorithm" ~count:60
