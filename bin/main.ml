@@ -760,8 +760,7 @@ let soak_cmd =
         match state_dir with
         | Some dir -> (
             let r =
-              Dia_runtime.Recovery.restore ~dir
-                ~digest:(Soak.digest scenario config)
+              Dia_runtime.Recovery.restore_for scenario config ~dir
             in
             List.iter
               (fun (g, m) -> Printf.printf "(skipping corrupt ckpt.%d: %s)\n" g m)

@@ -12,10 +12,19 @@ type result = {
   stats : stats;
 }
 
+module Matrix = Dia_latency.Matrix
+
 (* The protocol's state. [ss] is the server-server block as a flat
-   snapshot and [rowmax.(s1)] the largest [d(s1, s2)] over [s2 >= s1],
-   both fixed for a run; the rest changes with every committed move. *)
+   snapshot and [rowmax.(s1)] the largest [d(s1, s2)] over [s2 >= s1];
+   [buf] and [dim] are the latency store and its dimension, and
+   [clients]/[servers] the instance's node ids, which {!dist} reads
+   client-server distances through. All are fixed for a run; the rest
+   changes with every committed move. *)
 type state = {
+  buf : Matrix.buffer;
+  dim : int;
+  clients : int array;
+  servers : int array;
   ss : float array;
   rowmax : float array;
   assignment : int array;
@@ -26,6 +35,11 @@ type state = {
   mutable broadcasts : int;
   mutable probes : int;
 }
+
+(* [Problem.d_cs] read in place, as [Ecc] reads: the Bigarray primitive
+   expands inline and boxes nothing. *)
+let[@inline] dist st c s =
+  Bigarray.Array1.unsafe_get st.buf ((st.clients.(c) * st.dim) + st.servers.(s))
 
 (* Clients lying on some longest interaction path: clients that realise
    their server's eccentricity [ecc], for a server on a longest pair of
@@ -39,8 +53,8 @@ type state = {
    [eff s2 <= maxeff]; float addition rounds monotonically, so with
    the same grouping the bound is >= each pair's computed sum, and a
    skipped row holds no qualifying pair. *)
-let longest_path_clients p { ss; rowmax; assignment; ecc; _ } ~eff d =
-  let k = Problem.num_servers p in
+let longest_path_clients ({ ss; rowmax; assignment; ecc; _ } as st) ~eff d =
+  let k = Array.length ecc in
   let threshold = d -. 1e-9 in
   let maxeff = Array.fold_left Float.max neg_infinity eff in
   let on_longest = Array.make k false in
@@ -63,7 +77,7 @@ let longest_path_clients p { ss; rowmax; assignment; ecc; _ } ~eff d =
     else
       let s = assignment.(c) in
       collect (c - 1)
-        (if on_longest.(s) && Problem.d_cs p c s >= ecc.(s) -. 1e-9 then c :: acc else acc)
+        (if on_longest.(s) && dist st c s >= ecc.(s) -. 1e-9 then c :: acc else acc)
   in
   collect (Array.length assignment - 1) []
 
@@ -98,7 +112,7 @@ let attach_move p ~capacity st ~client ~from ~l_minus ~d =
         Ecc.attach ~bound p ecc ~client ~server:s')
   in
   if target >= 0 && longest < d -. 1e-12 then begin
-    ecc.(target) <- Float.max ecc.(target) (Problem.d_cs p client target);
+    ecc.(target) <- Float.max ecc.(target) (dist st client target);
     (target, Ecc.objective p ecc)
   end
   else (-1, infinity)
@@ -112,7 +126,7 @@ let trial_move p ~capacity ~delay st ~client ~from ~l_minus ~d:_ =
   load.(from) <- load.(from) - 1;
   best_target ~capacity st ~from (fun s' _ ->
       let e = ecc.(s') and l = load.(s') in
-      ecc.(s') <- Float.max e (Problem.d_cs p client s');
+      ecc.(s') <- Float.max e (dist st client s');
       load.(s') <- l + 1;
       let d' = Ecc.objective p (Ecc.effective ~delay ecc ~load) in
       ecc.(s') <- e;
@@ -137,7 +151,7 @@ let try_move p ~propose st d client =
     st.load.(from) <- st.load.(from) - 1;
     st.load.(s') <- st.load.(s') + 1;
     st.ecc.(from) <- l_minus;
-    st.ecc.(s') <- Float.max st.ecc.(s') (Problem.d_cs p client s');
+    st.ecc.(s') <- Float.max st.ecc.(s') (dist st client s');
     (* The new server broadcasts its updated longest distance. *)
     st.broadcasts <- st.broadcasts + 1;
     st.trace <- d' :: st.trace;
@@ -169,8 +183,13 @@ let run ?initial ?delay p =
   (* Initial exchange: every server broadcasts its inter-server distances
      and its longest client distance, and measures its own clients. *)
   let ss = Problem.ss_table p in
+  let m = Problem.latency p in
   let st =
     {
+      buf = Matrix.unsafe_buffer m;
+      dim = Matrix.dim m;
+      clients = Problem.clients p;
+      servers = Problem.servers p;
       ss;
       rowmax =
         Array.init k (fun s1 ->
@@ -189,7 +208,7 @@ let run ?initial ?delay p =
   while
     let d = List.hd st.trace in
     List.exists (try_move p ~propose st d)
-      (longest_path_clients p st ~eff:(effective st.ecc st.load) d)
+      (longest_path_clients st ~eff:(effective st.ecc st.load) d)
   do
     ()
   done;

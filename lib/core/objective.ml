@@ -28,30 +28,3 @@ let longest_pair p a =
   let pair = Ecc.longest p ecc in
   let ci = witness p a ecc (pair / k) and cj = witness p a ecc (pair mod k) in
   (ci, cj, path_length p a ci cj)
-
-let average_interaction_path p a =
-  let n = Problem.num_clients p in
-  if n = 0 then nan
-  else begin
-    let k = Problem.num_servers p in
-    let counts = Array.make k 0 in
-    let sum_cs = ref 0. in
-    for c = 0 to n - 1 do
-      let s = Assignment.server_of a c in
-      counts.(s) <- counts.(s) + 1;
-      sum_cs := !sum_cs +. Problem.d_cs p c s
-    done;
-    let nf = float_of_int n in
-    let cross = ref 0. in
-    for s1 = 0 to k - 1 do
-      if counts.(s1) > 0 then
-        for s2 = 0 to k - 1 do
-          if counts.(s2) > 0 then
-            cross :=
-              !cross
-              +. (float_of_int counts.(s1) *. float_of_int counts.(s2)
-                 *. Problem.d_ss p s1 s2)
-        done
-    done;
-    (2. *. !sum_cs /. nf) +. (!cross /. (nf *. nf))
-  end

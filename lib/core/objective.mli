@@ -48,8 +48,3 @@ val longest_pair : Problem.t -> Assignment.t -> int * int * float
     server's eccentricity.
 
     @raise Invalid_argument if the instance has no clients. *)
-
-val average_interaction_path : Problem.t -> Assignment.t -> float
-(** Mean interaction-path length over ordered client pairs including
-    self-pairs — a secondary statistic used in reports. O(|C| + |S|²)
-    via per-server totals. *)

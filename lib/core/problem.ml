@@ -68,48 +68,27 @@ let d_cc p c1 c2 = Matrix.get p.latency p.clients.(c1) p.clients.(c2)
    per row) and then index it unchecked; a snapshot owned by the caller
    is also immune to in-place matrix drift and safe to share read-only
    across domains. Entries are the same doubles [d_cs]/[d_ss] return, so
-   swapping an algorithm onto a table is bit-preserving. *)
-let cs_table p =
-  let n = Array.length p.clients and k = Array.length p.servers in
-  let m = p.latency in
-  let t = Array.make (max 1 (n * k)) 0. in
-  for c = 0 to n - 1 do
-    let node = Array.unsafe_get p.clients c in
-    let base = c * k in
-    for s = 0 to k - 1 do
-      Array.unsafe_set t (base + s)
-        (Matrix.unsafe_get m node (Array.unsafe_get p.servers s))
+   swapping an algorithm onto a table is bit-preserving. The builds read
+   the latency store in place: [Bigarray.Array1.unsafe_get] on its
+   concrete type expands inline, where a call into [Matrix] boxes every
+   float it returns when modules are compiled [-opaque]. *)
+let block p ~rows ~cols =
+  let nr = Array.length rows and nc = Array.length cols in
+  let buf = Matrix.unsafe_buffer p.latency and dim = Matrix.dim p.latency in
+  let t = Array.make (max 1 (nr * nc)) 0. in
+  for r = 0 to nr - 1 do
+    let row = Array.unsafe_get rows r * dim in
+    let base = r * nc in
+    for j = 0 to nc - 1 do
+      Array.unsafe_set t (base + j)
+        (Bigarray.Array1.unsafe_get buf (row + Array.unsafe_get cols j))
     done
   done;
   t
 
-let sc_table p =
-  let n = Array.length p.clients and k = Array.length p.servers in
-  let m = p.latency in
-  let t = Array.make (max 1 (n * k)) 0. in
-  for s = 0 to k - 1 do
-    let node = Array.unsafe_get p.servers s in
-    let base = s * n in
-    for c = 0 to n - 1 do
-      Array.unsafe_set t (base + c)
-        (Matrix.unsafe_get m node (Array.unsafe_get p.clients c))
-    done
-  done;
-  t
-
-let ss_table p =
-  let k = Array.length p.servers in
-  let m = p.latency in
-  let t = Array.make (max 1 (k * k)) 0. in
-  for s = 0 to k - 1 do
-    let node = Array.unsafe_get p.servers s in
-    let base = s * k in
-    for s' = 0 to k - 1 do
-      Array.unsafe_set t (base + s')
-        (Matrix.unsafe_get m node (Array.unsafe_get p.servers s'))
-    done
-  done;
-  t
+let cs_table p = block p ~rows:p.clients ~cols:p.servers
+let sc_table p = block p ~rows:p.servers ~cols:p.clients
+let ss_table p = block p ~rows:p.servers ~cols:p.servers
 
 let nearest_server p c =
   let best = ref 0 in

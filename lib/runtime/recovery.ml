@@ -20,7 +20,7 @@ let append_recovery_entry ~dir entry =
   output_string oc (Event_log.to_line entry ^ "\n");
   close_out oc
 
-let restore ~dir ~digest =
+let scan ~check ~dir ~digest =
   let journal, journal_note =
     match Journal.read (journal_path dir) with
     | Error m -> (None, Some m)
@@ -30,11 +30,16 @@ let restore ~dir ~digest =
   in
   (* A generation is only as good as the history behind it: its cut must
      lie inside the journal's valid prefix, which then rebuilds the
-     log and the sampled points. *)
+     log and the sampled points. And it must pass [check]: a file whose
+     sections verify can still hold a state the resume refuses. *)
   let accept st =
     let c = st.Checkpoint.history in
     match Option.bind journal (fun j -> Journal.prefix j c) with
-    | Some records -> Checkpoint.with_history st records
+    | Some records ->
+        Result.bind (Checkpoint.with_history st records) (fun st ->
+            match check st with
+            | Ok () -> Ok st
+            | Error m -> Error ("does not resume: " ^ m))
     | None ->
         Error
           (Printf.sprintf
@@ -66,6 +71,11 @@ let restore ~dir ~digest =
              { generation = generation_n; skipped = List.length skipped; replayed };
        });
   { generation; skipped; journal; journal_note; replayed }
+
+let restore ~dir ~digest = scan ~check:(fun _ -> Ok ()) ~dir ~digest
+
+let restore_for scenario config ~dir =
+  scan ~check:(Soak.resumable scenario config) ~dir ~digest:(Soak.digest scenario config)
 
 (* --- the byte-level audit --------------------------------------------- *)
 
@@ -108,7 +118,6 @@ let verify ?(keep = 3) ~state_dir ~kill_at_event scenario config =
     lines := Printf.sprintf "     %-24s %s" name detail :: !lines
   in
   let verdict () = { ok = not !failed; lines = List.rev !lines } in
-  let dg = Soak.digest scenario config in
   match Soak.run scenario config with
   | Soak.Killed _ ->
       check "reference-run" false "uninterrupted run reported Killed";
@@ -137,7 +146,7 @@ let verify ?(keep = 3) ~state_dir ~kill_at_event scenario config =
           check "kill-fires" true
             (Printf.sprintf "killed after event %d (cursor %d)" kill_at_event
                killed_st.Checkpoint.cursor);
-          let r = restore ~dir:state_dir ~digest:dg in
+          let r = restore_for scenario config ~dir:state_dir in
           (match r.generation with
           | Some (g, st) ->
               check "generation-restored" true

@@ -45,6 +45,14 @@ val restore : dir:string -> digest:string -> restore
     from the side-channel: when the restore had to skip corrupt newer
     generations, a [recovery] entry is appended to {!recovery_log_path}. *)
 
+val restore_for : Soak.scenario -> Soak.config -> dir:string -> restore
+(** {!restore} for the scenario's digest that also accepts a generation
+    only if {!Soak.resumable} passes on it, history attached. A file
+    whose checksums hold can still hold a state the resume refuses (a
+    member node outside the scenario's matrix, say); such a generation
+    is skipped with the resume's message, and the scan rolls back to an
+    older one. *)
+
 val audit :
   journal:Journal.journal ->
   restored:Checkpoint.state option ->

@@ -395,6 +395,10 @@ let resume env (cp : Checkpoint.state) =
     baseline_points = List.rev cp.baseline_points;
   }
 
+let resumable scenario config =
+  let env = environment scenario config in
+  fun cp -> match resume env cp with _ -> Ok () | exception Invalid_argument m -> Error m
+
 (* A fresh run resumes its initial checkpoint, then pre-populates the
    base load; it also returns the wall clock that took. A resumed run
    carries the base load in its checkpointed session list. Synthetic

@@ -228,6 +228,15 @@ val run :
     cursor lies past the trace, or whose cut [state_dir]'s journal
     lacks. *)
 
+val resumable : scenario -> config -> Checkpoint.state -> (unit, string) result
+(** [resumable scenario config st] trial-runs the resume {!run}
+    [~resume_from:st] would start with — digest, history, cursor, and
+    the session, SLO and admission state rebuilt over the scenario's
+    matrix — and runs no event. [Error] carries the message {!run}
+    would raise. Applied to a scenario and config alone it builds their
+    trace and placement once, for every state it then checks.
+    {!Recovery.restore_for} lands only on a generation it passes. *)
+
 val render : report -> string
 (** Deterministic human-readable report. Two runs are considered
     bit-identical when their [render] outputs and

@@ -573,6 +573,61 @@ let restore_and_resume ~dir ?kill_at_event scenario config =
       ?resume_from:(Option.map snd r.Recovery.generation)
       scenario config )
 
+(* The command
+     dia soak --seed 7 --nodes 150 -k 8 --horizon 400 --rate 1.5 \
+       --checkpoint-every 100 --state-dir st --kill-event 250
+   followed by a CRC-resealed ckpt.2 whose first member line reads
+   member=0,99999,0. Every section verifies, so the plain restore lands
+   on it, but node 99999 lies outside the 150-node matrix and the resume
+   would die in Dynamic.restore. [restore_for] skips it by name and
+   rolls back to ckpt.1, and the resumed run finishes as the
+   uninterrupted one. *)
+let test_unresumable_generation_skipped () =
+  let scenario =
+    {
+      Soak.default_scenario with
+      Soak.seed = 7;
+      nodes = 150;
+      servers = 8;
+      horizon = 400.;
+      join_rate = 1.5;
+    }
+  in
+  let config = { Soak.default_config with Soak.checkpoint_every = 100 } in
+  let dir = fresh_dir () in
+  (match Soak.run ~state_dir:dir ~kill_at_event:250 scenario config with
+  | Soak.Killed _ -> ()
+  | Soak.Completed _ -> Alcotest.fail "kill did not fire");
+  let p2 = Generation.path ~dir 2 in
+  let first = ref true in
+  write_file p2
+    (reseal
+       (edit_key "member"
+          (fun l ->
+            if !first then begin
+              first := false;
+              [ "member=0,99999,0" ]
+            end
+            else [ l ])
+          (read_file p2)));
+  (match (Recovery.restore ~dir ~digest:(Soak.digest scenario config)).Recovery.generation with
+  | Some (2, _) -> ()
+  | _ -> Alcotest.fail "the resealed ckpt.2 no longer verifies");
+  match Recovery.restore_for scenario config ~dir with
+  | { Recovery.generation = Some (1, st); skipped = [ (2, reason) ]; _ } -> (
+      Alcotest.(check bool)
+        ("reason names the node: " ^ reason)
+        true
+        (contains reason "node 99999 out of range");
+      match (Soak.run scenario config, Soak.run ~state_dir:dir ~resume_from:st scenario config) with
+      | Soak.Completed base, Soak.Completed resumed ->
+          Alcotest.(check string) "resumed report" (Soak.render base) (Soak.render resumed);
+          Alcotest.(check string) "resumed event log"
+            (Event_log.render base.Soak.log)
+            (Event_log.render resumed.Soak.log)
+      | _ -> Alcotest.fail "a run was killed")
+  | _ -> Alcotest.fail "restore_for did not roll back to ckpt.1"
+
 let test_two_kill_resume_cycles () =
   let modes =
     [
@@ -943,4 +998,6 @@ let suite =
       test_generation_size_flat_in_horizon;
     Alcotest.test_case "journal reopen truncates at the cut, refuses others"
       `Quick test_journal_reopen_truncates_at_the_cut;
+    Alcotest.test_case "resume rolls back over a generation that does not restore"
+      `Quick test_unresumable_generation_skipped;
   ]

@@ -82,22 +82,6 @@ let test_longest_pair_witness () =
   Alcotest.(check (float 1e-9)) "witness pair realises D" 19.
     (Objective.path_length p a ci cj)
 
-let test_average_interaction_path () =
-  let p = hand_instance () in
-  let a = Assignment.of_array p [| 0; 0; 1 |] in
-  (* Ordered pairs incl. self: mean over 9 combinations. *)
-  let naive =
-    let total = ref 0. in
-    for i = 0 to 2 do
-      for j = 0 to 2 do
-        total := !total +. Objective.path_length p a i j
-      done
-    done;
-    !total /. 9.
-  in
-  Alcotest.(check (float 1e-9)) "average path" naive
-    (Objective.average_interaction_path p a)
-
 (* Property: fast and naive evaluators agree on random instances and
    random assignments. *)
 let prop_fast_equals_naive =
@@ -113,16 +97,6 @@ let prop_fast_equals_naive =
       let naive = Dia_oracle.Reference.max_interaction_path p a in
       Float.abs (fast -. naive) <= 1e-9 *. Float.max 1. (Float.abs naive))
 
-let prop_average_at_most_max =
-  QCheck.Test.make ~name:"average path <= max path" ~count:200
-    QCheck.(pair (int_bound 1_000_000) (int_range 2 20))
-    (fun (seed, n) ->
-      let m = Synthetic.internet_like ~seed n in
-      let p = Problem.all_nodes_clients m ~servers:[| 0; n - 1 |] in
-      let a = Assignment.random p ~seed in
-      Objective.average_interaction_path p a
-      <= Objective.max_interaction_path p a +. 1e-9)
-
 let suite =
   [
     Alcotest.test_case "hand-computed objective" `Quick test_hand_computed_objective;
@@ -133,7 +107,5 @@ let suite =
     Alcotest.test_case "empty configuration normalises to 0" `Quick
       test_ecc_objective_empty_is_zero;
     Alcotest.test_case "longest pair witness" `Quick test_longest_pair_witness;
-    Alcotest.test_case "average interaction path" `Quick test_average_interaction_path;
     QCheck_alcotest.to_alcotest prop_fast_equals_naive;
-    QCheck_alcotest.to_alcotest prop_average_at_most_max;
   ]
