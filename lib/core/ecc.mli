@@ -11,12 +11,18 @@
     ({!Distributed_greedy}, {!Local_search}, {!Brute_force}) and the
     protocol simulators build on it.
 
+    The scans read the latency store through
+    [Bigarray.Array1.unsafe_get] on {!Dia_latency.Matrix.unsafe_buffer},
+    a primitive the compiler expands in place: a distance read costs no
+    call and boxes no float, even when modules are compiled [-opaque]
+    (dune's dev profile), where each [Matrix.unsafe_get] was an
+    out-of-line call returning a boxed float. What still crosses a
+    module boundary boxed is a scan's own float result, once per call.
+
     {!Dynamic} keeps its own copies ([objective_of], [bump_objective],
     [attach_cost]) over its flat distance tables, for two reasons: a
-    session holds no {!Problem}, and a float returned across a module
-    boundary is boxed on every call when modules are compiled
-    [-opaque] (dune's dev profile), which a per-join kernel cannot
-    afford. *)
+    session holds no {!Problem}, and a per-join kernel cannot afford
+    that one boxed result per call. *)
 
 val of_assignment : Problem.t -> int array -> float array * int array
 (** [of_assignment p a] is the raw eccentricity [l(s)] and the load

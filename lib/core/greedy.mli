@@ -37,6 +37,10 @@ val assign : ?delay:Delay.t -> Problem.t -> Assignment.t
     Per-server live lists of the unassigned clients in [Ls] order are
     sorted once and compacted after each commit, and the delay table
     [delay(l)] for [l = 0 .. |C|] is built once per call.
-    O(|S||C| log |C|) for the initial sorts, then O(|S||C| + |S|²) per
-    iteration. Bit-identical to the re-sorting reference the oracle
-    keeps, under any delay model. *)
+    O(|S||C| log |C|) for the initial sorts, then at most O(|S||C| +
+    |S|²) per iteration. The scan skips, exactly, candidates that cannot
+    win: when some server has a zero-cost batch, a binary search per
+    server finds the longest one in O(|S| log |C|) past the O(|S|²)
+    [m'] pass, and otherwise a server's scan stops once every later
+    candidate loses strictly. Bit-identical to the re-sorting reference
+    the oracle keeps, under any delay model. *)

@@ -191,22 +191,6 @@ let run_batch t ~chunks run_chunk =
 
 let sequential t = t.pool_jobs <= 1 || Domain.DLS.get in_chunk
 
-let parallel_for ?grain t ~n f =
-  check_alive t;
-  if n > 0 then
-    if sequential t || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let chunks = chunk_count ?grain t n in
-      run_batch t ~chunks (fun c ->
-          let lo, hi = chunk_bounds ~n ~chunks c in
-          for i = lo to hi - 1 do
-            f i
-          done)
-    end
-
 let init ?grain t n f =
   check_alive t;
   if n <= 0 then [||]

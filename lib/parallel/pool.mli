@@ -4,7 +4,10 @@
     over which embarrassingly parallel loops are fanned out in chunks.
 
     Pools reach the sites that ran faster on two domains than on one
-    (2-core host, interleaved): [Lower_bound.compute] (and [scan]),
+    (2-core host, interleaved): [Lower_bound.compute] (and [scan]; 1.4-1.6x
+    on 600-node instances since its reach entries are computed on
+    demand, though [bench/main.exe]'s 600-node, 30-server instance
+    reads 0.87-1.04x),
     [Local_search.anneal_restarts], [Oracle.run]'s seed fan-out, and the
     Fig. 7 k-sweep and Fig. 8 seed sweep. The K-center placements run
     sequentially; they read 0.48-0.93x on two domains.
@@ -54,9 +57,8 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
     afterwards, also on exceptions. *)
 
-val parallel_for : ?grain:int -> t -> n:int -> (int -> unit) -> unit
-(** [parallel_for t ~n f] runs [f i] for [i = 0 .. n-1]. [f] must only
-    write state owned by index [i] (e.g. row [i] of a matrix).
+val init : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
+(** Order-preserving parallel [Array.init].
 
     {b Chunk granularity.} All chunked primitives oversplit into
     [4 * jobs] chunks so uneven loops balance — but only when every
@@ -66,10 +68,6 @@ val parallel_for : ?grain:int -> t -> n:int -> (int -> unit) -> unit
     [jobs = 4] once ran 6.7x slower than sequentially). Raise [grain]
     when each chunk pays a large fixed cost (scratch buffers), lower it
     to 1 when items are individually expensive and imbalanced. *)
-
-val init : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
-(** Order-preserving parallel [Array.init]. [grain] as in
-    {!parallel_for}. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel [Array.map]. *)
@@ -86,7 +84,7 @@ val chunk_map : ?grain:int -> t -> n:int -> (lo:int -> hi:int -> 'a) -> 'a array
     caller's combine step must be chunking-invariant — exact operations
     such as [max] or first-strict-improvement argmin qualify, float
     addition does not (map with {!init}, then fold in index order).
-    [grain] as in {!parallel_for}. *)
+    [grain] as in {!init}. *)
 
 val exercised : t -> int
 (** Number of batches that actually ran on worker domains — exposed so
