@@ -862,6 +862,81 @@ let test_failover_digest_mm1 () =
   Alcotest.(check string) "mm1:40 failover digest" "894db886b3111072bb866a72693cf64d"
     (failover_digest ~delay:(Dia_core.Delay.Queueing { mu = 40. }))
 
+(* Every op, pinned: 50 seeded sequences over join, leave, move,
+   rebalance, fail, recover, drift and restore, under three delay
+   models with and without a capacity. Each step records what the op
+   decided — a join's server, a move's outcome, a rebalance's move
+   count, a failover's rehomed count and stranded list — and the hex D
+   and LB after it, so a changed placement, rebalance target or failover
+   landing changes the digest even where the membership would recover. *)
+let ops_digest () =
+  let sequence ~delay ~capacity ~seed =
+    let nodes = 25 + (seed mod 40) and k = 2 + (seed mod 7) in
+    let capacity = Option.map (fun c -> c + (seed mod 6)) capacity in
+    let m = Synthetic.internet_like ~seed nodes in
+    let servers = Dia_placement.Placement.random ~seed ~k ~n:nodes in
+    let t = ref (Dynamic.create ?capacity ~delay m ~servers) in
+    let rng = Random.State.make [| seed; 0x0b5 |] in
+    let live = ref [] in
+    let trace = Buffer.create 4096 in
+    let say fmt = Printf.bprintf trace fmt in
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    for step = 1 to 120 do
+      let s = Random.State.int rng k in
+      (match Random.State.int rng 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 | 6 -> (
+          match Dynamic.join !t ~node:(Random.State.int rng nodes) with
+          | id ->
+              live := id :: !live;
+              say "join %d " (Dynamic.server_of !t id)
+          | exception Failure _ -> say "full ")
+      | 7 | 8 | 9 -> (
+          match !live with
+          | [] -> ()
+          | l ->
+              let id = pick l in
+              Dynamic.leave !t id;
+              live := List.filter (( <> ) id) l)
+      | 10 | 11 -> (
+          match !live with
+          | [] -> ()
+          | l -> (
+              match Dynamic.move !t (pick l) s with
+              | () -> say "move "
+              | exception Invalid_argument _ -> say "refused "))
+      | 12 | 13 | 14 -> say "moves %d " (Dynamic.rebalance ~max_moves:(1 + (step mod 5)) !t)
+      | 15 -> (
+          match Dynamic.fail_server !t s with
+          | r ->
+              say "fail %d [%s] " r.Dynamic.rehomed
+                (String.concat ";"
+                   (List.map (fun (id, n) -> Printf.sprintf "%d@%d" id n) r.Dynamic.stranded));
+              live := List.filter (fun id -> not (List.mem_assoc id r.Dynamic.stranded)) !live
+          | exception Invalid_argument _ -> ())
+      | 16 -> ( try Dynamic.recover_server !t s with Invalid_argument _ -> ())
+      | 17 | 18 ->
+          let factor = if step mod 4 = 0 then 1.0 else 0.5 +. Random.State.float rng 1.5 in
+          Dynamic.set_drift !t ~server:s ~factor
+      | _ -> t := Dynamic.restore ~delay m ~servers (Dynamic.image !t));
+      say "D=%h LB=%h\n" (Dynamic.objective !t) (Dynamic.lower_bound !t)
+    done;
+    Digest.string (Buffer.contents trace)
+  in
+  let delays =
+    Dia_core.Delay.
+      [ zero; Queueing { mu = 40. }; Linear { base = 0.5; coeff = 0.25 } ]
+  in
+  List.concat_map
+    (fun delay ->
+      List.concat_map
+        (fun capacity -> List.init 50 (fun seed -> sequence ~delay ~capacity ~seed))
+        [ None; Some 4 ])
+    delays
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let test_ops_digest () =
+  Alcotest.(check string) "op-sequence digest" "c20357754dcc47275907e9a29000605d" (ops_digest ())
+
 (* --- a test-only referee for one rebalance round ----------------------- *)
 
 (* The move [rebalance ~max_moves:1] must make, re-derived from the
@@ -1044,6 +1119,8 @@ let suite =
     Alcotest.test_case "zero-delay failover digest pinned" `Quick
       test_failover_digest_zero_delay;
     Alcotest.test_case "mm1:40 failover digest pinned" `Quick test_failover_digest_mm1;
+    Alcotest.test_case "op sequences under three delay models pinned" `Quick
+      test_ops_digest;
     QCheck_alcotest.to_alcotest prop_rebalance_referee;
     Alcotest.test_case "LB kernel with one live server" `Quick
       test_lower_bound_one_live_server;
