@@ -30,7 +30,8 @@ let optimal ?(node_limit = 50_000_000) ?(delay = Delay.zero) p =
     let load = Array.make k 0 in
     let dtab = Array.init (n + 1) (Delay.eval delay) in
     let nodes = ref 0 in
-    let partial_d () = Ecc.objective p (Ecc.effective ~delay ecc ~load) in
+    let ss = Problem.ss_table p in
+    let partial_d () = Ecc.objective ~ss (Ecc.effective ~delay ecc ~load) in
     let rec search i current_d =
       incr nodes;
       if !nodes > node_limit then raise Node_limit;

@@ -15,11 +15,11 @@ type result = {
 module Matrix = Dia_latency.Matrix
 
 (* The protocol's state. [ss] is the server-server block as a flat
-   snapshot and [rowmax.(s1)] the largest [d(s1, s2)] over [s2 >= s1];
-   [buf] and [dim] are the latency store and its dimension, and
-   [clients]/[servers] the instance's node ids, which {!dist} reads
-   client-server distances through. All are fixed for a run; the rest
-   changes with every committed move. *)
+   snapshot and [rowmax] its {!Ecc.rowmax}; [buf] and [dim] are the
+   latency store and its dimension, and [clients]/[servers] the
+   instance's node ids, which {!dist} reads client-server distances
+   through. All are fixed for a run; [hop] is {!Ecc.attach}'s scratch
+   row, and the rest changes with every committed move. *)
 type state = {
   buf : Matrix.buffer;
   dim : int;
@@ -27,6 +27,7 @@ type state = {
   servers : int array;
   ss : float array;
   rowmax : float array;
+  hop : float array;
   assignment : int array;
   load : int array;
   ecc : float array;  (* raw eccentricities *)
@@ -41,97 +42,71 @@ type state = {
 let[@inline] dist st c s =
   Bigarray.Array1.unsafe_get st.buf ((st.clients.(c) * st.dim) + st.servers.(s))
 
-(* Clients lying on some longest interaction path: clients that realise
-   their server's eccentricity [ecc], for a server on a longest pair of
-   effective eccentricities [eff] ([ecc] itself for the paper's D). The
-   delay term is shared by all of a server's clients, so the witness
-   filter stays on the raw eccentricity.
+(* The two scorers. Each proposes a target for [client] other than
+   [from], among the unsaturated servers, moving off [from] ([l_minus]
+   is [from]'s eccentricity without it), and the objective after that
+   move; [(-1, _)] proposes nothing. Both try the move in [st]'s own
+   arrays and restore every entry they set, so a target costs no
+   allocation of its own. *)
 
-   A row [s1] is skipped when [(eff s1 + rowmax s1) + maxeff] falls
-   short of the threshold. Every pair of the row computes
-   [(eff s1 + d(s1, s2)) + eff s2] with [d(s1, s2) <= rowmax s1] and
-   [eff s2 <= maxeff]; float addition rounds monotonically, so with
-   the same grouping the bound is >= each pair's computed sum, and a
-   skipped row holds no qualifying pair. *)
-let longest_path_clients ({ ss; rowmax; assignment; ecc; _ } as st) ~eff d =
-  let k = Array.length ecc in
-  let threshold = d -. 1e-9 in
-  let maxeff = Array.fold_left Float.max neg_infinity eff in
-  let on_longest = Array.make k false in
-  for s1 = 0 to k - 1 do
-    let e1 = eff.(s1) in
-    if e1 > neg_infinity && e1 +. rowmax.(s1) +. maxeff >= threshold then begin
-      let row = s1 * k in
-      for s2 = s1 to k - 1 do
-        let e2 = Array.unsafe_get eff s2 in
-        if e2 > neg_infinity && e1 +. Array.unsafe_get ss (row + s2) +. e2 >= threshold
-        then begin
-          on_longest.(s1) <- true;
-          on_longest.(s2) <- true
-        end
-      done
-    end
-  done;
-  let rec collect c acc =
-    if c < 0 then acc
-    else
-      let s = assignment.(c) in
-      collect (c - 1)
-        (if on_longest.(s) && dist st c s >= ecc.(s) -. 1e-9 then c :: acc else acc)
-  in
-  collect (Array.length assignment - 1) []
-
-(* The first unsaturated target other than [from] minimising
-   [score s' best], where [best] is the minimum so far: [(target,
-   score)], or [(-1, infinity)] when no target is open. *)
-let best_target ~capacity st ~from score =
-  let k = Array.length st.load in
-  let rec scan s' target best =
-    if s' = k then (target, best)
-    else if s' <> from && st.load.(s') < capacity then
-      let v = score s' best in
-      if v < best then scan (s' + 1) s' v else scan (s' + 1) target best
-    else scan (s' + 1) target best
-  in
-  scan 0 (-1) infinity
-
-(* The two scorers. Each proposes a target for [client], moving off
-   [from] ([l_minus] is [from]'s eccentricity without it), and the
-   objective after that move; [(-1, _)] proposes nothing. *)
-
-(* The paper's D: the target minimising the longest path through the
-   client ([Ecc.attach], bounded by the best target so far), then the
-   global objective recomputed for that one target — other longest
+(* The paper's D: the first target minimising the longest path through
+   the client ([Ecc.attach], bounded by the best target so far), then
+   the global objective recomputed for that one target — other longest
    paths may keep D unchanged (the paper's multiple-longest-paths
    case). *)
-let attach_move p ~capacity st ~client ~from ~l_minus ~d =
-  let ecc = Array.copy st.ecc in
+let attach_move ~capacity st ~client ~from ~l_minus ~d =
+  let { ss; hop; load; ecc; _ } = st in
+  let held = ecc.(from) in
   ecc.(from) <- l_minus;
-  let target, longest =
-    best_target ~capacity st ~from (fun s' bound ->
-        Ecc.attach ~bound p ecc ~client ~server:s')
+  let best = ref (-1) in
+  for s' = 0 to Array.length ecc - 1 do
+    if s' <> from && load.(s') < capacity then begin
+      hop.(s') <- dist st client s';
+      Ecc.attach ~ss ecc ~hop ~best:!best s';
+      if !best < 0 || hop.(s') < hop.(!best) then best := s'
+    end
+  done;
+  let target = !best in
+  let proposal =
+    if target >= 0 && hop.(target) < d -. 1e-12 then begin
+      let e = ecc.(target) in
+      ecc.(target) <- Float.max e (dist st client target);
+      let d' = Ecc.objective ~ss ecc in
+      ecc.(target) <- e;
+      (target, d')
+    end
+    else (-1, infinity)
   in
-  if target >= 0 && longest < d -. 1e-12 then begin
-    ecc.(target) <- Float.max ecc.(target) (dist st client target);
-    (target, Ecc.objective p ecc)
-  end
-  else (-1, infinity)
+  ecc.(from) <- held;
+  proposal
 
 (* D_load: a move changes the loads of both endpoints (the donor's
    effective eccentricity drops by one unit of delay, the target's
-   rises), so every target is judged by a full trial evaluation. *)
-let trial_move p ~capacity ~delay st ~client ~from ~l_minus ~d:_ =
-  let ecc = Array.copy st.ecc and load = Array.copy st.load in
+   rises), so every target is judged by a full trial evaluation: the
+   first minimising the resulting D_load. *)
+let trial_move ~capacity ~delay st ~client ~from ~l_minus ~d:_ =
+  let { ss; load; ecc; _ } = st in
+  let held = ecc.(from) in
   ecc.(from) <- l_minus;
   load.(from) <- load.(from) - 1;
-  best_target ~capacity st ~from (fun s' _ ->
+  let best = ref (-1) and best_d = ref infinity in
+  for s' = 0 to Array.length ecc - 1 do
+    if s' <> from && load.(s') < capacity then begin
       let e = ecc.(s') and l = load.(s') in
       ecc.(s') <- Float.max e (dist st client s');
       load.(s') <- l + 1;
-      let d' = Ecc.objective p (Ecc.effective ~delay ecc ~load) in
+      let d' = Ecc.objective ~ss (Ecc.effective ~delay ecc ~load) in
       ecc.(s') <- e;
       load.(s') <- l;
-      d')
+      if d' < !best_d then begin
+        best := s';
+        best_d := d'
+      end
+    end
+  done;
+  ecc.(from) <- held;
+  load.(from) <- load.(from) + 1;
+  (!best, !best_d)
 
 (* One candidate's turn: commit its proposal if that strictly lowers
    the objective [d]. *)
@@ -159,6 +134,25 @@ let try_move p ~propose st d client =
   end
   else false
 
+(* One round: the clients lying on some longest interaction path —
+   clients that realise their server's eccentricity [ecc], for a server
+   on a longest pair of effective eccentricities [eff] ([ecc] itself for
+   the paper's D) — take their turns in index order until one move
+   commits. A turn that commits nothing leaves [st] as it was, so each
+   client is tested against the round's state without listing them
+   first. The delay term is shared by all of a server's clients, so the
+   witness filter stays on the raw eccentricity. *)
+let round p ~propose ~eff st d =
+  let on_longest = Ecc.on_longest ~ss:st.ss ~rowmax:st.rowmax eff d in
+  let rec from c =
+    c < Array.length st.assignment
+    &&
+    let s = st.assignment.(c) in
+    (on_longest.(s) && dist st c s >= st.ecc.(s) -. 1e-9 && try_move p ~propose st d c)
+    || from (c + 1)
+  in
+  from 0
+
 let run ?initial ?delay p =
   Option.iter Delay.validate delay;
   let k = Problem.num_servers p in
@@ -174,9 +168,9 @@ let run ?initial ?delay p =
   in
   let effective, propose =
     match delay with
-    | None -> ((fun ecc _ -> ecc), attach_move p ~capacity)
+    | None -> ((fun ecc _ -> ecc), attach_move ~capacity)
     | Some delay ->
-        ((fun ecc load -> Ecc.effective ~delay ecc ~load), trial_move p ~capacity ~delay)
+        ((fun ecc load -> Ecc.effective ~delay ecc ~load), trial_move ~capacity ~delay)
   in
   let assignment = Assignment.to_array start in
   let ecc, load = Ecc.of_assignment p assignment in
@@ -191,25 +185,19 @@ let run ?initial ?delay p =
       clients = Problem.clients p;
       servers = Problem.servers p;
       ss;
-      rowmax =
-        Array.init k (fun s1 ->
-            Array.fold_left Float.max neg_infinity (Array.sub ss ((s1 * k) + s1) (k - s1)));
+      rowmax = Ecc.rowmax ~ss k;
+      hop = Array.make k 0.;
       assignment;
       load;
       ecc;
-      trace = [ Ecc.objective p (effective ecc load) ];
+      trace = [ Ecc.objective ~ss (effective ecc load) ];
       examined = 0;
       broadcasts = k;
       probes = Array.length assignment;
     }
   in
-  (* Candidates take their turns in index order until one move commits;
-     the protocol has converged when none does. *)
-  while
-    let d = List.hd st.trace in
-    List.exists (try_move p ~propose st d)
-      (longest_path_clients st ~eff:(effective st.ecc st.load) d)
-  do
+  (* The protocol has converged when a round commits no move. *)
+  while round p ~propose ~eff:(effective st.ecc st.load) st (List.hd st.trace) do
     ()
   done;
   {

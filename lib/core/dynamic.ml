@@ -20,6 +20,7 @@ type t = {
   ns : float array;
       (** [ns.(node * k + s) = d(node, servers.(s))] over [matrix] *)
   ss : float array;  (** [ss.(s1 * k + s2) = d(servers.(s1), servers.(s2))] *)
+  rowmax : float array;  (** {!Ecc.rowmax} of [ss] *)
   capacity : int;
   delay : Delay.t;  (** load-latency model; [Delay.zero] = the paper's D *)
   members : (client_id, member) Hashtbl.t;
@@ -29,7 +30,6 @@ type t = {
       (** effective eccentricity [ecc s +. delay (load s)];
           [neg_infinity] for unused servers *)
   next_delay : float array;  (** [delay (load s + 1)]: what a join onto [s] pays *)
-  delay_grows : bool array;  (** [delay (load s + 1) > delay (load s)] *)
   dists : int Fmap.t array;  (** per-server distance multiset backing [ecc] *)
   failed : bool array;
   mutable live : int array;  (** the servers not [failed], ascending *)
@@ -70,23 +70,14 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
   | Some c when c <= 0 -> invalid_arg "Dynamic.create: capacity must be positive"
   | _ -> ());
   let k = Array.length servers and n = Matrix.dim matrix in
-  let ns = Array.make (n * k) 0. and ss = Array.make (k * k) 0. in
-  for u = 0 to n - 1 do
-    for s = 0 to k - 1 do
-      ns.((u * k) + s) <- Matrix.unsafe_get matrix u servers.(s)
-    done
-  done;
-  for s1 = 0 to k - 1 do
-    for s2 = 0 to k - 1 do
-      ss.((s1 * k) + s2) <- Matrix.unsafe_get matrix servers.(s1) servers.(s2)
-    done
-  done;
+  let ss = Matrix.block matrix ~rows:servers ~cols:servers in
   {
     base = matrix;
     matrix;
     servers = Array.copy servers;
-    ns;
+    ns = Matrix.block matrix ~rows:(Array.init n Fun.id) ~cols:servers;
     ss;
+    rowmax = Ecc.rowmax ~ss k;
     capacity = Option.value ~default:max_int capacity;
     delay;
     members = Hashtbl.create 64;
@@ -94,15 +85,14 @@ let create ?capacity ?(delay = Delay.zero) matrix ~servers =
     ecc = Array.make k neg_infinity;
     eff = Array.make k neg_infinity;
     next_delay = Array.make k (Delay.eval delay 1);
-    delay_grows = Array.make k (Delay.eval delay 1 > Delay.eval delay 0);
     dists = Array.make k Fmap.empty;
     failed = Array.make k false;
     live = Array.init k Fun.id;
-    node_drift = Array.make (Matrix.dim matrix) 1.0;
-    node_count = Array.make (Matrix.dim matrix) 0;
+    node_drift = Array.make n 1.0;
+    node_count = Array.make n 0;
     d_cache = neg_infinity;
     d_dirty = false;
-    lb_reach = Array.make (Matrix.dim matrix * k) infinity;
+    lb_reach = Array.make (n * k) infinity;
     lb_cache = neg_infinity;
     lb_valid = true;
     lb_wa = -1;
@@ -129,65 +119,47 @@ let set_failed t s failed =
   t.live <-
     Array.of_list (List.filter (fun s -> not t.failed.(s)) (List.init (k t) Fun.id))
 
-(* D from per-server (effective) eccentricities: the max over used
-   pairs, smaller server index on the left. *)
-let objective_of t eff =
-  let best = ref neg_infinity in
-  for s1 = 0 to k t - 1 do
-    if eff.(s1) > neg_infinity then
-      for s2 = s1 to k t - 1 do
-        if eff.(s2) > neg_infinity then begin
-          let len = eff.(s1) +. d_ss t s1 s2 +. eff.(s2) in
-          if len > !best then best := len
-        end
-      done
-  done;
-  !best
-
 (* --- incremental D(A) ---------------------------------------------------
 
    The session's objective is D over the {e effective} eccentricities
    eff(s) = ecc(s) +. delay(load s) — D_load under a delay model, and
    the paper's D under [Delay.zero], whose exact zeros leave every
-   eccentricity as it is. [d_cache] holds [objective_of t t.eff]
-   whenever [d_dirty] is false. When a single effective eccentricity
+   eccentricity as it is. [d_cache] holds [longest_length t] whenever
+   [d_dirty] is false. When a single effective eccentricity
    {e increases} (an arrival raises the eccentricity or the delay) only
    the pairs through that server can raise the maximum, and because
    float addition is monotone the grown pairs dominate their old values
-   — so folding the k refreshed pairs into the cached D gives the exact
-   scratch result in O(k). Decreases (a departure lowering the
-   eccentricity or the delay, server failure, drift) mark the cache
-   dirty and the next {!objective} call re-scans all pairs in O(k²) —
-   still independent of the member count. *)
+   — so folding the longest pair through it ({!Ecc.through}) into the
+   cached D gives the exact scratch result in O(k). Decreases (a
+   departure lowering the eccentricity or the delay, server failure,
+   drift) mark the cache dirty and the next {!objective} call re-scans
+   all pairs ({!Ecc.longest}) in O(k²) — still independent of the
+   member count. *)
 
-let bump_objective t s =
-  if not t.d_dirty then begin
-    let best = ref t.d_cache in
-    for s' = 0 to k t - 1 do
-      if t.eff.(s') > neg_infinity then begin
-        let a = if s' < s then s' else s and b = if s' < s then s else s' in
-        let len = t.eff.(a) +. d_ss t a b +. t.eff.(b) in
-        if len > !best then best := len
-      end
-    done;
-    t.d_cache <- !best
-  end
+(* D over [eff]; [neg_infinity] when no server is used. *)
+let longest_length t =
+  match Ecc.longest ~ss:t.ss t.eff with
+  | -1 -> neg_infinity
+  | pair -> Ecc.length ~ss:t.ss t.eff (pair / k t) (pair mod k t)
 
 (* Re-derive [eff s] after [s]'s eccentricity or load changed, keeping
-   the cache exact: a rise folds [s]'s pairs in, a fall dirties it. *)
+   the cache exact: a rise folds [s]'s longest pair in, a fall dirties
+   it. *)
 let refresh_eff t s =
   let old = t.eff.(s) in
   let now = Delay.eval t.delay t.load.(s) in
-  let next = Delay.eval t.delay (t.load.(s) + 1) in
-  t.next_delay.(s) <- next;
-  t.delay_grows.(s) <- next > now;
+  t.next_delay.(s) <- Delay.eval t.delay (t.load.(s) + 1);
   let e = if t.ecc.(s) > neg_infinity then t.ecc.(s) +. now else neg_infinity in
   t.eff.(s) <- e;
-  if e > old then bump_objective t s else if e < old then t.d_dirty <- true
+  if e < old then t.d_dirty <- true
+  else if e > old && not t.d_dirty then begin
+    let len = Ecc.length ~ss:t.ss t.eff s (Ecc.through ~ss:t.ss t.eff s) in
+    if len > t.d_cache then t.d_cache <- len
+  end
 
 let objective t =
   if t.d_dirty then begin
-    t.d_cache <- objective_of t t.eff;
+    t.d_cache <- longest_length t;
     t.d_dirty <- false
   end;
   t.d_cache
@@ -219,13 +191,11 @@ let mset_add t s d =
   t.dists.(s) <-
     Fmap.update d (function None -> Some 1 | Some c -> Some (c + 1)) t.dists.(s)
 
-let mset_remove t s d =
-  t.dists.(s) <-
-    Fmap.update d
-      (function
-        | None | Some 1 -> None
-        | Some c -> Some (c - 1))
-      t.dists.(s)
+(* [s]'s distance multiset with one member at distance [d] taken out. *)
+let mset_without t s d =
+  Fmap.update d (function None | Some 1 -> None | Some c -> Some (c - 1)) t.dists.(s)
+
+let mset_remove t s d = t.dists.(s) <- mset_without t s d
 
 let mset_max m =
   match Fmap.max_binding_opt m with Some (d, _) -> d | None -> neg_infinity
@@ -247,13 +217,7 @@ let ecc_remove t s d =
 
 (* Eccentricity of [s] with one member at distance [d] discounted —
    the O(log load) replacement for scanning every member. *)
-let ecc_without t s d =
-  mset_max
-    (Fmap.update d
-       (function
-         | None | Some 1 -> None
-         | Some c -> Some (c - 1))
-       t.dists.(s))
+let ecc_without t s d = mset_max (mset_without t s d)
 
 (* --- incremental lower bound --------------------------------------------
 
@@ -429,55 +393,49 @@ let delay_floor t = 2. *. Delay.eval t.delay 1
 let lower_bound t = network_lower_bound t +. delay_floor t
 let lower_bound_scratch t = network_lower_bound_scratch t +. delay_floor t
 
-(* Longest interaction path through server [s] created by a client
-   whose access hop to [s] costs [hop], given every server's effective
-   eccentricity in [eff]: its round trip, and its path to each used
-   server. *)
-let attach_cost t eff ~hop s =
-  let worst = ref (2. *. hop) in
-  for s'' = 0 to k t - 1 do
-    if eff.(s'') > neg_infinity then begin
-      let len = hop +. d_ss t s s'' +. eff.(s'') in
-      if len > !worst then worst := len
-    end
-  done;
-  !worst
-
 (* The access hop a client at [node] pays once it joins [s], under the
    session's delay model. When the join raises [s]'s delay, every path
    through [s] lengthens, so the hop is [s]'s new effective
-   eccentricity [max(ecc s, d) + delay(load s + 1)] and [attach_cost]
+   eccentricity [max(ecc s, d) + delay(load s + 1)] and {!Ecc.attach}
    re-measures all of [s]'s pairs. When it does not (always under
    [Delay.zero]), only the newcomer's own paths, at
    [d + delay(load s + 1)], can exceed the current maximum. Either way
    the hop is at least [d(node, s)], because delay is non-negative. *)
 let placement_hop t node s =
-  let d = d_ns t node s in
-  (if t.delay_grows.(s) then Float.max t.ecc.(s) d else d) +. t.next_delay.(s)
+  let d = d_ns t node s and next = t.next_delay.(s) in
+  (if next > Delay.eval t.delay t.load.(s) then Float.max t.ecc.(s) d else d) +. next
 
-(* The join rule: the live server with room that minimises the
-   resulting objective once a client at [node] attaches there, ties to
-   the lowest index; -1 when no live server has room. *)
-let best_server t node =
-  let current = objective t in
+(* The live server with room, other than [except], that minimises the
+   objective once a client at [node] attaches there given [t.eff], when
+   the rest of the session's objective is [rest]: [(s, resulting)], ties
+   to the lowest index, or [(-1, infinity)] when no server has room.
+   Each server's {!Ecc.attach} stops once it cannot beat the best so
+   far, which changes no choice: a server whose path reaches the best
+   one's is not strictly better under [max rest]. *)
+let best_server t node ~except ~rest =
+  let hop = Array.make (k t) 0. in
   let best = ref (-1) and best_d = ref infinity in
   for s = 0 to k t - 1 do
-    if (not t.failed.(s)) && t.load.(s) < t.capacity then begin
-      let resulting =
-        Float.max current (attach_cost t t.eff ~hop:(placement_hop t node s) s)
-      in
+    if s <> except && (not t.failed.(s)) && t.load.(s) < t.capacity then begin
+      hop.(s) <- placement_hop t node s;
+      Ecc.attach ~ss:t.ss t.eff ~hop ~best:!best s;
+      let resulting = Float.max rest hop.(s) in
       if resulting < !best_d then begin
         best_d := resulting;
         best := s
       end
     end
   done;
-  !best
+  (!best, !best_d)
+
+(* The join rule: the live server with room that minimises the
+   resulting objective; -1 when no live server has room. *)
+let join_server t node = fst (best_server t node ~except:(-1) ~rest:(objective t))
 
 let join t ~node =
   if node < 0 || node >= Matrix.dim t.matrix then
     invalid_arg (Printf.sprintf "Dynamic.join: node %d out of range" node);
-  let s = best_server t node in
+  let s = join_server t node in
   if s < 0 then failwith "Dynamic.join: all servers saturated";
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -540,27 +498,18 @@ let move t id target =
    objective is [d]: the live server with room that minimises the
    objective once the member re-attaches there, or -1 when no target
    beats [d] by more than 1e-12. A pure function of [(node, old_s)]:
-   the trial session drops one distance d(node, old_s) from the donor's
-   multiset and one unit of its load, whichever member that is. *)
+   the trial drops one distance d(node, old_s) from the donor's
+   multiset and one unit of its load, whichever member that is, in
+   [t.eff] itself, and restores the entry before returning. *)
 let target t ~d node old_s =
-  let trial = Array.copy t.eff in
+  let held = t.eff.(old_s) in
   let e = ecc_without t old_s (d_ns t node old_s) in
-  trial.(old_s) <-
+  t.eff.(old_s) <-
     (if e > neg_infinity then e +. Delay.eval t.delay (t.load.(old_s) - 1)
      else neg_infinity);
-  let d_rest = objective_of t trial in
-  let best = ref (-1) and best_d = ref infinity in
-  for s = 0 to k t - 1 do
-    if s <> old_s && (not t.failed.(s)) && t.load.(s) < t.capacity then begin
-      let cost = attach_cost t trial ~hop:(placement_hop t node s) s in
-      let resulting = Float.max d_rest cost in
-      if resulting < !best_d then begin
-        best_d := resulting;
-        best := s
-      end
-    end
-  done;
-  if !best >= 0 && !best_d < d -. 1e-12 then !best else -1
+  let s, resulting = best_server t node ~except:old_s ~rest:(longest_length t) in
+  t.eff.(old_s) <- held;
+  if s >= 0 && resulting < d -. 1e-12 then s else -1
 
 (* Whether any round candidate can move, decided at node level. A
    candidate is a member on a longest-pair server [s] realising [s]'s
@@ -592,18 +541,7 @@ let rebalance ?(max_moves = max_int) t =
        of effective eccentricities. The delay term is shared by all of a
        server's clients, so the witness filter stays on the raw
        eccentricity. *)
-    let on_longest = Array.make (k t) false in
-    for s1 = 0 to k t - 1 do
-      if t.eff.(s1) > neg_infinity then
-        for s2 = s1 to k t - 1 do
-          if t.eff.(s2) > neg_infinity
-             && t.eff.(s1) +. d_ss t s1 s2 +. t.eff.(s2) >= d -. 1e-9
-          then begin
-            on_longest.(s1) <- true;
-            on_longest.(s2) <- true
-          end
-        done
-    done;
+    let on_longest = Ecc.on_longest ~ss:t.ss ~rowmax:t.rowmax t.eff d in
     let moved =
       any_mover t ~d on_longest
       &&
@@ -723,6 +661,7 @@ let set_drift t ~server ~factor =
         done
       end
     done;
+    Array.blit (Ecc.rowmax ~ss:t.ss k) 0 t.rowmax 0 k;
     rebuild_ecc t;
     t.version <- t.version + 1
   end
@@ -820,7 +759,7 @@ let fail_server t s =
   let stranded = ref [] in
   List.iter
     (fun (id, m) ->
-      let target = best_server t m.node in
+      let target = join_server t m.node in
       if target < 0 then begin
         Hashtbl.remove t.members id;
         node_remove t m.node;

@@ -17,7 +17,11 @@
     member fold only in a round that moves someone — no full re-solve.
     Every scan reads distances from two flat tables the session keeps,
     node × server and server × server, O(n·|S|) floats for an
-    [n]-node network.
+    [n]-node network, both built by {!Dia_latency.Matrix.block}. The
+    pair and row scans over eccentricities are {!Ecc}'s, on the
+    server × server table: {!Ecc.longest} and {!Ecc.through} for the
+    objective, {!Ecc.attach} for every placement scan, and
+    {!Ecc.on_longest} for {!rebalance}'s candidates.
 
     {b Failover.} {!fail_server} re-homes a failed server's clients by
     the same join rule, one at a time — the paper's §IV greedy rule, so
@@ -92,11 +96,11 @@ val objective : t -> float
     without a model this is the paper's [D(A)]. Maintained
     incrementally over per-server effective eccentricities
     [l(s) + delay(load s)]: events that can only raise one (joins,
-    move-ins, failover landings) fold their server's refreshed pairs
-    into the cached value in O(|S|); events that lower one (a departure
-    that lowers the eccentricity, or the delay — every departure under
-    a load-dependent model) mark it dirty and the next call re-scans the
-    pairs in O(|S|²). Either way the cost is independent of the number
+    move-ins, failover landings) fold their server's longest pair
+    ({!Ecc.through}) into the cached value in O(|S|); events that lower
+    one (a departure that lowers the eccentricity, or the delay — every
+    departure under a load-dependent model) mark it dirty and the next
+    call re-scans the pairs ({!Ecc.longest}) in O(|S|²). Either way the cost is independent of the number
     of clients, and the value is bit-identical to {!objective_scratch}. *)
 
 val objective_scratch : t -> float

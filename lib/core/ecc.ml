@@ -1,9 +1,9 @@
 module Matrix = Dia_latency.Matrix
 
-(* The scans read the latency store itself through [dist], on node ids
-   validated at [Problem.make]; array accesses that depend on
-   caller-supplied assignment entries stay checked. Values are the
-   exact doubles [Problem.d_cs]/[d_ss] return. [Bigarray.Array1.unsafe_get]
+(* The client-row readers go to the latency store itself through
+   [dist], on node ids validated at [Problem.make]; array accesses that
+   depend on caller-supplied assignment entries stay checked. Values
+   are the exact doubles [Problem.d_cs] returns. [Bigarray.Array1.unsafe_get]
    on the store's concrete type is a primitive the compiler expands in
    place, so a read costs no call and boxes no float even when modules
    are compiled [-opaque], where a call into [Matrix] would do both. *)
@@ -23,41 +23,36 @@ let of_assignment p assignment =
   done;
   (ecc, load)
 
-let longest p ecc =
-  let m = Problem.latency p in
-  let buf = Matrix.unsafe_buffer m and dim = Matrix.dim m in
-  let servers = Problem.servers p in
-  let k = Problem.num_servers p in
-  (* Gather the used servers once; the pair scan then touches only
-     used x used instead of testing every pair — the same pairs a
-     dense s1 <= s2 loop evaluates, in the same order. *)
-  let used = Array.make k 0 in
-  let u = ref 0 in
-  for s = 0 to k - 1 do
-    if ecc.(s) > neg_infinity then begin
-      Array.unsafe_set used !u s;
-      incr u
-    end
-  done;
+(* The server-level scans below index [ss] unchecked: [e] fixes [k], and
+   every caller's table is k x k. A pair [a <= b] is always evaluated as
+   [(e a + d(a, b)) + e b], the grouping every scan and [length] share,
+   so a value found by one is the value another recomputes. *)
+
+let length ~ss e s1 s2 =
+  let a = if s1 <= s2 then s1 else s2 and b = if s1 <= s2 then s2 else s1 in
+  e.(a) +. ss.((a * Array.length e) + b) +. e.(b)
+
+let longest ~ss e =
+  let k = Array.length e in
   let best = ref neg_infinity and pair = ref (-1) in
-  for i = 0 to !u - 1 do
-    let s1 = Array.unsafe_get used i in
-    let e1 = Array.unsafe_get ecc s1 in
-    let row1 = Array.unsafe_get servers s1 * dim in
-    for j = i to !u - 1 do
-      let s2 = Array.unsafe_get used j in
-      let len = e1 +. dist buf row1 (Array.unsafe_get servers s2)
-                +. Array.unsafe_get ecc s2 in
-      if len > !best then begin
-        best := len;
-        pair := (s1 * k) + s2
-      end
-    done
+  for s1 = 0 to k - 1 do
+    let e1 = e.(s1) and row = s1 * k in
+    if e1 > neg_infinity then
+      for s2 = s1 to k - 1 do
+        let e2 = Array.unsafe_get e s2 in
+        if e2 > neg_infinity then begin
+          let len = e1 +. Array.unsafe_get ss (row + s2) +. e2 in
+          if len > !best then begin
+            best := len;
+            pair := row + s2
+          end
+        end
+      done
   done;
   !pair
 
-let objective p ecc =
-  match longest p ecc with
+let objective ~ss e =
+  match longest ~ss e with
   | -1 ->
       (* No server is used: D over an empty configuration is an empty
          max. Normalised to [0.] — the identity of the objective
@@ -65,9 +60,82 @@ let objective p ecc =
          leaking [neg_infinity] into downstream arithmetic. *)
       0.
   | pair ->
-      let k = Problem.num_servers p in
-      let s1 = pair / k and s2 = pair mod k in
-      ecc.(s1) +. Problem.d_ss p s1 s2 +. ecc.(s2)
+      let k = Array.length e in
+      length ~ss e (pair / k) (pair mod k)
+
+let through ~ss e s =
+  let k = Array.length e in
+  let es = e.(s) in
+  let best = ref neg_infinity and partner = ref (-1) in
+  for s' = 0 to k - 1 do
+    let e' = Array.unsafe_get e s' in
+    if e' > neg_infinity then begin
+      let len =
+        if s' < s then e' +. Array.unsafe_get ss ((s' * k) + s) +. es
+        else es +. Array.unsafe_get ss ((s * k) + s') +. e'
+      in
+      if len > !best then begin
+        best := len;
+        partner := s'
+      end
+    end
+  done;
+  !partner
+
+let attach ~ss e ~hop ~best s =
+  let k = Array.length e in
+  let h = hop.(s) and row = s * k in
+  let bound = if best < 0 then infinity else hop.(best) in
+  let worst = ref (2. *. h) in
+  (* Once [worst] reaches [bound] the caller has its answer: [s] cannot
+     beat [best]. Without a [best] the exit only fires at an infinite
+     [worst], which no later term exceeds. *)
+  let s'' = ref 0 in
+  while !s'' < k && !worst < bound do
+    let x = Array.unsafe_get e !s'' in
+    if x > neg_infinity then begin
+      let len = h +. Array.unsafe_get ss (row + !s'') +. x in
+      if len > !worst then worst := len
+    end;
+    incr s''
+  done;
+  hop.(s) <- !worst
+
+let rowmax ~ss k =
+  let m = Array.make k neg_infinity in
+  for s1 = 0 to k - 1 do
+    for s2 = s1 to k - 1 do
+      let v = Array.unsafe_get ss ((s1 * k) + s2) in
+      if v > m.(s1) then m.(s1) <- v
+    done
+  done;
+  m
+
+let on_longest ~ss ~rowmax e d =
+  let k = Array.length e in
+  let threshold = d -. 1e-9 in
+  let maxe = ref neg_infinity and flags = Array.make k false in
+  for s = 0 to k - 1 do
+    if e.(s) > !maxe then maxe := e.(s)
+  done;
+  (* Every pair of row [s1] sums [(e s1 + d(s1, s2)) + e s2] with
+     [d(s1, s2) <= rowmax s1] and [e s2 <= maxe]; float addition rounds
+     monotonically, so the row bound is >= each sum it stands for. *)
+  for s1 = 0 to k - 1 do
+    let e1 = e.(s1) in
+    if e1 > neg_infinity && e1 +. rowmax.(s1) +. !maxe >= threshold then begin
+      let row = s1 * k in
+      for s2 = s1 to k - 1 do
+        let e2 = Array.unsafe_get e s2 in
+        if e2 > neg_infinity && e1 +. Array.unsafe_get ss (row + s2) +. e2 >= threshold
+        then begin
+          flags.(s1) <- true;
+          flags.(s2) <- true
+        end
+      done
+    end
+  done;
+  flags
 
 let effective ~delay ecc ~load =
   Array.mapi
@@ -85,28 +153,5 @@ let excluding p assignment ~server ~client =
       let d = dist buf (clients.(c) * dim) snode in
       if d > !worst then worst := d
     end
-  done;
-  !worst
-
-let attach ?(bound = infinity) p ecc ~client ~server =
-  let m = Problem.latency p in
-  let buf = Matrix.unsafe_buffer m and dim = Matrix.dim m in
-  let servers = Problem.servers p in
-  let k = Problem.num_servers p in
-  let snode = servers.(server) in
-  let d = dist buf ((Problem.clients p).(client) * dim) snode in
-  let row = snode * dim in
-  let worst = ref (2. *. d) in
-  (* Once [worst] reaches [bound] the caller has its answer: the full
-     max is at least [worst]. Under the default [infinity] the exit
-     only fires at an infinite [worst], which no later term exceeds. *)
-  let s'' = ref 0 in
-  while !s'' < k && !worst < bound do
-    let e = ecc.(!s'') in
-    if e > neg_infinity then begin
-      let len = d +. dist buf row (Array.unsafe_get servers !s'') +. e in
-      if len > !worst then worst := len
-    end;
-    incr s''
   done;
   !worst

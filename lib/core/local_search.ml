@@ -1,9 +1,10 @@
 (* Both searches work on a mutable view: the assignment array, per-server
    loads, and per-server eccentricities, with the objective evaluated
-   from eccentricities in O(|S|^2). *)
+   from eccentricities over the server-server table in O(|S|^2). *)
 
 type view = {
   p : Problem.t;
+  ss : float array;
   assignment : int array;
   load : int array;
   ecc : float array;
@@ -15,6 +16,7 @@ let view_of p a =
   let ecc, load = Ecc.of_assignment p assignment in
   {
     p;
+    ss = Problem.ss_table p;
     assignment;
     load;
     ecc;
@@ -24,12 +26,12 @@ let view_of p a =
 (* Objective after moving client c to server s (without committing). *)
 let objective_after v c s =
   let old_s = v.assignment.(c) in
-  if s = old_s then Ecc.objective v.p v.ecc
+  if s = old_s then Ecc.objective ~ss:v.ss v.ecc
   else begin
     let trial = Array.copy v.ecc in
     trial.(old_s) <- Ecc.excluding v.p v.assignment ~server:old_s ~client:c;
     trial.(s) <- Float.max trial.(s) (Problem.d_cs v.p c s);
-    Ecc.objective v.p trial
+    Ecc.objective ~ss:v.ss trial
   end
 
 let commit v c s =
@@ -43,21 +45,24 @@ let commit v c s =
 let hill_climb ?(max_rounds = max_int) p a =
   let v = view_of p a in
   let n = Problem.num_clients p and k = Problem.num_servers p in
+  let hop = Array.make k 0. in
   let rounds = ref 0 in
   let improved = ref true in
   while !improved && !rounds < max_rounds do
     improved := false;
-    let d = Ecc.objective p v.ecc in
+    let d = Ecc.objective ~ss:v.ss v.ecc in
     let best_c = ref (-1) and best_s = ref (-1) and best_d = ref d in
     for c = 0 to n - 1 do
       let old_s = v.assignment.(c) in
       let trial_old = Ecc.excluding v.p v.assignment ~server:old_s ~client:c in
       let trial = Array.copy v.ecc in
       trial.(old_s) <- trial_old;
-      let d_rest = Ecc.objective p trial in
+      let d_rest = Ecc.objective ~ss:v.ss trial in
       for s = 0 to k - 1 do
         if s <> old_s && v.load.(s) < v.capacity then begin
-          let resulting = Float.max d_rest (Ecc.attach p trial ~client:c ~server:s) in
+          hop.(s) <- Problem.d_cs p c s;
+          Ecc.attach ~ss:v.ss trial ~hop ~best:(-1) s;
+          let resulting = Float.max d_rest hop.(s) in
           if resulting < !best_d -. 1e-12 then begin
             best_d := resulting;
             best_c := c;
@@ -73,7 +78,7 @@ let hill_climb ?(max_rounds = max_int) p a =
     end
   done;
   let final = Assignment.unsafe_of_array (Array.copy v.assignment) in
-  (final, Ecc.objective p v.ecc)
+  (final, Ecc.objective ~ss:v.ss v.ecc)
 
 type annealing_params = {
   initial_temperature : float;
@@ -92,7 +97,7 @@ let anneal ?(params = default_annealing) ?(seed = 0) p a =
   let v = view_of p a in
   let n = Problem.num_clients p and k = Problem.num_servers p in
   let rng = Random.State.make [| seed |] in
-  let current = ref (Ecc.objective p v.ecc) in
+  let current = ref (Ecc.objective ~ss:v.ss v.ecc) in
   let best = ref !current in
   let best_assignment = ref (Array.copy v.assignment) in
   let temperature = ref params.initial_temperature in

@@ -7,7 +7,7 @@ let eccentricities ?(delay = Delay.zero) p a =
 
 let max_interaction_path ?delay p a =
   if Problem.num_clients p = 0 then neg_infinity
-  else Ecc.objective p (eccentricities ?delay p a)
+  else Ecc.objective ~ss:(Problem.ss_table p) (eccentricities ?delay p a)
 
 let path_length p a ci cj =
   let s1 = Assignment.server_of a ci and s2 = Assignment.server_of a cj in
@@ -25,6 +25,6 @@ let longest_pair p a =
   if Problem.num_clients p = 0 then invalid_arg "Objective.longest_pair: no clients";
   let ecc, _ = Ecc.of_assignment p (Assignment.to_array a) in
   let k = Problem.num_servers p in
-  let pair = Ecc.longest p ecc in
+  let pair = Ecc.longest ~ss:(Problem.ss_table p) ecc in
   let ci = witness p a ecc (pair / k) and cj = witness p a ecc (pair mod k) in
   (ci, cj, path_length p a ci cj)

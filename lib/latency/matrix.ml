@@ -97,6 +97,20 @@ let unsafe_get m i j = Bigarray.Array1.unsafe_get m.data ((i * m.n) + j)
 
 let unsafe_buffer m = m.data
 
+let block m ~rows ~cols =
+  Array.iter (check_index m) rows;
+  Array.iter (check_index m) cols;
+  let nr = Array.length rows and nc = Array.length cols in
+  let t = Array.make (max 1 (nr * nc)) 0. in
+  for r = 0 to nr - 1 do
+    let row = Array.unsafe_get rows r * m.n and base = r * nc in
+    for j = 0 to nc - 1 do
+      Array.unsafe_set t (base + j)
+        (Bigarray.Array1.unsafe_get m.data (row + Array.unsafe_get cols j))
+    done
+  done;
+  t
+
 let init n f =
   let m = create n in
   for i = 0 to n - 1 do

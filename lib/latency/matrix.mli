@@ -81,6 +81,18 @@ val unsafe_buffer : t -> buffer
     [(i, j)] and [(j, i)], present pairs only, and finite non-negative
     values off the diagonal. *)
 
+val block : t -> rows:int array -> cols:int array -> float array
+(** [block m ~rows ~cols] is a fresh flat row-major snapshot of the
+    entries at [rows] x [cols]: entry [r * |cols| + j] is
+    [unsafe_get m rows.(r) cols.(j)], the same double. It is filled in
+    one pass that reads the store in place, with no call per entry, so
+    an O(|rows| |cols|) table costs no boxed float. Absent pairs are not
+    checked and read NaN: a caller that lists only nodes whose rows or
+    columns it checked with {!has_row} gets a complete table. An empty
+    block is the one-entry array [[|0.|]].
+
+    @raise Invalid_argument if a row or column is out of bounds. *)
+
 val copy : t -> t
 (** Deep copy; it holds the same rows. *)
 

@@ -223,7 +223,8 @@ let distributed_greedy p =
   in
   let broadcasts = ref k and probes = ref (Array.length assignment) in
   let examined = ref 0 in
-  let trace = ref [ Ecc.objective p ecc ] in
+  let ss = Problem.ss_table p and hop = Array.make k 0. in
+  let trace = ref [ Ecc.objective ~ss ecc ] in
   let moved = ref true in
   while !moved do
     moved := false;
@@ -241,7 +242,9 @@ let distributed_greedy p =
           let best_target = ref (-1) and best_l = ref infinity in
           for s' = 0 to k - 1 do
             if s' <> old_s && load.(s') < capacity then begin
-              let longest = Ecc.attach p ecc' ~client:c ~server:s' in
+              hop.(s') <- Problem.d_cs p c s';
+              Ecc.attach ~ss ecc' ~hop ~best:(-1) s';
+              let longest = hop.(s') in
               if longest < !best_l then begin
                 best_l := longest;
                 best_target := s'
@@ -255,7 +258,7 @@ let distributed_greedy p =
             let s' = !best_target in
             let new_ecc = Array.copy ecc' in
             new_ecc.(s') <- Float.max new_ecc.(s') (Problem.d_cs p c s');
-            let d' = Ecc.objective p new_ecc in
+            let d' = Ecc.objective ~ss new_ecc in
             d' < d -. 1e-12
             && begin
                  assignment.(c) <- s';

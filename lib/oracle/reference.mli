@@ -34,7 +34,7 @@ val kcenter_greedy : Dia_latency.Matrix.t -> k:int -> int array
 val distributed_greedy : Dia_core.Problem.t -> Dia_core.Distributed_greedy.result
 (** Distributed-Greedy from the Nearest-Server start, as first written:
     every pair scan and every target's {!Dia_core.Ecc.attach} runs in
-    full. Same assignment, trace and stats as
+    full ([~best:(-1)]). Same assignment, trace and stats as
     {!Dia_core.Distributed_greedy.run}, whose scans stop early. *)
 
 val max_interaction_path :
