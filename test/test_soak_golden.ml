@@ -91,26 +91,38 @@ let run_case (name, scenario, config, report_md5, log_md5) =
           Alcotest.(check string) "event log" log_md5
             (md5 (Event_log.render r.Soak.log)))
 
-(* The newest checkpoint generation of the chaos budget-8 case run with
-   a state dir — the MD5 of ckpt.10 after
+(* The state dir of a soak run with one: the MD5 of its newest
+   checkpoint generation and of its journal after
 
-     dia soak <the chaos arguments above> --budget 8 --state-dir DIR
+     dia soak <the chaos arguments above> --budget 8 [EXTRA] --state-dir DIR
 
-   A change to the checkpoint codec, or to what a checkpoint captures
-   of the controller, changes these bytes. *)
-let test_generation_digest () =
-  let dir = Filename.temp_dir "dia_soak_golden" "" in
-  (match Soak.run ~state_dir:dir chaos_scenario (config ~budget:8) with
-  | Soak.Killed _ -> Alcotest.fail "soak stopped before the end of its trace"
-  | Soak.Completed _ -> ());
-  Alcotest.(check (option int)) "newest generation" (Some 10)
-    (Dia_runtime.Generation.latest ~dir);
-  Alcotest.(check string) "ckpt.10" "eb81e4d9de532a77cc1aba534784ad7e"
-    (Digest.to_hex (Digest.file (Dia_runtime.Generation.path ~dir 10)))
+   for the chaos budget-8 case (EXTRA empty) and the load case with the
+   offline baseline (EXTRA = --delay mm1:30 --baseline), whose journal
+   carries baseline= point lines and d_load transitions. A change to the
+   checkpoint or journal codec, or to what either captures of the
+   controller, changes these bytes. *)
+let generation_case name scenario config ~newest ~ckpt_md5 ~journal_md5 =
+  Alcotest.test_case name `Quick (fun () ->
+      let dir = Filename.temp_dir "dia_soak_golden" "" in
+      (match Soak.run ~state_dir:dir scenario config with
+      | Soak.Killed _ -> Alcotest.fail "soak stopped before the end of its trace"
+      | Soak.Completed _ -> ());
+      Alcotest.(check (option int)) "newest generation" (Some newest)
+        (Dia_runtime.Generation.latest ~dir);
+      Alcotest.(check string) (Printf.sprintf "ckpt.%d" newest) ckpt_md5
+        (Digest.to_hex (Digest.file (Dia_runtime.Generation.path ~dir newest)));
+      Alcotest.(check string) "journal" journal_md5
+        (Digest.to_hex (Digest.file (Filename.concat dir "journal"))))
 
 let suite =
   List.map run_case cases
   @ [
-      Alcotest.test_case "chaos budget 8: newest generation" `Quick
-        test_generation_digest;
+      generation_case "chaos budget 8: newest generation" chaos_scenario
+        (config ~budget:8) ~newest:10 ~ckpt_md5:"eb81e4d9de532a77cc1aba534784ad7e"
+        ~journal_md5:"d3de698ec420bad90af5be6b1339d14d";
+      generation_case "load mm1:30 + baseline: newest generation"
+        { chaos_scenario with delay = Some mm1_30 }
+        { (config ~budget:8) with offline_baseline = true }
+        ~newest:10 ~ckpt_md5:"3bfc39639bf79a8b5e4f98bd89b156cc"
+        ~journal_md5:"c4949aee703a8a1d26c9641dbbe7938e";
     ]
