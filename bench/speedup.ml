@@ -274,6 +274,8 @@ let () =
           (Dia_runtime.Journal.create ~path:Filename.null ~digest:"gate" ())
       else None
     in
+    let payload = Buffer.create 64 in
+    Buffer.add_string payload "t=12.5 join session=421 client=87 server=3\n";
     let cursor = ref 0 in
     fun () ->
       for _ = 1 to 50 do
@@ -283,8 +285,7 @@ let () =
         Queue.add (Dia_core.Dynamic.join session ~node) live;
         match w with
         | Some w ->
-            Dia_runtime.Journal.append w ~cursor:!cursor
-              "t=12.5 join session=421 client=87 server=3\n"
+            Dia_runtime.Journal.append w ~cursor:!cursor payload
         | None -> ()
       done;
       ignore (Dia_core.Dynamic.rebalance ~max_moves:8 session)

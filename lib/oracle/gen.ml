@@ -302,3 +302,27 @@ let arbitrary =
   in
   let print d = Format.asprintf "%a" pp_descriptor d in
   QCheck.make ~print ~shrink gen
+
+(* --- persisted floats ------------------------------------------------- *)
+
+let codec_float st i =
+  let ulp_step f = match Random.State.int st 3 with 0 -> Float.pred f | 1 -> f | _ -> Float.succ f in
+  match i mod 7 with
+  | 0 -> Random.State.float st 350.
+  | 1 -> Random.State.float st 1e6
+  | 2 -> -.Random.State.float st 2.
+  | 3 ->
+      let f = Int64.float_of_bits (Random.State.int64 st Int64.max_int) in
+      if Random.State.bool st then f else -.f
+  | 4 -> ldexp (1. +. Random.State.float st 1.) (Random.State.int st 70 - 8)
+  | 5 -> ulp_step (float_of_int (Random.State.int st 100_000_000) /. 1e4)
+  | _ ->
+      let bits = 1 + Random.State.int st 53 in
+      let odd = Random.State.full_int st (1 lsl bits) lor 1 in
+      ldexp (float_of_int odd) (Random.State.int st 64 - 8 - bits)
+
+let codec_edges =
+  let around f = [ Float.pred f; f; Float.succ f ] in
+  [ 0.; -0.; 0x1p-1074; min_float; 0x1p-7; Float.pred 0x1p-7; 0x1p62;
+    Float.pred 0x1p62; max_float; infinity; neg_infinity; nan ]
+  @ List.concat_map around [ 1e-5; 1e-4; 1e6; 1e12; 1e17 ]

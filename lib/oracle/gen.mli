@@ -87,3 +87,23 @@ val arbitrary : descriptor QCheck.arbitrary
     node/server/client counts shrink toward the minimum, the capacity
     toward absent, and the seed toward 0 — so qcheck failures surface
     minimal counterexample instances. *)
+
+(** {2 Persisted floats}
+
+    Draws for diffing {!Dia_runtime.Codec.float_str} against the C
+    rendering it replaced ({!Reference.float_str}). *)
+
+val codec_float : Random.State.t -> int -> float
+(** Draw [i] comes from family [i mod 7]: uniform in [\[0, 350)] (event
+    times), in [\[0, 1e6)] and in [(-2, 0\]]; a random bit pattern of
+    either sign (subnormals, infinities and nans included); [1 + u]
+    times [2^e] for [e] in [-8 .. 61], the OCaml renderer's range and
+    just past its lower end; [k / 10^4] at -1, 0 or +1 ulp; and an odd
+    integer of 1 to 53 bits times a power of two, whose decimal
+    expansion is short enough to put an exact tie in the 17th digit. *)
+
+val codec_edges : float list
+(** +0 and -0, the smallest subnormal, [min_float], 2^-7 and 2^62 and
+    their predecessors, [max_float], the infinities, nan, and %g's style
+    switch points 1e-5, 1e-4, 1e6, 1e12 and 1e17, each at -1, 0 and +1
+    ulp. *)

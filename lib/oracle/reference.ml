@@ -330,6 +330,20 @@ let lower_bound p =
   done;
   !best
 
+(* The C conversion [Printf]'s %g formats end in. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_str f =
+  if Float.is_nan f then "nan"
+  else
+    let exact fmt =
+      let s = format_float fmt f in
+      if float_of_string s = f then Some s else None
+    in
+    match exact "%.12g" with
+    | None -> format_float "%.17g" f
+    | Some s12 -> ( match exact "%g" with Some s -> s | None -> s12)
+
 module Boxed_matrix = struct
   type t = { n : int; data : float array }
 

@@ -52,6 +52,14 @@ val lower_bound : Dia_core.Problem.t -> float
     pruned scan, which the bench harness times against it as
     [lower-bound/naive]. *)
 
+val float_str : float -> string
+(** The persisted float rendering as first written, all in C: the
+    shortest of glibc's [%g], [%.12g] and [%.17g] that [float_of_string]
+    reads back as the identical double ([%.12g] tried first, [%g] only
+    when it round-trips; ["nan"] for every nan). The referee for
+    {!Dia_runtime.Codec.float_str}, which renders in OCaml and must
+    agree byte for byte. *)
+
 (** The distance matrix's historical boxed [float array] layout, kept
     to diff the flat {!Dia_latency.Matrix} store against: the oracle and
     the test suite build instances on both layouts and require

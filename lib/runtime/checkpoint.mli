@@ -91,11 +91,14 @@ val decode : string -> (state, string) result
     {!Slo.decode} refuses, or a repeated session id (ids themselves may
     be negative). Never raises. *)
 
-val points_text :
+val add_points :
+  Buffer.t ->
   trace:(float * float * float) list ->
   baseline:(float * float * float) list ->
-  string
-(** An event's sampled points as {!Journal.append}'s [~points]. *)
+  unit
+(** Append an event's sampled points, as {!Journal.append}'s [~points]
+    carries them: one [trace=] then one [baseline=] line per point, each
+    float in {!Codec.add_hex}'s exact notation. *)
 
 val has_history : state -> bool
 (** Whether the state's history lists have the lengths its counters

@@ -60,7 +60,15 @@ type kind =
 
 type entry = { time : float; kind : kind }
 
+val add_line : Buffer.t -> entry -> unit
+(** Append the entry's one-line textual form and its newline to the
+    buffer: the one writer {!to_line}, {!render} and the journal share.
+    Integers and floats go in through {!Codec.add_int} and
+    {!Codec.add_float}, with no intermediate string per field. *)
+
 val to_line : entry -> string
+(** The entry's line, without the newline. *)
+
 val of_line : string -> (entry, string) result
 
 val render : entry list -> string

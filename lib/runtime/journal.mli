@@ -55,9 +55,12 @@ val reopen :
     @raise Invalid_argument if the file is unreadable, carries another
     digest, or its first [cut.bytes] bytes do not have [cut.crc]. *)
 
-val append : writer -> cursor:int -> ?points:string -> string -> unit
+val append : writer -> cursor:int -> ?points:Buffer.t -> Buffer.t -> unit
 (** Append one record: the rendered log lines event [cursor] produced,
-    then its [points] lines (default none). Buffered.
+    then its [points] lines (default none). Both are copied out of the
+    caller's buffers, which the caller may clear and reuse at once.
+    Buffered; the running CRC is folded over the buffered records at the
+    next {!flush} or {!position}.
 
     @raise Invalid_argument on a closed writer or a negative cursor. *)
 

@@ -236,6 +236,10 @@ type env = {
   trace : Trace.t;
   journal : Journal.writer option;
       (* the write-ahead history under the state dir, if there is one *)
+  lines : Buffer.t;
+  points : Buffer.t;
+      (* the journal's per-run scratch: one event's log lines and its
+         sampled points, rendered there before the append copies them *)
   objective_name : string;
       (* the objective the SLO watches against its bound, the one the
          session's placement scans minimise: "d_load" under a delay
@@ -293,6 +297,8 @@ let environment scenario config =
       place ~seed:scenario.seed ~servers:scenario.servers ~nodes:scenario.nodes;
     trace = build_trace scenario;
     journal = None;
+    lines = Buffer.create 256;
+    points = Buffer.create 256;
     objective_name = (match scenario.delay with None -> "d" | Some _ -> "d_load");
   }
 
@@ -750,10 +756,11 @@ let journal_event env i out =
   match (env.journal, out) with
   | None, _ | _, { entries = []; trace = []; baseline = [] } -> ()
   | Some w, { entries; trace; baseline } ->
-      Journal.append w ~cursor:i
-        ~points:
-          (Checkpoint.points_text ~trace:(List.rev trace) ~baseline:(List.rev baseline))
-        (Event_log.render (List.rev entries))
+      Buffer.clear env.lines;
+      List.iter (Event_log.add_line env.lines) (List.rev entries);
+      Buffer.clear env.points;
+      Checkpoint.add_points env.points ~trace:(List.rev trace) ~baseline:(List.rev baseline);
+      Journal.append w ~cursor:i ~points:env.points env.lines
 
 (* The report of a run whose state has taken its last event. *)
 let finish (env : env) st ~prepop_seconds ~loop_seconds : report =

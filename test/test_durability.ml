@@ -157,13 +157,18 @@ let test_disk_injector_rename_crash_and_fsync_loss () =
 
 (* --- Journal --- *)
 
+let buf s =
+  let b = Buffer.create 16 in
+  Buffer.add_string b s;
+  b
+
 let test_journal_roundtrip () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "journal" in
   let w = Journal.create ~path ~digest:"cafe" () in
-  Journal.append w ~cursor:7 "t=1 join session=1\n";
-  Journal.append w ~cursor:8 ~points:"trace=1,2,3\n" "";
-  Journal.append w ~cursor:9 "binary \x00 payload\nwith newlines\n";
+  Journal.append w ~cursor:7 (buf "t=1 join session=1\n");
+  Journal.append w ~cursor:8 ~points:(buf "trace=1,2,3\n") (buf "");
+  Journal.append w ~cursor:9 (buf "binary \x00 payload\nwith newlines\n");
   Alcotest.(check int) "position counts buffered records" 3
     (Journal.position w).Journal.records;
   Journal.close w;
@@ -192,8 +197,8 @@ let test_journal_torn_tail_keeps_prefix () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "journal" in
   let w = Journal.create ~path ~digest:"d" () in
-  Journal.append w ~cursor:0 "alpha\n";
-  Journal.append w ~cursor:1 "beta\n";
+  Journal.append w ~cursor:0 (buf "alpha\n");
+  Journal.append w ~cursor:1 (buf "beta\n");
   Journal.close w;
   let whole = read_file path in
   (* tear mid-way through the second record *)
@@ -226,9 +231,9 @@ let test_journal_reopen_truncates_at_the_cut () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "journal" in
   let w = Journal.create ~path ~digest:"d" () in
-  Journal.append w ~cursor:0 "alpha\n";
+  Journal.append w ~cursor:0 (buf "alpha\n");
   let cut = Journal.position w in
-  Journal.append w ~cursor:1 "beta\n";
+  Journal.append w ~cursor:1 (buf "beta\n");
   Journal.close w;
   let refused c =
     match Journal.reopen ~path ~digest:"d" c with
@@ -246,7 +251,7 @@ let test_journal_reopen_truncates_at_the_cut () =
     | exception Invalid_argument _ -> true
     | _ -> false);
   let w = Journal.reopen ~path ~digest:"d" cut in
-  Journal.append w ~cursor:1 "gamma\n";
+  Journal.append w ~cursor:1 (buf "gamma\n");
   Journal.close w;
   match Journal.read path with
   | Error m -> Alcotest.fail m
@@ -262,8 +267,8 @@ let test_journal_jtorn_plan_wedges_device () =
   let disk = Disk.create (plan "jtorn:2@5") in
   (* flush_every:1 — the header is flush op 1, the first record op 2 *)
   let w = Journal.create ~disk ~flush_every:1 ~path ~digest:"d" () in
-  Journal.append w ~cursor:0 "alpha\n";
-  Journal.append w ~cursor:1 "beta\n";
+  Journal.append w ~cursor:0 (buf "alpha\n");
+  Journal.append w ~cursor:1 (buf "beta\n");
   Journal.close w;
   Alcotest.(check int) "the tear fired" 1 (Disk.faults_fired disk);
   match Journal.read path with
@@ -904,7 +909,11 @@ let test_baseline_memo_kill_resume () =
   in
   let config = { small_config with Soak.offline_baseline = true } in
   let base = complete scenario config in
-  let samples r = Checkpoint.points_text ~trace:[] ~baseline:r.Soak.baseline_points in
+  let samples r =
+    let b = Buffer.create 256 in
+    Checkpoint.add_points b ~trace:[] ~baseline:r.Soak.baseline_points;
+    Buffer.contents b
+  in
   let rec repeats = function
     | (_, _, a) :: ((_, _, b) :: _ as rest) ->
         Int64.bits_of_float a = Int64.bits_of_float b || repeats rest

@@ -296,6 +296,41 @@ let all_kinds =
     Event_log.Recovery { generation = 2; skipped = 1; replayed = 14 };
   ]
 
+(* The event log's line as it was rendered before its writer went
+   printf-free: one [Printf.sprintf] per kind over the C float
+   rendering. *)
+let printf_line (e : Event_log.entry) =
+  let fs = Dia_oracle.Reference.float_str and lv = Slo.level_name in
+  let kind =
+    match e.kind with
+    | Event_log.Join { session; client; server } ->
+        Printf.sprintf "join session=%d client=%d server=%d" session client server
+    | Queued { session } -> Printf.sprintf "queued session=%d" session
+    | Drained { session; client; server } ->
+        Printf.sprintf "drained session=%d client=%d server=%d" session client server
+    | Shed { session } -> Printf.sprintf "shed session=%d" session
+    | Leave { session; client } -> Printf.sprintf "leave session=%d client=%d" session client
+    | Crash { server; migrated; stranded } ->
+        Printf.sprintf "crash server=%d migrated=%d stranded=%d" server migrated stranded
+    | Crash_skipped { server } -> Printf.sprintf "crash-skipped server=%d" server
+    | Recover { server } -> Printf.sprintf "recover server=%d" server
+    | Drift { server; factor } -> Printf.sprintf "drift server=%d factor=%s" server (fs factor)
+    | Transition { from_; to_; ratio; objective } ->
+        Printf.sprintf "slo from=%s to=%s ratio=%s objective=%s" (lv from_) (lv to_)
+          (fs ratio) objective
+    | Repair { moves; budget; before; after } ->
+        Printf.sprintf "repair moves=%d budget=%d before=%s after=%s" moves budget
+          (fs before) (fs after)
+    | Protocol_repair { moves; applied; before; after } ->
+        Printf.sprintf "protocol-repair moves=%d applied=%b before=%s after=%s" moves
+          applied (fs before) (fs after)
+    | Checkpoint { id } -> Printf.sprintf "checkpoint id=%d" id
+    | Recovery { generation; skipped; replayed } ->
+        Printf.sprintf "recovery generation=%d skipped=%d replayed=%d" generation skipped
+          replayed
+  in
+  Printf.sprintf "t=%s %s" (fs e.time) kind
+
 let test_event_log_roundtrip () =
   List.iteri
     (fun i kind ->
@@ -307,6 +342,46 @@ let test_event_log_roundtrip () =
             true (entry = entry')
       | Error m -> Alcotest.fail m)
     all_kinds;
+  (* Random entries of every kind, with floats from the codec's draw
+     families: the line is the printf rendering the writer replaced, and
+     it parses back to the entry. *)
+  let st = Random.State.make [| 33 |] in
+  for i = 0 to 13_999 do
+    let f () = Dia_oracle.Gen.codec_float st (Random.State.int st 7) in
+    let n () = Random.State.int st 2_000_001 - 1_000_000 in
+    let level () =
+      match Random.State.int st 3 with 0 -> Slo.Healthy | 1 -> Slo.Degraded | _ -> Slo.Critical
+    in
+    let kind =
+      match i mod 14 with
+      | 0 -> Event_log.Join { session = n (); client = n (); server = n () }
+      | 1 -> Event_log.Queued { session = n () }
+      | 2 -> Event_log.Drained { session = n (); client = n (); server = n () }
+      | 3 -> Event_log.Shed { session = n () }
+      | 4 -> Event_log.Leave { session = n (); client = n () }
+      | 5 -> Event_log.Crash { server = n (); migrated = n (); stranded = n () }
+      | 6 -> Event_log.Crash_skipped { server = n () }
+      | 7 -> Event_log.Recover { server = n () }
+      | 8 -> Event_log.Drift { server = n (); factor = f () }
+      | 9 ->
+          Event_log.Transition
+            { from_ = level (); to_ = level (); ratio = f ();
+              objective = (if Random.State.bool st then "d" else "d_load") }
+      | 10 -> Event_log.Repair { moves = n (); budget = n (); before = f (); after = f () }
+      | 11 ->
+          Event_log.Protocol_repair
+            { moves = n (); applied = Random.State.bool st; before = f (); after = f () }
+      | 12 -> Event_log.Checkpoint { id = n () }
+      | _ -> Event_log.Recovery { generation = n (); skipped = n (); replayed = n () }
+    in
+    let entry = { Event_log.time = f (); kind } in
+    let line = Event_log.to_line entry in
+    Alcotest.(check string) "line as printf rendered it" (printf_line entry) line;
+    match Event_log.of_line line with
+    | Ok entry' when compare entry entry' = 0 -> ()
+    | Ok _ -> Alcotest.fail (Printf.sprintf "%S does not round-trip" line)
+    | Error m -> Alcotest.fail m
+  done;
   Alcotest.(check bool) "garbage rejected" true
     (match Event_log.of_line "t=1.0 frobnicate x=1" with
     | Error _ -> true
@@ -327,6 +402,37 @@ let test_event_log_roundtrip () =
       ("t=99.9 standby-refresh changed=7", "standby-refresh");
       ("t=61 standby-breach ratio=3.25 bound=3", "standby-breach");
     ]
+
+(* --- Codec --- *)
+
+(* The OCaml renderers against the C conversions they replaced, byte for
+   byte: float_str against the three-format printf rendering on 200 000
+   seeded draws from every family and on the edge list (CI's
+   codec_differential runs the same draws at 10^7), add_hex against
+   Printf's %h, add_int against string_of_int. *)
+let test_codec_matches_c () =
+  let st = Random.State.make [| 20_000 |] in
+  let b = Buffer.create 32 in
+  let via add v =
+    Buffer.clear b;
+    add b v;
+    Buffer.contents b
+  in
+  let check f =
+    let expect = Dia_oracle.Reference.float_str f in
+    if Codec.float_str f <> expect || via Codec.add_float f <> expect then
+      Alcotest.failf "float_str %h: %S, printf %S" f (Codec.float_str f) expect;
+    if via Codec.add_hex f <> Printf.sprintf "%h" f then
+      Alcotest.failf "add_hex %h: %S" f (via Codec.add_hex f)
+  in
+  List.iter check Dia_oracle.Gen.codec_edges;
+  List.iter (fun f -> check (-.f)) Dia_oracle.Gen.codec_edges;
+  for i = 0 to 199_999 do
+    check (Dia_oracle.Gen.codec_float st i)
+  done;
+  List.iter
+    (fun n -> Alcotest.(check string) "add_int" (string_of_int n) (via Codec.add_int n))
+    [ 0; 7; -7; 10; -10; 99; 1_000_000; max_int; min_int; min_int + 1 ]
 
 (* --- Soak + Checkpoint --- *)
 
@@ -821,4 +927,6 @@ let suite =
       test_competitive_harness_smoke;
     Alcotest.test_case "competitive harness validates parameters" `Quick
       test_competitive_rejects_bad_params;
+    Alcotest.test_case "codec renders as the C conversions did" `Quick
+      test_codec_matches_c;
   ]
