@@ -17,7 +17,7 @@ let append_recovery_entry ~dir entry =
     open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644
       (recovery_log_path dir)
   in
-  output_string oc (Event_log.to_line entry ^ "\n");
+  output_string oc (Event_log.render [ entry ]);
   close_out oc
 
 let scan ~check ~dir ~digest =
