@@ -2,48 +2,50 @@
    stdlib: the durability layer needs a checksum cheaper than
    [Digest.string] per record and with a stable 8-hex-char rendering.
 
-   Slice-by-4: four derived tables let the hot loop fold 32 input bits
-   per iteration — this runs on the journal's per-record path, where the
-   classic byte-at-a-time loop was the single largest cost. *)
+   Slice-by-8: eight derived tables, one flat array, let the hot loop
+   fold 64 input bits per iteration — two 32-bit reads whose eight
+   lookups are independent of each other. This runs on the journal's
+   per-record path and over every byte a restore reads. *)
 
 let tables =
-  lazy
-    (let t = Array.make_matrix 4 256 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(0).(n) <- !c
-     done;
-     for k = 1 to 3 do
-       for n = 0 to 255 do
-         let prev = t.(k - 1).(n) in
-         t.(k).(n) <- t.(0).(prev land 0xFF) lxor (prev lsr 8)
-       done
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
+    done
+  done;
+  t
 
 let update crc s pos len =
-  let t = Lazy.force tables in
-  let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
+  let t = tables in
   let n = pos + len in
   let crc = ref (crc lxor 0xFFFFFFFF) in
   let i = ref pos in
-  while !i + 4 <= n do
-    let w = Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF in
-    let x = !crc lxor w in
+  while !i + 8 <= n do
+    let a = !crc lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    let b = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
     crc :=
-      Array.unsafe_get t3 (x land 0xFF)
-      lxor Array.unsafe_get t2 ((x lsr 8) land 0xFF)
-      lxor Array.unsafe_get t1 ((x lsr 16) land 0xFF)
-      lxor Array.unsafe_get t0 ((x lsr 24) land 0xFF);
-    i := !i + 4
+      Array.unsafe_get t ((7 * 256) + (a land 0xFF))
+      lxor Array.unsafe_get t ((6 * 256) + ((a lsr 8) land 0xFF))
+      lxor Array.unsafe_get t ((5 * 256) + ((a lsr 16) land 0xFF))
+      lxor Array.unsafe_get t ((4 * 256) + (a lsr 24))
+      lxor Array.unsafe_get t ((3 * 256) + (b land 0xFF))
+      lxor Array.unsafe_get t ((2 * 256) + ((b lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((b lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (b lsr 24);
+    i := !i + 8
   done;
   while !i < n do
     crc :=
-      Array.unsafe_get t0
-        ((!crc lxor Char.code (String.unsafe_get s !i)) land 0xFF)
+      Array.unsafe_get t ((!crc lxor Char.code (String.unsafe_get s !i)) land 0xFF)
       lxor (!crc lsr 8);
     incr i
   done;
