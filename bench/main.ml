@@ -423,7 +423,7 @@ let make_failover_kernel ~clients =
    run toggles server 0's drift between 1 and 1.25, which invalidates
    the cached bound as a crash, recovery or drift does in a soak, and
    queries it, so the query pays a full rebuild. The toggle also
-   rescales a matrix row and rebuilds the eccentricities;
+   rescales a matrix row and re-files server 0's members;
    session/drift-toggle times that alone on a twin session, so the
    rebuild is the difference of the two rows. *)
 let make_lb_rebuild_kernel ~query =
@@ -488,12 +488,26 @@ let make_epoch_plan_kernel () =
    soak builds it. *)
 let substrate_servers = Placement.random ~seed:7 ~k:20 ~n:churn_nodes
 
+(* A soak's first drift: a fresh session over the 20-row matrix, then
+   one [set_drift], which copies the pristine matrix before patching
+   the drifted server's row. Each run creates its session, because only
+   a session's first drift copies. *)
+let make_first_drift_kernel () =
+  let matrix =
+    Dia_latency.Synthetic.internet_like ~rows:substrate_servers ~seed:7 churn_nodes
+  in
+  fun () ->
+    let session = Dia_core.Dynamic.create matrix ~servers:substrate_servers in
+    Dia_core.Dynamic.set_drift session ~server:0 ~factor:1.25;
+    session
+
 let tests =
   [
     kernel "substrate/internet_like(n=400)" (fun () () ->
         Dia_latency.Synthetic.internet_like ~seed:7 churn_nodes);
     kernel "substrate/internet_like(n=400,rows=20)" (fun () () ->
         Dia_latency.Synthetic.internet_like ~rows:substrate_servers ~seed:7 churn_nodes);
+    kernel ~calls:10 "session/first-drift(n=400,k=20)" make_first_drift_kernel;
     kernel ~calls:1000 "objective/fast(n=120)" (fun () () ->
         Objective.max_interaction_path small_problem small_assignment);
     kernel ~calls:5 "objective/naive(n=120)" (fun () () ->

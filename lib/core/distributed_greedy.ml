@@ -15,16 +15,15 @@ type result = {
 module Matrix = Dia_latency.Matrix
 
 (* The protocol's state. [ss] is the server-server block as a flat
-   snapshot and [rowmax] its {!Ecc.rowmax}; [buf] and [dim] are the
-   latency store and its dimension, and [clients]/[servers] the
-   instance's node ids, which {!dist} reads client-server distances
+   snapshot and [rowmax] its {!Ecc.rowmax}; [buf] is the latency store,
+   [clients] the instance's client nodes and [srow] each server's row
+   offset in [buf], which {!dist} reads client-server distances
    through. All are fixed for a run; [hop] is {!Ecc.attach}'s scratch
    row, and the rest changes with every committed move. *)
 type state = {
   buf : Matrix.buffer;
-  dim : int;
   clients : int array;
-  servers : int array;
+  srow : int array;
   ss : float array;
   rowmax : float array;
   hop : float array;
@@ -37,10 +36,9 @@ type state = {
   mutable probes : int;
 }
 
-(* [Problem.d_cs] read in place, as [Ecc] reads: the Bigarray primitive
-   expands inline and boxes nothing. *)
-let[@inline] dist st c s =
-  Bigarray.Array1.unsafe_get st.buf ((st.clients.(c) * st.dim) + st.servers.(s))
+(* [Problem.d_cs] read in place from the server's row, as [Ecc] reads:
+   the Bigarray primitive expands inline and boxes nothing. *)
+let[@inline] dist st c s = Bigarray.Array1.unsafe_get st.buf (st.srow.(s) + st.clients.(c))
 
 (* The two scorers. Each proposes a target for [client] other than
    [from], among the unsaturated servers, moving off [from] ([l_minus]
@@ -181,9 +179,8 @@ let run ?initial ?delay p =
   let st =
     {
       buf = Matrix.unsafe_buffer m;
-      dim = Matrix.dim m;
       clients = Problem.clients p;
-      servers = Problem.servers p;
+      srow = Matrix.row_offsets m (Problem.servers p);
       ss;
       rowmax = Ecc.rowmax ~ss k;
       hop = Array.make k 0.;

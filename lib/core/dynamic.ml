@@ -598,24 +598,6 @@ let members t =
   Hashtbl.fold (fun id m acc -> (id, m.node, m.server) :: acc) t.members []
   |> List.sort compare
 
-(* Rebuild every cached eccentricity (and its backing multiset) from
-   scratch in one member pass — needed after a drift change rescales
-   distances wholesale. *)
-let rebuild_ecc t =
-  Array.fill t.ecc 0 (k t) neg_infinity;
-  for s = 0 to k t - 1 do
-    t.dists.(s) <- Fmap.empty
-  done;
-  Hashtbl.iter
-    (fun _ m ->
-      let d = d_ns t m.node m.server in
-      mset_add t m.server d;
-      t.ecc.(m.server) <- Float.max t.ecc.(m.server) d)
-    t.members;
-  t.d_dirty <- true;
-  Array.iteri (fun s _ -> refresh_eff t s) t.eff;
-  lb_invalidate t
-
 let drift t s =
   if s < 0 || s >= k t then
     invalid_arg (Printf.sprintf "Dynamic.drift: server %d out of range" s);
@@ -631,8 +613,12 @@ let set_drift t ~server ~factor =
     if t.matrix == t.base then t.matrix <- Matrix.copy t.base;
     t.node_drift.(sv) <- factor;
     let n = Matrix.dim t.base and k = k t in
+    (* [copy] keeps the rows, so [sv]'s row starts at the same offset in
+       both stores; d(sv, u) is entry [row + u]. *)
+    let base = Matrix.unsafe_buffer t.base and buf = Matrix.unsafe_buffer t.matrix in
+    let row = Matrix.row_offset t.matrix sv in
     for u = 0 to n - 1 do
-      if u <> sv then
+      if u <> sv then begin
         (* The factor product is grouped apart from the base entry:
            [*.] is commutative, so [base *. (f_a *. f_b)] is bit-equal
            no matter which end drifted last — a restore that replays
@@ -640,29 +626,54 @@ let set_drift t ~server ~factor =
            drifted matrix exactly. Left-associated it would not
            ([base *. f_a *. f_b] vs [base *. f_b *. f_a] differ by
            ulps), which used to break kill/resume bit-identity. *)
-        Matrix.set t.matrix u sv
-          (Matrix.get t.base u sv *. (factor *. t.node_drift.(u)))
+        let v = Bigarray.Array1.unsafe_get base (row + u) *. (factor *. t.node_drift.(u)) in
+        if not (Float.is_finite v) then
+          invalid_arg (Printf.sprintf "Dynamic.set_drift: latency %g is not finite" v);
+        Bigarray.Array1.unsafe_set buf (row + u) v
+      end
     done;
+    (* Column [sv] of every other held row mirrors [sv]'s row. *)
+    let held = Matrix.rows t.matrix in
+    Array.iter2
+      (fun u o ->
+        if u <> sv then
+          Bigarray.Array1.unsafe_set buf (o + sv) (Bigarray.Array1.unsafe_get buf (row + u)))
+      held
+      (Matrix.row_offsets t.matrix held);
+    (* d(u, s) moved only for a member at [sv] or on a server at [sv]:
+       re-file those distances, reading the old one from [ns] before
+       it is patched. D is re-scanned on the next query, so no refresh
+       folds a pair in. *)
+    t.d_dirty <- true;
+    Hashtbl.iter
+      (fun _ m ->
+        let at = t.servers.(m.server) in
+        if m.node = sv || at = sv then begin
+          ecc_remove t m.server (d_ns t m.node m.server);
+          ecc_add t m.server
+            (Bigarray.Array1.unsafe_get buf (row + if m.node = sv then at else m.node))
+        end)
+      t.members;
     (* Only row and column [sv] of the matrix changed: patch [sv]'s row
        of [ns], and the [ns] column and the [ss] row and column of every
        server at [sv] — O(n + k) each. *)
     for s = 0 to k - 1 do
-      t.ns.((sv * k) + s) <- Matrix.unsafe_get t.matrix sv t.servers.(s)
+      t.ns.((sv * k) + s) <- Bigarray.Array1.unsafe_get buf (row + t.servers.(s))
     done;
     for s = 0 to k - 1 do
       if t.servers.(s) = sv then begin
         for u = 0 to n - 1 do
-          t.ns.((u * k) + s) <- Matrix.unsafe_get t.matrix u sv
+          t.ns.((u * k) + s) <- Bigarray.Array1.unsafe_get buf (row + u)
         done;
         for s' = 0 to k - 1 do
-          let v = Matrix.unsafe_get t.matrix sv t.servers.(s') in
+          let v = Bigarray.Array1.unsafe_get buf (row + t.servers.(s')) in
           t.ss.((s * k) + s') <- v;
           t.ss.((s' * k) + s) <- v
         done
       end
     done;
     Array.blit (Ecc.rowmax ~ss:t.ss k) 0 t.rowmax 0 k;
-    rebuild_ecc t;
+    lb_invalidate t;
     t.version <- t.version + 1
   end
 

@@ -201,14 +201,22 @@ val set_drift : t -> server:int -> factor:float -> unit
     drifted server nodes carry the product of the two factors). Models
     congestion or route change at a server site. The session's
     distance tables are patched where the matrix changed (the server
-    node's row and column, O(n + |S|)), all cached eccentricities are
-    rebuilt against the drifted matrix, and
+    node's row and column, O(n + |S|)), the eccentricities of the
+    servers whose members moved are re-derived (those on a server at
+    the drifted node, and those located at it: O(|C|) for the member
+    pass plus O(log load) per re-filed member), and
     {!snapshot} materialises the drifted distances, so offline re-solves
-    and lower bounds stay comparable with {!objective}. The caller's
-    matrix is never mutated (copy-on-first-drift).
+    and lower bounds stay comparable with {!objective}. D and the lower
+    bound are recomputed on their next query. The caller's matrix is
+    never mutated: the first drift copies it, which costs the matrix's
+    store — [r * n + n] doubles for a matrix holding [r < n - 1] rows
+    (64 KB for 20 rows of 400 nodes), [n * n] for a full one. A drift
+    writes the drifted row and that column of every other held row
+    directly: O(n + r).
 
     @raise Invalid_argument if [server] is out of range or [factor] is
-    not a positive finite number. *)
+    not a positive finite number, or a drifted latency overflows; the
+    session is then left half-patched. *)
 
 type image = {
   capacity : int option;

@@ -1,23 +1,28 @@
 module Matrix = Dia_latency.Matrix
 
-(* The client-row readers go to the latency store itself through
-   [dist], on node ids validated at [Problem.make]; array accesses that
-   depend on caller-supplied assignment entries stay checked. Values
-   are the exact doubles [Problem.d_cs] returns. [Bigarray.Array1.unsafe_get]
-   on the store's concrete type is a primitive the compiler expands in
-   place, so a read costs no call and boxes no float even when modules
-   are compiled [-opaque], where a call into [Matrix] would do both. *)
+(* The client-server readers go to the latency store itself through
+   [dist], reading d(c, s) as entry [c] of server [s]'s row: every
+   server's row is held ([Problem.make] checks it), a client's need not
+   be, and entries are stored symmetric, so that is the double
+   [Problem.d_cs] returns. Row offsets are looked up once per call and
+   node ids were validated at [Problem.make]; array accesses that
+   depend on caller-supplied assignment entries stay checked.
+   [Bigarray.Array1.unsafe_get] on the store's concrete type is a
+   primitive the compiler expands in place, so a read costs no call and
+   boxes no float even when modules are compiled [-opaque], where a
+   call into [Matrix] would do both. *)
 let[@inline] dist (buf : Matrix.buffer) row j = Bigarray.Array1.unsafe_get buf (row + j)
 
 let of_assignment p assignment =
   let m = Problem.latency p in
-  let buf = Matrix.unsafe_buffer m and dim = Matrix.dim m in
-  let clients = Problem.clients p and servers = Problem.servers p in
+  let buf = Matrix.unsafe_buffer m in
+  let clients = Problem.clients p in
+  let srow = Matrix.row_offsets m (Problem.servers p) in
   let k = Problem.num_servers p in
   let ecc = Array.make k neg_infinity and load = Array.make k 0 in
   for c = 0 to Array.length assignment - 1 do
     let s = assignment.(c) in
-    let d = dist buf (clients.(c) * dim) servers.(s) in
+    let d = dist buf srow.(s) clients.(c) in
     load.(s) <- load.(s) + 1;
     if d > ecc.(s) then ecc.(s) <- d
   done;
@@ -144,13 +149,13 @@ let effective ~delay ecc ~load =
 
 let excluding p assignment ~server ~client =
   let m = Problem.latency p in
-  let buf = Matrix.unsafe_buffer m and dim = Matrix.dim m in
+  let buf = Matrix.unsafe_buffer m in
   let clients = Problem.clients p in
-  let snode = (Problem.servers p).(server) in
+  let row = Matrix.row_offset m (Problem.servers p).(server) in
   let worst = ref neg_infinity in
   for c = 0 to Array.length assignment - 1 do
     if Array.unsafe_get assignment c = server && c <> client then begin
-      let d = dist buf (clients.(c) * dim) snode in
+      let d = dist buf row clients.(c) in
       if d > !worst then worst := d
     end
   done;

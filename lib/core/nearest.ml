@@ -11,7 +11,9 @@ let assign ?(delay = Delay.zero) p =
   let n = Problem.num_clients p and k = Problem.num_servers p in
   let cap = match Problem.capacity p with None -> max_int | Some c -> c in
   let m = Problem.latency p in
-  let clients = Problem.clients p and servers = Problem.servers p in
+  (* d(c, s) is read in place from [s]'s row, as [Ecc] reads it. *)
+  let buf = Matrix.unsafe_buffer m and srow = Matrix.row_offsets m (Problem.servers p) in
+  let clients = Problem.clients p in
   (* A join never lifts a load above n. *)
   let dtab = Array.init (n + 1) (Delay.eval delay) in
   let load = Array.make k 0 in
@@ -22,7 +24,7 @@ let assign ?(delay = Delay.zero) p =
       let l = Array.unsafe_get load s in
       if l < cap then begin
         let cost =
-          Matrix.unsafe_get m q (Array.unsafe_get servers s)
+          Bigarray.Array1.unsafe_get buf (Array.unsafe_get srow s + q)
           +. Array.unsafe_get dtab (l + 1)
         in
         if cost < !best_cost then begin

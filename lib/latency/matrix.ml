@@ -1,14 +1,19 @@
-(* The canonical store is a flat row-major float64 Bigarray. Entries are
-   identical IEEE-754 doubles to the previous [float array] backing, so
-   every bit-identity guarantee in the repo (parallel = sequential,
+(* The canonical store is a flat float64 Bigarray. Entries are identical
+   IEEE-754 doubles to the previous [float array] backing, so every
+   bit-identity guarantee in the repo (parallel = sequential,
    checkpoint/resume, incremental = scratch) survives the layout change.
 
-   A matrix may hold only some rows ([create ~rows]). Such a matrix
-   appends one flag per node after its n*n entries, [1.] when the node's
-   row (and column) is materialised; a full matrix has no tail. Keeping
-   the flags in the buffer leaves a full matrix exactly as large on the
-   OCaml heap as before. Absent entries hold NaN, which [set] refuses to
-   store, so no absent entry passes for a latency. *)
+   A matrix stores the rows it holds, n doubles each, ascending by node:
+   a full matrix holds every row, so its store is the row-major n*n
+   square with no tail. A rows-only matrix ([create ~rows] with at least
+   two nodes left out) holds r < n - 1 rows, then one tail entry per
+   node: the offset of the node's row in the store as a float (exact
+   below 2^53), or -1. when the row is not held. Its store therefore has
+   r*n + n < n*n entries, so the length alone tells the layouts apart,
+   and a full matrix is exactly as large on the OCaml heap as before.
+   Every pair that touches a held row is stored in that row (in both
+   rows when both are held), so d(i, j) is read from whichever of the
+   two is held; a pair touching no held row is absent. *)
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type t = { n : int; data : buffer }
@@ -17,34 +22,43 @@ let check_value v =
   if not (Float.is_finite v) || v < 0. then
     invalid_arg (Printf.sprintf "Matrix: latency %g is not a finite non-negative value" v)
 
+let alloc len v =
+  let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
+  Bigarray.Array1.fill data v;
+  data
+
 let create ?rows n =
   if n < 0 then invalid_arg "Matrix.create: negative dimension";
   match rows with
-  | None ->
-      let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (n * n) in
-      Bigarray.Array1.fill data 0.;
-      { n; data }
+  | None -> { n; data = alloc (n * n) 0. }
   | Some rows ->
-      let nn = n * n in
-      let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (nn + n) in
-      Bigarray.Array1.fill data nan;
-      Bigarray.Array1.fill (Bigarray.Array1.sub data nn n) 0.;
+      let listed = Bytes.make n '\000' in
       Array.iter
         (fun r ->
           if r < 0 || r >= n then
             invalid_arg
               (Printf.sprintf "Matrix.create: row %d out of bounds [0, %d)" r n);
-          Bigarray.Array1.unsafe_set data (nn + r) 1.)
+          Bytes.unsafe_set listed r '\001')
         rows;
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set data ((i * n) + i) 0.;
-        if Bigarray.Array1.unsafe_get data (nn + i) = 1. then
-          for j = 0 to n - 1 do
-            Bigarray.Array1.unsafe_set data ((i * n) + j) 0.;
-            Bigarray.Array1.unsafe_set data ((j * n) + i) 0.
-          done
-      done;
-      { n; data }
+      let held = ref 0 in
+      Bytes.iter (fun c -> if c <> '\000' then incr held) listed;
+      (* With at most one node left out every pair touches a held row:
+         the matrix is complete, and stored full. *)
+      if !held >= n - 1 then { n; data = alloc (n * n) 0. }
+      else begin
+        let tail = !held * n in
+        let data = alloc (tail + n) 0. in
+        let next = ref 0 in
+        for i = 0 to n - 1 do
+          if Bytes.unsafe_get listed i = '\000' then
+            Bigarray.Array1.unsafe_set data (tail + i) (-1.)
+          else begin
+            Bigarray.Array1.unsafe_set data (tail + i) (float_of_int !next);
+            next := !next + n
+          end
+        done;
+        { n; data }
+      end
 
 let dim m = m.n
 
@@ -52,48 +66,75 @@ let check_index m i =
   if i < 0 || i >= m.n then
     invalid_arg (Printf.sprintf "Matrix: index %d out of bounds [0, %d)" i m.n)
 
-let[@inline] partial m = Bigarray.Array1.dim m.data > m.n * m.n
-let[@inline] held m i = Bigarray.Array1.unsafe_get m.data ((m.n * m.n) + i) = 1.
+let[@inline] full m = Bigarray.Array1.dim m.data = m.n * m.n
+
+(* Where row [i] starts in the store, or -1 when it is not held. *)
+let[@inline] offset m i =
+  if full m then i * m.n
+  else
+    Float.to_int
+      (Bigarray.Array1.unsafe_get m.data (Bigarray.Array1.dim m.data - m.n + i))
 
 let has_row m i =
   check_index m i;
-  (not (partial m)) || held m i
+  offset m i >= 0
+
+let row_offset m i =
+  check_index m i;
+  let o = offset m i in
+  if o < 0 then
+    invalid_arg (Printf.sprintf "Matrix.row_offset: row %d is not materialised" i);
+  o
+
+let row_offsets m nodes = Array.map (row_offset m) nodes
+
+let rows m =
+  let held = ref [] in
+  for i = m.n - 1 downto 0 do
+    if offset m i >= 0 then held := i :: !held
+  done;
+  Array.of_list !held
 
 let absent label i j =
   invalid_arg
     (Printf.sprintf "Matrix.%s: pair (%d, %d) is absent (neither row is materialised)"
        label i j)
 
-(* Indices already checked. *)
-let check_pair label m i j =
-  if partial m && not (i = j || held m i || held m j) then absent label i j
-
-(* The first absent pair in upper-triangle order is the two lowest nodes
-   without a row. *)
+(* A rows-only matrix leaves at least two nodes out, so it always has an
+   absent pair; the first in upper-triangle order is the two lowest
+   nodes without a row. *)
 let check_complete label m =
-  if partial m then begin
-    let rec unheld i = if i >= m.n then None else if held m i then unheld (i + 1) else Some i in
-    match unheld 0 with
-    | None -> ()
-    | Some a -> Option.iter (fun b -> absent label a b) (unheld (a + 1))
+  if not (full m) then begin
+    let rec unheld i = if offset m i < 0 then i else unheld (i + 1) in
+    let a = unheld 0 in
+    absent label a (unheld (a + 1))
   end
 
+let unsafe_get m i j =
+  let oi = offset m i in
+  if oi >= 0 then Bigarray.Array1.unsafe_get m.data (oi + j)
+  else
+    let oj = offset m j in
+    if oj >= 0 then Bigarray.Array1.unsafe_get m.data (oj + i)
+    else if i = j then 0.
+    else nan
+
+(* Only an absent pair reads NaN: no stored latency is one. *)
 let get m i j =
   check_index m i;
   check_index m j;
-  check_pair "get" m i j;
-  Bigarray.Array1.unsafe_get m.data ((i * m.n) + j)
+  let v = unsafe_get m i j in
+  if Float.is_nan v then absent "get" i j else v
 
 let set m i j v =
   check_index m i;
   check_index m j;
-  check_pair "set" m i j;
+  let oi = offset m i and oj = offset m j in
+  if oi < 0 && oj < 0 && i <> j then absent "set" i j;
   check_value v;
   if i = j && v <> 0. then invalid_arg "Matrix.set: non-zero diagonal";
-  Bigarray.Array1.unsafe_set m.data ((i * m.n) + j) v;
-  Bigarray.Array1.unsafe_set m.data ((j * m.n) + i) v
-
-let unsafe_get m i j = Bigarray.Array1.unsafe_get m.data ((i * m.n) + j)
+  if oi >= 0 then Bigarray.Array1.unsafe_set m.data (oi + j) v;
+  if oj >= 0 then Bigarray.Array1.unsafe_set m.data (oj + i) v
 
 let unsafe_buffer m = m.data
 
@@ -102,12 +143,24 @@ let block m ~rows ~cols =
   Array.iter (check_index m) cols;
   let nr = Array.length rows and nc = Array.length cols in
   let t = Array.make (max 1 (nr * nc)) 0. in
+  let cols_at = if full m then [||] else Array.map (offset m) cols in
   for r = 0 to nr - 1 do
-    let row = Array.unsafe_get rows r * m.n and base = r * nc in
-    for j = 0 to nc - 1 do
-      Array.unsafe_set t (base + j)
-        (Bigarray.Array1.unsafe_get m.data (row + Array.unsafe_get cols j))
-    done
+    let node = Array.unsafe_get rows r and base = r * nc in
+    let row = offset m node in
+    if row >= 0 then
+      for j = 0 to nc - 1 do
+        Array.unsafe_set t (base + j)
+          (Bigarray.Array1.unsafe_get m.data (row + Array.unsafe_get cols j))
+      done
+    else
+      (* An unheld row: each entry comes from its column's row. *)
+      for j = 0 to nc - 1 do
+        let col = Array.unsafe_get cols_at j in
+        Array.unsafe_set t (base + j)
+          (if col >= 0 then Bigarray.Array1.unsafe_get m.data (col + node)
+           else if Array.unsafe_get cols j = node then 0.
+           else nan)
+      done
   done;
   t
 
@@ -132,6 +185,8 @@ let sub m nodes =
   let k = Array.length nodes in
   init k (fun i j -> get m nodes.(i) nodes.(j))
 
+(* The whole-matrix calls below run on a full matrix only
+   ([check_complete]), whose store is the row-major square. *)
 let fold_pairs m f acc =
   let acc = ref acc in
   for i = 0 to m.n - 1 do

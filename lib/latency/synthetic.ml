@@ -50,7 +50,8 @@ let internet_like ?(params = default_params) ?rows ~seed n =
   if p.continents <= 0 || p.cities_per_continent <= 0 then
     invalid_arg "Synthetic.internet_like: cluster counts must be positive";
   let m = Matrix.create ?rows n in
-  let held = Array.init n (Matrix.has_row m) in
+  (* Each node's row offset in the store, -1 when the row is not held. *)
+  let row = Array.init n (fun i -> if Matrix.has_row m i then Matrix.row_offset m i else -1) in
   let data = Matrix.unsafe_buffer m in
   let rng = Random.State.make [| seed; n |] in
   (* Continent centres spread over a 100x100 map; city centres scattered
@@ -77,10 +78,11 @@ let internet_like ?(params = default_params) ?rows ~seed n =
      noise Gaussian, its detour test and, when the test passes, its
      detour factor, materialised or not, so the stream (and every entry
      it yields) is the one the full build sees; only the arithmetic is
-     skipped for an absent pair. See DESIGN.md, "What a soak
+     skipped for an absent pair, and a present one is written into
+     whichever of its two rows is held. See DESIGN.md, "What a soak
      materialises". *)
   for i = 0 to n - 1 do
-    let held_i = held.(i) in
+    let row_i = row.(i) in
     for j = i + 1 to n - 1 do
       let u = 1. -. unit_float rng in
       let v = unit_float rng in
@@ -89,7 +91,8 @@ let internet_like ?(params = default_params) ?rows ~seed n =
           1. +. (unit_float rng *. (p.detour_max -. 1.))
         else 1.
       in
-      if held_i || held.(j) then begin
+      let row_j = row.(j) in
+      if row_i >= 0 || row_j >= 0 then begin
         let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
         let propagation = p.ms_per_unit *. sqrt ((dx *. dx) +. (dy *. dy)) in
         let base = propagation +. access.(i) +. access.(j) in
@@ -101,8 +104,8 @@ let internet_like ?(params = default_params) ?rows ~seed n =
                "Synthetic.internet_like: latency %g is not a finite \
                 non-negative value"
                d);
-        Bigarray.Array1.unsafe_set data ((i * n) + j) d;
-        Bigarray.Array1.unsafe_set data ((j * n) + i) d
+        if row_i >= 0 then Bigarray.Array1.unsafe_set data (row_i + j) d;
+        if row_j >= 0 then Bigarray.Array1.unsafe_set data (row_j + i) d
       end
     done
   done;

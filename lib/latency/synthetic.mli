@@ -36,8 +36,10 @@ val default_params : params
 val internet_like : ?params:params -> ?rows:int array -> seed:int -> int -> Matrix.t
 (** [internet_like ~seed n] generates an [n]-node Internet-like matrix.
 
-    With [~rows], only the pairs that touch a listed node are computed;
-    every other pair is absent (see {!Matrix}, "Absent pairs"). Each
+    With [~rows], only the pairs that touch a listed node are computed,
+    into the listed rows alone ([|distinct rows| * n] doubles and the
+    store's tail); every other pair is absent (see {!Matrix}, "Absent
+    pairs"). Each
     present entry is bit-identical to the same entry of the full build:
     the random stream still advances for every pair, and only the
     arithmetic is skipped. Duplicates in [rows] are allowed; the default

@@ -13,12 +13,13 @@ let argmax_dist dist n =
   done;
   !best
 
-(* [v] ranges over [0, n) and [center] is an in-range node, so the reads
-   are unchecked; [d(center, v)] is read from [center]'s row — the same
-   double as [d(v, center)] because [Matrix.set] mirrors both triangles. *)
-let relax dist m center n =
+(* [v] ranges over [0, n) and [row] is an in-range node's row offset
+   ({!Matrix.row_offset}), so the reads are unchecked; [d(center, v)] is
+   read in place from [center]'s row — the same double as [d(v, center)]
+   because the store is symmetric — with no call and no boxed float. *)
+let relax dist buf row n =
   for v = 0 to n - 1 do
-    dist.(v) <- Float.min dist.(v) (Matrix.unsafe_get m center v)
+    dist.(v) <- Float.min dist.(v) (Bigarray.Array1.unsafe_get buf (row + v))
   done
 
 let two_approx ?(seed = 0) m ~k =
@@ -34,7 +35,7 @@ let two_approx ?(seed = 0) m ~k =
     for step = 1 to k - 1 do
       let farthest = argmax_dist dist n in
       centers.(step) <- farthest;
-      relax dist m farthest n
+      relax dist (Matrix.unsafe_buffer m) (Matrix.row_offset m farthest) n
     done;
     Array.sort compare centers;
     centers
@@ -98,6 +99,8 @@ let[@inline] nth h i = if i < h.sorted then Array.unsafe_get h.order i else exte
 let greedy m ~k =
   check_k m k;
   let n = Matrix.dim m in
+  (* Every node is a candidate, so every row must be held. *)
+  let buf = Matrix.unsafe_buffer m and rows = Matrix.row_offsets m (Array.init n Fun.id) in
   let chosen = Array.make n false in
   let dist = Array.make n infinity in
   let h = { dist; heap = Array.make n 0; order = Array.make n 0; size = 0; sorted = 0 } in
@@ -117,10 +120,9 @@ let greedy m ~k =
     let best = ref (-1) and best_radius = ref infinity in
     for cand = 0 to n - 1 do
       if not chosen.(cand) then begin
-        let radius = ref 0. and i = ref 0 in
+        let radius = ref 0. and i = ref 0 and row = Array.unsafe_get rows cand in
         (* Unchecked reads: [nth] yields nodes in [0, n), and cand's
-           row equals its column because [Matrix.set] mirrors both
-           triangles. *)
+           row equals its column because the store is symmetric. *)
         while
           !i < n
           && Array.unsafe_get dist (nth h !i) > !radius
@@ -128,7 +130,7 @@ let greedy m ~k =
         do
           let v = nth h !i in
           let dv = Array.unsafe_get dist v in
-          let dc = Matrix.unsafe_get m cand v in
+          let dc = Bigarray.Array1.unsafe_get buf (row + v) in
           let d = if dv <= dc then dv else dc in
           if d > !radius then radius := d;
           incr i
@@ -141,7 +143,7 @@ let greedy m ~k =
     done;
     chosen.(!best) <- true;
     centers := !best :: !centers;
-    relax dist m !best n
+    relax dist buf (Array.unsafe_get rows !best) n
   done;
   let centers = Array.of_list !centers in
   Array.sort compare centers;

@@ -30,9 +30,11 @@ val greedy : Dia_latency.Matrix.t -> k:int -> int array
     the centers are those of the full scan ([Dia_oracle.Reference]
     keeps it) bit for bit, ties included. On 600-node Meridian-like
     subsamples at k = 20…100 the scan reads 0.3–1% of the full scan's
-    matrix cells.
+    matrix cells. Each candidate's distances are read in place from its
+    row of the store.
 
-    @raise Invalid_argument unless [0 <= k <= dim]. *)
+    @raise Invalid_argument unless [0 <= k <= dim], or if a node's row
+    is not materialised ({!Dia_latency.Matrix.has_row}). *)
 
 val optimal : ?node_limit:int -> Dia_latency.Matrix.t -> k:int -> int array
 (** Exact minimum K-center by branch-and-bound over center sets, seeded

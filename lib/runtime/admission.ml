@@ -42,11 +42,14 @@ let pop t =
       t.drained <- t.drained + 1;
       Some entry
 
+(* Most leaves are of sessions that never queued: test membership
+   first, so a miss walks the queue without copying it. *)
 let abandon t ~session =
-  let before = List.length t.queue in
-  t.queue <- List.filter (fun (s, _) -> s <> session) t.queue;
-  let hit = List.length t.queue < before in
-  if hit then t.abandoned <- t.abandoned + 1;
+  let hit = List.exists (fun (s, _) -> s = session) t.queue in
+  if hit then begin
+    t.queue <- List.filter (fun (s, _) -> s <> session) t.queue;
+    t.abandoned <- t.abandoned + 1
+  end;
   hit
 
 let pending t = List.length t.queue

@@ -49,6 +49,19 @@ let test_copy_independent () =
   check "original unchanged" 1. (Matrix.get m 0 1);
   check "copy changed" 9. (Matrix.get m' 0 1)
 
+let test_full_buffer_row_major () =
+  let n = 7 in
+  let m = Matrix.init n (fun i j -> float_of_int ((100 * i) + j)) in
+  let buf = Matrix.unsafe_buffer m in
+  Alcotest.(check int) "n x n entries, no tail" (n * n) (Bigarray.Array1.dim buf);
+  for i = 0 to n - 1 do
+    Alcotest.(check int) "row offset" (i * n) (Matrix.row_offset m i);
+    for j = 0 to n - 1 do
+      check "entry (i, j) at i * n + j" (Matrix.get m i j) (Bigarray.Array1.get buf ((i * n) + j))
+    done
+  done;
+  Alcotest.(check (array int)) "every row held" (Array.init n Fun.id) (Matrix.rows m)
+
 let test_sub () =
   let m = Matrix.init 5 (fun i j -> float_of_int (i + j)) in
   let s = Matrix.sub m [| 1; 3; 4 |] in
@@ -125,6 +138,8 @@ let test_equal_eps () =
 let suite =
   [
     Alcotest.test_case "create is all zero" `Quick test_create_zero;
+    Alcotest.test_case "a full matrix's store is row-major n x n" `Quick
+      test_full_buffer_row_major;
     Alcotest.test_case "init symmetrises and zeroes diagonal" `Quick test_init_symmetric;
     Alcotest.test_case "set writes both triangles" `Quick test_set_both_sides;
     Alcotest.test_case "set rejects bad values" `Quick test_set_rejects_bad_values;

@@ -121,31 +121,61 @@ let prop_rows_only_bit_identical =
       in
       let full = Synthetic.internet_like ~params ~seed n in
       let part = Synthetic.internet_like ~params ~rows ~seed n in
+      let copied = Matrix.copy part in
       let listed = Array.make n false in
       Array.iter (fun r -> listed.(r) <- true) rows;
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
           if i = j || listed.(i) || listed.(j) then begin
             if
-              Int64.bits_of_float (Matrix.get part i j)
-              <> Int64.bits_of_float (Matrix.get full i j)
+              not
+                (same (Matrix.get part i j) (Matrix.get full i j)
+                && same (Matrix.get copied i j) (Matrix.get full i j)
+                && same (Matrix.unsafe_get part i j) (Matrix.get full i j))
             then ok := false
           end
           else if
             not
               (raises (fun () -> Matrix.get part i j)
               && raises (fun () -> Matrix.set part i j 1.)
-              && Float.is_nan (Matrix.unsafe_get part i j))
+              && Float.is_nan (Matrix.unsafe_get part i j)
+              && Float.is_nan (Matrix.unsafe_get copied i j))
           then ok := false
         done
       done;
+      (* A set on a present pair reads back in both orientations, in the
+         copy only. *)
+      let set_ok =
+        n < 2
+        ||
+        let i = if Array.length rows > 0 then rows.(0) else 0 in
+        let j = (i + 1) mod n in
+        if listed.(i) || listed.(j) then begin
+          let before = Matrix.get part i j in
+          Matrix.set copied i j 123.5;
+          Matrix.get copied i j = 123.5
+          && Matrix.get copied j i = 123.5
+          && Matrix.unsafe_get copied j i = 123.5
+          && same (Matrix.get part i j) before
+        end
+        else true
+      in
       let unlisted = Array.fold_left (fun c l -> if l then c else c + 1) 0 listed in
       let complete = unlisted <= 1 in
+      (* The store: a complete matrix is the n x n square; any other
+         holds its n - unlisted rows of n doubles and an n-double tail
+         of row offsets. *)
+      let stored = Bigarray.Array1.dim (Matrix.unsafe_buffer part) in
+      let size_ok =
+        if complete then stored = n * n else stored = ((n - unlisted) * n) + n
+      in
       let whole_ok =
         List.for_all (fun (_, f) -> raises f = not complete) (whole_matrix_calls part)
       in
-      !ok && whole_ok && ((not complete) || Matrix.equal ~eps:0. part full))
+      !ok && set_ok && size_ok && whole_ok
+      && ((not complete) || Matrix.equal ~eps:0. part full))
 
 let test_rows_refused_out_of_range () =
   List.iter
