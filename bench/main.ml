@@ -108,7 +108,7 @@ let related_work_comparison () =
       Dia_stats.Table.add_row table
         [
           string_of_int k;
-          Printf.sprintf "%.3f" (score (Dia_core.Zone_based.assign p));
+          Printf.sprintf "%.3f" (score (Dia_oracle.Zone_based.assign p));
           Printf.sprintf "%.3f" (score (Dia_core.Nearest.assign p));
           Printf.sprintf "%.3f" (score (Dia_core.Greedy.assign p));
           Printf.sprintf "%.3f" (score (Dia_core.Distributed_greedy.assign p));
@@ -547,7 +547,7 @@ let tests =
     kernel ~calls:100 "clock/synthesize(n=300,k=20)" (fun () () ->
         Dia_core.Clock.synthesize bench_problem bench_assignment);
     kernel "search/hill-climb(n=120,k=8)" (fun () () ->
-        Dia_core.Local_search.hill_climb small_problem small_assignment);
+        Dia_oracle.Local_search.hill_climb small_problem small_assignment);
     kernel "vivaldi/embed(n=120,r=15)" (fun () () ->
         Dia_latency.Vivaldi.embed_matrix ~rounds:15 small_matrix);
     kernel ~calls:10 "topology/transit-stub(n=400)" (fun () () ->
@@ -621,7 +621,7 @@ let achievable_gap_ablation () =
          identical for any pool size. *)
       let _, annealed =
         Pool.with_pool (fun pool ->
-            Dia_core.Local_search.anneal_restarts ~pool ~restarts:4 p start)
+            Dia_oracle.Local_search.anneal_restarts ~pool ~restarts:4 p start)
       in
       Dia_stats.Table.add_row table
         [
@@ -710,22 +710,15 @@ type scaling_row = {
 
 let scaling_jobs = [ 1; 2; 4 ]
 
-(* The pool's kernels that win at jobs 2 on a 2-core host: the pruned
-   lower bound on a 600-node instance, and four annealing restarts on
-   the bechamel bench problem. *)
+(* The pool's kernel that wins at jobs 2 on a 2-core host: four
+   annealing restarts on the bechamel bench problem. *)
 let measure_scaling () =
-  let n = 600 in
-  let matrix = Dia_latency.Synthetic.internet_like ~seed:11 n in
-  let servers = Placement.random ~seed:11 ~k:30 ~n in
-  let p = Problem.all_nodes_clients matrix ~servers in
   let kernels =
     [
-      ("lower-bound(n=600,k=30)",
-       fun pool -> ignore (Lower_bound.compute ~pool p));
       ("anneal-restarts(n=300,k=20,restarts=4)",
        fun pool ->
          ignore
-           (Dia_core.Local_search.anneal_restarts ~pool ~restarts:4 bench_problem
+           (Dia_oracle.Local_search.anneal_restarts ~pool ~restarts:4 bench_problem
               bench_assignment));
     ]
   in

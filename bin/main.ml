@@ -136,10 +136,10 @@ let jobs_arg =
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:(Printf.sprintf
                    "Worker domains: $(b,experiment) fig7/fig8 fan their sweeps \
-                    out over them, $(b,assign) runs its lower bound on them, and \
-                    $(b,oracle) fans its seeds out over them. $(docv) is in 1..%d \
-                    (default: the $(b,DIA_JOBS) environment variable, then 1). \
-                    Results are identical for any value."
+                    out over them, and $(b,oracle) fans its seeds out over \
+                    them. $(docv) is in 1..%d (default: the $(b,DIA_JOBS) \
+                    environment variable, then 1). Results are identical \
+                    for any value."
                    Pool.max_jobs))
 
 let resolve_jobs = function Some j -> j | None -> Pool.default_jobs ()
@@ -274,7 +274,7 @@ let assign_cmd =
                    $(b,D_load) columns: each hop pays its server's \
                    load-dependent delay on top of the network path.")
   in
-  let run dataset profile matrix_file seed k placement algorithm capacity explain jobs fault coreset_eps delay =
+  let run dataset profile matrix_file seed k placement algorithm capacity explain fault coreset_eps delay =
     let matrix = load_matrix ~matrix_file ~dataset ~profile ~seed in
     let faulty = not (Dia_sim.Fault.equal fault Dia_sim.Fault.reliable) in
     if faulty && Dia_latency.Matrix.dim matrix > 600 then
@@ -295,9 +295,7 @@ let assign_cmd =
     else
     let servers = Placement.place placement ~seed matrix ~k in
     let p = Problem.all_nodes_clients ?capacity matrix ~servers in
-    let lb =
-      Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool -> Lower_bound.compute ~pool p)
-    in
+    let lb = Lower_bound.compute p in
     let algorithms =
       match algorithm with Some a -> [ a ] | None -> Algorithm.heuristics
     in
@@ -425,7 +423,7 @@ let assign_cmd =
     (Cmd.info "assign" ~doc:"Assign clients to servers on a data set and report interactivity.")
     Term.(ret (const run $ dataset_arg $ profile_arg $ matrix_file_arg $ seed_arg
                $ servers_arg $ placement_arg $ algorithm_arg $ capacity_arg
-               $ explain_arg $ jobs_arg $ fault_arg $ coreset_eps_arg
+               $ explain_arg $ fault_arg $ coreset_eps_arg
                $ delay_arg))
 
 (* dia dataset *)

@@ -8,8 +8,8 @@
     delay model the same arithmetic runs on {!effective}
     eccentricities. This module is the one home of that arithmetic:
     {!Objective}, the search algorithms ({!Distributed_greedy},
-    {!Local_search}, {!Brute_force}) and the online session
-    ({!Dynamic}) build on it.
+    {!Brute_force}, and the oracle's [Local_search]) and the online
+    session ({!Dynamic}) build on it.
 
     The server-level scans take a flat k x k server-server table [~ss]
     in the layout of {!Problem.ss_table} (entry [s1 * k + s2] is

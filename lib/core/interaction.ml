@@ -53,36 +53,6 @@ let worst_pairs ?(count = 10) p a =
   in
   List.filteri (fun i _ -> i < count) ranked
 
-let client_worst p a c =
-  let k = Problem.num_servers p in
-  let worst = worst_client_of p a in
-  let best = ref (path p a c c) in
-  for s = 0 to k - 1 do
-    if worst.(s) >= 0 then begin
-      let candidate = path p a c worst.(s) in
-      if candidate.length > !best.length then best := candidate
-    end
-  done;
-  !best
-
-let server_contribution p a =
-  let k = Problem.num_servers p in
-  let worst = worst_client_of p a in
-  let through = Array.make k neg_infinity in
-  for s1 = 0 to k - 1 do
-    if worst.(s1) >= 0 then
-      for s2 = s1 to k - 1 do
-        if worst.(s2) >= 0 then begin
-          let len = (path p a worst.(s1) worst.(s2)).length in
-          through.(s1) <- Float.max through.(s1) len;
-          through.(s2) <- Float.max through.(s2) len
-        end
-      done
-  done;
-  Array.to_list (Array.mapi (fun s len -> (s, len)) through)
-  |> List.filter (fun (s, _) -> worst.(s) >= 0)
-  |> List.sort (fun (_, x) (_, y) -> Float.compare y x)
-
 let breakdown p a =
   match worst_pairs ~count:1 p a with
   | [] -> (nan, nan)

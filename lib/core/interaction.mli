@@ -1,11 +1,10 @@
 (** Interaction-path diagnostics.
 
     Operators do not just want the objective value — they want to know
-    {e which} client pairs are slow, through which servers, and what each
-    client individually experiences. These inspectors decompose the
-    objective of Section II-A into its parts. All run in
-    O(|C| + |S|²)-ish time via eccentricities, except {!worst_pairs}
-    which materialises only the requested number of pairs. *)
+    {e which} client pairs are slow and through which servers. These
+    inspectors decompose the objective of Section II-A into its parts.
+    {!worst_pairs} ranks only O(|S|²) candidate pairs and materialises
+    the requested number. *)
 
 type path = {
   from_client : int;
@@ -26,15 +25,6 @@ val worst_pairs : ?count:int -> Problem.t -> Assignment.t -> path list
     Computed from per-server worst clients, so only O(|S|²) candidate
     pairs are ranked — for each used server pair, the worst client on
     each side. Includes a client's round trip to itself. *)
-
-val client_worst : Problem.t -> Assignment.t -> int -> path
-(** The longest interaction path involving one given client — what that
-    player would complain about. O(|C| + |S|²). *)
-
-val server_contribution : Problem.t -> Assignment.t -> (int * float) list
-(** Per used server: the length of the longest interaction path through
-    it — the server whose contribution equals [D(A)] is the one to fix
-    (re-place, or re-assign its far clients). Descending. *)
 
 val breakdown : Problem.t -> Assignment.t -> float * float
 (** Of the objective [D(A)]: [(client_legs, server_leg)] — how much of

@@ -36,17 +36,7 @@
    still ranges over exactly the same candidate sums in a fixed order,
    so every entry is bit-identical to the naive double loop. [scan]
    runs all of this on a caller's flat snapshot; [compute] and
-   Dynamic's lower-bound rebuild both call it.
-
-   Parallel path: rows of the pair scan are independent, so they fan out
-   over a Pool, and each chunk fills only its own rows of f. Pruning
-   against a shared best is sound even when the shared value is read
-   racily — a skipped pair satisfies g <= upper <= best-so-far <= final
-   best, so it can never change the max — and the per-chunk bests are
-   combined by an exact max, which makes the result bit-identical to
-   the sequential scan. *)
-
-module Pool = Dia_parallel.Pool
+   Dynamic's lower-bound rebuild both call it. *)
 
 (* f is flat n*k, row base c*k; cs is Problem.cs_table; sst is the
    transposed server block, sst.(s' * k + s) = d(s, s'). Every entry is
@@ -95,12 +85,10 @@ let fill_reach_row ~k ~cs ~sst (f : float array) c =
     incr s'
   done
 
-(* Best pair over rows [lo, hi): c in the range, c' >= c, returned as
-   (value, c, c') with the first pair found at that value — (seed, -1,
-   -1) when no pair beats [seed], a sound lower bound on the final
-   answer used to prime the pruning. Fills the rows of f it needs, as
-   the file header says; a row is visited once, so whether it is full
-   is a local of the row loop.
+(* Best pair c <= c', returned as (value, c, c') with the first pair
+   found at that value — (neg_infinity, -1, -1) with no clients. Fills
+   the rows of f it needs, as the file header says; a row is visited
+   once, so whether it is full is a local of the row loop.
 
    Partners c' are visited grouped by their nearest server b, members
    ascending. Each group carries a suffix max of nd over its remaining
@@ -110,17 +98,17 @@ let fill_reach_row ~k ~cs ~sst (f : float array) c =
    different order than the plain triangular loop, but every evaluated
    pair value is the same exact double and max is order-insensitive, so
    the result is unchanged. *)
-let scan_rows ~k ~cs ~sst ~f ~nearest_dist ~groups ~suffmax ~seed lo hi =
-  let best = ref seed and wa = ref (-1) and wb = ref (-1) in
+let scan_rows ~k ~cs ~sst ~f ~nearest_dist ~groups ~suffmax n =
+  let best = ref neg_infinity and wa = ref (-1) and wb = ref (-1) in
   let ptr = Array.make k 0 in
-  for c = lo to hi - 1 do
+  for c = 0 to n - 1 do
     let fbase = c * k in
     let full = ref false in
     for b = 0 to k - 1 do
       let g = Array.unsafe_get groups b in
       let len_g = Array.length g in
       (* Skip members below the triangle row; pointers only move
-         forward, so the advances amortise over the whole chunk. *)
+         forward, so the advances amortise over the whole scan. *)
       let i0 = ref (Array.unsafe_get ptr b) in
       while !i0 < len_g && Array.unsafe_get g !i0 < c do incr i0 done;
       Array.unsafe_set ptr b !i0;
@@ -165,7 +153,7 @@ let scan_rows ~k ~cs ~sst ~f ~nearest_dist ~groups ~suffmax ~seed lo hi =
 
 type scan = { value : float; wa : int; wb : int; reach : float array }
 
-let scan ?pool ~k ~cs ~ss n =
+let scan ~k ~cs ~ss n =
   if n = 0 then { value = neg_infinity; wa = -1; wb = -1; reach = [||] }
   else begin
     (* Transposed server block for the fill: sst.(s' * k + s) = d(s,s'),
@@ -222,46 +210,11 @@ let scan ?pool ~k ~cs ~ss n =
           sm)
         groups
     in
-    let value, wa, wb =
-      match pool with
-      | None ->
-          scan_rows ~k ~cs ~sst ~f ~nearest_dist ~groups ~suffmax
-            ~seed:neg_infinity 0 n
-      | Some pool ->
-          let shared = Atomic.make neg_infinity in
-          let publish v =
-            let rec go () =
-              let cur = Atomic.get shared in
-              if v > cur && not (Atomic.compare_and_set shared cur v) then go ()
-            in
-            go ()
-          in
-          let chunk_bests =
-            Pool.chunk_map pool ~n (fun ~lo ~hi ->
-                let ((v, _, _) as b) =
-                  scan_rows ~k ~cs ~sst ~f ~nearest_dist ~groups ~suffmax
-                    ~seed:(Atomic.get shared) lo hi
-                in
-                publish v;
-                b)
-          in
-          (* A chunk seeded at the final value reports no pair; the one
-             that published the value did, so skipping witness-less
-             chunks still finds it. *)
-          Array.fold_left
-            (fun ((bv, _, _) as acc) ((v, a, _) as b) ->
-              if a >= 0 && v > bv then b else acc)
-            (neg_infinity, -1, -1) chunk_bests
-    in
+    let value, wa, wb = scan_rows ~k ~cs ~sst ~f ~nearest_dist ~groups ~suffmax n in
     { value; wa; wb; reach = f }
   end
 
-let compute ?pool p =
-  (scan ?pool ~k:(Problem.num_servers p) ~cs:(Problem.cs_table p)
+let compute p =
+  (scan ~k:(Problem.num_servers p) ~cs:(Problem.cs_table p)
      ~ss:(Problem.ss_table p) (Problem.num_clients p))
     .value
-
-let normalized p a =
-  let lb = compute p in
-  if not (Float.is_finite lb) || lb <= 0. then nan
-  else Objective.max_interaction_path p a /. lb

@@ -7,18 +7,12 @@
     generally unachievable by any single assignment ("super-optimum"), but
     [LB <= D(A)] for every assignment [A]. *)
 
-val compute : ?pool:Dia_parallel.Pool.t -> Problem.t -> float
+val compute : Problem.t -> float
 (** The lower bound. [neg_infinity] for instances with no clients.
     Runs in O(|C| |S|² + |C|² |S|) at worst, with an O(1)-per-pair
     pruning test that skips most inner scans on Internet-like data; a
     client's reach row costs O(|S|²) only when one of its pairs survives
-    that test (see {!scan}).
-
-    With [pool], the client-pair scan fans out over the pool's domains,
-    one contiguous block of client rows per chunk, each chunk computing
-    its own rows' reach entries; the result is bit-identical to the
-    sequential scan for any pool size (pruning never changes the max,
-    and per-chunk bests are combined by an exact max in chunk order). *)
+    that test (see {!scan}). *)
 
 type scan = {
   value : float;  (** the bound, [neg_infinity] with no clients *)
@@ -30,8 +24,7 @@ type scan = {
           other entry is [nan] *)
 }
 
-val scan :
-  ?pool:Dia_parallel.Pool.t -> k:int -> cs:float array -> ss:float array -> int -> scan
+val scan : k:int -> cs:float array -> ss:float array -> int -> scan
 (** [scan ~k ~cs ~ss n]: the kernel behind {!compute} on a flat snapshot
     of [n] clients and [k] servers in the layouts of {!Problem.cs_table}
     and {!Problem.ss_table}. A pair [c <= c'] is evaluated as
@@ -45,8 +38,3 @@ val scan :
     test. The skipped work is work whose result the full table would
     not have changed, so the value and the witness equal those of a
     scan over the full table, bit for bit. *)
-
-val normalized : Problem.t -> Assignment.t -> float
-(** [normalized p a] is [D(A) / LB], the paper's "normalized
-    interactivity" (1.0 is ideal). [nan] when the bound is zero or the
-    instance has no clients. *)

@@ -7,8 +7,6 @@ module Lower_bound = Dia_core.Lower_bound
 module Brute_force = Dia_core.Brute_force
 module Delay = Dia_core.Delay
 module Dg = Dia_core.Distributed_greedy
-module Local_search = Dia_core.Local_search
-module Zone_based = Dia_core.Zone_based
 module Clock = Dia_core.Clock
 module Workload = Dia_sim.Workload
 module Dgreedy_protocol = Dia_sim.Dgreedy_protocol

@@ -1,9 +1,8 @@
 (** Differential testing of the full algorithm suite on one instance.
 
     Runs all nine assignment algorithms — the six of
-    {!Dia_core.Algorithm} plus {!Dia_core.Zone_based},
-    {!Dia_core.Local_search.hill_climb} and
-    {!Dia_core.Local_search.anneal} — on the same generated instance and
+    {!Dia_core.Algorithm} plus {!Zone_based}, {!Local_search.hill_climb}
+    and {!Local_search.anneal} — on the same generated instance and
     checks every relation the paper (or the implementations' own
     contracts) promises between them:
 
@@ -61,7 +60,7 @@
 val algo_keys : string list
 (** The nine algorithm keys, in report order. *)
 
-val conformance_annealing : Dia_core.Local_search.annealing_params
+val conformance_annealing : Local_search.annealing_params
 (** Reduced annealing schedule used by the harness so thousands of
     instances stay fast. *)
 

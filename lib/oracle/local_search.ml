@@ -1,3 +1,7 @@
+module Problem = Dia_core.Problem
+module Assignment = Dia_core.Assignment
+module Ecc = Dia_core.Ecc
+
 (* Both searches work on a mutable view: the assignment array, per-server
    loads, and per-server eccentricities, with the objective evaluated
    from eccentricities over the server-server table in O(|S|^2). *)

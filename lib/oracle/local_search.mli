@@ -12,7 +12,10 @@
     we really" instrument used in EXPERIMENTS.md. *)
 
 val hill_climb :
-  ?max_rounds:int -> Problem.t -> Assignment.t -> Assignment.t * float
+  ?max_rounds:int ->
+  Dia_core.Problem.t ->
+  Dia_core.Assignment.t ->
+  Dia_core.Assignment.t * float
 (** Steepest descent from a starting assignment: repeatedly apply the
     single client move that most reduces the maximum interaction-path
     length, until no move improves (or [max_rounds] moves were made,
@@ -30,9 +33,9 @@ val default_annealing : annealing_params
 val anneal :
   ?params:annealing_params ->
   ?seed:int ->
-  Problem.t ->
-  Assignment.t ->
-  Assignment.t * float
+  Dia_core.Problem.t ->
+  Dia_core.Assignment.t ->
+  Dia_core.Assignment.t * float
 (** Simulated annealing from a starting assignment with single-client
     move proposals (uniform client, uniform unsaturated server),
     Metropolis acceptance on the objective, geometric cooling, and a
@@ -45,9 +48,9 @@ val anneal_restarts :
   ?pool:Dia_parallel.Pool.t ->
   ?params:annealing_params ->
   ?restarts:int ->
-  Problem.t ->
-  Assignment.t ->
-  Assignment.t * float
+  Dia_core.Problem.t ->
+  Dia_core.Assignment.t ->
+  Dia_core.Assignment.t * float
 (** [anneal_restarts p a] runs {!anneal} from [a] under seeds
     [0 .. restarts - 1] (default 4) and returns the best result (lowest
     objective, ties to the lowest seed). With [pool], restarts run on

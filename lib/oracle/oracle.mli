@@ -7,10 +7,10 @@
     the per-instance checks ({!Differential.check_instance}) the driver
     adds whole-suite checks that cannot run inside the fan-out:
 
-    - {b pool identity}: [Lower_bound.compute ~pool] and
-      [Local_search.anneal_restarts ~pool] must be bit-identical to
-      their sequential runs (nested pool submissions execute inline, so
-      this is only a real test at top level);
+    - {b pool identity}: {!Local_search.anneal_restarts} on the pool
+      must be bit-identical to its sequential run (nested pool
+      submissions execute inline, so this is only a real test at top
+      level);
     - {b aggregate dominance}: over a large enough sample ([>= 100]
       instances with a usable [LB]), the paper's quality ordering of the
       mean normalized objective must hold — Greedy and LFB no worse on

@@ -1,3 +1,6 @@
+module Problem = Dia_core.Problem
+module Assignment = Dia_core.Assignment
+
 let assign ?zones p =
   let n = Problem.num_clients p in
   let k = Problem.num_servers p in

@@ -21,7 +21,7 @@
     Respects capacities by splitting an overflowing zone across its
     best servers (nearest clients first). *)
 
-val assign : ?zones:int -> Problem.t -> Assignment.t
+val assign : ?zones:int -> Dia_core.Problem.t -> Dia_core.Assignment.t
 (** [zones] defaults to the number of servers. O(zones · |C| · |S|).
 
     @raise Invalid_argument if [zones < 1]. *)

@@ -143,7 +143,9 @@ let check_alive t =
    ran 6.7x slower than jobs=1). Oversplit only when every resulting
    chunk still holds at least [grain] items; otherwise issue at most one
    chunk per worker. *)
-let chunk_count ?(grain = 4) t n =
+let grain = 4
+
+let chunk_count t n =
   if n <= 1 then n
   else
     let fine = 4 * t.pool_jobs in
@@ -191,29 +193,12 @@ let run_batch t ~chunks run_chunk =
 
 let sequential t = t.pool_jobs <= 1 || Domain.DLS.get in_chunk
 
-let init ?grain t n f =
-  check_alive t;
-  if n <= 0 then [||]
-  else if sequential t || n = 1 then Array.init n f
-  else begin
-    let chunks = chunk_count ?grain t n in
-    let parts = Array.make chunks [||] in
-    run_batch t ~chunks (fun c ->
-        let lo, hi = chunk_bounds ~n ~chunks c in
-        parts.(c) <- Array.init (hi - lo) (fun i -> f (lo + i)));
-    Array.concat (Array.to_list parts)
-  end
-
-let map_array t f arr = init t (Array.length arr) (fun i -> f arr.(i))
-
-let run_seeds t ~seeds f = init t seeds f
-
-let chunk_map ?grain t ~n f =
+let chunk_map t ~n f =
   check_alive t;
   if n <= 0 then [||]
   else if sequential t || n = 1 then [| f ~lo:0 ~hi:n |]
   else begin
-    let chunks = chunk_count ?grain t n in
+    let chunks = chunk_count t n in
     let parts = Array.make chunks None in
     run_batch t ~chunks (fun c ->
         let lo, hi = chunk_bounds ~n ~chunks c in
@@ -222,3 +207,12 @@ let chunk_map ?grain t ~n f =
       (function Some v -> v | None -> assert false)
       parts
   end
+
+let init t n f =
+  match chunk_map t ~n (fun ~lo ~hi -> Array.init (hi - lo) (fun i -> f (lo + i))) with
+  | [| whole |] -> whole
+  | parts -> Array.concat (Array.to_list parts)
+
+let map_array t f arr = init t (Array.length arr) (fun i -> f arr.(i))
+
+let run_seeds t ~seeds f = init t seeds f

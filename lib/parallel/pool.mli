@@ -4,13 +4,11 @@
     over which embarrassingly parallel loops are fanned out in chunks.
 
     Pools reach the sites that ran faster on two domains than on one
-    (2-core host, interleaved): [Lower_bound.compute] (and [scan]; 1.4-1.6x
-    on 600-node instances since its reach entries are computed on
-    demand, though [bench/main.exe]'s 600-node, 30-server instance
-    reads 0.87-1.04x),
-    [Local_search.anneal_restarts], [Oracle.run]'s seed fan-out, and the
-    Fig. 7 k-sweep and Fig. 8 seed sweep. The K-center placements run
-    sequentially; they read 0.48-0.93x on two domains.
+    (2-core host, interleaved): [Local_search.anneal_restarts],
+    [Oracle.run]'s seed fan-out, and the Fig. 7 k-sweep and Fig. 8 seed
+    sweep. The lower bound and the K-center placements run
+    sequentially: the bound saved at most about 3 ms of a [dia assign]
+    command on two domains, and the placements read 0.48-0.93x.
 
     {b Determinism contract.} Every primitive returns results that are
     bit-identical to a sequential execution of the same loop, for any
@@ -57,17 +55,8 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
     afterwards, also on exceptions. *)
 
-val init : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
-(** Order-preserving parallel [Array.init].
-
-    {b Chunk granularity.} All chunked primitives oversplit into
-    [4 * jobs] chunks so uneven loops balance — but only when every
-    chunk keeps at least [grain] items (default 4); smaller batches are
-    issued as at most one chunk per worker, because per-chunk dispatch
-    and setup overhead would otherwise dominate (a small seed sweep at
-    [jobs = 4] once ran 6.7x slower than sequentially). Raise [grain]
-    when each chunk pays a large fixed cost (scratch buffers), lower it
-    to 1 when items are individually expensive and imbalanced. *)
+val init : t -> int -> (int -> 'a) -> 'a array
+(** Order-preserving parallel [Array.init], over {!chunk_map}. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel [Array.map]. *)
@@ -77,14 +66,21 @@ val run_seeds : t -> seeds:int -> (int -> 'a) -> 'a array
     workers and collects the results in seed order. Each task must seed
     its own [Random.State] from its argument. *)
 
-val chunk_map : ?grain:int -> t -> n:int -> (lo:int -> hi:int -> 'a) -> 'a array
+val chunk_map : t -> n:int -> (lo:int -> hi:int -> 'a) -> 'a array
 (** [chunk_map t ~n f] splits [0 .. n-1] into contiguous chunks and
-    returns [f ~lo ~hi] per chunk, in chunk order. The number of chunks
-    depends on the pool size (sequentially it is a single chunk), so the
-    caller's combine step must be chunking-invariant — exact operations
-    such as [max] or first-strict-improvement argmin qualify, float
-    addition does not (map with {!init}, then fold in index order).
-    [grain] as in {!init}. *)
+    returns [f ~lo ~hi] per chunk, in chunk order: the one batch body
+    every other primitive runs. The number of chunks depends on the pool
+    size (sequentially it is a single chunk), so the caller's combine
+    step must be chunking-invariant — exact operations such as [max] or
+    first-strict-improvement argmin qualify, float addition does not
+    (map with {!init}, then fold in index order).
+
+    {b Chunk granularity.} A batch is oversplit into [4 * jobs] chunks
+    so uneven loops balance — but only when every chunk keeps at least
+    4 items; smaller batches are issued as at most one chunk per worker,
+    because per-chunk dispatch and setup overhead would otherwise
+    dominate (a small seed sweep at [jobs = 4] once ran 6.7x slower than
+    sequentially). *)
 
 val exercised : t -> int
 (** Number of batches that actually ran on worker domains — exposed so

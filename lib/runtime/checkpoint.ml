@@ -326,7 +326,7 @@ let decode text =
     in
     let c = counters () in
     List.iter (fun (key, _, set) -> set c (int key)) counter_fields;
-    Ok
+    let st =
       {
         digest = str "digest";
         cursor = int "cursor";
@@ -372,6 +372,19 @@ let decode text =
         baseline_points = [];
         log = [];
       }
+    in
+    (* Accept only what [encode] writes: the decoded state must encode
+       back to the input, byte for byte. *)
+    let canonical = encode st in
+    if String.equal canonical text then Ok st
+    else begin
+      let n = min (String.length text) (String.length canonical) in
+      let i = ref 0 in
+      while !i < n && text.[!i] = canonical.[!i] do incr i done;
+      let line = ref 1 in
+      String.iteri (fun j ch -> if j < !i && ch = '\n' then incr line) text;
+      fail "checkpoint: not the file encode writes for this state [line %d]" !line
+    end
   with
   | Bad m -> Error m
   | Failure m -> Error m

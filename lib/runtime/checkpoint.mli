@@ -89,7 +89,10 @@ val decode : string -> (state, string) result
     not use: an unknown or repeated scalar key, a negative integer
     field, a capacity of 0, a non-finite [now], an SLO state
     {!Slo.decode} refuses, or a repeated session id (ids themselves may
-    be negative). Never raises. *)
+    be negative). Last, [encode] of the decoded state must equal the
+    input byte for byte, so a value [encode] would write differently
+    ([cursor=0x10], [admitted=+7], [now= 1.5], a blank line) is refused
+    by the line it is on. Never raises. *)
 
 val add_points :
   Buffer.t ->

@@ -23,12 +23,6 @@ type entry = { time : float; kind : kind }
 
 let level_str = Slo.level_name
 
-let level_of_str = function
-  | "healthy" -> Slo.Healthy
-  | "degraded" -> Slo.Degraded
-  | "critical" -> Slo.Critical
-  | other -> failwith (Printf.sprintf "Event_log: unknown level %S" other)
-
 (* The writer: "t=<float> <tag> k=v k=v ...", straight into [b]; each
    [key] carries its separators. *)
 let int b key v =
@@ -94,117 +88,173 @@ let to_line e =
   add_line b e;
   Buffer.sub b 0 (Buffer.length b - 1)
 
-(* Parsing: "t=<float> <tag> k=v k=v ...". *)
+(* Parsing: "t=<float> <tag> k=v k=v ...", split at single blanks. A
+   refusal names a 1-based column: that of the token or value it
+   refuses, or the one just past the line for a missing field. A line
+   that parses is then rendered again, and the first byte that differs
+   from that rendering is refused by its column: the parser accepts
+   exactly the lines [add_line] writes. *)
 
-let field fields key =
+exception Bad of int * string
+
+let bad col fmt = Printf.ksprintf (fun m -> raise (Bad (col, m))) fmt
+
+(* The column of [key]'s value, for an error: the first " key=" in the
+   line is the field [List.assoc] read. *)
+let value_col line key =
+  let pat = " " ^ key ^ "=" in
+  let n = String.length line and m = String.length pat in
+  let rec find i =
+    if i + m > n then n + 1
+    else if String.sub line i m = pat then i + m + 1
+    else find (i + 1)
+  in
+  find 0
+
+let field line fields key =
   match List.assoc_opt key fields with
   | Some v -> v
-  | None -> failwith (Printf.sprintf "Event_log: missing field %S" key)
+  | None -> bad (String.length line + 1) "missing field %S" key
 
-let int_field fields key =
-  match int_of_string_opt (field fields key) with
+let int_field line fields key =
+  match int_of_string_opt (field line fields key) with
   | Some i -> i
-  | None -> failwith (Printf.sprintf "Event_log: field %S is not an integer" key)
+  | None -> bad (value_col line key) "field %S is not an integer" key
 
-let float_field fields key = Codec.float_of_str (field fields key)
+let float_field line fields key =
+  match float_of_string_opt (field line fields key) with
+  | Some f -> f
+  | None -> bad (value_col line key) "field %S is not a float" key
 
-let bool_field fields key =
-  match field fields key with
+let bool_field line fields key =
+  match field line fields key with
   | "true" -> true
   | "false" -> false
-  | other -> failwith (Printf.sprintf "Event_log: field %S = %S not a bool" key other)
+  | other -> bad (value_col line key) "field %S = %S not a bool" key other
 
-let kind_of ~tag fields =
+let level_field line fields key =
+  match field line fields key with
+  | "healthy" -> Slo.Healthy
+  | "degraded" -> Slo.Degraded
+  | "critical" -> Slo.Critical
+  | other -> bad (value_col line key) "unknown level %S" other
+
+let kind_of ~tag line fields =
   match tag with
   | "join" ->
       Join
         {
-          session = int_field fields "session";
-          client = int_field fields "client";
-          server = int_field fields "server";
+          session = int_field line fields "session";
+          client = int_field line fields "client";
+          server = int_field line fields "server";
         }
-  | "queued" -> Queued { session = int_field fields "session" }
+  | "queued" -> Queued { session = int_field line fields "session" }
   | "drained" ->
       Drained
         {
-          session = int_field fields "session";
-          client = int_field fields "client";
-          server = int_field fields "server";
+          session = int_field line fields "session";
+          client = int_field line fields "client";
+          server = int_field line fields "server";
         }
-  | "shed" -> Shed { session = int_field fields "session" }
+  | "shed" -> Shed { session = int_field line fields "session" }
   | "leave" ->
       Leave
-        { session = int_field fields "session"; client = int_field fields "client" }
+        {
+          session = int_field line fields "session";
+          client = int_field line fields "client";
+        }
   | "crash" ->
       Crash
         {
-          server = int_field fields "server";
-          migrated = int_field fields "migrated";
-          stranded = int_field fields "stranded";
+          server = int_field line fields "server";
+          migrated = int_field line fields "migrated";
+          stranded = int_field line fields "stranded";
         }
-  | "crash-skipped" -> Crash_skipped { server = int_field fields "server" }
-  | "recover" -> Recover { server = int_field fields "server" }
+  | "crash-skipped" -> Crash_skipped { server = int_field line fields "server" }
+  | "recover" -> Recover { server = int_field line fields "server" }
   | "drift" ->
       Drift
-        { server = int_field fields "server"; factor = float_field fields "factor" }
+        {
+          server = int_field line fields "server";
+          factor = float_field line fields "factor";
+        }
   | "slo" ->
       Transition
         {
-          from_ = level_of_str (field fields "from");
-          to_ = level_of_str (field fields "to");
-          ratio = float_field fields "ratio";
-          (* Absent in logs written before load-aware objectives
-             existed; those transitions were all driven by plain D. *)
-          objective = Option.value ~default:"d" (List.assoc_opt "objective" fields);
+          from_ = level_field line fields "from";
+          to_ = level_field line fields "to";
+          ratio = float_field line fields "ratio";
+          objective = field line fields "objective";
         }
   | "repair" ->
       Repair
         {
-          moves = int_field fields "moves";
-          budget = int_field fields "budget";
-          before = float_field fields "before";
-          after = float_field fields "after";
+          moves = int_field line fields "moves";
+          budget = int_field line fields "budget";
+          before = float_field line fields "before";
+          after = float_field line fields "after";
         }
   | "protocol-repair" ->
       Protocol_repair
         {
-          moves = int_field fields "moves";
-          applied = bool_field fields "applied";
-          before = float_field fields "before";
-          after = float_field fields "after";
+          moves = int_field line fields "moves";
+          applied = bool_field line fields "applied";
+          before = float_field line fields "before";
+          after = float_field line fields "after";
         }
-  | "checkpoint" -> Checkpoint { id = int_field fields "id" }
+  | "checkpoint" -> Checkpoint { id = int_field line fields "id" }
   | "recovery" ->
       Recovery
         {
-          generation = int_field fields "generation";
-          skipped = int_field fields "skipped";
-          replayed = int_field fields "replayed";
+          generation = int_field line fields "generation";
+          skipped = int_field line fields "skipped";
+          replayed = int_field line fields "replayed";
         }
   | other -> failwith (Printf.sprintf "Event_log: unknown record %S" other)
 
+(* One rendering buffer per domain, reused across lines. *)
+let rendering = Domain.DLS.new_key (fun () -> Buffer.create 128)
+
 let of_line line =
   try
-    match String.split_on_char ' ' (String.trim line) with
-    | time :: tag :: rest ->
+    match String.split_on_char ' ' line with
+    | t :: tag :: rest ->
+        if not (String.starts_with ~prefix:"t=" t) then
+          bad 1 "line must start with t=<time>";
         let time =
-          match String.split_on_char '=' time with
-          | [ "t"; v ] -> Codec.float_of_str v
-          | _ -> failwith "Event_log: line must start with t=<time>"
+          match float_of_string_opt (String.sub t 2 (String.length t - 2)) with
+          | Some time -> time
+          | None -> bad 3 "field \"t\" is not a float"
         in
+        (* [pos] is the column of the token at hand. *)
+        let pos = ref (String.length t + String.length tag + 3) in
         let fields =
           List.map
             (fun kv ->
+              let col = !pos in
+              pos := col + String.length kv + 1;
               match String.index_opt kv '=' with
               | Some i ->
-                  ( String.sub kv 0 i,
-                    String.sub kv (i + 1) (String.length kv - i - 1) )
-              | None -> failwith (Printf.sprintf "Event_log: bad field %S" kv))
+                  (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+              | None -> bad col "bad field %S" kv)
             rest
         in
-        Ok { time; kind = kind_of ~tag fields }
-    | _ -> Error (Printf.sprintf "Event_log: malformed line %S" line)
-  with Failure m -> Error m
+        let e = { time; kind = kind_of ~tag line fields } in
+        let b = Domain.DLS.get rendering in
+        Buffer.clear b;
+        add_line b e;
+        let rendered = Buffer.sub b 0 (Buffer.length b - 1) in
+        if String.equal rendered line then Ok e
+        else begin
+          let n = min (String.length rendered) (String.length line) in
+          let i = ref 0 in
+          while !i < n && rendered.[!i] = line.[!i] do incr i done;
+          bad (!i + 1) "not the line the writer renders for this record"
+        end
+    | _ -> bad (String.length line + 1) "a line needs t=<time> and a record tag"
+  with
+  | Bad (col, m) -> Error (Printf.sprintf "Event_log: column %d: %s" col m)
+  | Failure m -> Error m
 
 let render entries =
   let b = Buffer.create 4096 in
@@ -215,23 +265,3 @@ let save path entries =
   let oc = open_out path in
   output_string oc (render entries);
   close_out oc
-
-let load path =
-  let ic = open_in path in
-  let rec read acc =
-    match input_line ic with
-    | exception End_of_file -> List.rev acc
-    | line -> read (line :: acc)
-  in
-  let lines = read [] in
-  close_in ic;
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then parse acc rest
-        else (
-          match of_line line with
-          | Ok entry -> parse (entry :: acc) rest
-          | Error m -> Error m)
-  in
-  parse [] lines

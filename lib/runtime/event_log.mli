@@ -33,8 +33,7 @@ type kind =
       objective : string;
           (** which objective drove the transition: ["d"] (pure network
               [D/LB]) or ["d_load"] (load-aware [D_load/LB_load], when
-              the scenario carries a delay model). Logs written before
-              this field existed parse as ["d"]. *)
+              the scenario carries a delay model). *)
     }
   | Repair of { moves : int; budget : int; before : float; after : float }
   | Protocol_repair of {
@@ -70,12 +69,16 @@ val to_line : entry -> string
 (** The entry's line, without the newline. *)
 
 val of_line : string -> (entry, string) result
+(** Parse one line. Accepts exactly the lines {!add_line} writes (less
+    the newline): a line that parses is rendered again, and a line that
+    differs from that rendering — a non-canonical number such as
+    [0x10], [+4] or [1_0], an unknown or repeated field, a blank at
+    either end — is an [Error] naming the first column where it
+    differs. Every other refusal names the column of the value it
+    refuses, except an unknown record tag, which is named itself. *)
 
 val render : entry list -> string
 (** All entries, one line each, newline-terminated. *)
 
 val save : string -> entry list -> unit
 (** Write {!render} output to a file. *)
-
-val load : string -> (entry list, string) result
-(** Parse a saved log; blank lines ignored. *)

@@ -395,6 +395,9 @@ let test_checkpoint_errors_carry_line_positions () =
            ("garbage slo", set_key "slo" "garbage" text);
            ("zero capacity", set_key "capacity" "0" text);
            ("repeated session id", edit_key "session" repeat_first_session text);
+           ("hex cursor", set_key "cursor" "0x10" text);
+           ("signed count", set_key "admitted" "+7" text);
+           ("blank before now", set_key "now" " 1.5" text);
          ]
   in
   List.iter
@@ -558,7 +561,7 @@ let prop_event_log_mutations_never_raise =
         | _ -> String.sub line 0 pos ^ string_of_int big ^ "e999" ^ String.sub line pos (n - pos)
       in
       match Event_log.of_line mutated with
-      | Ok _ -> true
+      | Ok e -> Event_log.to_line e = mutated
       | Error m -> String.length m > 0
       | exception _ -> false)
 

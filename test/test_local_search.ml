@@ -1,11 +1,11 @@
-(* Tests for Dia_core.Local_search. *)
+(* Tests for Dia_oracle.Local_search. *)
 
 module Synthetic = Dia_latency.Synthetic
 module Problem = Dia_core.Problem
 module Assignment = Dia_core.Assignment
 module Objective = Dia_core.Objective
 module Algorithm = Dia_core.Algorithm
-module Local_search = Dia_core.Local_search
+module Local_search = Dia_oracle.Local_search
 module Brute_force = Dia_core.Brute_force
 
 let instance ?capacity seed ~n ~k =

@@ -70,15 +70,6 @@ let test_single_server_bound_is_tight () =
     (Objective.max_interaction_path p a)
     (Lower_bound.compute p)
 
-let test_normalized () =
-  let p = random_instance 4 ~n:15 ~k:3 in
-  let a = Algorithm.run Algorithm.Greedy p in
-  let norm = Lower_bound.normalized p a in
-  Alcotest.(check bool) "normalized >= 1" true (norm >= 1. -. 1e-9);
-  Alcotest.(check (float 1e-9)) "normalized is the ratio"
-    (Objective.max_interaction_path p a /. Lower_bound.compute p)
-    norm
-
 let test_no_clients () =
   let m = Synthetic.euclidean ~seed:1 ~n:4 ~side:10. in
   let p = Problem.make ~latency:m ~servers:[| 0 |] ~clients:[||] () in
@@ -92,6 +83,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bound_below_optimum;
     Alcotest.test_case "bound tight with a single server" `Quick
       test_single_server_bound_is_tight;
-    Alcotest.test_case "normalized interactivity" `Quick test_normalized;
     Alcotest.test_case "no clients" `Quick test_no_clients;
   ]

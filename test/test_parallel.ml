@@ -5,8 +5,7 @@
 module Pool = Dia_parallel.Pool
 module Synthetic = Dia_latency.Synthetic
 module Problem = Dia_core.Problem
-module Lower_bound = Dia_core.Lower_bound
-module Local_search = Dia_core.Local_search
+module Local_search = Dia_oracle.Local_search
 module Placement = Dia_placement.Placement
 module Runner = Dia_experiments.Runner
 
@@ -132,22 +131,9 @@ let test_small_batch_not_oversplit () =
         [ 2; 4; 8; 12; 24; 63 ];
       (* Large batches still oversplit for balance. *)
       let parts = Pool.chunk_map pool ~n:1024 (fun ~lo ~hi -> hi - lo) in
-      Alcotest.(check int) "n=1024 oversplit 4x" 16 (Array.length parts);
-      (* A raised grain keeps even big batches coarse. *)
-      let parts = Pool.chunk_map ~grain:512 pool ~n:1024 (fun ~lo ~hi -> hi - lo) in
-      Alcotest.(check int) "grain=512 caps at jobs" 4 (Array.length parts))
+      Alcotest.(check int) "n=1024 oversplit 4x" 16 (Array.length parts))
 
 (* -- qcheck determinism properties ---------------------------------------- *)
-
-(* Exact float equality on purpose: the contract is bit-identity. *)
-let prop_lower_bound_bit_identical =
-  QCheck.Test.make ~name:"Lower_bound.compute identical for jobs in {2,3,8}"
-    ~count:25
-    QCheck.(triple (int_bound 1_000_000) (int_range 1 8) (int_range 1 40))
-    (fun (seed, k, extra) ->
-      let _, p = random_instance seed ~n:(k + extra) ~k in
-      let seq = Lower_bound.compute p in
-      List.for_all (fun pool -> Lower_bound.compute ~pool p = seq) pools)
 
 let prop_average_normalized_bit_identical =
   QCheck.Test.make
@@ -186,7 +172,6 @@ let suite =
       test_anneal_restarts_deterministic;
     Alcotest.test_case "small batches issue at most jobs chunks" `Quick
       test_small_batch_not_oversplit;
-    QCheck_alcotest.to_alcotest prop_lower_bound_bit_identical;
     QCheck_alcotest.to_alcotest prop_average_normalized_bit_identical;
     Alcotest.test_case "shutdown shared pools" `Quick test_shutdown_shared_pools;
   ]

@@ -401,6 +401,27 @@ let test_event_log_roundtrip () =
       ("t=60.5 promote server=2 promoted=5 fallback=1 stranded=0", "promote");
       ("t=99.9 standby-refresh changed=7", "standby-refresh");
       ("t=61 standby-breach ratio=3.25 bound=3", "standby-breach");
+    ];
+  (* Lines the writer never emits, each parsed to an entry that renders
+     to other bytes: each is an Error naming a column. *)
+  List.iter
+    (fun line ->
+      match Event_log.of_line line with
+      | Error m ->
+          Alcotest.(check bool) (Printf.sprintf "%S: %s names a column" line m) true
+            (String.starts_with ~prefix:"Event_log: column " m)
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%S accepted" line)
+      | exception e ->
+          Alcotest.fail (Printf.sprintf "%S raised %s" line (Printexc.to_string e)))
+    [
+      "t=1 queued session=0x10";
+      "t=1 queued session=1_0";
+      "t=1 queued session=+4";
+      "t=1 queued session=3 bogus=7";
+      "t=1 queued session=3 session=4";
+      "t=0x1p3 queued session=3";
+      " t=1 queued session=3 ";
+      "t=1 slo from=healthy to=degraded ratio=1.5";
     ]
 
 (* --- Codec --- *)

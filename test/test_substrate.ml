@@ -13,7 +13,6 @@ module Lower_bound = Dia_core.Lower_bound
 module Dynamic = Dia_core.Dynamic
 module Boxed = Dia_oracle.Reference.Boxed_matrix
 module Differential = Dia_oracle.Differential
-module Pool = Dia_parallel.Pool
 
 let random_instance ?capacity seed ~n ~k =
   let m = Synthetic.internet_like ~seed n in
@@ -46,15 +45,6 @@ let prop_layout_roundtrip_bit_identical =
           Differential.algo_keys
         && Lower_bound.compute p = Lower_bound.compute p'
       end)
-
-let prop_lower_bound_jobs_identical =
-  QCheck.Test.make ~name:"lower bound bit-identical for any pool size"
-    ~count:15
-    QCheck.(triple (int_bound 1_000_000) (int_range 2 6) (int_range 5 40))
-    (fun (seed, k, extra) ->
-      let p = random_instance seed ~n:(k + extra) ~k in
-      let seq = Lower_bound.compute p in
-      Pool.with_pool ~jobs:3 (fun pool -> Lower_bound.compute ~pool p) = seq)
 
 (* Random event storm over Dynamic; after every burst the incremental
    caches must agree bit-for-bit with the from-scratch recomputation,
@@ -113,6 +103,5 @@ let prop_dynamic_incremental_bit_identical =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_layout_roundtrip_bit_identical;
-    QCheck_alcotest.to_alcotest prop_lower_bound_jobs_identical;
     QCheck_alcotest.to_alcotest prop_dynamic_incremental_bit_identical;
   ]

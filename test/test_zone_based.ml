@@ -1,10 +1,10 @@
-(* Tests for Dia_core.Zone_based — the related-work baseline. *)
+(* Tests for Dia_oracle.Zone_based — the related-work baseline. *)
 
 module Synthetic = Dia_latency.Synthetic
 module Problem = Dia_core.Problem
 module Assignment = Dia_core.Assignment
 module Objective = Dia_core.Objective
-module Zone_based = Dia_core.Zone_based
+module Zone_based = Dia_oracle.Zone_based
 module Greedy = Dia_core.Greedy
 
 let instance ?capacity seed ~n ~k =
